@@ -35,6 +35,7 @@ __all__ = [
     "fit_inverse_lambda2",
     "detect_bifurcation",
     "log_spaced",
+    "csv_row",
     "rows_to_csv",
     "rows_from_csv",
     "write_sidecar",
@@ -195,8 +196,9 @@ def sweep(cfg: SweepConfig, dataset: LabeledDataset | None = None, row_callback=
     """Run every point of the sweep; rows come back in config order.
 
     Per-point failures are recorded in the row's error field and never abort
-    the sweep. row_callback, when given, receives each finished row in order
-    (useful for incremental CSV writing).
+    the sweep. row_callback, when given, receives each row in config order
+    as soon as it and every row before it have finished, so an incremental
+    CSV keeps the finished rows of an interrupted sweep.
     """
     if cfg.mode == "gadget" and dataset is None:
         raise ValueError("gadget mode requires a dataset")
@@ -215,16 +217,19 @@ def sweep(cfg: SweepConfig, dataset: LabeledDataset | None = None, row_callback=
                 censored=0, n_runs=0, error=f"{type(exc).__name__}: {exc}",
             )
 
+    def collect(results):
+        rows = []
+        for row in results:
+            if row_callback is not None:
+                row_callback(row)
+            rows.append(row)
+        return rows
+
     jobs = list(enumerate(cfg.p_out_list))
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(job, jobs))
-    else:
-        rows = [job(j) for j in jobs]
-    if row_callback is not None:
-        for row in rows:
-            row_callback(row)
-    return rows
+            return collect(pool.map(job, jobs))
+    return collect(map(job, jobs))
 
 
 def _fit_with_pole(deltas, taus, c):
@@ -333,23 +338,27 @@ def detect_bifurcation(sizes, p_in: float, delta_grid, refine_tol: float = 1e-4)
     return 0.5 * (lo + hi)
 
 
+def csv_row(r: SweepRow) -> list:
+    """The CSV_HEADER fields of one row; a missing value is an empty field."""
+    return [
+        repr(float(r.delta)),
+        repr(float(r.p_out)),
+        "" if r.tau_median is None else repr(float(r.tau_median)),
+        "" if r.tau_iqr is None else repr(float(r.tau_iqr)),
+        "" if r.lambda2_emp is None else repr(float(r.lambda2_emp)),
+        repr(float(r.lambda2_pred)),
+        repr(float(r.lambdaL)),
+        str(int(r.censored)),
+    ]
+
+
 def rows_to_csv(rows, path) -> None:
     """Write the fixed row schema; extra fields live in the JSON sidecar."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow([
-                repr(float(r.delta)),
-                repr(float(r.p_out)),
-                "" if r.tau_median is None else repr(float(r.tau_median)),
-                "" if r.tau_iqr is None else repr(float(r.tau_iqr)),
-                "" if r.lambda2_emp is None else repr(float(r.lambda2_emp)),
-                repr(float(r.lambda2_pred)),
-                repr(float(r.lambdaL)),
-                str(int(r.censored)),
-            ])
+        writer.writerows(csv_row(r) for r in rows)
 
 
 def rows_from_csv(path):

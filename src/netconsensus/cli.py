@@ -128,13 +128,7 @@ def _cmd_predict(args):
     out = _out_dir(args, config)
     eta = float(_setting(args, config, "eta", default=rmt.DEFAULT_ETA))
     grid_points = int(_setting(args, config, "grid_points", default=401))
-    pred = rmt.predict(model, eta=eta)
-    if grid_points != 401:
-        lam_l, lam_r = pred.support
-        span = max(lam_r - lam_l, 0.05)
-        grid = np.linspace(lam_l - 0.1 * span, lam_r + 0.1 * span, grid_points)
-        density, _ = rmt.bulk_density(model, grid, eta=eta)
-        pred.grid, pred.density = grid, density
+    pred = rmt.predict(model, grid_spec=grid_points, eta=eta)
     _write_json(out / "prediction.json", pred.to_json_dict())
     with (out / "prediction.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -260,16 +254,7 @@ def _cmd_sweep(args):
         writer.writerow(bench.CSV_HEADER)
 
         def emit(row):
-            writer.writerow([
-                repr(float(row.delta)),
-                repr(float(row.p_out)),
-                "" if row.tau_median is None else repr(float(row.tau_median)),
-                "" if row.tau_iqr is None else repr(float(row.tau_iqr)),
-                "" if row.lambda2_emp is None else repr(float(row.lambda2_emp)),
-                repr(float(row.lambda2_pred)),
-                repr(float(row.lambdaL)),
-                str(int(row.censored)),
-            ])
+            writer.writerow(bench.csv_row(row))
             fh.flush()
 
         rows = bench.sweep(cfg, dataset=dataset, row_callback=emit)

@@ -5,16 +5,18 @@ The bulk density comes from the K-dimensional resolvent fixed point
     t_r(z) = 1 / (z - 1 - sum_s n_s V_rs t_s(z)),
 
 where V is the blockwise entry variance and the constant 1 reflects the unit
-diagonal of the normalized Laplacian. Support edges are located where the
-fixed point loses stability (spectral radius of its Jacobian crossing one),
-and isolated eigenvalues are roots of a K x K determinant built from the
-expectation kernel. The off-diagonal expectation of the Laplacian is
-negative, so the determinant uses the signed kernel: with the positive
-kernel E of block_matrices, the root condition reads det(I + T(z) E N) = 0.
-T(z) can be evaluated on the noise-free resolvent (roots equal the
-expected-Laplacian eigenvalues; the default, and the empirically accurate
-choice for degree-normalized matrices) or on the converged noisy fixed
-point (adds independent-entry edge repulsion); see isolated_eigenvalues.
+diagonal of the normalized Laplacian. The bulk is symmetric about 1, and its
+edges 1 -/+ c are where the fixed point's stability operator degenerates
+(Ajanki, Erdos and Kruger, arXiv:1506.05095). With M_rs = n_s V_rs,
+
+    c = max over the simplex of 2 sum_s sqrt(v_s (M^T v)_s)
+      = min over t > 0 of max_r (1/t_r + (M t)_r),
+
+one small convex problem instead of a scan. The isolated eigenvalues are the
+roots of det(I + T(z) E N) on the noise-free resolvent T = 1/(z - 1), with E
+the positive expectation kernel of block_matrices (the Laplacian's
+off-diagonal expectation is negative, hence the sign). Those roots are
+exactly 1 - eig(E N), the low-rank eigenvalues of the expected Laplacian.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "SingularPointError",
     "FixedPointError",
     "SupportNotFoundError",
+    "Support",
     "fixed_point",
     "bulk_density",
     "support_boundaries",
@@ -46,6 +49,13 @@ DEFAULT_TOL = 1e-10
 DEFAULT_ETA = 1e-9
 _DENSITY_MAX_ITERS = 200_000
 _SINGULAR_FLOOR = 1e-14
+# isolated values 1 - eig(E N) closer than this to the support count as bulk
+EDGE_MARGIN = 2e-3
+# relative gap between the edge solve's two bounds on c; the slowest of 300
+# random K <= 5 models needed 2671 updates
+_EDGE_TOL = 1e-12
+_EDGE_MAX_ITERS = 50_000
+_EDGE_RHO_TOL = 1e-6
 
 
 class SingularPointError(ArithmeticError):
@@ -57,7 +67,7 @@ class FixedPointError(RuntimeError):
 
 
 class SupportNotFoundError(RuntimeError):
-    """No bulk support located inside the scan window."""
+    """The bulk edge solve failed, or the support leaves (0, 2)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,20 +130,16 @@ def _kernel(model: SbmModel) -> _Kernel:
     return _Kernel(sizes=sizes, mix=mix, en=en)
 
 
-def _iterate(kern, z, t0, max_iters, tol, damping, stall_window=0):
+def _iterate(kern, z, t0, max_iters, tol, damping):
     """Damped fixed-point iteration; returns (t, residual, iterations, ok).
 
     Raises SingularPointError when a denominator collapses; a stalled
-    iteration is reported via ok=False rather than raised, since callers use
-    non-convergence as an inside-the-bulk classifier. With stall_window > 0
-    the loop bails early when the residual stops contracting between
-    checkpoints, which is how oscillation inside the bulk shows up.
+    iteration is reported via ok=False rather than raised.
     """
     shift = z - 1.0
     want_complex = isinstance(z, complex) or np.iscomplexobj(t0)
     t = np.asarray(t0, dtype=complex if want_complex else float).copy()
     res = np.inf
-    res_checkpoint = np.inf
     for it in range(1, max_iters + 1):
         den = shift - kern.mix @ t
         if np.abs(den).min() < _SINGULAR_FLOOR:
@@ -143,10 +149,6 @@ def _iterate(kern, z, t0, max_iters, tol, damping, stall_window=0):
         if res < tol:
             return f, res, it, True
         t = (1.0 - damping) * t + damping * f
-        if stall_window and it % stall_window == 0:
-            if res > 0.98 * res_checkpoint:
-                return t, res, it, False
-            res_checkpoint = res
     return t, res, max_iters, False
 
 
@@ -155,11 +157,6 @@ def _default_t0(kern, z):
     if abs(shift) < 1e-8:
         shift = 1e-8 if not isinstance(z, complex) else 1e-8 + 0j
     return np.full(kern.k, 1.0 / shift, dtype=complex if isinstance(z, complex) else float)
-
-
-def _jacobian(kern, t):
-    # d f_r / d t_s = n_s V_rs / den_r^2 = M_rs t_r^2 at the fixed point
-    return kern.mix * (t**2)[:, None]
 
 
 def _spectral_radius(mat) -> float:
@@ -190,27 +187,6 @@ def fixed_point(
             raise ValueError(f"t0 must have shape ({kern.k},)")
     t, res, iters, ok = _iterate(kern, z, t0, max_iters, tol, damping)
     return StieltjesState(z=z, t=t, residual=res, converged=ok, iterations=iters)
-
-
-def _real_stable(kern, z, t0=None, max_iters=DEFAULT_MAX_ITERS, tol=1e-12, damping=DEFAULT_DAMPING):
-    """Real stable fixed point at real z, or (None, rho=None) when absent.
-
-    A converged point of the damped iteration is necessarily stable for the
-    plain map (the Jacobian is nonnegative, so its Perron root bounds every
-    eigenvalue), hence convergence doubles as the outside-the-support test.
-    """
-    if t0 is None:
-        t0 = _default_t0(kern, float(z))
-    try:
-        t, _res, _it, ok = _iterate(kern, float(z), t0, max_iters, tol, damping, stall_window=400)
-    except SingularPointError:
-        return None, None
-    if not ok or np.iscomplexobj(t):
-        return None, None
-    rho = _spectral_radius(_jacobian(kern, t))
-    if rho > 1.0 + 1e-9:
-        return None, None
-    return t, rho
 
 
 def bulk_density(model: SbmModel, grid, eta: float = DEFAULT_ETA, max_iters: int = _DENSITY_MAX_ITERS,
@@ -244,243 +220,81 @@ def bulk_density(model: SbmModel, grid, eta: float = DEFAULT_ETA, max_iters: int
     return density, {"eta": eta, "failed_points": failed}
 
 
-def _classify_outside(kern, z, warm=None, max_iters=DEFAULT_MAX_ITERS):
-    """(outside?, t) for real z: outside means a stable real branch exists."""
-    t, _rho = _real_stable(kern, z, t0=warm, max_iters=max_iters)
-    if t is None and warm is not None:
-        t, _rho = _real_stable(kern, z, t0=None, max_iters=max_iters)
-    return (t is not None), t
+class Support(tuple):
+    """Bulk support edges ``(left, right)``; ``iterations`` counts the updates
+    of the edge solve (0 for a model without bulk)."""
+
+    def __new__(cls, left, right, iterations=0):
+        self = super().__new__(cls, (float(left), float(right)))
+        self.iterations = int(iterations)
+        return self
 
 
-def support_boundaries(
-    model: SbmModel,
-    tol: float = 1e-6,
-    scan_window=(0.0, 2.0),
-    coarse_step: float = 0.02,
-    max_iters: int = DEFAULT_MAX_ITERS,
-):
-    """Left and right bulk support edges to absolute tolerance ``tol``.
+def _edge_radius(kern):
+    """Half-width c of the bulk and the number of updates that found it.
 
-    The edge is where the real fixed-point branch loses stability (Jacobian
-    spectral radius reaching one). Scans the window for the unstable region,
-    then bisects each side. A model with zero variance has no bulk; the
-    degenerate support (1, 1) is returned for it.
+    The right edge 1 + c is the smallest z with a positive real fixed point,
+    c = min over t > 0 of max_r (1/t_r + (M t)_r). Its convex dual is
+    c = max over the simplex of 2 sum_s sqrt(v_s (M^T v)_s), where the inner
+    minimum over t is t = sqrt(v / M^T v). The multiplicative update
+    v <- v * (1/t + M t) climbs the dual; the dual value v @ (1/t + M t) and
+    the primal max_r (1/t + M t)_r bracket c, so their gap is the stopping
+    rule. At the optimum v / t^2 is a nonnegative left eigenvector of
+    diag(t^2) M with eigenvalue 1, which is checked. Blocks without variance
+    carry no bulk and are dropped.
+    """
+    live = kern.mix.any(axis=1)
+    mix = kern.mix[np.ix_(live, live)]
+    v = np.full(mix.shape[0], 1.0 / mix.shape[0])
+    for it in range(1, _EDGE_MAX_ITERS + 1):
+        t = np.sqrt(v / (mix.T @ v))
+        g = 1.0 / t + mix @ t
+        high, low = float(g.max()), float(v @ g)
+        if not np.isfinite(high):
+            break
+        if high - low <= _EDGE_TOL * high:
+            rho = _spectral_radius(mix * (t**2)[:, None])
+            if abs(rho - 1.0) > _EDGE_RHO_TOL:
+                raise SupportNotFoundError(f"edge check failed: rho(diag(t^2) M) = {rho!r}, not 1")
+            return high, it
+        v = v * g
+        v /= v.sum()
+    raise SupportNotFoundError(f"edge solve did not converge in {it} updates (gap {high - low!r})")
+
+
+def support_boundaries(model: SbmModel) -> Support:
+    """Left and right bulk support edges, symmetric about 1.
+
+    The edges are 1 -/+ c with c from one convex solve (see _edge_radius).
+    Raises SupportNotFoundError when the solve fails or an edge leaves
+    (0, 2). A model with zero variance has no bulk; the degenerate support
+    (1, 1) is returned for it.
     """
     kern = _kernel(model)
     if kern.mix.max() <= 0.0:
-        return (1.0, 1.0)
-
-    lo, hi = float(scan_window[0]), float(scan_window[1])
-    inside_flags, ts = _scan_inside(kern, np.arange(lo, hi + coarse_step / 2, coarse_step), max_iters)
-    inside_idx = np.flatnonzero(inside_flags)
-
-    if inside_idx.size == 0:
-        # bulk narrower than the coarse step: refine around its center at 1
-        width = 4.0 * np.sqrt(_spectral_radius(kern.mix))
-        grid = np.linspace(1.0 - width, 1.0 + width, 301)
-        inside_flags, ts = _scan_inside(kern, grid, max_iters)
-        inside_idx = np.flatnonzero(inside_flags)
-        if inside_idx.size == 0:
-            raise SupportNotFoundError(
-                f"no unstable region found in scan window [{lo}, {hi}] "
-                f"or refined window around 1"
-            )
-    else:
-        grid = np.arange(lo, hi + coarse_step / 2, coarse_step)
-
-    i_first, i_last = int(inside_idx[0]), int(inside_idx[-1])
-    if i_first == 0 or i_last == len(grid) - 1:
-        raise SupportNotFoundError(
-            f"bulk support reaches the edge of the scan window [{lo}, {hi}]"
-        )
-
-    left = _bisect_edge(kern, grid[i_first - 1], grid[i_first], ts[i_first - 1], tol, max_iters, outside_low=True)
-    right = _bisect_edge(kern, grid[i_last + 1], grid[i_last], ts[i_last + 1], tol, max_iters, outside_low=False)
-    return (left, right)
+        return Support(1.0, 1.0)
+    c, iterations = _edge_radius(kern)
+    if not c < 1.0:
+        raise SupportNotFoundError(f"bulk support [{1.0 - c!r}, {1.0 + c!r}] leaves (0, 2)")
+    return Support(1.0 - c, 1.0 + c, iterations)
 
 
-def _scan_inside(kern, grid, max_iters):
-    flags = np.zeros(len(grid), dtype=bool)
-    ts = [None] * len(grid)
-    warm = None
-    for i, z in enumerate(grid):
-        outside, t = _classify_outside(kern, float(z), warm=warm, max_iters=max_iters)
-        flags[i] = not outside
-        ts[i] = t
-        warm = t if outside else None
-    return flags, ts
+def isolated_eigenvalues(model: SbmModel, support=None):
+    """Predicted isolated eigenvalues, ascending and with multiplicity.
 
-
-def _bisect_edge(kern, z_out, z_in, t_out, tol, max_iters, outside_low):
-    lo, hi = (z_out, z_in) if outside_low else (z_in, z_out)
-    warm = t_out
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        outside, t = _classify_outside(kern, mid, warm=warm, max_iters=max_iters)
-        if outside:
-            warm = t
-            if outside_low:
-                lo = mid
-            else:
-                hi = mid
-        else:
-            if outside_low:
-                hi = mid
-            else:
-                lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _root_det(kern, t):
-    # det(I + T E N): signed kernel of the Laplacian's off-diagonal expectation
-    return float(np.linalg.det(np.eye(kern.k) + t[:, None] * kern.en))
-
-
-def isolated_eigenvalues(
-    model: SbmModel,
-    support=None,
-    scan_window=(-0.5, 2.5),
-    step: float = 1e-3,
-    tol: float = 1e-8,
-    edge_margin: float = 2e-3,
-    double_root_floor: float = 1e-10,
-    resolvent: str = "expectation",
-):
-    """Predicted isolated eigenvalues (ascending), at most K of them.
-
-    Scans real z outside the bulk support for sign changes of the K x K
-    determinant and bisects each bracket. A locally vanishing |det| without
-    a sign change (symmetric split communities) is reported as a
-    multiplicity-2 root, i.e. the value appears twice in the result.
-
-    resolvent picks the branch the determinant is evaluated on.
-    "expectation" uses the noise-free resolvent t = 1/(z - 1), whose roots
-    are exactly the low-rank eigenvalues of the expected Laplacian; this is
-    the accurate choice here because the degree normalization correlates
-    the matrix entries and the trivial/community eigenvalues track the
-    expectation spectrum (sampled networks confirm this to a few percent,
-    and the trivial eigenvalue of a connected sample is pinned at 0).
-    "fixed_point" evaluates on the converged noisy resolvent instead, which
-    adds the independent-entry edge repulsion; it overstates the shift for
-    normalized Laplacians (for K=1 it puts the trivial root at exactly
-    -sum_s n_s V_s) and can push predictions below 0 near disconnection,
-    but is kept for ensembles with genuinely independent entries.
+    The roots of det(I + T(z) E N) on the noise-free resolvent
+    T = 1/(z - 1) are 1 - eig(E N): the low-rank eigenvalues of the expected
+    Laplacian, which the degree-normalized samples track. E N is similar to
+    the symmetric N^1/2 E N^1/2. Values within EDGE_MARGIN of the support
+    count as bulk.
     """
-    if resolvent not in ("expectation", "fixed_point"):
-        raise ValueError(f"resolvent must be 'expectation' or 'fixed_point', got {resolvent!r}")
     kern = _kernel(model)
     if support is None:
         support = support_boundaries(model)
-    lam_l, lam_r = support
-    degenerate = lam_r - lam_l <= 0.0
-    margin = 0.0 if degenerate else edge_margin
-    windows = [
-        (float(scan_window[0]), lam_l - margin),
-        (lam_r + margin, float(scan_window[1])),
-    ]
-    if degenerate or resolvent == "expectation":
-        # keep a hole around the z = 1 singularity of t = 1/(z-1); for a
-        # nondegenerate bulk the hole lies inside the excluded support anyway
-        windows = [(w_lo, min(w_hi, 1.0 - 1e-6)) for w_lo, w_hi in windows if w_lo < 1.0] + [
-            (max(w_lo, 1.0 + 1e-6), w_hi) for w_lo, w_hi in windows if w_hi > 1.0
-        ]
-        windows = [(a, b) for a, b in windows if b > a]
-
-    roots = []
-    for a, b in windows:
-        if b - a <= step:
-            continue
-        zs = np.arange(a, b, step)
-        if zs[-1] < b - 1e-12:
-            zs = np.append(zs, b)
-        vals = np.full(len(zs), np.nan)
-        warm = None
-        for i, z in enumerate(zs):
-            t = _resolvent_t(kern, float(z), resolvent, warm)
-            if t is None:
-                warm = None
-                continue
-            warm = t
-            vals[i] = _root_det(kern, t)
-        roots.extend(_roots_from_scan(kern, zs, vals, tol, double_root_floor, resolvent))
-    return sorted(roots)
-
-
-def _resolvent_t(kern, z, resolvent, warm=None):
-    """Resolvent diagonal at real z on the requested branch, or None."""
-    if resolvent == "expectation":
-        if abs(z - 1.0) < 1e-9:
-            return None
-        return np.full(kern.k, 1.0 / (z - 1.0))
-    outside, t = _classify_outside(kern, z, warm=warm)
-    return t if outside else None
-
-
-def _roots_from_scan(kern, zs, vals, tol, double_root_floor, resolvent):
-    roots = []
-    finite = np.isfinite(vals)
-    for i in range(len(zs) - 1):
-        if not (finite[i] and finite[i + 1]):
-            continue
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(zs[i]))
-        elif a * b < 0.0:
-            roots.append(_bisect_root(kern, zs[i], zs[i + 1], a, tol, resolvent))
-    if finite[-1] and vals[-1] == 0.0:
-        roots.append(float(zs[-1]))
-    # same-sign local minima of |det|: candidate double roots
-    for i in range(1, len(zs) - 1):
-        if not (finite[i - 1] and finite[i] and finite[i + 1]):
-            continue
-        trio = vals[i - 1 : i + 2]
-        if np.sign(trio[0]) == np.sign(trio[2]) and abs(trio[1]) < min(abs(trio[0]), abs(trio[2])):
-            z_min, d_min = _minimize_absdet(kern, zs[i - 1], zs[i + 1], tol, resolvent)
-            if d_min < double_root_floor:
-                roots.extend([z_min, z_min])
-    return roots
-
-
-def _bisect_root(kern, lo, hi, val_lo, tol, resolvent):
-    sign_lo = np.sign(val_lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        t = _resolvent_t(kern, mid, resolvent)
-        val = _root_det(kern, t) if t is not None else np.nan
-        if not np.isfinite(val):
-            break
-        if val == 0.0:
-            return float(mid)
-        if np.sign(val) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
-
-
-def _minimize_absdet(kern, lo, hi, tol, resolvent):
-    """Golden-section minimum of |det| over [lo, hi]."""
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-
-    def value(z):
-        t = _resolvent_t(kern, z, resolvent)
-        return abs(_root_det(kern, t)) if t is not None else np.inf
-
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = value(c), value(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = value(d)
-    z_min = 0.5 * (a + b)
-    return float(z_min), value(z_min)
+    root_n = np.sqrt(kern.sizes)
+    values = 1.0 - np.linalg.eigvalsh(root_n[:, None] * kern.en / root_n[None, :])
+    outside = (values < support[0] - EDGE_MARGIN) | (values > support[1] + EDGE_MARGIN)
+    return sorted(float(v) for v in values[outside])
 
 
 def predict(
@@ -488,9 +302,6 @@ def predict(
     grid_spec=None,
     eta: float = DEFAULT_ETA,
     with_density: bool = True,
-    boundary_tol: float = 1e-6,
-    root_tol: float = 1e-8,
-    resolvent: str = "expectation",
 ) -> SpectralPrediction:
     """Full spectral prediction: support, density, isolated values, lambda2.
 
@@ -498,22 +309,24 @@ def predict(
     trivial near-zero root when one exists below the left support edge;
     otherwise the left edge itself (the merged regime).
 
-    grid_spec may be None (auto grid spanning the support with a margin),
-    a (lo, hi, num) tuple, or an explicit array of sample points.
+    grid_spec may be None (auto grid of 401 points spanning the support with
+    a margin), an int (the auto grid with that many points), a
+    (lo, hi, num) tuple, or an explicit array of sample points.
     """
-    support = support_boundaries(model, tol=boundary_tol)
+    support = support_boundaries(model)
     lam_l, lam_r = support
-    isolated = isolated_eigenvalues(model, support=support, tol=root_tol, resolvent=resolvent)
+    isolated = isolated_eigenvalues(model, support=support)
 
-    if grid_spec is None:
+    if grid_spec is None or isinstance(grid_spec, (int, np.integer)):
         span = max(lam_r - lam_l, 0.05)
-        grid = np.linspace(lam_l - 0.1 * span, lam_r + 0.1 * span, 401)
+        num = 401 if grid_spec is None else int(grid_spec)
+        grid = np.linspace(lam_l - 0.1 * span, lam_r + 0.1 * span, num)
     elif isinstance(grid_spec, tuple) and len(grid_spec) == 3:
         grid = np.linspace(float(grid_spec[0]), float(grid_spec[1]), int(grid_spec[2]))
     else:
         grid = np.asarray(grid_spec, dtype=float)
 
-    diagnostics = {"eta": eta, "boundary_tol": boundary_tol, "root_tol": root_tol}
+    diagnostics = {"eta": eta, "edge_iterations": support.iterations}
     if with_density and lam_r > lam_l:
         density, ddiag = bulk_density(model, grid, eta=eta)
         diagnostics.update(ddiag)
@@ -532,7 +345,7 @@ def predict(
         grid=grid,
         density=density,
         support=(float(lam_l), float(lam_r)),
-        isolated=tuple(float(v) for v in isolated),
+        isolated=tuple(isolated),
         predicted_lambda2=lam2,
         diagnostics=diagnostics,
     )

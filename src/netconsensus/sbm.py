@@ -73,6 +73,8 @@ class SbmModel:
         k = len(sizes)
         if probs.shape != (k, k):
             raise ValueError(f"edge_probs must be {k}x{k}, got shape {probs.shape}")
+        if not np.isfinite(probs).all():
+            raise ValueError("edge_probs entries must be finite")
         if not np.array_equal(probs, probs.T):
             raise ValueError("edge_probs must be symmetric")
         if probs.min() < 0.0 or probs.max() > 1.0:

@@ -108,6 +108,23 @@ class TestSweep:
         cfg4 = self.make_config(p_out_list=(0.15, 0.3, 0.5), seeds_per_point=2, workers=4)
         assert bench.sweep(cfg1) == bench.sweep(cfg4)
 
+    def test_rows_reach_callback_as_each_point_finishes(self, monkeypatch):
+        events = []
+        point = bench._scalar_point
+
+        def traced_point(cfg, p_out, seeds):
+            events.append(("start", p_out))
+            return point(cfg, p_out, seeds)
+
+        monkeypatch.setattr(bench, "_scalar_point", traced_point)
+        grid = (0.15, 0.3, 0.5)
+        bench.sweep(self.make_config(p_out_list=grid), row_callback=lambda r: events.append(("row", r.p_out)))
+        assert events == [(kind, p) for p in grid for kind in ("start", "row")]
+
+        emitted = []
+        bench.sweep(self.make_config(p_out_list=grid, workers=3), row_callback=lambda r: emitted.append(r.p_out))
+        assert emitted == list(grid)
+
     def test_gadget_smoke_two_points(self):
         ds = data.make_blobs(300, 4, margin=2.0, seed=5)
         cfg = self.make_config(

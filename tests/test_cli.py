@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from netconsensus import bench, sbm
+from netconsensus import bench, rmt, sbm
 from netconsensus.cli import cli
 
 
@@ -54,6 +54,24 @@ def test_predict_with_config_file(tmp_path):
     assert doc["lambdaL"] < doc["lambdaR"]
     assert len(doc["isolated"]) == 2
     assert (out / "prediction.csv").exists()
+
+
+def test_predict_grid_points_computes_density_once(tmp_path, monkeypatch):
+    calls = []
+    density = rmt.bulk_density
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return density(*args, **kwargs)
+
+    monkeypatch.setattr(rmt, "bulk_density", counted)
+    out = tmp_path / "o"
+    rc = cli(["predict", "--sizes", "40,40", "--p-in", "0.5", "--p-out", "0.1",
+              "--grid-points", "101", "--out", str(out)])
+    assert rc == 0
+    assert calls == [101]
+    assert len((out / "prediction.csv").read_text().splitlines()) == 1 + 101
+    assert len(json.loads((out / "prediction.json").read_text())["grid"]) == 101
 
 
 def test_flags_override_config(tmp_path):
@@ -111,6 +129,18 @@ def test_sweep_then_fit_pipeline(tmp_path):
     fit = json.loads((out / "fit.json").read_text())
     assert fit["pole_fixed"] is True
     assert np.isfinite(fit["a"])
+
+
+def test_sweep_rows_csv_matches_rows_to_csv(tmp_path):
+    # the incremental rows.csv and rows_to_csv share one row format
+    settings = {"sizes": [20, 20], "p_in": 0.6, "p_out_list": [0.2, 0.4], "seeds_per_point": 1,
+                "epsilon": 1e-8, "base_seed": 9, "max_rounds": 20000}
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(json.dumps(settings))
+    out = tmp_path / "o"
+    assert cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    bench.rows_to_csv(bench.sweep(bench.SweepConfig(**settings)), tmp_path / "direct.csv")
+    assert (out / "rows.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 
 def test_fit_insufficient_rows_is_runtime_error(tmp_path):

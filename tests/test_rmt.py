@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from netconsensus import rmt, sbm, spectra
@@ -7,6 +9,13 @@ from netconsensus import rmt, sbm, spectra
 
 def two_level(sizes, p_in, p_out, seed=0):
     return sbm.make_two_level_model(sizes, sbm.TwoLevelProbs(p_in, p_out), seed)
+
+
+def block_model(sizes, p_diag, p_off):
+    """p_off off the diagonal, p_diag (a scalar or one value per block) on it."""
+    pi = np.full((len(sizes), len(sizes)), p_off)
+    np.fill_diagonal(pi, p_diag)
+    return sbm.SbmModel(sizes, pi, 0)
 
 
 def er_model(n, p, seed=0):
@@ -157,6 +166,14 @@ class TestSupportBoundaries:
     def test_zero_variance_degenerate(self):
         assert rmt.support_boundaries(two_level([5, 5], 1.0, 1.0)) == (1.0, 1.0)
 
+    def test_zero_variance_block_carries_no_bulk(self):
+        # block 0 has only probability-one edges; the bulk is block 1's alone
+        model = sbm.SbmModel((10, 40), np.array([[1.0, 1.0], [1.0, 0.5]]), 0)
+        m11 = rmt._kernel(model).mix[1, 1]
+        lo, hi = rmt.support_boundaries(model)
+        assert hi - 1.0 == pytest.approx(2 * np.sqrt(m11), abs=1e-10)
+        assert 1.0 - lo == pytest.approx(2 * np.sqrt(m11), abs=1e-10)
+
     def test_small_delta_matches_weighted_er(self):
         # delta ~ 0: edges should sit within 1e-3 of the population-weighted ER
         lo, hi = rmt.support_boundaries(two_level([700, 300], 0.9, 0.899))
@@ -165,20 +182,115 @@ class TestSupportBoundaries:
         assert hi == pytest.approx(1 + radius, abs=1e-3)
 
 
+# support_boundaries and isolated_eigenvalues of the earlier scan-and-bisect
+# predictor (edges bisected to 1e-6, roots to 1e-8), kept as an oracle
+SCAN_ORACLE = [
+    # sizes, p_diag, p_off, (lambdaL, lambdaR), isolated
+    ((500, 1000, 2000, 3500), 0.1, 0.02, (0.8887240600585937, 1.1112759399414065),
+     (-3.8146968215357935e-09, 0.4136424140930184, 0.5975370903015147, 0.7564972648620618)),
+    ((143, 286, 571, 1000), 0.1, 0.02, (0.7918081665039063, 1.2081918334960937),
+     (-3.8146968215357935e-09, 0.4137597236633309, 0.5973310890197763, 0.7563142280578623)),
+    ((700, 300), 0.1, 0.001, (0.6603921508789063, 1.3396078491210939),
+     (-3.8146968215357935e-09, 0.027068729400635233)),
+    ((700, 300), 0.1, 0.02, (0.7415731811523436, 1.2584268188476562),
+     (-3.8146968215357935e-09, 0.3971291847229011)),
+    ((700, 300), 0.1, 0.06, (0.7900588989257813, 1.2099411010742187),
+     (-3.8146968215357935e-09, 0.787878787994386)),
+    ((700, 300), 0.1, 0.1, (0.8102627563476563, 1.189737243652344), (-3.8146968215357935e-09,)),
+    ((700, 300), 0.9, 0.002, (0.9614657592773437, 1.0385342407226563),
+     (-3.8146968215357935e-09, 0.006109912872314902)),
+    ((700, 300), 0.9, 0.899, (0.9788687133789062, 1.0211312866210935), (-3.8146968215357935e-09,)),
+    ((700, 300), 0.1, 0.0, (0.6535891723632814, 1.346410827636719),
+     (-1.4071679531030547e-09, -1.4071679531030547e-09)),
+    ((500, 500), 0.1, 0.0, (0.7316714477539064, 1.268328552246094),
+     (-1.4071679531030547e-09, -1.4071679531030547e-09)),
+    ((30, 70), 0.9, 0.003, (0.8780740356445311, 1.1219259643554689),
+     (-3.8146968215357935e-09, 0.009144283294678188)),
+    ((1000,), 0.05, 0.05, (0.7243185424804688, 1.275681457519531), (-3.8146968215357935e-09,)),
+    ((100, 200, 300, 400, 500), 0.3, 0.01, (0.7772280883789064, 1.2227719116210936),
+     (-3.8146968215357935e-09, 0.1041565742492681, 0.13598572921752985, 0.192974887847901,
+      0.32726333999633866)),
+    ((50, 2000), 0.5, 0.001, (0.7378237915039063, 1.262176208496094),
+     (-3.8146968215357935e-09, 0.07412407302856498)),
+    ((3000, 3000, 50, 2000), (0.5, 0.7, 0.3, 0.1), 0.005, (0.8710726928710937, 1.1289273071289063),
+     (-3.8146968215357935e-09, 0.02263348007202195, 0.13675835800170955, 0.7276954536438001)),
+]
+
+
+@pytest.mark.parametrize("sizes, p_diag, p_off, edges, isolated", SCAN_ORACLE)
+def test_matches_scan_oracle(sizes, p_diag, p_off, edges, isolated):
+    model = block_model(sizes, p_diag, p_off)
+    support = rmt.support_boundaries(model)
+    assert np.abs(np.subtract(support, edges)).max() <= 1e-6
+    values = rmt.isolated_eigenvalues(model, support=support)
+    assert len(values) == len(isolated)
+    assert np.abs(np.subtract(values, isolated)).max() <= 1e-8
+
+
+def test_support_outside_unit_window_raises():
+    # expected degree 0.4: the bulk would reach below 0
+    with pytest.raises(rmt.SupportNotFoundError):
+        rmt.support_boundaries(two_level([20, 20], 0.01, 0.01))
+
+
+def _expected_laplacian_spectrum(sizes, pi):
+    n = int(sum(sizes))
+    onehot = np.zeros((n, len(sizes)))
+    start = 0
+    for k, size in enumerate(sizes):
+        onehot[start : start + size, k] = 1.0
+        start += size
+    expected_adj = onehot @ pi @ onehot.T
+    np.fill_diagonal(expected_adj, 0.0)
+    deg = expected_adj.sum(axis=1)
+    return np.linalg.eigvalsh(np.eye(n) - expected_adj / np.sqrt(np.outer(deg, deg)))
+
+
+@st.composite
+def small_models(draw):
+    k = draw(st.integers(1, 4))
+    sizes = tuple(draw(st.lists(st.integers(30, 100), min_size=k, max_size=k)))
+    pi = np.zeros((k, k))
+    for r in range(k):
+        pi[r, r] = draw(st.floats(0.3, 0.9))
+        for s in range(r):
+            pi[r, s] = pi[s, r] = draw(st.one_of(st.just(0.0), st.floats(0.001, 0.3)))
+    return sbm.SbmModel(sizes, pi, 0)
+
+
+# Over 30 random models of this shape: isolated values deviated from the dense
+# spectrum by at most 0.41 / (min expected degree); the density 1% outside an
+# edge stayed below 2.2e-7 and 1% inside above 0.12.
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(small_models())
+def test_random_models_against_independent_oracles(model):
+    lam_l, lam_r = rmt.support_boundaries(model)
+    kern = rmt._kernel(model)
+    # the constant t and the left Perron vector bound the edge solve's value
+    c = 1.0 - lam_l
+    assert lam_r - 1.0 == pytest.approx(c, abs=1e-12)
+    assert 2 * np.sqrt(rmt._spectral_radius(kern.mix)) <= c + 1e-9
+    assert c <= 2 * np.sqrt(kern.mix.sum(axis=1).max()) + 1e-9
+
+    # the density iteration is independent of the edge solve
+    step = 0.01 * (lam_r - lam_l)
+    density, diag = rmt.bulk_density(model, [lam_l - step, lam_l + step, lam_r - step, lam_r + step])
+    assert not diag["failed_points"]
+    assert density[0] <= 1e-6 and density[3] <= 1e-6
+    assert density[1] > 1e-3 and density[2] > 1e-3
+
+    dhat = model.edge_probs @ np.asarray(model.community_sizes, dtype=float)
+    dense = _expected_laplacian_spectrum(model.community_sizes, model.edge_probs)
+    for value in rmt.isolated_eigenvalues(model, support=(lam_l, lam_r)):
+        assert np.abs(dense - value).min() <= 1.0 / dhat.min()
+
+
 class TestIsolatedEigenvalues:
     def test_delta_zero_single_trivial_root(self):
         # rank-1 expectation: only the trivial root near 0 survives
         roots = rmt.isolated_eigenvalues(two_level([400, 600], 0.1, 0.1))
         assert len(roots) == 1
         assert roots[0] == pytest.approx(0.0, abs=1e-6)
-
-    def test_noisy_resolvent_branch_shifts_trivial_root(self):
-        # the independent-entry branch repels the trivial root to exactly
-        # -sum_s n_s V_s below zero (closed form for K=1)
-        n, p = 1000, 0.1
-        roots = rmt.isolated_eigenvalues(er_model(n, p), resolvent="fixed_point")
-        assert len(roots) == 1
-        assert roots[0] == pytest.approx(-semicircle_sigma2(n, p), abs=1e-6)
 
     def test_disconnected_equal_blocks_double_root(self):
         model = two_level([500, 500], 0.1, 0.0)
@@ -194,7 +306,7 @@ class TestIsolatedEigenvalues:
         model = two_level([500, 500], 0.1, 0.02)
         roots = rmt.isolated_eigenvalues(model)
         assert len(roots) == 2
-        oracle = _expected_laplacian_lambda2([500, 500], model.edge_probs)
+        oracle = _expected_laplacian_spectrum([500, 500], model.edge_probs)[1]
         assert abs(roots[1] - oracle) < 0.05
         assert abs(roots[1] - 2 * 0.02 / 0.12) < 0.05
 
@@ -207,20 +319,6 @@ class TestIsolatedEigenvalues:
             lam2s.append(spectra.lambda2_only(net))
         mean_emp = float(np.mean(lam2s))
         assert abs(pred.predicted_lambda2 - mean_emp) / mean_emp <= 0.10
-
-
-def _expected_laplacian_lambda2(sizes, pi):
-    n = int(sum(sizes))
-    onehot = np.zeros((n, len(sizes)))
-    start = 0
-    for k, size in enumerate(sizes):
-        onehot[start : start + size, k] = 1.0
-        start += size
-    expected_adj = onehot @ pi @ onehot.T
-    np.fill_diagonal(expected_adj, 0.0)
-    deg = expected_adj.sum(axis=1)
-    lap = np.eye(n) - expected_adj / np.sqrt(np.outer(deg, deg))
-    return float(np.linalg.eigvalsh(lap)[1])
 
 
 class TestPredict:

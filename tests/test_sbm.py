@@ -49,6 +49,10 @@ class TestModel:
         with pytest.raises(ValueError):
             sbm.SbmModel((2, 2), np.full((2, 2), 1.5), 0)
 
+    def test_nan_probs_rejected_as_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            sbm.SbmModel((2, 2), np.array([[0.5, np.nan], [np.nan, 0.5]]), 0)
+
 
 class TestSampling:
     def test_probability_one_gives_complete_graph(self):
