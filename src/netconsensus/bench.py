@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -130,65 +131,52 @@ def _point_seeds(base_seed: int, num_points: int, seeds_per_point: int):
     return [[int(s.generate_state(1)[0]) for s in p.spawn(seeds_per_point + 1)] for p in points]
 
 
-def _scalar_point(cfg: SweepConfig, p_out: float, seeds) -> SweepRow:
-    probs = TwoLevelProbs(cfg.p_in, p_out)
-    model = make_two_level_model(cfg.sizes, probs, seeds[0])
-    pred = rmt.predict(model, with_density=False)
-    taus, lam2s = [], []
-    censored = 0
-    for run_seed in seeds[1:]:
-        net, _ = sample_connected(model.with_seed(run_seed))
-        lam2s.append(spectra.lambda2_only(net))
-        x0 = consensus.random_initial_state(net.n, run_seed)
-        result = consensus.run(net, x0, cfg.epsilon, max_rounds=cfg.max_rounds)
-        if result.censored:
-            censored += 1
-        else:
-            taus.append(result.tau_eps)
-    return _aggregate_row(probs, pred, taus, lam2s, censored, len(seeds) - 1)
+def _scalar_run(cfg: SweepConfig, net, run_seed: int):
+    x0 = consensus.random_initial_state(net.n, run_seed)
+    return consensus.run(net, x0, cfg.epsilon, max_rounds=cfg.max_rounds).tau_eps, None
 
 
-def _gadget_point(cfg: SweepConfig, p_out: float, seeds, dataset: LabeledDataset) -> SweepRow:
+def _gadget_run(cfg: SweepConfig, net, run_seed: int, dataset: LabeledDataset):
+    gcfg = gossip.GadgetConfig(
+        nu=cfg.nu,
+        epsilon=cfg.epsilon,
+        max_rounds=cfg.max_rounds,
+        steps_per_round=cfg.steps_per_round,
+        learning_rounds=cfg.learning_rounds,
+        seed=run_seed,
+        record_trace=False,
+    )
+    result = gossip.run_gadget(net, dataset, gcfg)
+    return result.rounds_to_consensus, result.test_accuracy
+
+
+def _point(cfg: SweepConfig, p_out: float, seeds, simulate) -> SweepRow:
+    """One sweep point: the prediction, then simulate(cfg, net, run_seed) on
+    one connected sample per run seed, which returns (rounds or None when
+    censored, test accuracy or None)."""
     probs = TwoLevelProbs(cfg.p_in, p_out)
     model = make_two_level_model(cfg.sizes, probs, seeds[0])
     pred = rmt.predict(model, with_density=False)
     taus, lam2s, accs = [], [], []
-    censored = 0
     for run_seed in seeds[1:]:
-        run_model = model.with_seed(run_seed)
-        net, _ = sample_connected(run_model)
+        net, _ = sample_connected(model.with_seed(run_seed))
         lam2s.append(spectra.lambda2_only(net))
-        gcfg = gossip.GadgetConfig(
-            nu=cfg.nu,
-            epsilon=cfg.epsilon,
-            max_rounds=cfg.max_rounds,
-            steps_per_round=cfg.steps_per_round,
-            learning_rounds=cfg.learning_rounds,
-            seed=run_seed,
-            record_trace=False,
-        )
-        result = gossip.run_gadget(net, dataset, gcfg)
-        accs.append(result.test_accuracy)
-        if result.censored:
-            censored += 1
-        else:
-            taus.append(result.rounds_to_consensus)
-    row = _aggregate_row(probs, pred, taus, lam2s, censored, len(seeds) - 1)
-    row.accuracy_mean = float(np.mean(accs)) if accs else None
-    return row
-
-
-def _aggregate_row(probs, pred, taus, lam2s, censored, n_runs) -> SweepRow:
+        tau, acc = simulate(cfg, net, run_seed)
+        if tau is not None:
+            taus.append(tau)
+        if acc is not None:
+            accs.append(acc)
     return SweepRow(
         delta=probs.delta,
         p_out=probs.p_out,
         tau_median=float(np.median(taus)) if taus else None,
         tau_iqr=float(np.percentile(taus, 75) - np.percentile(taus, 25)) if taus else None,
-        lambda2_emp=float(np.mean(lam2s)) if lam2s else None,
+        lambda2_emp=float(np.mean(lam2s)),
         lambda2_pred=float(pred.predicted_lambda2),
         lambdaL=float(pred.support[0]),
-        censored=censored,
-        n_runs=n_runs,
+        censored=len(lam2s) - len(taus),
+        n_runs=len(lam2s),
+        accuracy_mean=float(np.mean(accs)) if accs else None,
     )
 
 
@@ -203,13 +191,12 @@ def sweep(cfg: SweepConfig, dataset: LabeledDataset | None = None, row_callback=
     if cfg.mode == "gadget" and dataset is None:
         raise ValueError("gadget mode requires a dataset")
     seeds_table = _point_seeds(cfg.base_seed, len(cfg.p_out_list), cfg.seeds_per_point)
+    simulate = _scalar_run if cfg.mode == "scalar" else functools.partial(_gadget_run, dataset=dataset)
 
     def job(idx_pout):
         idx, p_out = idx_pout
         try:
-            if cfg.mode == "scalar":
-                return _scalar_point(cfg, p_out, seeds_table[idx])
-            return _gadget_point(cfg, p_out, seeds_table[idx], dataset)
+            return _point(cfg, p_out, seeds_table[idx], simulate)
         except Exception as exc:  # per-point isolation
             return SweepRow(
                 delta=cfg.p_in - p_out, p_out=p_out, tau_median=None, tau_iqr=None,

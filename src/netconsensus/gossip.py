@@ -1,10 +1,16 @@
-"""Gossip-based decentralized SVM: local subgradient steps + push-sum mixing.
+"""Gossip-based decentralized SVM: local Pegasos steps + push-sum mixing.
 
-Each node runs hinge-loss subgradient descent on its shard while weights are
-exchanged through the mass-conserving push-sum protocol: every node splits
-its (sum, weight) pair equally over itself and its neighbors each round, so
-the mixing matrix is column-stochastic and the totals are invariants. A run
-stops once all pairwise weight-vector distances fall below the threshold.
+The n nodes' weight vectors are the rows of one (n, d) matrix. A learning
+round is one ``pegasos_step`` for every node at once: each node draws an
+example from its shard with its own seeded generator, and one masked update
+applies the hinge subgradient to the rows whose margin is below 1. The
+weights then enter the mass-conserving push-sum protocol: every node splits
+its (sum, weight) pair equally over itself and its neighbors, so the mixing
+matrix is column-stochastic and the totals are invariants; ``push_sum_round``
+is that exchange, one sparse product of the stacked pair. A run stops once
+all pairwise weight-vector distances fall below the threshold. The decision
+is exact, but the full pairwise distances are only computed when the cheap
+bracket dev <= gap <= 2 dev, dev = max_i ||w_i - w_0||, cannot settle it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from .data import LabeledDataset, partition_equal, train_test_split
 from .sbm import Network, SbmModel, is_connected, sample_connected
 
 __all__ = [
-    "NodeState",
     "GadgetConfig",
     "GadgetRun",
     "pegasos_step",
@@ -31,25 +36,9 @@ __all__ = [
     "max_pairwise_gap",
 ]
 
-
-@dataclass(eq=False)
-class NodeState:
-    """Per-node learning and push-sum state.
-
-    w is the working weight vector; (s, psw) is the push-sum pair whose ratio
-    is the node's current estimate of the network average.
-    """
-
-    w: np.ndarray
-    s: np.ndarray
-    psw: float
-    local_indices: np.ndarray
-    rng: np.random.Generator
-    step_count: int = 0
-
-    @property
-    def estimate(self) -> np.ndarray:
-        return self.s / self.psw
+# relative margin around epsilon inside which the stop test falls back to the
+# exact pairwise distances; distance round-off is ~1e-14 relative
+_BRACKET_MARGIN = 1e-9
 
 
 @dataclass
@@ -60,9 +49,7 @@ class GadgetConfig:
     None keeps learning on every round, but the 1/(nu*t) step size then
     injects fresh disagreement each round and tiny epsilon targets become
     unreachable, so sweeps use a finite budget and let pure gossip close the
-    remaining gap. adopt_each_round controls whether nodes take s/psw as
-    their working weights after every mixing (default) or keep learning on
-    their raw local weights.
+    remaining gap.
     """
 
     nu: float
@@ -70,7 +57,6 @@ class GadgetConfig:
     max_rounds: int
     steps_per_round: int = 1
     learning_rounds: int | None = 200
-    adopt_each_round: bool = True
     seed: int = 0
     test_fraction: float = 0.25
     record_trace: bool = True
@@ -99,41 +85,24 @@ class GadgetRun:
     config: GadgetConfig | None = None
 
 
-def _feature_row(X, i: int) -> np.ndarray:
-    if sparse.issparse(X):
-        return np.asarray(X[i].todense()).ravel()
-    return np.asarray(X[i], dtype=float)
+def pegasos_step(weights: np.ndarray, X, y, shards, rngs, nu: float, t: int) -> None:
+    """One stochastic subgradient step for every node, in place.
 
-
-def _subgradient_update(w, X, y, shard, rng, nu, t) -> None:
-    """One hinge subgradient step on w (in place) with step size 1/(nu*t)."""
-    pick = int(rng.integers(shard.size))
-    gi = int(shard[pick])
-    x = _feature_row(X, gi)
-    y_i = float(y[gi])
-    eta = 1.0 / (nu * t)
-    margin = y_i * float(w @ x)
-    w *= 1.0 - eta * nu
-    if margin < 1.0:
-        w += (eta * y_i) * x
-
-
-def pegasos_step(state: NodeState, X, y, nu: float, t: int | None = None) -> NodeState:
-    """One stochastic subgradient step on the node's shard, in place.
-
-    Picks a local example uniformly at random, applies the learning rate
-    1/(nu*t) to the subgradient nu*w - 1[y <w,x> < 1] y x, and advances the
-    node's step counter.
+    Row i of the (n, d) weights is node i's vector. Node i picks an example
+    of shards[i] uniformly with rngs[i] (an empty shard raises ValueError);
+    every node then applies the learning rate 1/(nu*t) to the subgradient
+    nu*w - 1[y <w,x> < 1] y x of its own example.
     """
-    if state.local_indices.size == 0:
-        raise ValueError("node has no local examples")
-    if t is None:
-        t = state.step_count + 1
     if t < 1:
         raise ValueError("step index t must be >= 1")
-    _subgradient_update(state.w, X, y, state.local_indices, state.rng, nu, t)
-    state.step_count = t
-    return state
+    picks = np.array([shard[rng.integers(shard.size)] for shard, rng in zip(shards, rngs)], dtype=np.int64)
+    rows = X[picks]
+    rows = rows.toarray() if sparse.issparse(rows) else np.asarray(rows, dtype=float)
+    labels = y[picks]
+    eta = 1.0 / (nu * t)
+    hit = labels * np.einsum("ij,ij->i", weights, rows) < 1.0
+    weights *= 1.0 - eta * nu
+    weights[hit] += (eta * labels[hit])[:, None] * rows[hit]
 
 
 def mixing_matrix(net: Network) -> sparse.csr_matrix:
@@ -147,24 +116,16 @@ def mixing_matrix(net: Network) -> sparse.csr_matrix:
     return mix
 
 
-def push_sum_round(states, net: Network, mix: sparse.csr_matrix | None = None):
-    """One synchronous push-sum exchange over the network, in place.
+def push_sum_round(mix: sparse.csr_matrix, sums: np.ndarray, psw: np.ndarray):
+    """One synchronous push-sum exchange; returns (mix @ sums, mix @ psw).
 
-    Every node splits (s, psw) into equal shares over itself and its
-    neighbors; the new pair is the sum of shares received. Totals of s and
-    psw are conserved up to round-off. Only the push-sum pair moves; working
-    weights w are untouched.
+    Every node splits its (sum, weight) pair into equal shares over itself
+    and its neighbors and keeps the shares it receives, so the totals of
+    sums and psw are conserved up to round-off. Both parts go through one
+    sparse product of the stacked [sums | psw].
     """
-    if mix is None:
-        mix = mixing_matrix(net)
-    stacked = np.stack([st.s for st in states])
-    psw = np.array([st.psw for st in states], dtype=float)
-    mixed = mix @ stacked
-    psw_new = mix @ psw
-    for i, st in enumerate(states):
-        st.s = mixed[i]
-        st.psw = float(psw_new[i])
-    return states
+    mixed = mix @ np.column_stack([sums, psw])
+    return mixed[:, :-1], mixed[:, -1]
 
 
 def hinge_objective(w: np.ndarray, X, y, nu: float, n_nodes: int) -> float:
@@ -192,6 +153,22 @@ def max_pairwise_gap(weights: np.ndarray) -> float:
     return float(pdist(weights).max())
 
 
+def _gap_below(weights: np.ndarray, epsilon: float) -> bool:
+    """max_pairwise_gap(weights) < epsilon, mostly without the pairwise distances.
+
+    With dev = max_i ||w_i - w_0||, the triangle inequality gives
+    dev <= gap <= 2 dev; pdist runs only when epsilon lies in that bracket,
+    widened by _BRACKET_MARGIN so round-off cannot flip the decision.
+    """
+    diff = weights - weights[0]
+    dev = float(np.sqrt(np.einsum("ij,ij->i", diff, diff).max()))
+    if dev >= epsilon * (1.0 + _BRACKET_MARGIN):
+        return False
+    if 2.0 * dev < epsilon * (1.0 - _BRACKET_MARGIN):
+        return True
+    return max_pairwise_gap(weights) < epsilon
+
+
 def run_gadget(
     model,
     dataset: LabeledDataset,
@@ -200,11 +177,11 @@ def run_gadget(
 ) -> GadgetRun:
     """Synchronous decentralized SVM over a sampled (or given) network.
 
-    Each round: steps_per_round local subgradient steps per node (while the
+    Each round: steps_per_round Pegasos steps on every node (while the
     learning budget lasts), then the working weights enter the push-sum pair,
     one mixing exchange runs, and nodes adopt s/psw as their new weights.
-    Stops when the exact max pairwise weight gap drops below epsilon, or
-    reports a censored run at max_rounds. Accepts an SbmModel (sampled until
+    Stops when the max pairwise weight gap drops below epsilon, or reports a
+    censored run at max_rounds. Accepts an SbmModel (sampled until
     connected, deterministically per its seed) or a prebuilt Network.
     """
     if isinstance(model, SbmModel):
@@ -230,40 +207,35 @@ def run_gadget(
     shards = partition_equal(train, n, seed=int(part_seed.generate_state(1)[0])).shards
     rngs = [np.random.default_rng(stream) for stream in node_root.spawn(n)]
 
-    d = train.d
-    weights = np.zeros((n, d))
-    psw = np.ones(n)
-    step_counts = np.zeros(n, dtype=np.int64)
+    weights = np.zeros((n, train.d))
+    sums, psw = weights.copy(), np.ones(n)
     mix = mixing_matrix(net)
     X_train, y_train = train.X, train.y
     X_test, y_test = test.X, test.y
 
     gap_trace, obj_trace, acc_trace = [], [], []
     rounds_done = None
-    w_avg = weights.sum(axis=0) / n
+    steps = cfg.steps_per_round
     for t_round in range(1, cfg.max_rounds + 1):
-        learning = cfg.learning_rounds is None or t_round <= cfg.learning_rounds
-        if learning:
-            for i in range(n):
-                row = weights[i]
-                for _ in range(cfg.steps_per_round):
-                    step_counts[i] += 1
-                    _subgradient_update(row, X_train, y_train, shards[i], rngs[i], cfg.nu, int(step_counts[i]))
-        # working weights enter the push-sum pair, then one exchange
-        sums = mix @ (weights * psw[:, None])
-        psw = mix @ psw
-        if cfg.adopt_each_round:
-            weights = sums / psw[:, None]
-        gap = max_pairwise_gap(weights)
-        w_avg = sums.sum(axis=0) / psw.sum()
+        if cfg.learning_rounds is None or t_round <= cfg.learning_rounds:
+            for k in range(1, steps + 1):
+                pegasos_step(weights, X_train, y_train, shards, rngs, cfg.nu, (t_round - 1) * steps + k)
+        sums, psw = push_sum_round(mix, weights * psw[:, None], psw)
+        weights = sums / psw[:, None]
         if cfg.record_trace:
+            gap = max_pairwise_gap(weights)
+            w_avg = sums.sum(axis=0) / psw.sum()
             gap_trace.append(gap)
             obj_trace.append(hinge_objective(w_avg, X_train, y_train, cfg.nu, n))
             acc_trace.append(accuracy(w_avg, X_test, y_test))
-        if gap < cfg.epsilon:
+            done = gap < cfg.epsilon
+        else:
+            done = _gap_below(weights, cfg.epsilon)
+        if done:
             rounds_done = t_round
             break
 
+    w_avg = sums.sum(axis=0) / psw.sum()
     return GadgetRun(
         rounds_to_consensus=rounds_done,
         censored=rounds_done is None,

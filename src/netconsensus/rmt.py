@@ -31,7 +31,6 @@ __all__ = [
     "StieltjesState",
     "SpectralPrediction",
     "SingularPointError",
-    "FixedPointError",
     "SupportNotFoundError",
     "Support",
     "fixed_point",
@@ -60,10 +59,6 @@ _EDGE_RHO_TOL = 1e-6
 
 class SingularPointError(ArithmeticError):
     """Fixed-point denominator collapsed below the singularity floor."""
-
-
-class FixedPointError(RuntimeError):
-    """Fixed-point iteration failed to converge within its budget."""
 
 
 class SupportNotFoundError(RuntimeError):

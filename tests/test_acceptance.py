@@ -183,22 +183,18 @@ def test_07_push_sum_frozen_correctness():
         net, _ = sbm.sample_connected(model)
         rng = np.random.default_rng(0)
         init = rng.random((net.n, 8))
-        states = [
-            gossip.NodeState(w=init[i].copy(), s=init[i].copy(), psw=1.0,
-                             local_indices=np.arange(1), rng=np.random.default_rng(i))
-            for i in range(net.n)
-        ]
+        sums, psw = init, np.ones(net.n)
         mix = gossip.mixing_matrix(net)
         target = init.mean(axis=0)
         total = init.sum(axis=0)
         converged_at = None
         for rounds in range(1, 5001):
-            gossip.push_sum_round(states, net, mix=mix)
-            mass_s = np.sum([st.s for st in states], axis=0)
-            mass_w = sum(st.psw for st in states)
+            sums, psw = gossip.push_sum_round(mix, sums, psw)
+            mass_s = sums.sum(axis=0)
+            mass_w = psw.sum()
             assert np.abs(mass_s - total).max() <= 1e-10 * np.abs(total).max()
             assert abs(mass_w - net.n) <= 1e-10 * net.n
-            err = np.abs(np.stack([st.estimate for st in states]) - target).max()
+            err = np.abs(sums / psw[:, None] - target).max()
             if err <= 1e-10:
                 converged_at = rounds
                 break

@@ -110,13 +110,13 @@ class TestSweep:
 
     def test_rows_reach_callback_as_each_point_finishes(self, monkeypatch):
         events = []
-        point = bench._scalar_point
+        point = bench._point
 
-        def traced_point(cfg, p_out, seeds):
+        def traced_point(cfg, p_out, seeds, simulate):
             events.append(("start", p_out))
-            return point(cfg, p_out, seeds)
+            return point(cfg, p_out, seeds, simulate)
 
-        monkeypatch.setattr(bench, "_scalar_point", traced_point)
+        monkeypatch.setattr(bench, "_point", traced_point)
         grid = (0.15, 0.3, 0.5)
         bench.sweep(self.make_config(p_out_list=grid), row_callback=lambda r: events.append(("row", r.p_out)))
         assert events == [(kind, p) for p in grid for kind in ("start", "row")]

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netconsensus import data, gossip, sbm
 
@@ -11,85 +13,100 @@ def complete_graph(n):
     return sbm.Network(n, edges, np.zeros(n, dtype=np.int64), [n])
 
 
-def make_state(w, shard_size=4, seed=0):
-    w = np.asarray(w, dtype=float)
-    return gossip.NodeState(
-        w=w.copy(), s=w.copy(), psw=1.0,
-        local_indices=np.arange(shard_size), rng=np.random.default_rng(seed),
-    )
+def one_node_step(w, X, y, nu, t):
+    """One pegasos_step on a single node that holds every example; returns
+    the node's weight vector."""
+    weights = np.asarray(w, dtype=float)[None, :].copy()
+    gossip.pegasos_step(weights, X, y, [np.arange(len(y))], [np.random.default_rng(0)], nu, t)
+    return weights[0]
 
 
 class TestPegasosStep:
     def test_margin_satisfied_pure_shrinkage(self):
         X = np.array([[1.0, 0.0]])
         y = np.array([1])
-        state = make_state([5.0, 2.0], shard_size=1)
-        gossip.pegasos_step(state, X, y, nu=0.1, t=5)
+        w = one_node_step([5.0, 2.0], X, y, nu=0.1, t=5)
         # margin = 5 >= 1, so only the (1 - 1/t) shrink applies
-        assert state.w == pytest.approx([4.0, 1.6])
+        assert w == pytest.approx([4.0, 1.6])
 
     def test_first_step_from_zero(self):
         X = np.array([[2.0, -1.0]])
         y = np.array([-1])
-        state = make_state([0.0, 0.0], shard_size=1)
-        gossip.pegasos_step(state, X, y, nu=0.25, t=1)
-        assert state.w == pytest.approx([-8.0, 4.0])
+        w = one_node_step([0.0, 0.0], X, y, nu=0.25, t=1)
+        assert w == pytest.approx([-8.0, 4.0])
 
     def test_toy_separable_set_learned(self):
         ds = data.make_blobs(20, 2, margin=6.0, seed=7)
         X, y = ds.X.toarray(), ds.y
-        state = make_state([0.0, 0.0], shard_size=20, seed=1)
-        for _ in range(1000):
-            gossip.pegasos_step(state, X, y, nu=0.1)
-        assert gossip.accuracy(state.w, X, y) == 1.0
+        weights = np.zeros((1, 2))
+        shards, rngs = [np.arange(20)], [np.random.default_rng(1)]
+        for t in range(1, 1001):
+            gossip.pegasos_step(weights, X, y, shards, rngs, 0.1, t)
+        assert gossip.accuracy(weights[0], X, y) == 1.0
 
     def test_empty_shard_rejected(self):
-        state = gossip.NodeState(
-            w=np.zeros(2), s=np.zeros(2), psw=1.0,
-            local_indices=np.arange(0), rng=np.random.default_rng(0),
-        )
+        weights = np.zeros((1, 2))
         with pytest.raises(ValueError):
-            gossip.pegasos_step(state, np.zeros((0, 2)), np.zeros(0), nu=0.1)
+            gossip.pegasos_step(weights, np.zeros((0, 2)), np.zeros(0), [np.arange(0)],
+                                [np.random.default_rng(0)], 0.1, 1)
 
     def test_step_counter_advances(self):
+        # the step index t sets the rate 1/(nu t): two steps at t = 1, 2 on
+        # three nodes match the per-node recurrence with the same draws
         ds = data.make_blobs(8, 2, margin=2.0, seed=0)
-        state = make_state([0.0, 0.0], shard_size=8)
-        gossip.pegasos_step(state, ds.X.toarray(), ds.y, nu=0.1)
-        gossip.pegasos_step(state, ds.X.toarray(), ds.y, nu=0.1)
-        assert state.step_count == 2
+        X, y = ds.X.toarray(), ds.y
+        shards = [np.arange(8), np.arange(3), np.array([5])]
+        weights = np.zeros((3, 2))
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        for t in (1, 2):
+            gossip.pegasos_step(weights, ds.X, y, shards, rngs, 0.1, t)
+        for i, shard in enumerate(shards):
+            rng, w = np.random.default_rng(i), np.zeros(2)
+            for t in (1, 2):
+                k = shard[rng.integers(shard.size)]
+                eta = 1.0 / (0.1 * t)
+                margin = y[k] * float(w @ X[k])
+                w *= 1.0 - eta * 0.1
+                if margin < 1.0:
+                    w += eta * y[k] * X[k]
+            assert weights[i] == pytest.approx(w, rel=1e-12)
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            gossip.pegasos_step(weights, X, y, shards, rngs, 0.1, 0)
+
+
+def estimates(sums, psw):
+    return sums / psw[:, None]
 
 
 class TestPushSum:
     def test_single_node_estimate_is_own_weight(self):
         net = sbm.Network(1, np.empty((0, 2)), np.zeros(1, dtype=np.int64), [1])
-        state = make_state([3.0, -1.0])
-        gossip.push_sum_round([state], net)
-        assert state.estimate == pytest.approx([3.0, -1.0])
-        assert state.psw == pytest.approx(1.0)
+        sums, psw = gossip.push_sum_round(gossip.mixing_matrix(net), np.array([[3.0, -1.0]]), np.ones(1))
+        assert estimates(sums, psw)[0] == pytest.approx([3.0, -1.0])
+        assert psw[0] == pytest.approx(1.0)
 
     def test_two_node_hand_simulation(self):
         net = sbm.Network(2, np.array([[0, 1]]), np.zeros(2, dtype=np.int64), [2])
-        states = [make_state([0.0]), make_state([1.0])]
-        gossip.push_sum_round(states, net)
-        assert states[0].s == pytest.approx([0.5])
-        assert states[1].s == pytest.approx([0.5])
-        assert states[0].psw == pytest.approx(1.0)
-        assert states[1].psw == pytest.approx(1.0)
-        assert states[0].estimate == pytest.approx([0.5])
-        assert states[1].estimate == pytest.approx([0.5])
+        sums, psw = gossip.push_sum_round(gossip.mixing_matrix(net), np.array([[0.0], [1.0]]), np.ones(2))
+        assert sums[0] == pytest.approx([0.5])
+        assert sums[1] == pytest.approx([0.5])
+        assert psw[0] == pytest.approx(1.0)
+        assert psw[1] == pytest.approx(1.0)
+        assert estimates(sums, psw)[0] == pytest.approx([0.5])
+        assert estimates(sums, psw)[1] == pytest.approx([0.5])
 
     def test_mass_conserved_every_round(self):
         model = sbm.make_two_level_model([20, 30], sbm.TwoLevelProbs(0.5, 0.1), 3)
         net, _ = sbm.sample_connected(model)
         rng = np.random.default_rng(0)
         init = rng.normal(size=(net.n, 3))
-        states = [make_state(init[i], seed=i) for i in range(net.n)]
+        sums, psw = init, np.ones(net.n)
         total_s = init.sum(axis=0)
         mix = gossip.mixing_matrix(net)
         for _ in range(100):
-            gossip.push_sum_round(states, net, mix=mix)
-            s_now = np.sum([st.s for st in states], axis=0)
-            w_now = sum(st.psw for st in states)
+            sums, psw = gossip.push_sum_round(mix, sums, psw)
+            s_now = sums.sum(axis=0)
+            w_now = psw.sum()
             assert np.abs(s_now - total_s).max() < 1e-10 * np.abs(total_s).max()
             assert w_now == pytest.approx(net.n, rel=1e-10)
 
@@ -98,15 +115,14 @@ class TestPushSum:
         net, _ = sbm.sample_connected(model)
         rng = np.random.default_rng(5)
         init = rng.random((net.n, 2))
-        states = [make_state(init[i], seed=i) for i in range(net.n)]
+        sums, psw = init, np.ones(net.n)
         mix = gossip.mixing_matrix(net)
         target = init.mean(axis=0)
         mu = np.sort(np.abs(np.linalg.eigvals(mix.toarray())))[-2]
         errors = []
         for _ in range(160):
-            gossip.push_sum_round(states, net, mix=mix)
-            est = np.stack([st.estimate for st in states])
-            errors.append(np.abs(est - target).max())
+            sums, psw = gossip.push_sum_round(mix, sums, psw)
+            errors.append(np.abs(estimates(sums, psw) - target).max())
         errors = np.array(errors)
         assert errors[-1] < 1e-10
         usable = errors[(errors > 1e-11) & (errors < 1e-2)]
@@ -126,15 +142,13 @@ class TestRunGadget:
         ds = data.make_blobs(12, 3, margin=2.0, seed=1)
         X, y = ds.X.toarray(), ds.y
         n = 5
-        states = [make_state(np.zeros(3), shard_size=12, seed=99) for _ in range(n)]
-        net = complete_graph(n)
-        mix = gossip.mixing_matrix(net)
-        for st in states:
-            gossip.pegasos_step(st, X, y, nu=0.1)
-            st.s = st.w * st.psw
-        gossip.push_sum_round(states, net, mix=mix)
-        weights = np.stack([st.estimate for st in states])
-        assert gossip.max_pairwise_gap(weights) == 0.0
+        weights, psw = np.zeros((n, 3)), np.ones(n)
+        shards = [np.arange(12)] * n
+        rngs = [np.random.default_rng(99) for _ in range(n)]
+        mix = gossip.mixing_matrix(complete_graph(n))
+        gossip.pegasos_step(weights, X, y, shards, rngs, 0.1, 1)
+        sums, psw = gossip.push_sum_round(mix, weights * psw[:, None], psw)
+        assert gossip.max_pairwise_gap(estimates(sums, psw)) == 0.0
 
     def test_stopping_soundness_exact_recheck(self):
         model = sbm.make_two_level_model([10, 15], sbm.TwoLevelProbs(0.8, 0.3), 2)
@@ -199,3 +213,58 @@ class TestRunGadget:
         b = gossip.run_gadget(model, ds, cfg)
         assert a.rounds_to_consensus == b.rounds_to_consensus
         assert np.array_equal(a.final_weights, b.final_weights)
+
+
+# run_gadget outputs of the per-node implementation this one replaced, written
+# in as literals: (sizes, dense X, steps_per_round, record_trace, rounds,
+# final_weights). The array version reproduced them bit for bit.
+PER_NODE_RUNS = [
+    ((10, 15), False, 1, True, 52,
+     [-0.5340954013126232, -0.8436338352586782, -0.10016218163181172, 0.3086737752767528]),
+    ((10, 15), False, 3, False, 51,
+     [-0.5016781100428286, -0.7682325343422248, -0.09863851420883708, 0.24030493154615018]),
+    ((10, 15), True, 3, True, 51,
+     [-0.5016781100428286, -0.7682325343422248, -0.09863851420883708, 0.24030493154615018]),
+    ((12,), True, 1, False, 41,
+     [-0.5342868962903952, -0.779845188841389, -0.1283504708145343, 0.30388892381243693]),
+    ((12,), False, 3, True, 40,
+     [-0.43511052005483125, -0.8339558351664298, -0.12968657815665022, 0.20170000829696608]),
+]
+
+
+@pytest.mark.parametrize("sizes, dense, steps, trace, rounds, final", PER_NODE_RUNS)
+def test_run_gadget_matches_per_node_oracle(sizes, dense, steps, trace, rounds, final):
+    ds = data.make_blobs(300, 4, margin=2.0, seed=5)
+    if dense:
+        ds = data.LabeledDataset(ds.X.toarray(), ds.y, d=4)
+    probs = sbm.TwoLevelProbs(0.8, 0.3) if len(sizes) == 2 else sbm.TwoLevelProbs(0.9, 0.9)
+    model = sbm.make_two_level_model(list(sizes), probs, 2 if len(sizes) == 2 else 1)
+    cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-9, max_rounds=20_000, learning_rounds=30,
+                              steps_per_round=steps, seed=4, record_trace=trace)
+    run = gossip.run_gadget(model, ds, cfg)
+    assert run.rounds_to_consensus == rounds
+    assert run.final_weights == pytest.approx(final, rel=1e-12, abs=0.0)
+    assert len(run.max_pairwise_gap_trace) == (rounds if trace else 0)
+
+
+@st.composite
+def weight_matrices(draw):
+    """(weights, epsilon) with max pairwise gap between 0.3 and 3 epsilon,
+    on top of an offset of up to 1e3."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 30))
+    epsilon = 10.0 ** draw(st.floats(-12.0, 0.0))
+    ratio = draw(st.one_of(st.floats(0.3, 3.0), st.sampled_from([0.5, 1.0, 2.0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = rng.uniform(-1.0, 1.0, size=d) * draw(st.floats(0.0, 1e3))
+    spread = rng.normal(size=(n, d))
+    if n > 1:
+        spread *= ratio * epsilon / gossip.max_pairwise_gap(spread)
+    return offset + spread, epsilon
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(weight_matrices())
+def test_bracketed_stop_decision_is_exact(case):
+    weights, epsilon = case
+    assert gossip._gap_below(weights, epsilon) == (gossip.max_pairwise_gap(weights) < epsilon)
