@@ -231,8 +231,9 @@ def fit_reciprocal(rows, fix_pole: float | None = None) -> ReciprocalFit:
 
     rows may be SweepRow objects (censored-only rows are skipped) or a
     (deltas, taus) pair of arrays. With fix_pole the problem reduces to a
-    one-parameter linear fit; otherwise the pole is located by golden-section
-    search over c with the inner linear solve, constrained right of the data.
+    one-parameter linear fit; otherwise the pole is located by a bounded
+    scalar minimization over c with the inner linear solve, constrained right
+    of the data.
     """
     if isinstance(rows, tuple) and len(rows) == 2:
         deltas = np.asarray(rows[0], dtype=float)
@@ -253,24 +254,13 @@ def fit_reciprocal(rows, fix_pole: float | None = None) -> ReciprocalFit:
         a, rss = _fit_with_pole(deltas, taus, c)
         return ReciprocalFit(a=a, c=c, rss=rss, r2=_r2(rss, tss), pole_fixed=True)
 
+    from scipy.optimize import minimize_scalar  # kept out of the CLI's import time
+
     span = max(d_max - float(deltas.min()), 1e-6)
-    lo = d_max + 1e-9
     hi = d_max + 10.0 * span + 1.0
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c1 = hi - phi * (hi - lo)
-    c2 = lo + phi * (hi - lo)
-    f1 = _fit_with_pole(deltas, taus, c1)[1]
-    f2 = _fit_with_pole(deltas, taus, c2)[1]
-    while hi - lo > 1e-12 * max(1.0, hi):
-        if f1 < f2:
-            hi, c2, f2 = c2, c1, f1
-            c1 = hi - phi * (hi - lo)
-            f1 = _fit_with_pole(deltas, taus, c1)[1]
-        else:
-            lo, c1, f1 = c1, c2, f2
-            c2 = lo + phi * (hi - lo)
-            f2 = _fit_with_pole(deltas, taus, c2)[1]
-    c = 0.5 * (lo + hi)
+    best = minimize_scalar(lambda c: _fit_with_pole(deltas, taus, c)[1], bounds=(d_max + 1e-9, hi),
+                           method="bounded", options={"xatol": 1e-12 * hi})
+    c = float(best.x)
     a, rss = _fit_with_pole(deltas, taus, c)
     return ReciprocalFit(a=a, c=c, rss=rss, r2=_r2(rss, tss), pole_fixed=False)
 

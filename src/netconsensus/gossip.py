@@ -217,17 +217,22 @@ def run_gadget(
     rounds_done = None
     steps = cfg.steps_per_round
     for t_round in range(1, cfg.max_rounds + 1):
-        if cfg.learning_rounds is None or t_round <= cfg.learning_rounds:
+        learning = cfg.learning_rounds is None or t_round <= cfg.learning_rounds
+        if learning:
             for k in range(1, steps + 1):
                 pegasos_step(weights, X_train, y_train, shards, rngs, cfg.nu, (t_round - 1) * steps + k)
         sums, psw = push_sum_round(mix, weights * psw[:, None], psw)
         weights = sums / psw[:, None]
         if cfg.record_trace:
             gap = max_pairwise_gap(weights)
-            w_avg = sums.sum(axis=0) / psw.sum()
             gap_trace.append(gap)
-            obj_trace.append(hinge_objective(w_avg, X_train, y_train, cfg.nu, n))
-            acc_trace.append(accuracy(w_avg, X_test, y_test))
+            if learning or not obj_trace:
+                # mixing conserves mass: w_avg stays fixed once learning ends
+                w_avg = sums.sum(axis=0) / psw.sum()
+                objective = hinge_objective(w_avg, X_train, y_train, cfg.nu, n)
+                acc = accuracy(w_avg, X_test, y_test)
+            obj_trace.append(objective)
+            acc_trace.append(acc)
             done = gap < cfg.epsilon
         else:
             done = _gap_below(weights, cfg.epsilon)

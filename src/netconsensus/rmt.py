@@ -2,12 +2,15 @@
 
 The bulk density comes from the K-dimensional resolvent fixed point
 
-    t_r(z) = 1 / (z - 1 - sum_s n_s V_rs t_s(z)),
+    t_r(z) = 1 / (z - 1 - sum_s M_rs t_s(z)),   M_rs = n_s V_rs,
 
 where V is the blockwise entry variance and the constant 1 reflects the unit
-diagonal of the normalized Laplacian. The bulk is symmetric about 1, and its
-edges 1 -/+ c are where the fixed point's stability operator degenerates
-(Ajanki, Erdos and Kruger, arXiv:1506.05095). With M_rs = n_s V_rs,
+diagonal of the normalized Laplacian. All grid points are solved at once:
+damped updates, which converge to the physical branch (Helton, Far and
+Speicher, IMRN 2007), then Newton steps, one batched K x K solve over the
+grid each. The bulk is symmetric about 1, and its edges 1 -/+ c are where the
+stability operator I - diag(t^2) M degenerates (Ajanki, Erdos and Kruger,
+arXiv:1506.05095):
 
     c = max over the simplex of 2 sum_s sqrt(v_s (M^T v)_s)
       = min over t > 0 of max_r (1/t_r + (M t)_r),
@@ -40,13 +43,13 @@ __all__ = [
     "predict",
 ]
 
-DEFAULT_DAMPING = 0.5
-DEFAULT_MAX_ITERS = 10_000
-DEFAULT_TOL = 1e-10
+DEFAULT_MAX_ITERS = 200_000
+DEFAULT_TOL = 1e-12
 # near-limit imaginary offset for reported densities; larger values broaden
 # the support edges beyond the tolerances the predictions are held to
 DEFAULT_ETA = 1e-9
-_DENSITY_MAX_ITERS = 200_000
+# resolvent residual below which damped updates give way to Newton steps
+_NEWTON_START = 1e-3
 _SINGULAR_FLOOR = 1e-14
 # isolated values 1 - eig(E N) closer than this to the support count as bulk
 EDGE_MARGIN = 2e-3
@@ -125,33 +128,55 @@ def _kernel(model: SbmModel) -> _Kernel:
     return _Kernel(sizes=sizes, mix=mix, en=en)
 
 
-def _iterate(kern, z, t0, max_iters, tol, damping):
-    """Damped fixed-point iteration; returns (t, residual, iterations, ok).
+def _solve(kern, z, t0, max_iters, tol):
+    """Resolvent fixed points at a stack of points: z has shape (G,), t0 (G, K).
 
-    Raises SingularPointError when a denominator collapses; a stalled
-    iteration is reported via ok=False rather than raised.
+    Each open row evaluates f = 1/(z - 1 - M t). While its residual |f - t|
+    is at least _NEWTON_START it takes the damped update t += (f - t) / 2,
+    below that a Newton step on t - f with Jacobian I - diag(f^2) M (one
+    batched solve for all such rows). A row closes when the residual drops
+    below tol, converged if Im t <= 0 on every component (the physical
+    branch), or when a denominator falls below _SINGULAR_FLOOR.
+
+    Returns (t, residual, iterations, converged, singular) per row; a
+    singular row's t is 1, which gives it zero density.
     """
-    shift = z - 1.0
-    want_complex = isinstance(z, complex) or np.iscomplexobj(t0)
-    t = np.asarray(t0, dtype=complex if want_complex else float).copy()
-    res = np.inf
+    shift, mix, eye = z - 1.0, kern.mix, np.eye(kern.k)
+    t = np.array(t0)
+    res = np.full(z.shape, np.inf)
+    iters = np.full(z.shape, max_iters)
+    singular = np.zeros(z.shape, dtype=bool)
+    rows, work = np.arange(z.size), t
     for it in range(1, max_iters + 1):
-        den = shift - kern.mix @ t
-        if np.abs(den).min() < _SINGULAR_FLOOR:
-            raise SingularPointError(f"denominator below {_SINGULAR_FLOOR} at z={z}")
+        den = shift[rows, None] - work @ mix.T
+        small = np.abs(den).min(axis=1) < _SINGULAR_FLOOR
+        den[small] = 1.0
         f = 1.0 / den
-        res = float(np.abs(f - t).max())
-        if res < tol:
-            return f, res, it, True
-        t = (1.0 - damping) * t + damping * f
-    return t, res, max_iters, False
+        r = np.abs(f - work).max(axis=1)
+        close = small | (r < tol)
+        if close.any():
+            out = rows[close]
+            t[out] = f[close]
+            res[out], iters[out], singular[out] = r[close], it, small[close]
+            rows, work, f, r = rows[~close], work[~close], f[~close], r[~close]
+            if not rows.size:
+                break
+        diff = f - work
+        step = 0.5 * diff
+        near = r < _NEWTON_START
+        if near.any():
+            jac = eye - (f[near] ** 2)[:, :, None] * mix
+            step[near] = np.linalg.solve(jac, diff[near, :, None])[:, :, 0]
+        work = work + step
+    t[rows], res[rows] = work, r
+    converged = ~singular & (res < tol) & (t.imag <= 0.0).all(axis=1)
+    return t, res, iters, converged, singular
 
 
 def _default_t0(kern, z):
-    shift = z - 1.0
-    if abs(shift) < 1e-8:
-        shift = 1e-8 if not isinstance(z, complex) else 1e-8 + 0j
-    return np.full(kern.k, 1.0 / shift, dtype=complex if isinstance(z, complex) else float)
+    """Start 1/(z - 1) on every component, with |z - 1| raised to 1e-8."""
+    shift = np.where(np.abs(z - 1.0) < 1e-8, 1e-8, z - 1.0)
+    return np.repeat((1.0 / shift)[:, None], kern.k, axis=1)
 
 
 def _spectral_radius(mat) -> float:
@@ -164,55 +189,39 @@ def fixed_point(
     t0=None,
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
-    damping: float = DEFAULT_DAMPING,
 ) -> StieltjesState:
     """Solve the resolvent system at one point z.
 
     For Im(z) > 0 this converges to the unique physical solution with
     Im(t_r) <= 0; for real z outside the bulk it converges to the stable
-    real branch. Non-convergence is reported in the returned state.
+    real branch. Non-convergence is reported in the returned state; a
+    collapsed denominator raises SingularPointError.
     """
     kern = _kernel(model)
-    z = complex(z) if (isinstance(z, complex) or np.iscomplexobj(z)) else float(z)
-    if t0 is None:
-        t0 = _default_t0(kern, z)
-    else:
-        t0 = np.asarray(t0, dtype=complex if isinstance(z, complex) else float)
-        if t0.shape != (kern.k,):
-            raise ValueError(f"t0 must have shape ({kern.k},)")
-    t, res, iters, ok = _iterate(kern, z, t0, max_iters, tol, damping)
-    return StieltjesState(z=z, t=t, residual=res, converged=ok, iterations=iters)
+    z = np.array([z], dtype=complex if np.iscomplexobj(z) or np.iscomplexobj(t0) else float)
+    t0 = np.asarray(_default_t0(kern, z)[0] if t0 is None else t0, dtype=z.dtype)
+    if t0.shape != (kern.k,):
+        raise ValueError(f"t0 must have shape ({kern.k},)")
+    t, res, iters, ok, singular = _solve(kern, z, t0[None, :], max_iters, tol)
+    if singular[0]:
+        raise SingularPointError(f"denominator below {_SINGULAR_FLOOR} at z={z[0]}")
+    return StieltjesState(z=z[0].item(), t=t[0], residual=float(res[0]), converged=bool(ok[0]),
+                          iterations=int(iters[0]))
 
 
-def bulk_density(model: SbmModel, grid, eta: float = DEFAULT_ETA, max_iters: int = _DENSITY_MAX_ITERS,
-                 tol: float = 1e-12, damping: float = DEFAULT_DAMPING):
+def bulk_density(model: SbmModel, grid, eta: float = DEFAULT_ETA):
     """Bulk spectral density on a real grid, evaluated at z = lambda + i*eta.
 
-    Returns (density, diagnostics); per-point fixed-point failures are
-    flagged in diagnostics["failed_points"] instead of aborting. Points are
-    warm-started left to right.
+    Returns (density, diagnostics); a point that does not converge is
+    flagged in diagnostics["failed_points"] with a best-effort density.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     kern = _kernel(model)
-    grid = np.asarray(grid, dtype=float)
-    density = np.zeros_like(grid)
-    failed = []
-    t_prev = None
-    for i, lam in enumerate(grid):
-        z = complex(lam, eta)
-        t0 = t_prev if t_prev is not None else _default_t0(kern, z)
-        try:
-            t, _res, _it, ok = _iterate(kern, z, t0, max_iters, tol, damping)
-        except SingularPointError:
-            ok, t = False, None
-        if t is not None:
-            # best-effort value even for a stalled (flagged) point
-            density[i] = max(0.0, float(-(kern.sizes @ t.imag) / (np.pi * kern.n)))
-        if not ok:
-            failed.append(int(i))
-        t_prev = t if ok else None
-    return density, {"eta": eta, "failed_points": failed}
+    z = np.asarray(grid, dtype=float) + 1j * eta
+    t, _res, _iters, ok, _singular = _solve(kern, z, _default_t0(kern, z), DEFAULT_MAX_ITERS, DEFAULT_TOL)
+    density = np.maximum(0.0, -(t.imag @ kern.sizes) / (np.pi * kern.n))
+    return density, {"eta": eta, "failed_points": np.flatnonzero(~ok).tolist()}
 
 
 class Support(tuple):
@@ -294,7 +303,7 @@ def isolated_eigenvalues(model: SbmModel, support=None):
 
 def predict(
     model: SbmModel,
-    grid_spec=None,
+    grid_spec: int = 401,
     eta: float = DEFAULT_ETA,
     with_density: bool = True,
 ) -> SpectralPrediction:
@@ -304,22 +313,15 @@ def predict(
     trivial near-zero root when one exists below the left support edge;
     otherwise the left edge itself (the merged regime).
 
-    grid_spec may be None (auto grid of 401 points spanning the support with
-    a margin), an int (the auto grid with that many points), a
-    (lo, hi, num) tuple, or an explicit array of sample points.
+    The density is sampled at grid_spec points spanning the support with a
+    margin; bulk_density takes any other grid.
     """
     support = support_boundaries(model)
     lam_l, lam_r = support
     isolated = isolated_eigenvalues(model, support=support)
 
-    if grid_spec is None or isinstance(grid_spec, (int, np.integer)):
-        span = max(lam_r - lam_l, 0.05)
-        num = 401 if grid_spec is None else int(grid_spec)
-        grid = np.linspace(lam_l - 0.1 * span, lam_r + 0.1 * span, num)
-    elif isinstance(grid_spec, tuple) and len(grid_spec) == 3:
-        grid = np.linspace(float(grid_spec[0]), float(grid_spec[1]), int(grid_spec[2]))
-    else:
-        grid = np.asarray(grid_spec, dtype=float)
+    span = max(lam_r - lam_l, 0.05)
+    grid = np.linspace(lam_l - 0.1 * span, lam_r + 0.1 * span, int(grid_spec))
 
     diagnostics = {"eta": eta, "edge_iterations": support.iterations}
     if with_density and lam_r > lam_l:
