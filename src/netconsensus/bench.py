@@ -75,7 +75,6 @@ class SweepConfig:
     nu: float = 0.1
     steps_per_round: int = 1
     learning_rounds: int | None = 200
-    out_dir: str | None = None
 
     def __post_init__(self) -> None:
         self.sizes = tuple(int(s) for s in self.sizes)

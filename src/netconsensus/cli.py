@@ -1,10 +1,16 @@
 """Command-line workbench.
 
 Subcommands: sample, spectrum, predict, consensus, gadget, sweep, fit,
-bifurcation. Every subcommand accepts --config (flat key/value JSON whose
-keys mirror the long flag names) plus flags; explicit flags win over config
-values. Outputs are JSON/CSV files under --out. Exit codes: 0 success,
-1 runtime failure, 2 usage error.
+bifurcation. Settings live in one namespace: --config names a flat
+key/value JSON file whose keys are the long flag names with underscores
+(p_in, max_rounds, connected, ...), and every flag given on the command line
+overrides the config value of the same name. A few settings have no flag
+and come only from the config, e.g. learning_rounds, nu and steps_per_round
+of a sweep, and trace of consensus; learning_rounds may be "none" (learn on
+every round). Outputs are JSON/CSV files under --out (default out/); CSV
+floats are written at full precision, and spectrum's eigenvalues.csv holds
+one plain float per line. Exit codes: 0 success, 1 runtime failure, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -27,11 +33,9 @@ def _load_config(path):
     return doc
 
 
-def _setting(args, config, key, default=None, required=False):
-    """Flag value if given, else config value, else default."""
-    val = getattr(args, key, None)
-    if val is None:
-        val = config.get(key, default)
+def _setting(settings, key, default=None, required=False):
+    """Merged flag/config value of key, else default."""
+    val = settings.get(key, default)
     if required and val is None:
         raise ValueError(f"missing required setting {key!r} (flag or config)")
     return val
@@ -43,19 +47,24 @@ def _parse_sizes(value):
     return tuple(int(tok) for tok in str(value).replace(",", " ").split())
 
 
-def _out_dir(args, config):
-    out = _setting(args, config, "out", default="out")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _model_from_settings(args, config, default_seed=0):
-    sizes = _parse_sizes(_setting(args, config, "sizes", required=True))
-    p_in = float(_setting(args, config, "p_in", required=True))
-    p_out = float(_setting(args, config, "p_out", required=True))
-    seed = int(_setting(args, config, "seed", default=default_seed))
+def _model_from_settings(settings):
+    sizes = _parse_sizes(_setting(settings, "sizes", required=True))
+    p_in = float(_setting(settings, "p_in", required=True))
+    p_out = float(_setting(settings, "p_out", required=True))
+    seed = int(_setting(settings, "seed", default=0))
     return sbm.make_two_level_model(sizes, sbm.TwoLevelProbs(p_in, p_out), seed)
+
+
+def _run_settings(settings):
+    """The simulation settings shared by consensus, gadget and sweep."""
+    learning_rounds = _setting(settings, "learning_rounds", default=200)
+    return {
+        "nu": float(_setting(settings, "nu", default=0.1)),
+        "epsilon": float(_setting(settings, "epsilon", default=1e-10)),
+        "max_rounds": int(_setting(settings, "max_rounds", default=200_000)),
+        "steps_per_round": int(_setting(settings, "steps_per_round", default=1)),
+        "learning_rounds": None if learning_rounds in (None, "none") else int(learning_rounds),
+    }
 
 
 def _resolve_dataset(ref, seed=0):
@@ -74,14 +83,21 @@ def _write_json(path, doc):
     Path(path).write_text(json.dumps(doc, indent=2))
 
 
+def _write_csv(path, header, rows):
+    """Write rows as CSV, every float as its repr; no header line when header is None."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+
+
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_sample(args):
-    config = _load_config(args.config) if args.config else {}
-    model = _model_from_settings(args, config)
-    out = _out_dir(args, config)
-    net, attempts = sbm.sample_connected(model) if args.connected else (sbm.sample(model), 1)
+def _cmd_sample(settings, out):
+    model = _model_from_settings(settings)
+    net, attempts = sbm.sample_connected(model) if _setting(settings, "connected") else (sbm.sample(model), 1)
     sbm.save_edge_list(net, out / "network.txt")
     sbm.network_to_json(net, out / "network.json")
     _write_json(out / "sample.json", {
@@ -91,27 +107,22 @@ def _cmd_sample(args):
     return 0
 
 
-def _load_network(args, config):
-    net_path = _setting(args, config, "net")
+def _load_network(settings):
+    net_path = _setting(settings, "net")
     if net_path is not None:
         net_path = Path(net_path)
         if net_path.suffix == ".json":
             return sbm.network_from_json(net_path)
         return sbm.load_edge_list(net_path)
-    model = _model_from_settings(args, config)
-    net, _ = sbm.sample_connected(model)
+    net, _ = sbm.sample_connected(_model_from_settings(settings))
     return net
 
 
-def _cmd_spectrum(args):
-    config = _load_config(args.config) if args.config else {}
-    net = _load_network(args, config)
-    out = _out_dir(args, config)
+def _cmd_spectrum(settings, out):
+    net = _load_network(settings)
     spec = spectra.normalized_laplacian_spectrum(net)
-    with (out / "eigenvalues.csv").open("w") as fh:
-        for v in spec.eigenvalues:
-            fh.write(f"{v!r}\n")
-    bins = int(_setting(args, config, "bins", default=80))
+    _write_csv(out / "eigenvalues.csv", None, ([v] for v in spec.eigenvalues))
+    bins = int(_setting(settings, "bins", default=80))
     _write_json(out / "histogram.json", spectra.eigenvalue_histogram(spec.eigenvalues, bins=bins))
     _write_json(out / "spectrum.json", {
         "n": net.n,
@@ -122,32 +133,23 @@ def _cmd_spectrum(args):
     return 0
 
 
-def _cmd_predict(args):
-    config = _load_config(args.config) if args.config else {}
-    model = _model_from_settings(args, config)
-    out = _out_dir(args, config)
-    eta = float(_setting(args, config, "eta", default=rmt.DEFAULT_ETA))
-    grid_points = int(_setting(args, config, "grid_points", default=401))
+def _cmd_predict(settings, out):
+    model = _model_from_settings(settings)
+    eta = float(_setting(settings, "eta", default=rmt.DEFAULT_ETA))
+    grid_points = int(_setting(settings, "grid_points", default=401))
     pred = rmt.predict(model, grid_spec=grid_points, eta=eta)
     _write_json(out / "prediction.json", pred.to_json_dict())
-    with (out / "prediction.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "density"])
-        for lam, rho in zip(pred.grid, pred.density):
-            writer.writerow([repr(float(lam)), repr(float(rho))])
+    _write_csv(out / "prediction.csv", ["lambda", "density"], zip(pred.grid, pred.density))
     return 0
 
 
-def _cmd_consensus(args):
-    config = _load_config(args.config) if args.config else {}
-    model = _model_from_settings(args, config)
-    out = _out_dir(args, config)
-    epsilon = float(_setting(args, config, "epsilon", default=1e-10))
-    max_rounds = int(_setting(args, config, "max_rounds", default=200_000))
+def _cmd_consensus(settings, out):
+    model = _model_from_settings(settings)
+    run = _run_settings(settings)
     net, _ = sbm.sample_connected(model)
     spec = spectra.normalized_laplacian_spectrum(net)
     x0 = consensus.random_initial_state(net.n, model.seed)
-    result = consensus.run(net, x0, epsilon, max_rounds=max_rounds)
+    result = consensus.run(net, x0, run["epsilon"], max_rounds=run["max_rounds"])
     p_in = float(model.edge_probs[0, 0])
     p_out = float(model.edge_probs[0, 1]) if model.num_communities > 1 else p_in
     _write_json(out / "consensus.json", {
@@ -156,36 +158,22 @@ def _cmd_consensus(args):
         "p_in": p_in,
         "p_out": p_out,
         "delta": p_in - p_out,
-        "epsilon": epsilon,
+        "epsilon": run["epsilon"],
         "tau_eps": result.tau_eps,
         "censored": result.censored,
         "lambda2_empirical": spec.lambda2,
         "mu2_abs": spec.mu2_abs,
     })
-    if bool(_setting(args, config, "trace", default=True)):
-        with (out / "consensus_trace.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "error"])
-            for t, err in enumerate(result.error_trace):
-                writer.writerow([t, repr(float(err))])
+    if bool(_setting(settings, "trace", default=True)):
+        _write_csv(out / "consensus_trace.csv", ["round", "error"], enumerate(result.error_trace))
     return 0
 
 
-def _cmd_gadget(args):
-    config = _load_config(args.config) if args.config else {}
-    model = _model_from_settings(args, config)
-    out = _out_dir(args, config)
-    dataset_ref = _setting(args, config, "dataset", required=True)
+def _cmd_gadget(settings, out):
+    model = _model_from_settings(settings)
+    dataset_ref = _setting(settings, "dataset", required=True)
     dataset = _resolve_dataset(dataset_ref, seed=model.seed)
-    learning_rounds = _setting(args, config, "learning_rounds", default=200)
-    cfg = gossip.GadgetConfig(
-        nu=float(_setting(args, config, "nu", default=0.1)),
-        epsilon=float(_setting(args, config, "epsilon", default=1e-10)),
-        max_rounds=int(_setting(args, config, "max_rounds", default=200_000)),
-        steps_per_round=int(_setting(args, config, "steps_per_round", default=1)),
-        learning_rounds=None if learning_rounds in (None, "none") else int(learning_rounds),
-        seed=int(_setting(args, config, "seed", default=model.seed)),
-    )
+    cfg = gossip.GadgetConfig(**_run_settings(settings), seed=model.seed)
     result = gossip.run_gadget(model, dataset, cfg)
     _write_json(out / "gadget.json", {
         "config": {
@@ -198,58 +186,41 @@ def _cmd_gadget(args):
         "final_accuracy": result.test_accuracy,
         "final_objective": result.final_objective,
     })
-    with (out / "gadget_trace.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "max_pairwise_gap", "objective", "accuracy"])
-        for t in range(len(result.max_pairwise_gap_trace)):
-            writer.writerow([
-                t + 1,
-                repr(float(result.max_pairwise_gap_trace[t])),
-                repr(float(result.objective_trace[t])),
-                repr(float(result.accuracy_trace[t])),
-            ])
+    _write_csv(out / "gadget_trace.csv", ["round", "max_pairwise_gap", "objective", "accuracy"],
+               zip(range(1, len(result.max_pairwise_gap_trace) + 1), result.max_pairwise_gap_trace,
+                   result.objective_trace, result.accuracy_trace))
     return 0
 
 
-def _sweep_config(args, config):
-    sizes = _parse_sizes(_setting(args, config, "sizes", required=True))
-    p_in = float(_setting(args, config, "p_in", required=True))
-    p_out_list = _setting(args, config, "p_out_list")
+def _sweep_config(settings):
+    p_out_list = _setting(settings, "p_out_list")
     if p_out_list is None:
-        lo = float(_setting(args, config, "p_out_lo", required=True))
-        hi = float(_setting(args, config, "p_out_hi", required=True))
-        num = int(_setting(args, config, "p_out_num", required=True))
+        lo = float(_setting(settings, "p_out_lo", required=True))
+        hi = float(_setting(settings, "p_out_hi", required=True))
+        num = int(_setting(settings, "p_out_num", required=True))
         p_out_list = bench.log_spaced(lo, hi, num)
-    learning_rounds = _setting(args, config, "learning_rounds", default=200)
     return bench.SweepConfig(
-        sizes=sizes,
-        p_in=p_in,
+        **_run_settings(settings),
+        sizes=_parse_sizes(_setting(settings, "sizes", required=True)),
+        p_in=float(_setting(settings, "p_in", required=True)),
         p_out_list=tuple(float(p) for p in p_out_list),
-        seeds_per_point=int(_setting(args, config, "seeds_per_point", default=5)),
-        epsilon=float(_setting(args, config, "epsilon", default=1e-10)),
-        mode=str(_setting(args, config, "mode", default="scalar")),
-        base_seed=int(_setting(args, config, "seed", default=_setting(args, config, "base_seed", default=0) or 0)),
-        max_rounds=int(_setting(args, config, "max_rounds", default=200_000)),
-        workers=int(_setting(args, config, "workers", default=1)),
-        dataset_ref=_setting(args, config, "dataset"),
-        nu=float(_setting(args, config, "nu", default=0.1)),
-        steps_per_round=int(_setting(args, config, "steps_per_round", default=1)),
-        learning_rounds=None if learning_rounds in (None, "none") else int(learning_rounds),
+        seeds_per_point=int(_setting(settings, "seeds_per_point", default=5)),
+        mode=str(_setting(settings, "mode", default="scalar")),
+        base_seed=int(_setting(settings, "seed", default=_setting(settings, "base_seed") or 0)),
+        workers=int(_setting(settings, "workers", default=1)),
+        dataset_ref=_setting(settings, "dataset"),
     )
 
 
-def _cmd_sweep(args):
-    config = _load_config(args.config) if args.config else {}
-    cfg = _sweep_config(args, config)
-    out = _out_dir(args, config)
+def _cmd_sweep(settings, out):
+    cfg = _sweep_config(settings)
     dataset = None
     if cfg.mode == "gadget":
         if cfg.dataset_ref is None:
             raise ValueError("gadget sweep requires a dataset setting")
         dataset = _resolve_dataset(cfg.dataset_ref, seed=cfg.base_seed)
 
-    rows_path = out / "rows.csv"
-    with rows_path.open("w", newline="") as fh:
+    with (out / "rows.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(bench.CSV_HEADER)
 
@@ -258,40 +229,34 @@ def _cmd_sweep(args):
             fh.flush()
 
         rows = bench.sweep(cfg, dataset=dataset, row_callback=emit)
-    failures = [r for r in rows if r.error is not None]
     bench.write_sidecar(cfg, out / "sweep.json", extra={
         "rows": len(rows),
-        "failures": [r.error for r in failures],
+        "failures": [r.error for r in rows if r.error is not None],
         "accuracy_mean": [r.accuracy_mean for r in rows] if cfg.mode == "gadget" else None,
     })
     return 0
 
 
-def _cmd_fit(args):
-    config = _load_config(args.config) if args.config else {}
-    rows_path = _setting(args, config, "rows", required=True)
-    rows = bench.rows_from_csv(rows_path)
-    fix_pole = _setting(args, config, "fix_pole")
+def _cmd_fit(settings, out):
+    rows = bench.rows_from_csv(_setting(settings, "rows", required=True))
+    fix_pole = _setting(settings, "fix_pole")
     fit = bench.fit_reciprocal(rows, fix_pole=None if fix_pole is None else float(fix_pole))
-    out = _out_dir(args, config)
     _write_json(out / "fit.json", {
         "a": fit.a, "c": fit.c, "rss": fit.rss, "r2": fit.r2, "pole_fixed": fit.pole_fixed,
     })
     return 0
 
 
-def _cmd_bifurcation(args):
-    config = _load_config(args.config) if args.config else {}
-    sizes = _parse_sizes(_setting(args, config, "sizes", required=True))
-    p_in = float(_setting(args, config, "p_in", required=True))
-    grid_spec = _setting(args, config, "delta_grid", required=True)
+def _cmd_bifurcation(settings, out):
+    sizes = _parse_sizes(_setting(settings, "sizes", required=True))
+    p_in = float(_setting(settings, "p_in", required=True))
+    grid_spec = _setting(settings, "delta_grid", required=True)
     if isinstance(grid_spec, (list, tuple)):
         grid = [float(v) for v in grid_spec]
     else:
         lo, hi, num = str(grid_spec).split(":")
         grid = np.linspace(float(lo), float(hi), int(num)).tolist()
     delta1 = bench.detect_bifurcation(sizes, p_in, grid)
-    out = _out_dir(args, config)
     _write_json(out / "bifurcation.json", {"delta1_star": delta1, "p_in": p_in, "sizes": list(sizes)})
     return 0
 
@@ -320,7 +285,7 @@ def _build_parser():
     p = sub.add_parser("sample", help="sample a network and export it")
     common(p)
     model_flags(p)
-    p.add_argument("--connected", action="store_true", help="resample until connected")
+    p.add_argument("--connected", action="store_true", default=None, help="resample until connected")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("spectrum", help="empirical normalized-Laplacian spectrum")
@@ -386,11 +351,16 @@ def cli(argv=None) -> int:
     """Run one CLI invocation; returns the process exit status."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        flags = vars(parser.parse_args(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    func = flags.pop("func")
     try:
-        return args.func(args)
+        settings = _load_config(flags["config"]) if flags["config"] else {}
+        settings.update((key, val) for key, val in flags.items() if val is not None)
+        out = Path(_setting(settings, "out", default="out"))
+        out.mkdir(parents=True, exist_ok=True)
+        return func(settings, out)
     except (ValueError, FileNotFoundError, bench.FitError, bench.BifurcationRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

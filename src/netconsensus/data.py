@@ -17,7 +17,6 @@ from scipy import sparse
 
 __all__ = [
     "LabeledDataset",
-    "Partition",
     "DatasetFormatError",
     "load_sparse_text",
     "save_sparse_text",
@@ -60,14 +59,6 @@ class LabeledDataset:
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledDataset(self.X[idx], self.y[idx], d=self.d, name=self.name)
-
-
-@dataclass(eq=False)
-class Partition:
-    """Disjoint index shards covering a dataset; sizes differ by at most 1."""
-
-    shards: list
-    has_empty_shards: bool = False
 
 
 def _map_labels(raw: np.ndarray, target_class=None) -> np.ndarray:
@@ -140,8 +131,9 @@ def load_sparse_text(path, index_base=None, target_class=None, name=None) -> Lab
     return LabeledDataset(X=X, y=y, d=d, name=name or path.name)
 
 
-def save_sparse_text(ds: LabeledDataset, path, index_base: int = 0, with_sidecar: bool = True) -> None:
-    """Write the dataset back out; values round-trip at full precision."""
+def save_sparse_text(ds: LabeledDataset, path, index_base: int = 0) -> None:
+    """Write the dataset back out, values at full precision, plus a
+    ``.meta.json`` sidecar with its name, size and index base."""
     if index_base not in (0, 1):
         raise ValueError("index_base must be 0 or 1")
     path = Path(path)
@@ -154,19 +146,18 @@ def save_sparse_text(ds: LabeledDataset, path, index_base: int = 0, with_sidecar
             )
             label = "+1" if ds.y[i] > 0 else "-1"
             fh.write(f"{label} {feats}\n" if feats else f"{label}\n")
-    if with_sidecar:
-        meta = {"name": ds.name, "n_examples": ds.n_examples, "d": ds.d, "index_base": index_base}
-        path.with_suffix(path.suffix + ".meta.json").write_text(json.dumps(meta))
+    meta = {"name": ds.name, "n_examples": ds.n_examples, "d": ds.d, "index_base": index_base}
+    path.with_suffix(path.suffix + ".meta.json").write_text(json.dumps(meta))
 
 
-def partition_equal(ds: LabeledDataset, n_nodes: int, seed: int) -> Partition:
-    """Shuffled round-robin split into n_nodes shards, deterministic per seed."""
+def partition_equal(ds: LabeledDataset, n_nodes: int, seed: int) -> list:
+    """Shuffled round-robin split into n_nodes disjoint index shards covering
+    the dataset, sizes differing by at most 1; deterministic per seed."""
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
     rng = np.random.default_rng(seed)
     order = rng.permutation(ds.n_examples)
-    shards = [np.sort(order[k::n_nodes]) for k in range(n_nodes)]
-    return Partition(shards=shards, has_empty_shards=ds.n_examples < n_nodes)
+    return [np.sort(order[k::n_nodes]) for k in range(n_nodes)]
 
 
 def make_blobs(n_examples: int, d: int, margin: float, seed: int, noise: float = 1.0) -> LabeledDataset:

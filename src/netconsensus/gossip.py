@@ -36,6 +36,9 @@ __all__ = [
     "max_pairwise_gap",
 ]
 
+# share of the dataset held out for test accuracy when no test set is given
+TEST_FRACTION = 0.25
+
 # relative margin around epsilon inside which the stop test falls back to the
 # exact pairwise distances; distance round-off is ~1e-14 relative
 _BRACKET_MARGIN = 1e-9
@@ -58,7 +61,6 @@ class GadgetConfig:
     steps_per_round: int = 1
     learning_rounds: int | None = 200
     seed: int = 0
-    test_fraction: float = 0.25
     record_trace: bool = True
 
     def __post_init__(self) -> None:
@@ -81,8 +83,6 @@ class GadgetRun:
     final_objective: float
     final_weights: np.ndarray
     node_weights: np.ndarray | None = None
-    sample_attempts: int = 1
-    config: GadgetConfig | None = None
 
 
 def pegasos_step(weights: np.ndarray, X, y, shards, rngs, nu: float, t: int) -> None:
@@ -185,9 +185,9 @@ def run_gadget(
     connected, deterministically per its seed) or a prebuilt Network.
     """
     if isinstance(model, SbmModel):
-        net, attempts = sample_connected(model)
+        net, _ = sample_connected(model)
     else:
-        net, attempts = model, 1
+        net = model
         if not is_connected(net):
             raise ValueError("run_gadget requires a connected network")
     n = net.n
@@ -195,16 +195,14 @@ def run_gadget(
     root = np.random.SeedSequence(cfg.seed)
     split_seed, part_seed, node_root = root.spawn(3)
     if test_dataset is None:
-        train, test = train_test_split(
-            dataset, cfg.test_fraction, seed=int(split_seed.generate_state(1)[0])
-        )
+        train, test = train_test_split(dataset, TEST_FRACTION, seed=int(split_seed.generate_state(1)[0]))
     else:
         train, test = dataset, test_dataset
     if train.n_examples < n:
         raise ValueError(
             f"dataset has {train.n_examples} examples for {n} nodes; every shard must be nonempty"
         )
-    shards = partition_equal(train, n, seed=int(part_seed.generate_state(1)[0])).shards
+    shards = partition_equal(train, n, seed=int(part_seed.generate_state(1)[0]))
     rngs = [np.random.default_rng(stream) for stream in node_root.spawn(n)]
 
     weights = np.zeros((n, train.d))
@@ -251,6 +249,4 @@ def run_gadget(
         final_objective=hinge_objective(w_avg, X_train, y_train, cfg.nu, n),
         final_weights=w_avg,
         node_weights=weights,
-        sample_attempts=attempts,
-        config=cfg,
     )

@@ -111,6 +111,11 @@ class Network:
         membership = np.asarray(membership, dtype=np.int64)
         if membership.shape != (n,):
             raise ValueError("membership must have one entry per node")
+        community_sizes = tuple(int(c) for c in community_sizes)
+        if sum(community_sizes) != n:
+            raise ValueError(f"community sizes {community_sizes} do not sum to n={n}")
+        if not np.array_equal(membership, np.repeat(np.arange(len(community_sizes)), community_sizes)):
+            raise ValueError("membership must group nodes contiguously by community, in size order")
         if edges.size:
             lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
             if (lo == hi).any():
@@ -130,7 +135,7 @@ class Network:
         self.membership.flags.writeable = False
         self.degrees = np.bincount(edges.ravel(), minlength=n) if edges.size else np.zeros(n, dtype=np.int64)
         self.degrees.flags.writeable = False
-        self.community_sizes = tuple(int(c) for c in community_sizes)
+        self.community_sizes = community_sizes
         self.seed = seed
         self._adj = None
 

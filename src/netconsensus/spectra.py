@@ -24,9 +24,6 @@ __all__ = [
     "eigenvalue_histogram",
 ]
 
-# dense decomposition is the reference path up to this size
-_DENSE_LIMIT = 4000
-
 
 class EigensolverError(RuntimeError):
     """Iterative eigensolver failed to converge within its budget."""
@@ -123,8 +120,8 @@ def lambda2_only(net: Network, tol: float = 1e-8, max_iters: int | None = None) 
     return float(1.0 - vals[0])
 
 
-def eigenvalue_histogram(eigenvalues, bins=80, value_range=None):
+def eigenvalue_histogram(eigenvalues, bins=80):
     """Histogram of eigenvalues as a JSON-friendly dict of edges and counts."""
     vals = np.asarray(eigenvalues, dtype=float)
-    counts, edges = np.histogram(vals, bins=bins, range=value_range)
+    counts, edges = np.histogram(vals, bins=bins)
     return {"bin_edges": edges.tolist(), "counts": counts.tolist()}

@@ -269,6 +269,5 @@ def test_09_property_suites():
 
         # data: partition is a set partition
         ds = data.make_blobs(1000, 4, margin=1.0, seed=7)
-        part = data.partition_equal(ds, 37, seed=8)
-        joined = np.concatenate(part.shards)
+        joined = np.concatenate(data.partition_equal(ds, 37, seed=8))
         assert len(joined) == 1000 and len(np.unique(joined)) == 1000

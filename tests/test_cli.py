@@ -1,9 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from netconsensus import bench, rmt, sbm
+from netconsensus import bench, rmt, sbm, spectra
 from netconsensus.cli import cli
 
 
@@ -158,3 +159,78 @@ def test_bifurcation_out_of_range_is_runtime_error(tmp_path):
 
 def test_missing_required_setting_is_runtime_error(tmp_path):
     assert cli(["predict", "--out", str(tmp_path)]) == 1
+
+
+def _csv_records(path, header):
+    with path.open(newline="") as fh:
+        records = list(csv.reader(fh))
+    if header is not None:
+        assert records[0] == header
+        records = records[1:]
+    return [[float(field) for field in rec] for rec in records]
+
+
+def test_every_cli_csv_parses(tmp_path):
+    model = ["--sizes", "8,8", "--p-in", "0.9", "--p-out", "0.4", "--seed", "2"]
+    assert cli(["spectrum", *model, "--out", str(tmp_path / "s")]) == 0
+    assert cli(["predict", *model, "--grid-points", "21", "--out", str(tmp_path / "p")]) == 0
+    assert cli(["consensus", *model, "--epsilon", "1e-6", "--out", str(tmp_path / "c")]) == 0
+    assert cli(["gadget", *model, "--dataset", "blobs:100:3:2.0:1", "--epsilon", "1e-4",
+                "--learning-rounds", "5", "--out", str(tmp_path / "g")]) == 0
+
+    eig = _csv_records(tmp_path / "s" / "eigenvalues.csv", None)
+    net, _ = sbm.sample_connected(sbm.make_two_level_model([8, 8], sbm.TwoLevelProbs(0.9, 0.4), 2))
+    expected = spectra.normalized_laplacian_spectrum(net).eigenvalues
+    assert np.array_equal(np.array(eig).ravel(), expected)
+
+    pred = _csv_records(tmp_path / "p" / "prediction.csv", ["lambda", "density"])
+    assert len(pred) == 21
+    trace = _csv_records(tmp_path / "c" / "consensus_trace.csv", ["round", "error"])
+    assert [r[0] for r in trace] == list(range(len(trace)))
+    gadget = _csv_records(tmp_path / "g" / "gadget_trace.csv",
+                          ["round", "max_pairwise_gap", "objective", "accuracy"])
+    rounds = json.loads((tmp_path / "g" / "gadget.json").read_text())["rounds_to_consensus"]
+    assert [r[0] for r in gadget] == list(range(1, rounds + 1))
+
+
+def _same_run_from_config_and_flags(tmp_path, command, settings, flags, output):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(json.dumps(settings))
+    assert cli([command, "--config", str(cfg), "--out", str(tmp_path / "cfg")]) == 0
+    rest = tmp_path / "rest.cfg"
+    rest.write_text(json.dumps({k: v for k, v in settings.items() if k not in flags}))
+    argv = [command, "--config", str(rest), "--out", str(tmp_path / "flags")]
+    for key, value in flags.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    assert cli(argv) == 0
+    return (tmp_path / "cfg" / output).read_bytes(), (tmp_path / "flags" / output).read_bytes()
+
+
+def test_gadget_config_and_flags_give_same_run(tmp_path):
+    settings = {"sizes": "8,8", "p_in": 0.9, "p_out": 0.5, "seed": 5, "dataset": "blobs:200:4:2.0:7",
+                "nu": 0.2, "epsilon": 1e-5, "max_rounds": 3000, "steps_per_round": 2,
+                "learning_rounds": "none"}
+    by_config, by_flags = _same_run_from_config_and_flags(
+        tmp_path, "gadget", settings, settings, "gadget.json")
+    assert by_config == by_flags
+    assert json.loads(by_config)["config"]["learning_rounds"] is None
+
+
+def test_sweep_config_and_flags_give_same_run(tmp_path):
+    settings = {"mode": "scalar", "sizes": "20,20", "p_in": 0.6, "p_out_list": [0.2, 0.4],
+                "seeds_per_point": 2, "epsilon": 1e-8, "max_rounds": 20000, "seed": 9, "workers": 1}
+    flags = {k: v for k, v in settings.items() if k != "p_out_list"}
+    by_config, by_flags = _same_run_from_config_and_flags(tmp_path, "sweep", settings, flags, "rows.csv")
+    assert by_config == by_flags
+
+
+def test_config_connected_resamples_until_connected(tmp_path):
+    # this model's first draw at seed 3 is disconnected
+    settings = {"sizes": [10, 10], "p_in": 0.3, "p_out": 0.05, "seed": 3}
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(json.dumps(settings))
+    assert cli(["sample", "--config", str(cfg), "--out", str(tmp_path / "plain")]) == 0
+    assert json.loads((tmp_path / "plain" / "sample.json").read_text())["connected"] is False
+    cfg.write_text(json.dumps({**settings, "connected": True}))
+    assert cli(["sample", "--config", str(cfg), "--out", str(tmp_path / "conn")]) == 0
+    assert json.loads((tmp_path / "conn" / "sample.json").read_text())["connected"] is True

@@ -102,33 +102,30 @@ class TestSaveRoundTrip:
 class TestPartition:
     def test_exact_fit(self):
         ds = data.make_blobs(100, 3, margin=1.0, seed=0)
-        part = data.partition_equal(ds, 100, seed=1)
-        assert all(len(s) == 1 for s in part.shards)
-        assert not part.has_empty_shards
+        shards = data.partition_equal(ds, 100, seed=1)
+        assert all(len(s) == 1 for s in shards)
 
     def test_one_extra_example(self):
         ds = data.make_blobs(101, 3, margin=1.0, seed=0)
-        part = data.partition_equal(ds, 100, seed=1)
-        lengths = sorted(len(s) for s in part.shards)
+        shards = data.partition_equal(ds, 100, seed=1)
+        lengths = sorted(len(s) for s in shards)
         assert lengths == [1] * 99 + [2]
 
     @pytest.mark.parametrize("n_nodes,seed", [(7, 0), (13, 5), (100, 2)])
     def test_disjoint_cover(self, n_nodes, seed):
         ds = data.make_blobs(500, 4, margin=1.0, seed=3)
-        part = data.partition_equal(ds, n_nodes, seed=seed)
-        joined = np.concatenate(part.shards)
+        joined = np.concatenate(data.partition_equal(ds, n_nodes, seed=seed))
         assert len(joined) == 500
         assert len(np.unique(joined)) == 500
 
     def test_fewer_examples_than_nodes_flagged(self):
         ds = data.make_blobs(5, 2, margin=1.0, seed=0)
-        part = data.partition_equal(ds, 10, seed=0)
-        assert part.has_empty_shards
+        shards = data.partition_equal(ds, 10, seed=0)
+        assert sorted(len(s) for s in shards) == [0] * 5 + [1] * 5
 
     def test_class_balance_per_shard(self):
         ds = data.make_blobs(10_000, 5, margin=1.0, seed=4)
-        part = data.partition_equal(ds, 100, seed=8)
-        for shard in part.shards:
+        for shard in data.partition_equal(ds, 100, seed=8):
             positive = float(np.mean(ds.y[shard] == 1))
             assert 0.3 <= positive <= 0.7
 
@@ -136,7 +133,7 @@ class TestPartition:
         ds = data.make_blobs(200, 3, margin=1.0, seed=0)
         a = data.partition_equal(ds, 9, seed=5)
         b = data.partition_equal(ds, 9, seed=5)
-        for sa, sb in zip(a.shards, b.shards):
+        for sa, sb in zip(a, b):
             assert np.array_equal(sa, sb)
 
 

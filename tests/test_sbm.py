@@ -192,6 +192,17 @@ class TestNetworkValidation:
         with pytest.raises(ValueError):
             sbm.Network(3, np.array([[0, 5]]), np.zeros(3, dtype=np.int64), [3])
 
+    def test_sizes_not_summing_to_n_rejected(self):
+        doc = {"n": 4, "sizes": [10, 10], "membership": [0, 0, 1, 1], "edges": [[0, 1], [2, 3]]}
+        with pytest.raises(ValueError, match="do not sum to n=4"):
+            sbm.network_from_json(doc)
+
+    @pytest.mark.parametrize("membership", [[0, 5, 1, 1], [1, 1, 0, 0], [0, 1, 0, 1]])
+    def test_membership_not_grouped_by_size_rejected(self, membership):
+        doc = {"n": 4, "sizes": [2, 2], "membership": membership, "edges": [[0, 1], [2, 3]]}
+        with pytest.raises(ValueError, match="contiguously"):
+            sbm.network_from_json(doc)
+
 
 class TestSerialization:
     def test_edge_list_roundtrip(self, tmp_path):
