@@ -15,7 +15,6 @@ import dataclasses
 import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -213,6 +212,8 @@ def sweep(cfg: SweepConfig, dataset: LabeledDataset | None = None, row_callback=
 
     jobs = list(enumerate(cfg.p_out_list))
     if cfg.workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             return collect(pool.map(job, jobs))
     return collect(map(job, jobs))

@@ -60,12 +60,14 @@ class ConsensusRun:
 
 
 def stationary(net: Network) -> StationaryDist:
-    """Degree-proportional stationary distribution of P = D^{-1} A."""
+    """Degree-proportional stationary distribution of P = D^{-1} A; a single
+    node, which has no edges, holds all the mass."""
     if not is_connected(net):
         raise ValueError("stationary distribution requires a connected network")
+    if net.n == 1:
+        return StationaryDist(pi=np.ones(1))
     deg = net.degrees.astype(float)
-    pi = deg / deg.sum()
-    return StationaryDist(pi=pi)
+    return StationaryDist(pi=deg / deg.sum())
 
 
 def random_initial_state(n: int, seed: int) -> np.ndarray:

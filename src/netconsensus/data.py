@@ -11,9 +11,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "LabeledDataset",
@@ -80,8 +83,11 @@ def load_sparse_text(path, index_base=None, target_class=None, name=None) -> Lab
 
     index_base: 0, 1, or None to autodetect (any index 0 present => 0-based).
     target_class: when given, labels equal to it map to +1 and the rest to -1
-    (one-vs-rest); otherwise labels must already be -1/+1 or 0/1.
+    (one-vs-rest); otherwise labels must already be -1/+1 or 0/1. A feature
+    index repeated within one line is rejected.
     """
+    from scipy import sparse
+
     path = Path(path)
     labels = []
     rows, cols, vals = [], [], []
@@ -96,6 +102,7 @@ def load_sparse_text(path, index_base=None, target_class=None, name=None) -> Lab
                 labels.append(float(toks[0]))
             except ValueError as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: bad label {toks[0]!r}") from exc
+            seen = set()
             for tok in toks[1:]:
                 try:
                     idx_str, val_str = tok.split(":", 1)
@@ -107,6 +114,9 @@ def load_sparse_text(path, index_base=None, target_class=None, name=None) -> Lab
                     raise DatasetFormatError(f"{path}:{lineno}: non-finite value {tok!r}")
                 if idx < 0:
                     raise DatasetFormatError(f"{path}:{lineno}: negative index {idx}")
+                if idx in seen:
+                    raise DatasetFormatError(f"{path}:{lineno}: repeated feature index {idx}")
+                seen.add(idx)
                 rows.append(len(labels) - 1)
                 cols.append(idx)
                 vals.append(val)
@@ -167,6 +177,8 @@ def make_blobs(n_examples: int, d: int, margin: float, seed: int, noise: float =
     noise of scale ``noise``; separability is guaranteed whenever the margin
     exceeds the largest noise projection onto the normal.
     """
+    from scipy import sparse
+
     if margin <= 0:
         raise ValueError("margin must be positive")
     rng = np.random.default_rng(seed)

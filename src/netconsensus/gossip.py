@@ -16,13 +16,15 @@ bracket dev <= gap <= 2 dev, dev = max_i ||w_i - w_0||, cannot settle it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.spatial.distance import pdist
 
 from .data import LabeledDataset, partition_equal, train_test_split
 from .sbm import Network, SbmModel, is_connected, sample_connected
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "GadgetConfig",
@@ -97,7 +99,7 @@ def pegasos_step(weights: np.ndarray, X, y, shards, rngs, nu: float, t: int) -> 
         raise ValueError("step index t must be >= 1")
     picks = np.array([shard[rng.integers(shard.size)] for shard, rng in zip(shards, rngs)], dtype=np.int64)
     rows = X[picks]
-    rows = rows.toarray() if sparse.issparse(rows) else np.asarray(rows, dtype=float)
+    rows = rows.toarray() if hasattr(rows, "toarray") else np.asarray(rows, dtype=float)
     labels = y[picks]
     eta = 1.0 / (nu * t)
     hit = labels * np.einsum("ij,ij->i", weights, rows) < 1.0
@@ -107,6 +109,8 @@ def pegasos_step(weights: np.ndarray, X, y, shards, rngs, nu: float, t: int) -> 
 
 def mixing_matrix(net: Network) -> sparse.csr_matrix:
     """Column-stochastic push-sum matrix: equal split over self and neighbors."""
+    from scipy import sparse
+
     n = net.n
     adj = net.adjacency()
     with_self = (adj + sparse.identity(n, format="csr")).tocsr()
@@ -150,6 +154,8 @@ def max_pairwise_gap(weights: np.ndarray) -> float:
     """
     if weights.shape[0] < 2:
         return 0.0
+    from scipy.spatial.distance import pdist
+
     return float(pdist(weights).max())
 
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "TwoLevelProbs",
@@ -100,11 +102,11 @@ class Network:
     """Sampled undirected simple graph, immutable after construction.
 
     Nodes are 0..n-1, grouped contiguously by community. Edges are stored as
-    an (m, 2) array of pairs with i < j; the CSR adjacency matrix is built
-    lazily and cached.
+    an (m, 2) array of pairs with i < j; the CSR adjacency matrix and the
+    connectivity flag are computed lazily and cached.
     """
 
-    __slots__ = ("n", "edges", "membership", "degrees", "community_sizes", "seed", "_adj")
+    __slots__ = ("n", "edges", "membership", "degrees", "community_sizes", "seed", "_adj", "_connected")
 
     def __init__(self, n, edges, membership, community_sizes, seed=None):
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -138,6 +140,7 @@ class Network:
         self.community_sizes = community_sizes
         self.seed = seed
         self._adj = None
+        self._connected = None
 
     @property
     def num_edges(self) -> int:
@@ -146,6 +149,8 @@ class Network:
     def adjacency(self) -> sparse.csr_matrix:
         """Symmetric CSR adjacency matrix with 0/1 float entries."""
         if self._adj is None:
+            from scipy import sparse
+
             m = self.edges.shape[0]
             rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
             cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
@@ -262,13 +267,19 @@ def block_matrices(model: SbmModel) -> BlockMatrices:
 
 
 def is_connected(net: Network) -> bool:
-    """True iff a single undirected component spans all nodes."""
-    if net.n <= 1:
-        return True
-    if net.num_edges == 0:
-        return False
-    ncomp, _ = connected_components(net.adjacency(), directed=False)
-    return int(ncomp) == 1
+    """True iff a single undirected component spans all nodes (computed once
+    per network and cached)."""
+    if net._connected is None:
+        if net.n <= 1:
+            net._connected = True
+        elif net.num_edges == 0:
+            net._connected = False
+        else:
+            from scipy.sparse.csgraph import connected_components
+
+            ncomp, _ = connected_components(net.adjacency(), directed=False)
+            net._connected = int(ncomp) == 1
+    return net._connected
 
 
 def save_edge_list(net: Network, path) -> None:

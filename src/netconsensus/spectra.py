@@ -8,12 +8,14 @@ through the exact mapping mu = 1 - lambda, never diagonalized directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .sbm import Network
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "SpectrumEmpirical",
@@ -55,6 +57,8 @@ def _check_degrees(net: Network) -> None:
 
 def normalized_laplacian(net: Network) -> sparse.csr_matrix:
     """Sparse symmetric L = I - D^{-1/2} A D^{-1/2}."""
+    from scipy import sparse
+
     _check_degrees(net)
     inv_sqrt_d = 1.0 / np.sqrt(net.degrees.astype(float))
     adj = net.adjacency()
@@ -95,6 +99,8 @@ def lambda2_only(net: Network, tol: float = 1e-8, max_iters: int | None = None) 
     n = net.n
     if n <= 16:
         return normalized_laplacian_spectrum(net).lambda2
+
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     sqrt_d = np.sqrt(net.degrees.astype(float))
     u = sqrt_d / np.linalg.norm(sqrt_d)

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netconsensus import bench, data
+from netconsensus import bench, data, sbm
 
 
 class TestFitReciprocal:
@@ -125,6 +129,27 @@ class TestSweep:
         bench.sweep(self.make_config(p_out_list=grid, workers=3), row_callback=lambda r: emitted.append(r.p_out))
         assert emitted == list(grid)
 
+    def test_connectivity_computed_once_per_sampled_network(self, monkeypatch):
+        import scipy.sparse.csgraph
+
+        counts = {"sample": 0, "components": 0}
+        sample, components = sbm.sample, scipy.sparse.csgraph.connected_components
+
+        def counted_sample(*args, **kwargs):
+            counts["sample"] += 1
+            return sample(*args, **kwargs)
+
+        def counted_components(*args, **kwargs):
+            counts["components"] += 1
+            return components(*args, **kwargs)
+
+        monkeypatch.setattr(sbm, "sample", counted_sample)
+        monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", counted_components)
+        rows = bench.sweep(self.make_config(seeds_per_point=2))
+        assert rows[0].error is None and rows[0].n_runs == 2
+        assert counts["sample"] >= 2
+        assert counts["components"] == counts["sample"]
+
     def test_gadget_smoke_two_points(self):
         ds = data.make_blobs(300, 4, margin=2.0, seed=5)
         cfg = self.make_config(
@@ -179,3 +204,44 @@ class TestDetectBifurcation:
     def test_locates_transition_in_interior(self):
         delta1 = bench.detect_bifurcation([700, 300], 0.1, [0.01, 0.03, 0.05], refine_tol=1e-3)
         assert 0.03 < delta1 < 0.05
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def sweep_rows(draw):
+    return bench.SweepRow(
+        delta=draw(finite),
+        p_out=draw(finite),
+        tau_median=draw(st.none() | any_float),
+        tau_iqr=draw(st.none() | any_float),
+        lambda2_emp=draw(st.none() | any_float),
+        lambda2_pred=draw(any_float),
+        lambdaL=draw(any_float),
+        censored=draw(st.integers(0, 10**6)),
+    )
+
+
+def same_float(a, b):
+    """Equal as written: None matches None, nan any nan, and -0.0 only -0.0."""
+    if a is None or b is None:
+        return a is None and b is None
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@settings(max_examples=60)
+@given(st.lists(sweep_rows(), max_size=5))
+def test_rows_csv_roundtrip_property(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("rows") / "rows.csv"
+    bench.rows_to_csv(rows, path)
+    back = bench.rows_from_csv(path)
+    assert len(back) == len(rows)
+    fields = ("delta", "p_out", "tau_median", "tau_iqr", "lambda2_emp", "lambda2_pred", "lambdaL")
+    for got, want in zip(back, rows):
+        for name in fields:
+            assert same_float(getattr(got, name), getattr(want, name)), name
+        assert got.censored == want.censored

@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,3 +239,42 @@ def test_config_connected_resamples_until_connected(tmp_path):
     cfg.write_text(json.dumps({**settings, "connected": True}))
     assert cli(["sample", "--config", str(cfg), "--out", str(tmp_path / "conn")]) == 0
     assert json.loads((tmp_path / "conn" / "sample.json").read_text())["connected"] is True
+
+
+# run in a fresh interpreter: the test process has long since loaded scipy
+_IMPORT_PROBE = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+
+    def scipy_loaded():
+        heavy = ("scipy.sparse", "scipy.spatial", "scipy.optimize", "scipy.linalg")
+        return sorted(m for m in sys.modules if m.startswith(heavy))
+
+    import netconsensus, netconsensus.cli
+    out = Path(sys.argv[1])
+    seen = {"import": scipy_loaded()}
+    rc = {}
+    rc["predict"] = netconsensus.cli.cli(
+        ["predict", "--sizes", "20,30", "--p-in", "0.5", "--p-out", "0.1", "--out", str(out / "p")])
+    seen["predict"] = scipy_loaded()
+    rc["bifurcation"] = netconsensus.cli.cli(
+        ["bifurcation", "--sizes", "50,50", "--p-in", "0.3", "--delta-grid", "0.0:0.25:6", "--out", str(out / "b")])
+    seen["bifurcation"] = scipy_loaded()
+    rc["sweep"] = netconsensus.cli.cli(["sweep", "--config", sys.argv[2], "--out", str(out / "s")])
+    print(json.dumps({"seen": seen, "rc": rc}))
+""")
+
+
+def test_predict_and_bifurcation_load_no_scipy(tmp_path):
+    src = str(Path(sbm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(json.dumps({"sizes": [10, 10], "p_in": 0.8, "p_out_list": [0.3], "seeds_per_point": 1,
+                               "epsilon": 1e-6}))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path), str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    report = json.loads(proc.stdout)
+    assert report["rc"] == {"predict": 0, "bifurcation": 0, "sweep": 0}
+    assert report["seen"] == {"import": [], "predict": [], "bifurcation": []}
+    assert (tmp_path / "b" / "bifurcation.json").exists()
+    assert len((tmp_path / "s" / "rows.csv").read_text().splitlines()) == 2

@@ -119,6 +119,15 @@ class TestRun:
             bound, _ = consensus.tau_bound(spec.mu2_abs, 1e-10)
             assert result.tau_eps <= bound + 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_single_node_is_converged(self):
+        net = sbm.Network(1, [], [0], (1,))
+        result = consensus.run(net, [0.3], 1e-6)
+        assert result.tau_eps == 0
+        assert result.x_star == 0.3
+        assert result.rounds == 0
+        assert not result.censored
+
     def test_disconnected_refused(self):
         net = sbm.sample(sbm.make_two_level_model([5, 5], sbm.TwoLevelProbs(1.0, 0.0), 0))
         with pytest.raises(ValueError):

@@ -72,6 +72,12 @@ class TestLoadSparseText:
         with pytest.raises(data.DatasetFormatError, match=":2:"):
             data.load_sparse_text(path)
 
+    def test_repeated_index_rejected(self, tmp_path):
+        path = tmp_path / "rep.txt"
+        path.write_text("-1 0:1.0\n+1 3:1.0 3:2.0\n")
+        with pytest.raises(data.DatasetFormatError, match=r"rep\.txt:2: repeated feature index 3"):
+            data.load_sparse_text(path)
+
     def test_index_base_autodetect(self, tmp_path):
         zero_based = tmp_path / "zb.txt"
         zero_based.write_text("+1 0:1.0 4:2.0\n")

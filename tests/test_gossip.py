@@ -298,3 +298,34 @@ def weight_matrices(draw):
 def test_bracketed_stop_decision_is_exact(case):
     weights, epsilon = case
     assert gossip._gap_below(weights, epsilon) == (gossip.max_pairwise_gap(weights) < epsilon)
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random connected graph on 1..30 nodes: a random spanning tree plus
+    random extra edges."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tree = {(int(rng.integers(i)), i) for i in range(1, n)}
+    extra = rng.random((n, n)) < draw(st.floats(0.0, 0.5))
+    edges = tree | {(i, j) for i, j in zip(*np.nonzero(np.triu(extra, 1)))}
+    net = sbm.Network(n, np.array(sorted(edges), dtype=np.int64).reshape(-1, 2), np.zeros(n, dtype=np.int64), [n])
+    return net, rng
+
+
+@settings(max_examples=60)
+@given(connected_graphs(), st.integers(1, 40))
+def test_push_sum_conserves_mass_property(case, rounds):
+    net, rng = case
+    assert sbm.is_connected(net)
+    sums = rng.normal(size=(net.n, 3)) * 10.0 ** rng.uniform(-3, 3)
+    psw = rng.uniform(0.1, 2.0, size=net.n)
+    total_s, total_w = sums.sum(axis=0), psw.sum()
+    scale_s = np.abs(sums).sum(axis=0)
+    mix = gossip.mixing_matrix(net)
+    for _ in range(rounds):
+        sums, psw = gossip.push_sum_round(mix, sums, psw)
+    tol = 1e-13 * rounds * net.n
+    assert np.all(np.abs(sums.sum(axis=0) - total_s) <= tol * scale_s)
+    assert abs(psw.sum() - total_w) <= tol * total_w
+    assert (psw > 0).all()

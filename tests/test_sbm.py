@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netconsensus import sbm
 
@@ -224,3 +228,44 @@ class TestSerialization:
         assert back.seed == net.seed
         assert np.array_equal(back.edges, net.edges)
         assert np.array_equal(back.membership, net.membership)
+
+
+@st.composite
+def small_networks(draw):
+    """A random simple graph on 1..12 nodes in 1..3 communities, with its
+    edges listed in random order and orientation."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    n = sum(sizes)
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    edges = [(j, i) if draw(st.booleans()) else (i, j) for i, j in chosen]
+    seed = draw(st.one_of(st.none(), st.integers(0, 2**63 - 1)))
+    membership = np.repeat(np.arange(len(sizes)), sizes)
+    return sbm.Network(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), membership, sizes, seed=seed)
+
+
+def assert_same_network(back, net):
+    assert back.n == net.n
+    assert back.community_sizes == net.community_sizes
+    assert np.array_equal(back.edges, net.edges)
+    assert np.array_equal(back.membership, net.membership)
+    assert np.array_equal(back.degrees, net.degrees)
+
+
+@settings(max_examples=60)
+@given(small_networks())
+def test_json_roundtrip_property(tmp_path_factory, net):
+    path = tmp_path_factory.mktemp("json") / "net.json"
+    sbm.network_to_json(net, path)
+    back = sbm.network_from_json(path)
+    assert_same_network(back, net)
+    assert back.seed == net.seed
+    assert_same_network(sbm.network_from_json(sbm.network_to_json(net)), net)
+
+
+@settings(max_examples=60)
+@given(small_networks())
+def test_edge_list_roundtrip_property(tmp_path_factory, net):
+    path = tmp_path_factory.mktemp("edges") / "net.txt"
+    sbm.save_edge_list(net, path)
+    assert_same_network(sbm.load_edge_list(path), net)
