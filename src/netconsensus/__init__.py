@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from . import bench, consensus, data, gossip, rmt, sbm, spectra
 from .bench import SweepConfig, detect_bifurcation, fit_reciprocal, sweep
 from .consensus import run as consensus_run
-from .consensus import stationary, tau_bound
+from .consensus import tau_bound
 from .data import load_sparse_text, make_blobs, partition_equal
 from .gossip import GadgetConfig, push_sum_round, run_gadget
 from .rmt import predict as rmt_predict
@@ -33,7 +33,6 @@ __all__ = [
     "fit_reciprocal",
     "sweep",
     "consensus_run",
-    "stationary",
     "tau_bound",
     "load_sparse_text",
     "make_blobs",

@@ -32,7 +32,6 @@ __all__ = [
     "BifurcationRangeError",
     "sweep",
     "fit_reciprocal",
-    "fit_inverse_lambda2",
     "detect_bifurcation",
     "log_spaced",
     "csv_row",
@@ -40,6 +39,9 @@ __all__ = [
     "rows_from_csv",
     "write_sidecar",
 ]
+
+# width of the final bisection bracket around the bifurcation point
+BIFURCATION_TOL = 1e-4
 
 CSV_HEADER = ["delta", "p_out", "tau_median", "tau_iqr", "lambda2_emp", "lambda2_pred", "lambdaL", "censored"]
 
@@ -99,7 +101,6 @@ class SweepRow:
     lambda2_pred: float
     lambdaL: float
     censored: int
-    n_runs: int = 0
     accuracy_mean: float | None = None
     error: str | None = None
 
@@ -173,7 +174,6 @@ def _point(cfg: SweepConfig, p_out: float, seeds, simulate) -> SweepRow:
         lambda2_pred=float(pred.predicted_lambda2),
         lambdaL=float(pred.support[0]),
         censored=len(lam2s) - len(taus),
-        n_runs=len(lam2s),
         accuracy_mean=float(np.mean(accs)) if accs else None,
     )
 
@@ -199,7 +199,7 @@ def sweep(cfg: SweepConfig, dataset: LabeledDataset | None = None, row_callback=
             return SweepRow(
                 delta=cfg.p_in - p_out, p_out=p_out, tau_median=None, tau_iqr=None,
                 lambda2_emp=None, lambda2_pred=float("nan"), lambdaL=float("nan"),
-                censored=0, n_runs=0, error=f"{type(exc).__name__}: {exc}",
+                censored=0, error=f"{type(exc).__name__}: {exc}",
             )
 
     def collect(results):
@@ -271,16 +271,9 @@ def _r2(rss: float, tss: float) -> float:
     return 1.0 - rss / tss
 
 
-def fit_inverse_lambda2(lambda2_values, taus) -> ReciprocalFit:
-    """Fit tau = b / lambda2 with the same machinery (pole fixed at 0 in the
-    negated coordinate)."""
-    lam = np.asarray(lambda2_values, dtype=float)
-    return fit_reciprocal((-lam, np.asarray(taus, dtype=float)), fix_pole=0.0)
-
-
-def detect_bifurcation(sizes, p_in: float, delta_grid, refine_tol: float = 1e-4) -> float:
+def detect_bifurcation(sizes, p_in: float, delta_grid) -> float:
     """Largest community strength at which the isolated eigenvalue is still
-    merged with the bulk, refined by bisection to refine_tol.
+    merged with the bulk, refined by bisection to BIFURCATION_TOL.
 
     The grid must be ascending and straddle both regimes; a grid entirely in
     one regime raises BifurcationRangeError.
@@ -306,7 +299,7 @@ def detect_bifurcation(sizes, p_in: float, delta_grid, refine_tol: float = 1e-4)
         raise BifurcationRangeError("merged regime extends past the top of the grid")
 
     lo, hi = float(grid[i_last]), float(grid[i_last + 1])
-    while hi - lo > refine_tol:
+    while hi - lo > BIFURCATION_TOL:
         mid = 0.5 * (lo + hi)
         if merged(mid):
             lo = mid

@@ -275,12 +275,15 @@ def _build_parser():
     def common(p):
         p.add_argument("--config", help="flat key/value JSON config file")
         p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--seed", type=int, help="RNG seed")
 
-    def model_flags(p):
+    def sizes_p_in(p):
         p.add_argument("--sizes", help="community sizes, e.g. 700,300")
         p.add_argument("--p-in", dest="p_in", type=float)
+
+    def model_flags(p):
+        sizes_p_in(p)
         p.add_argument("--p-out", dest="p_out", type=float)
+        p.add_argument("--seed", type=int, help="RNG seed")
 
     p = sub.add_parser("sample", help="sample a network and export it")
     common(p)
@@ -320,9 +323,10 @@ def _build_parser():
     p.add_argument("--learning-rounds", dest="learning_rounds")
     p.set_defaults(func=_cmd_gadget)
 
-    p = sub.add_parser("sweep", help="community-strength sweep")
+    p = sub.add_parser("sweep", help="community-strength sweep over p_out_list or p_out_lo/hi/num")
     common(p)
-    model_flags(p)
+    sizes_p_in(p)
+    p.add_argument("--seed", type=int, help="base seed of the sweep's seed table")
     p.add_argument("--mode", choices=["scalar", "gadget"])
     p.add_argument("--seeds-per-point", dest="seeds_per_point", type=int)
     p.add_argument("--epsilon", type=float)
@@ -339,8 +343,7 @@ def _build_parser():
 
     p = sub.add_parser("bifurcation", help="locate the spectral bifurcation")
     common(p)
-    p.add_argument("--sizes")
-    p.add_argument("--p-in", dest="p_in", type=float)
+    sizes_p_in(p)
     p.add_argument("--delta-grid", dest="delta_grid", help="lo:hi:num")
     p.set_defaults(func=_cmd_bifurcation)
 

@@ -7,7 +7,6 @@ overridable). Labels are mapped to {-1, +1}; absent indices mean zero.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,6 @@ __all__ = [
     "LabeledDataset",
     "DatasetFormatError",
     "load_sparse_text",
-    "save_sparse_text",
     "partition_equal",
     "make_blobs",
     "train_test_split",
@@ -78,7 +76,7 @@ def _map_labels(raw: np.ndarray, target_class=None) -> np.ndarray:
     )
 
 
-def load_sparse_text(path, index_base=None, target_class=None, name=None) -> LabeledDataset:
+def load_sparse_text(path, index_base=None, target_class=None) -> LabeledDataset:
     """Parse a sparse text file into a dataset.
 
     index_base: 0, 1, or None to autodetect (any index 0 present => 0-based).
@@ -138,26 +136,7 @@ def load_sparse_text(path, index_base=None, target_class=None, name=None) -> Lab
         shape=(n, d),
     )
     y = _map_labels(np.asarray(labels, dtype=float), target_class=target_class)
-    return LabeledDataset(X=X, y=y, d=d, name=name or path.name)
-
-
-def save_sparse_text(ds: LabeledDataset, path, index_base: int = 0) -> None:
-    """Write the dataset back out, values at full precision, plus a
-    ``.meta.json`` sidecar with its name, size and index base."""
-    if index_base not in (0, 1):
-        raise ValueError("index_base must be 0 or 1")
-    path = Path(path)
-    X = ds.X.tocsr()
-    with path.open("w") as fh:
-        for i in range(ds.n_examples):
-            start, end = X.indptr[i], X.indptr[i + 1]
-            feats = " ".join(
-                f"{int(j) + index_base}:{float(v)!r}" for j, v in zip(X.indices[start:end], X.data[start:end])
-            )
-            label = "+1" if ds.y[i] > 0 else "-1"
-            fh.write(f"{label} {feats}\n" if feats else f"{label}\n")
-    meta = {"name": ds.name, "n_examples": ds.n_examples, "d": ds.d, "index_base": index_base}
-    path.with_suffix(path.suffix + ".meta.json").write_text(json.dumps(meta))
+    return LabeledDataset(X=X, y=y, d=d, name=path.name)
 
 
 def partition_equal(ds: LabeledDataset, n_nodes: int, seed: int) -> list:
@@ -170,12 +149,12 @@ def partition_equal(ds: LabeledDataset, n_nodes: int, seed: int) -> list:
     return [np.sort(order[k::n_nodes]) for k in range(n_nodes)]
 
 
-def make_blobs(n_examples: int, d: int, margin: float, seed: int, noise: float = 1.0) -> LabeledDataset:
+def make_blobs(n_examples: int, d: int, margin: float, seed: int) -> LabeledDataset:
     """Two Gaussian clouds mirrored across a random hyperplane.
 
-    Class centers sit at +/- margin along a random unit normal with isotropic
-    noise of scale ``noise``; separability is guaranteed whenever the margin
-    exceeds the largest noise projection onto the normal.
+    Class centers sit at +/- margin along a random unit normal with
+    isotropic standard normal noise; separability is guaranteed whenever the
+    margin exceeds the largest noise projection onto the normal.
     """
     from scipy import sparse
 
@@ -185,7 +164,7 @@ def make_blobs(n_examples: int, d: int, margin: float, seed: int, noise: float =
     normal = rng.normal(size=d)
     normal /= np.linalg.norm(normal)
     y = np.where(rng.random(n_examples) < 0.5, 1, -1)
-    points = rng.normal(scale=noise, size=(n_examples, d)) + np.outer(y * margin, normal)
+    points = rng.normal(size=(n_examples, d)) + np.outer(y * margin, normal)
     X = sparse.csr_matrix(points)
     return LabeledDataset(X=X, y=y.astype(np.int64), d=d, name=f"blobs-{n_examples}x{d}")
 

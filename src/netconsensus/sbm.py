@@ -36,6 +36,8 @@ __all__ = [
 
 # cap on Bernoulli draws materialized at once while sampling a block pair
 _CHUNK_DRAWS = 2_000_000
+# consecutive disconnected samples after which sample_connected gives up
+CONNECT_TRIES = 100
 
 
 @dataclass(frozen=True)
@@ -124,12 +126,11 @@ class Network:
                 raise ValueError("self-edges are not allowed")
             if lo.min() < 0 or hi.max() >= n:
                 raise ValueError("edge endpoint out of range")
-            edges = np.stack([lo, hi], axis=1)
-            order = np.lexsort((edges[:, 1], edges[:, 0]))
-            edges = edges[order]
-            dup = (np.diff(edges[:, 0]) == 0) & (np.diff(edges[:, 1]) == 0)
-            if dup.any():
+            key = lo * n + hi
+            order = np.argsort(key, kind="stable")
+            if (np.diff(key[order]) == 0).any():
                 raise ValueError("duplicate edges are not allowed")
+            edges = np.stack([lo[order], hi[order]], axis=1)
         self.n = int(n)
         self.edges = edges
         self.edges.flags.writeable = False
@@ -230,18 +231,18 @@ def sample(model: SbmModel) -> Network:
     return Network(int(sizes.sum()), edges, membership, model.community_sizes, seed=model.seed)
 
 
-def sample_connected(model: SbmModel, max_tries: int = 100):
+def sample_connected(model: SbmModel):
     """Resample with derived seeds until the network is connected.
 
-    Returns (network, attempts). Raises RuntimeError when max_tries
+    Returns (network, attempts). Raises RuntimeError when CONNECT_TRIES
     consecutive samples are disconnected.
     """
-    seeds = np.random.SeedSequence(model.seed).generate_state(max_tries, dtype=np.uint64)
+    seeds = np.random.SeedSequence(model.seed).generate_state(CONNECT_TRIES, dtype=np.uint64)
     for attempt, s in enumerate(seeds, start=1):
         net = sample(model.with_seed(int(s)))
         if is_connected(net):
             return net, attempt
-    raise RuntimeError(f"no connected sample in {max_tries} tries (model seed {model.seed})")
+    raise RuntimeError(f"no connected sample in {CONNECT_TRIES} tries (model seed {model.seed})")
 
 
 def block_matrices(model: SbmModel) -> BlockMatrices:

@@ -17,6 +17,11 @@ from .sbm import Network
 if TYPE_CHECKING:
     from scipy import sparse
 
+# ARPACK residual tolerance of lambda2_only
+LAMBDA2_TOL = 1e-8
+# ARPACK restart budget of lambda2_only, per node
+LAMBDA2_ITERS_PER_NODE = 100
+
 __all__ = [
     "SpectrumEmpirical",
     "EigensolverError",
@@ -86,7 +91,7 @@ def normalized_laplacian_spectrum(net: Network) -> SpectrumEmpirical:
     )
 
 
-def lambda2_only(net: Network, tol: float = 1e-8, max_iters: int | None = None) -> float:
+def lambda2_only(net: Network) -> float:
     """Second-smallest normalized-Laplacian eigenvalue via a deflated
     extremal iteration.
 
@@ -113,12 +118,12 @@ def lambda2_only(net: Network, tol: float = 1e-8, max_iters: int | None = None) 
         return y - 2.0 * u * (u @ x)
 
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    budget = max_iters if max_iters is not None else 100 * n
+    budget = LAMBDA2_ITERS_PER_NODE * n
     # deterministic generic start; ARPACK's default random v0 breaks
     # run-to-run reproducibility of sweep outputs
     v0 = np.random.default_rng(0x5EED).standard_normal(n)
     try:
-        vals = eigsh(op, k=1, which="LA", tol=tol, maxiter=budget, v0=v0, return_eigenvectors=False)
+        vals = eigsh(op, k=1, which="LA", tol=LAMBDA2_TOL, maxiter=budget, v0=v0, return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         raise EigensolverError(
             f"lambda2 iteration did not converge within {budget} iterations (n={n})"

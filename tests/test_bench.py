@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netconsensus import bench, data, sbm
+from netconsensus import bench, consensus, data, sbm
 
 
 class TestFitReciprocal:
@@ -65,7 +65,7 @@ class TestFitReciprocal:
     def test_inverse_lambda2_form(self):
         lam2 = np.array([0.8, 0.4, 0.2, 0.1, 0.05])
         taus = 3.0 / lam2
-        fit = bench.fit_inverse_lambda2(lam2, taus)
+        fit = bench.fit_reciprocal((-lam2, taus), fix_pole=0.0)  # tau = a / (0 - (-lambda2))
         assert fit.a == pytest.approx(3.0, abs=1e-9)
         assert fit.r2 > 1 - 1e-12
 
@@ -100,7 +100,12 @@ class TestSweep:
         assert row.tau_median is not None
         assert row.tau_iqr == 0.0
         assert row.censored == 0
-        assert row.n_runs == 1
+        # the row's one run, redone outside the sweep from the same seed table
+        model_seed, run_seed = bench._point_seeds(3, 1, 1)[0]
+        model = sbm.make_two_level_model((25, 25), sbm.TwoLevelProbs(0.5, 0.2), model_seed)
+        net, _ = sbm.sample_connected(model.with_seed(run_seed))
+        x0 = consensus.random_initial_state(net.n, run_seed)
+        assert row.tau_median == float(consensus.run(net, x0, 1e-8, max_rounds=20_000).tau_eps)
 
     def test_reproducible_rows(self):
         a = bench.sweep(self.make_config(seeds_per_point=2))
@@ -146,7 +151,7 @@ class TestSweep:
         monkeypatch.setattr(sbm, "sample", counted_sample)
         monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", counted_components)
         rows = bench.sweep(self.make_config(seeds_per_point=2))
-        assert rows[0].error is None and rows[0].n_runs == 2
+        assert rows[0].error is None and rows[0].censored == 0 and rows[0].tau_median is not None
         assert counts["sample"] >= 2
         assert counts["components"] == counts["sample"]
 
@@ -202,7 +207,7 @@ class TestDetectBifurcation:
             bench.detect_bifurcation([700, 300], 0.1, [0.05, 0.2])
 
     def test_locates_transition_in_interior(self):
-        delta1 = bench.detect_bifurcation([700, 300], 0.1, [0.01, 0.03, 0.05], refine_tol=1e-3)
+        delta1 = bench.detect_bifurcation([700, 300], 0.1, [0.01, 0.03, 0.05])
         assert 0.03 < delta1 < 0.05
 
 

@@ -229,6 +229,51 @@ def test_sweep_config_and_flags_give_same_run(tmp_path):
     assert by_config == by_flags
 
 
+def test_every_registered_flag_is_read(tmp_path, monkeypatch):
+    import argparse
+
+    import netconsensus.cli
+
+    read = set()
+    setting = netconsensus.cli._setting
+
+    def recording(settings, key, *args, **kwargs):
+        read.add(key)
+        return setting(settings, key, *args, **kwargs)
+
+    monkeypatch.setattr(netconsensus.cli, "_setting", recording)
+    model = ["--sizes", "8,8", "--p-in", "0.9", "--p-out", "0.4", "--seed", "2"]
+    sweep_cfg = tmp_path / "sweep.cfg"
+    sweep_cfg.write_text(json.dumps({"p_out_list": [0.3, 0.5, 0.7], "seeds_per_point": 1}))
+    runs = {
+        "sample": [["sample", *model]],
+        "spectrum": [["spectrum", *model], ["spectrum", "--net", str(tmp_path / "sample" / "network.txt")]],
+        "predict": [["predict", *model, "--grid-points", "21"]],
+        "consensus": [["consensus", *model, "--epsilon", "1e-6"]],
+        "gadget": [["gadget", *model, "--dataset", "blobs:100:3:2.0:1", "--epsilon", "1e-4",
+                    "--learning-rounds", "5"]],
+        "sweep": [["sweep", "--config", str(sweep_cfg), "--sizes", "8,8", "--p-in", "0.9", "--seed", "2"]],
+        "fit": [["fit", "--rows", str(tmp_path / "sweep" / "rows.csv"), "--fix-pole", "1.0"]],
+        "bifurcation": [["bifurcation", "--sizes", "50,50", "--p-in", "0.3", "--delta-grid", "0.0:0.25:6"]],
+    }
+    keys_read = {}
+    for command, argvs in runs.items():
+        read.clear()
+        for argv in argvs:
+            assert netconsensus.cli.cli([*argv, "--out", str(tmp_path / command)]) == 0, argv
+        keys_read[command] = set(read)
+
+    parser = netconsensus.cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(runs)
+    unread = {}
+    for command, sub in subparsers.choices.items():
+        registered = {a.dest for a in sub._actions if a.option_strings and a.dest not in ("help", "config")}
+        if registered - keys_read[command]:
+            unread[command] = registered - keys_read[command]
+    assert unread == {}
+
+
 def test_config_connected_resamples_until_connected(tmp_path):
     # this model's first draw at seed 3 is disconnected
     settings = {"sizes": [10, 10], "p_in": 0.3, "p_out": 0.05, "seed": 3}

@@ -22,32 +22,50 @@ def sample_connected(sizes, p_in, p_out, seed=0):
     return net
 
 
+def fixed_point_weights(net):
+    """The weights run() gives each node in x_star: x_star of the unit vectors."""
+    return np.array([consensus.run(net, e, epsilon=1e-10, max_rounds=1).x_star for e in np.eye(net.n)])
+
+
+def dense_trajectory(net, x0, rounds):
+    """Oracle: x(t) = P^t x0 for t = 0..rounds with a dense P = D^-1 A."""
+    adj = net.adjacency().toarray()
+    walk = adj / adj.sum(axis=1)[:, None]
+    states = [np.asarray(x0, dtype=float)]
+    for _ in range(rounds):
+        states.append(walk @ states[-1])
+    return np.asarray(states)
+
+
 class TestStationary:
+    """x_star is the mean of x0 under the walk's stationary distribution."""
+
     def test_complete_graph_uniform(self):
-        pi = consensus.stationary(complete_graph(4)).pi
-        assert pi == pytest.approx([0.25] * 4)
+        assert fixed_point_weights(complete_graph(4)) == pytest.approx([0.25] * 4)
 
     def test_path_three_nodes(self):
         net = sbm.Network(3, np.array([[0, 1], [1, 2]]), np.zeros(3, dtype=np.int64), [3])
-        assert consensus.stationary(net).pi == pytest.approx([0.25, 0.5, 0.25])
+        assert fixed_point_weights(net) == pytest.approx([0.25, 0.5, 0.25])
+        x0 = np.array([0.2, 0.9, 0.4])
+        assert consensus.run(net, x0, epsilon=1e-10).x_star == pytest.approx(0.25 * 0.2 + 0.5 * 0.9 + 0.25 * 0.4)
 
     def test_regular_graph_uniform(self):
-        pi = consensus.stationary(ring(6)).pi
-        assert pi == pytest.approx([1 / 6] * 6)
+        assert fixed_point_weights(ring(6)) == pytest.approx([1 / 6] * 6)
 
     def test_left_eigenvector_property(self):
         net = sample_connected([30, 20], 0.4, 0.1, seed=2)
-        pi = consensus.stationary(net).pi
+        pi = fixed_point_weights(net)
         adj = net.adjacency()
         walk_applied = (adj.T @ (pi / net.degrees)).ravel()  # pi^T P
         assert np.abs(walk_applied - pi).max() < 1e-10
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(pi > 0)
+        assert pi == pytest.approx(net.degrees / net.degrees.sum(), abs=1e-15)
 
     def test_disconnected_rejected(self):
         net = sbm.sample(sbm.make_two_level_model([5, 5], sbm.TwoLevelProbs(1.0, 0.0), 0))
-        with pytest.raises(ValueError):
-            consensus.stationary(net)
+        with pytest.raises(ValueError, match="connected network"):
+            consensus.run(net, np.zeros(10), epsilon=1e-6)
 
 
 class TestRun:
@@ -82,20 +100,28 @@ class TestRun:
 
     def test_conservation_of_weighted_mean(self):
         net = sample_connected([100, 100], 0.2, 0.05, seed=3)
-        pi = consensus.stationary(net).pi
+        pi = net.degrees / net.degrees.sum()
         x0 = consensus.random_initial_state(net.n, 7)
-        result = consensus.run(net, x0, epsilon=1e-10, keep_trajectory=True)
-        inner = result.trajectory @ pi
+        result = consensus.run(net, x0, epsilon=1e-10)
+        states = dense_trajectory(net, x0, result.rounds)
+        inner = states @ pi
         assert np.abs(inner - inner[0]).max() < 1e-10 * abs(inner[0])
+        assert result.x_star == pytest.approx(inner[0], rel=1e-15)
+        denom = np.abs(x0 - result.x_star).max()
+        oracle_errors = np.abs(states - result.x_star).max(axis=1) / denom
+        assert np.abs(result.error_trace - oracle_errors).max() <= 1e-13
 
     def test_stopping_criterion_post_hoc(self):
         net = sample_connected([50, 50], 0.3, 0.1, seed=4)
         x0 = consensus.random_initial_state(net.n, 4)
-        result = consensus.run(net, x0, epsilon=1e-9, keep_trajectory=True)
+        result = consensus.run(net, x0, epsilon=1e-9)
         assert not result.censored
+        states = dense_trajectory(net, x0, result.rounds)
         denom = np.abs(x0 - result.x_star).max()
-        tail = result.trajectory[result.tau_eps :]
-        assert np.abs(tail - result.x_star).max() <= 1e-9 * denom
+        oracle_errors = np.abs(states - result.x_star).max(axis=1) / denom
+        assert np.abs(result.error_trace - oracle_errors).max() <= 1e-13
+        assert oracle_errors[result.tau_eps :].max() <= 1e-9
+        assert oracle_errors[result.tau_eps - 1] > 1e-9
 
     def test_contraction_rate_matches_mu2(self):
         net = sample_connected([150, 150], 0.2, 0.05, seed=6)

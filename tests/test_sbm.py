@@ -189,8 +189,10 @@ class TestNetworkValidation:
             sbm.Network(3, np.array([[1, 1]]), np.zeros(3, dtype=np.int64), [3])
 
     def test_duplicate_edge_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate"):
             sbm.Network(3, np.array([[0, 1], [1, 0]]), np.zeros(3, dtype=np.int64), [3])
+        with pytest.raises(ValueError, match="duplicate"):
+            sbm.Network(3, np.array([[2, 0], [1, 2], [0, 2]]), np.zeros(3, dtype=np.int64), [3])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
