@@ -99,7 +99,6 @@ def _cmd_sample(settings, out):
     model = _model_from_settings(settings)
     net, attempts = sbm.sample_connected(model) if _setting(settings, "connected") else (sbm.sample(model), 1)
     sbm.save_edge_list(net, out / "network.txt")
-    sbm.network_to_json(net, out / "network.json")
     _write_json(out / "sample.json", {
         "n": net.n, "edges": net.num_edges, "connected": sbm.is_connected(net),
         "attempts": attempts, "seed": model.seed,
@@ -108,14 +107,15 @@ def _cmd_sample(settings, out):
 
 
 def _load_network(settings):
+    """The edge list named by net, else a connected sample of the model."""
     net_path = _setting(settings, "net")
-    if net_path is not None:
-        net_path = Path(net_path)
-        if net_path.suffix == ".json":
-            return sbm.network_from_json(net_path)
-        return sbm.load_edge_list(net_path)
-    net, _ = sbm.sample_connected(_model_from_settings(settings))
-    return net
+    if net_path is None:
+        net, _ = sbm.sample_connected(_model_from_settings(settings))
+        return net
+    ignored = [key for key in ("sizes", "p_in", "p_out", "seed") if _setting(settings, key) is not None]
+    if ignored:
+        raise ValueError(f"net {net_path} is a whole network; it would ignore the model settings {', '.join(ignored)}")
+    return sbm.load_edge_list(net_path)
 
 
 def _cmd_spectrum(settings, out):
@@ -174,7 +174,8 @@ def _cmd_gadget(settings, out):
     dataset_ref = _setting(settings, "dataset", required=True)
     dataset = _resolve_dataset(dataset_ref, seed=model.seed)
     cfg = gossip.GadgetConfig(**_run_settings(settings), seed=model.seed)
-    result = gossip.run_gadget(model, dataset, cfg)
+    net, _ = sbm.sample_connected(model)
+    result = gossip.run_gadget(net, dataset, cfg)
     _write_json(out / "gadget.json", {
         "config": {
             "nu": cfg.nu, "epsilon": cfg.epsilon, "max_rounds": cfg.max_rounds,
@@ -294,7 +295,7 @@ def _build_parser():
     p = sub.add_parser("spectrum", help="empirical normalized-Laplacian spectrum")
     common(p)
     model_flags(p)
-    p.add_argument("--net", help="edge-list .txt or network .json to load")
+    p.add_argument("--net", help="edge list to load (as written by sample) in place of a model")
     p.add_argument("--bins", type=int)
     p.set_defaults(func=_cmd_spectrum)
 

@@ -40,8 +40,6 @@ class LabeledDataset:
 
     X: sparse.csr_matrix
     y: np.ndarray
-    d: int
-    name: str = ""
 
     def __post_init__(self) -> None:
         self.y = np.asarray(self.y, dtype=np.int64)
@@ -54,12 +52,16 @@ class LabeledDataset:
             raise ValueError("features contain NaN/Inf")
 
     @property
+    def d(self) -> int:
+        return int(self.X.shape[1])
+
+    @property
     def n_examples(self) -> int:
         return int(self.y.shape[0])
 
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(self.X[idx], self.y[idx], d=self.d, name=self.name)
+        return LabeledDataset(self.X[idx], self.y[idx])
 
 
 def _map_labels(raw: np.ndarray, target_class=None) -> np.ndarray:
@@ -136,7 +138,7 @@ def load_sparse_text(path, index_base=None, target_class=None) -> LabeledDataset
         shape=(n, d),
     )
     y = _map_labels(np.asarray(labels, dtype=float), target_class=target_class)
-    return LabeledDataset(X=X, y=y, d=d, name=path.name)
+    return LabeledDataset(X=X, y=y)
 
 
 def partition_equal(ds: LabeledDataset, n_nodes: int, seed: int) -> list:
@@ -166,7 +168,7 @@ def make_blobs(n_examples: int, d: int, margin: float, seed: int) -> LabeledData
     y = np.where(rng.random(n_examples) < 0.5, 1, -1)
     points = rng.normal(size=(n_examples, d)) + np.outer(y * margin, normal)
     X = sparse.csr_matrix(points)
-    return LabeledDataset(X=X, y=y.astype(np.int64), d=d, name=f"blobs-{n_examples}x{d}")
+    return LabeledDataset(X=X, y=y.astype(np.int64))
 
 
 def train_test_split(ds: LabeledDataset, test_fraction: float, seed: int):

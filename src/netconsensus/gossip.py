@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import LabeledDataset, partition_equal, train_test_split
-from .sbm import Network, SbmModel, is_connected, sample_connected
+from .sbm import Network, is_connected
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -176,26 +176,21 @@ def _gap_below(weights: np.ndarray, epsilon: float) -> bool:
 
 
 def run_gadget(
-    model,
+    net: Network,
     dataset: LabeledDataset,
     cfg: GadgetConfig,
     test_dataset: LabeledDataset | None = None,
 ) -> GadgetRun:
-    """Synchronous decentralized SVM over a sampled (or given) network.
+    """Synchronous decentralized SVM over a connected network.
 
     Each round: steps_per_round Pegasos steps on every node (while the
     learning budget lasts), then the working weights enter the push-sum pair,
     one mixing exchange runs, and nodes adopt s/psw as their new weights.
     Stops when the max pairwise weight gap drops below epsilon, or reports a
-    censored run at max_rounds. Accepts an SbmModel (sampled until
-    connected, deterministically per its seed) or a prebuilt Network.
+    censored run at max_rounds. A disconnected network raises ValueError.
     """
-    if isinstance(model, SbmModel):
-        net, _ = sample_connected(model)
-    else:
-        net = model
-        if not is_connected(net):
-            raise ValueError("run_gadget requires a connected network")
+    if not is_connected(net):
+        raise ValueError("run_gadget requires a connected network")
     n = net.n
 
     root = np.random.SeedSequence(cfg.seed)

@@ -8,7 +8,6 @@ graph with nodes grouped contiguously by community.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -30,8 +29,6 @@ __all__ = [
     "is_connected",
     "save_edge_list",
     "load_edge_list",
-    "network_to_json",
-    "network_from_json",
 ]
 
 # cap on Bernoulli draws materialized at once while sampling a block pair
@@ -101,25 +98,24 @@ class SbmModel:
 
 
 class Network:
-    """Sampled undirected simple graph, immutable after construction.
+    """Undirected simple graph, immutable after construction.
 
-    Nodes are 0..n-1, grouped contiguously by community. Edges are stored as
-    an (m, 2) array of pairs with i < j; the CSR adjacency matrix and the
-    connectivity flag are computed lazily and cached.
+    A network is its community sizes and its edges. Nodes are 0..n-1 with
+    n = sum(community_sizes), grouped contiguously by community in size
+    order. Edges are stored as an (m, 2) array of pairs with i < j sorted by
+    (i, j); self-edges, out-of-range endpoints and duplicate pairs are
+    rejected. The CSR adjacency matrix and the connectivity flag are
+    computed lazily and cached.
     """
 
-    __slots__ = ("n", "edges", "membership", "degrees", "community_sizes", "seed", "_adj", "_connected")
+    __slots__ = ("n", "edges", "degrees", "community_sizes", "_adj", "_connected")
 
-    def __init__(self, n, edges, membership, community_sizes, seed=None):
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        membership = np.asarray(membership, dtype=np.int64)
-        if membership.shape != (n,):
-            raise ValueError("membership must have one entry per node")
+    def __init__(self, community_sizes, edges):
         community_sizes = tuple(int(c) for c in community_sizes)
-        if sum(community_sizes) != n:
-            raise ValueError(f"community sizes {community_sizes} do not sum to n={n}")
-        if not np.array_equal(membership, np.repeat(np.arange(len(community_sizes)), community_sizes)):
-            raise ValueError("membership must group nodes contiguously by community, in size order")
+        if not community_sizes or min(community_sizes) < 1:
+            raise ValueError(f"community sizes must be a nonempty list of sizes >= 1, got {community_sizes}")
+        n = sum(community_sizes)
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size:
             lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
             if (lo == hi).any():
@@ -131,15 +127,12 @@ class Network:
             if (np.diff(key[order]) == 0).any():
                 raise ValueError("duplicate edges are not allowed")
             edges = np.stack([lo[order], hi[order]], axis=1)
-        self.n = int(n)
+        self.n = n
         self.edges = edges
         self.edges.flags.writeable = False
-        self.membership = membership
-        self.membership.flags.writeable = False
         self.degrees = np.bincount(edges.ravel(), minlength=n) if edges.size else np.zeros(n, dtype=np.int64)
         self.degrees.flags.writeable = False
         self.community_sizes = community_sizes
-        self.seed = seed
         self._adj = None
         self._connected = None
 
@@ -227,8 +220,7 @@ def sample(model: SbmModel) -> Network:
         edges = np.stack([np.concatenate(rows_out), np.concatenate(cols_out)], axis=1)
     else:
         edges = np.empty((0, 2), dtype=np.int64)
-    membership = np.repeat(np.arange(k, dtype=np.int64), sizes)
-    return Network(int(sizes.sum()), edges, membership, model.community_sizes, seed=model.seed)
+    return Network(model.community_sizes, edges)
 
 
 def sample_connected(model: SbmModel):
@@ -294,16 +286,25 @@ def save_edge_list(net: Network, path) -> None:
 
 
 def load_edge_list(path) -> Network:
-    """Inverse of save_edge_list."""
+    """Inverse of save_edge_list. Malformed lines raise ValueError naming path:line."""
     path = Path(path)
+
+    def ints(tokens, lineno):
+        values = []
+        for tok in tokens:
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected an integer, got {tok!r}") from None
+        return values
+
     with path.open() as fh:
         header = fh.readline().split()
         if len(header) < 2:
-            raise ValueError(f"{path}: malformed header {header!r}")
-        n, k = int(header[0]), int(header[1])
-        sizes = [int(tok) for tok in header[2:]]
+            raise ValueError(f"{path}:1: malformed header {header!r}")
+        n, k, *sizes = ints(header, 1)
         if len(sizes) != k or sum(sizes) != n:
-            raise ValueError(f"{path}: header sizes inconsistent with n={n}, K={k}")
+            raise ValueError(f"{path}:1: header sizes inconsistent with n={n}, K={k}")
         pairs = []
         for lineno, line in enumerate(fh, start=2):
             toks = line.split()
@@ -311,35 +312,5 @@ def load_edge_list(path) -> Network:
                 continue
             if len(toks) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'i j', got {line!r}")
-            pairs.append((int(toks[0]), int(toks[1])))
-    membership = np.repeat(np.arange(k, dtype=np.int64), sizes)
-    return Network(n, np.asarray(pairs, dtype=np.int64).reshape(-1, 2), membership, sizes)
-
-
-def network_to_json(net: Network, path=None):
-    """JSON form carrying membership and provenance seed; returns the dict."""
-    doc = {
-        "n": net.n,
-        "K": len(net.community_sizes),
-        "sizes": list(net.community_sizes),
-        "seed": net.seed,
-        "membership": net.membership.tolist(),
-        "edges": net.edges.tolist(),
-    }
-    if path is not None:
-        Path(path).write_text(json.dumps(doc))
-    return doc
-
-
-def network_from_json(source) -> Network:
-    """Rebuild a Network from network_to_json output (dict or file path)."""
-    if isinstance(source, (str, Path)):
-        source = json.loads(Path(source).read_text())
-    net = Network(
-        int(source["n"]),
-        np.asarray(source["edges"], dtype=np.int64).reshape(-1, 2),
-        np.asarray(source["membership"], dtype=np.int64),
-        source["sizes"],
-        seed=source.get("seed"),
-    )
-    return net
+            pairs.append(ints(toks, lineno))
+    return Network(sizes, pairs)

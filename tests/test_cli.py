@@ -50,6 +50,36 @@ def test_spectrum_from_edge_list(tmp_path):
     assert sum(hist["counts"]) == 24
 
 
+def test_sample_writes_edge_list_and_sidecar_only(tmp_path):
+    out = tmp_path / "o"
+    assert cli(["sample", "--sizes", "6,6", "--p-in", "0.9", "--p-out", "0.3", "--seed", "4",
+                "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["network.txt", "sample.json"]
+
+
+@pytest.mark.parametrize("config, flags, ignored", [
+    ({}, ["--sizes", "500,500", "--p-in", "0.1", "--p-out", "0.01", "--seed", "9"], "sizes, p_in, p_out, seed"),
+    ({"seed": 3, "bins": 10}, ["--p-in", "0.5"], "p_in, seed"),
+], ids=["flags", "config"])
+def test_spectrum_net_rejects_model_settings(tmp_path, capsys, config, flags, ignored):
+    out = tmp_path / "o"
+    cli(["sample", "--sizes", "6,6", "--p-in", "0.9", "--p-out", "0.3", "--seed", "1", "--out", str(out)])
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(json.dumps(config))
+    rc = cli(["spectrum", "--config", str(cfg), "--net", str(out / "network.txt"), *flags,
+              "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert f"model settings {ignored}" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "eigenvalues.csv").exists()
+
+
+def test_spectrum_net_rejects_json_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"n": 2, "sizes": [2], "edges": [[0, 1]]}))
+    assert cli(["spectrum", "--net", str(path), "--out", str(tmp_path / "s")]) == 1
+    assert f"{path}:1:" in capsys.readouterr().err
+
+
 def test_predict_with_config_file(tmp_path):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(json.dumps({"sizes": [40, 40], "p_in": 0.5, "p_out": 0.1, "seed": 2}))

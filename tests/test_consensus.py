@@ -8,12 +8,12 @@ from netconsensus import consensus, sbm, spectra
 
 def complete_graph(n):
     edges = np.array(list(itertools.combinations(range(n), 2)))
-    return sbm.Network(n, edges, np.zeros(n, dtype=np.int64), [n])
+    return sbm.Network([n], edges)
 
 
 def ring(n):
     edges = np.array([(i, (i + 1) % n) for i in range(n)])
-    return sbm.Network(n, edges, np.zeros(n, dtype=np.int64), [n])
+    return sbm.Network([n], edges)
 
 
 def sample_connected(sizes, p_in, p_out, seed=0):
@@ -44,7 +44,7 @@ class TestStationary:
         assert fixed_point_weights(complete_graph(4)) == pytest.approx([0.25] * 4)
 
     def test_path_three_nodes(self):
-        net = sbm.Network(3, np.array([[0, 1], [1, 2]]), np.zeros(3, dtype=np.int64), [3])
+        net = sbm.Network([3], np.array([[0, 1], [1, 2]]))
         assert fixed_point_weights(net) == pytest.approx([0.25, 0.5, 0.25])
         x0 = np.array([0.2, 0.9, 0.4])
         assert consensus.run(net, x0, epsilon=1e-10).x_star == pytest.approx(0.25 * 0.2 + 0.5 * 0.9 + 0.25 * 0.4)
@@ -86,7 +86,7 @@ class TestRun:
         assert consensus.run(net, x0, epsilon=1e-10).tau_eps in (10, 11)
 
     def test_bipartite_pair_is_censored(self):
-        net = sbm.Network(2, np.array([[0, 1]]), np.zeros(2, dtype=np.int64), [2])
+        net = sbm.Network([2], np.array([[0, 1]]))
         result = consensus.run(net, np.array([0.0, 1.0]), epsilon=1e-10, max_rounds=300)
         assert result.censored
         assert result.tau_eps is None
@@ -147,7 +147,7 @@ class TestRun:
 
     @pytest.mark.filterwarnings("error")
     def test_single_node_is_converged(self):
-        net = sbm.Network(1, [], [0], (1,))
+        net = sbm.Network([1], [])
         result = consensus.run(net, [0.3], 1e-6)
         assert result.tau_eps == 0
         assert result.x_star == 0.3

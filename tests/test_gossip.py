@@ -10,7 +10,7 @@ from netconsensus import data, gossip, sbm
 
 def complete_graph(n):
     edges = np.array(list(itertools.combinations(range(n), 2)))
-    return sbm.Network(n, edges, np.zeros(n, dtype=np.int64), [n])
+    return sbm.Network([n], edges)
 
 
 def one_node_step(w, X, y, nu, t):
@@ -80,13 +80,13 @@ def estimates(sums, psw):
 
 class TestPushSum:
     def test_single_node_estimate_is_own_weight(self):
-        net = sbm.Network(1, np.empty((0, 2)), np.zeros(1, dtype=np.int64), [1])
+        net = sbm.Network([1], np.empty((0, 2)))
         sums, psw = gossip.push_sum_round(gossip.mixing_matrix(net), np.array([[3.0, -1.0]]), np.ones(1))
         assert estimates(sums, psw)[0] == pytest.approx([3.0, -1.0])
         assert psw[0] == pytest.approx(1.0)
 
     def test_two_node_hand_simulation(self):
-        net = sbm.Network(2, np.array([[0, 1]]), np.zeros(2, dtype=np.int64), [2])
+        net = sbm.Network([2], np.array([[0, 1]]))
         sums, psw = gossip.push_sum_round(gossip.mixing_matrix(net), np.array([[0.0], [1.0]]), np.ones(2))
         assert sums[0] == pytest.approx([0.5])
         assert sums[1] == pytest.approx([0.5])
@@ -154,7 +154,7 @@ class TestRunGadget:
         model = sbm.make_two_level_model([10, 15], sbm.TwoLevelProbs(0.8, 0.3), 2)
         ds = data.make_blobs(400, 6, margin=2.0, seed=3)
         cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-10, max_rounds=20_000, learning_rounds=50, seed=4)
-        run = gossip.run_gadget(model, ds, cfg)
+        run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg)
         assert not run.censored
         brute = 0.0
         for i in range(run.node_weights.shape[0]):
@@ -167,7 +167,7 @@ class TestRunGadget:
         ds = data.make_blobs(300, 5, margin=1.0, seed=6)
         model = sbm.make_two_level_model([12, 12], sbm.TwoLevelProbs(0.8, 0.4), 1)
         cfg = gossip.GadgetConfig(nu=0.2, epsilon=1e-8, max_rounds=5000, learning_rounds=40, seed=2)
-        run = gossip.run_gadget(model, ds, cfg)
+        run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg)
         w = run.final_weights
         assert np.isfinite(run.final_objective)
         assert run.final_objective >= 0.5 * 0.2 * float(w @ w) - 1e-12
@@ -190,14 +190,15 @@ class TestRunGadget:
 
         model = sbm.make_two_level_model([30], sbm.TwoLevelProbs(0.9, 0.9), 5)
         cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-8, max_rounds=10_000, learning_rounds=100, seed=6)
-        run = gossip.run_gadget(model, ds, cfg, test_dataset=ds)
+        run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg, test_dataset=ds)
         assert gossip.accuracy(run.final_weights, X, y) >= oracle_acc - 0.02
 
     def test_dataset_smaller_than_network_rejected(self):
         ds = data.make_blobs(10, 3, margin=1.0, seed=0)
         model = sbm.make_two_level_model([30], sbm.TwoLevelProbs(0.9, 0.9), 0)
         with pytest.raises(ValueError, match="shard"):
-            gossip.run_gadget(model, ds, gossip.GadgetConfig(nu=0.1, epsilon=1e-6, max_rounds=10))
+            gossip.run_gadget(sbm.sample_connected(model)[0], ds,
+                              gossip.GadgetConfig(nu=0.1, epsilon=1e-6, max_rounds=10))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -209,8 +210,8 @@ class TestRunGadget:
         ds = data.make_blobs(200, 4, margin=2.0, seed=1)
         model = sbm.make_two_level_model([8, 8], sbm.TwoLevelProbs(0.9, 0.5), 3)
         cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-9, max_rounds=5000, learning_rounds=30, seed=7)
-        a = gossip.run_gadget(model, ds, cfg)
-        b = gossip.run_gadget(model, ds, cfg)
+        a = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg)
+        b = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg)
         assert a.rounds_to_consensus == b.rounds_to_consensus
         assert np.array_equal(a.final_weights, b.final_weights)
 
@@ -236,12 +237,12 @@ PER_NODE_RUNS = [
 def test_run_gadget_matches_per_node_oracle(sizes, dense, steps, trace, rounds, final):
     ds = data.make_blobs(300, 4, margin=2.0, seed=5)
     if dense:
-        ds = data.LabeledDataset(ds.X.toarray(), ds.y, d=4)
+        ds = data.LabeledDataset(ds.X.toarray(), ds.y)
     probs = sbm.TwoLevelProbs(0.8, 0.3) if len(sizes) == 2 else sbm.TwoLevelProbs(0.9, 0.9)
     model = sbm.make_two_level_model(list(sizes), probs, 2 if len(sizes) == 2 else 1)
     cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-9, max_rounds=20_000, learning_rounds=30,
                               steps_per_round=steps, seed=4, record_trace=trace)
-    run = gossip.run_gadget(model, ds, cfg)
+    run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg)
     assert run.rounds_to_consensus == rounds
     assert run.final_weights == pytest.approx(final, rel=1e-12, abs=0.0)
     assert len(run.max_pairwise_gap_trace) == (rounds if trace else 0)
@@ -270,7 +271,7 @@ def test_traced_run_matches_every_round_evaluation():
     ds = data.make_blobs(300, 4, margin=0.5, seed=5)
     model = sbm.make_two_level_model([10, 15], sbm.TwoLevelProbs(0.8, 0.3), 2)
     cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-5, max_rounds=20_000, learning_rounds=8, seed=4)
-    run = gossip.run_gadget(model, ds, cfg)
+    run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg)
     assert run.rounds_to_consensus == 21
     assert run.max_pairwise_gap_trace.tolist() == TRACED_GAPS
     assert run.accuracy_trace.tolist() == TRACED_ACCURACIES
@@ -309,7 +310,7 @@ def connected_graphs(draw):
     tree = {(int(rng.integers(i)), i) for i in range(1, n)}
     extra = rng.random((n, n)) < draw(st.floats(0.0, 0.5))
     edges = tree | {(i, j) for i, j in zip(*np.nonzero(np.triu(extra, 1)))}
-    net = sbm.Network(n, np.array(sorted(edges), dtype=np.int64).reshape(-1, 2), np.zeros(n, dtype=np.int64), [n])
+    net = sbm.Network([n], np.array(sorted(edges), dtype=np.int64).reshape(-1, 2))
     return net, rng
 
 

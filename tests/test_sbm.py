@@ -66,7 +66,8 @@ class TestSampling:
 
     def test_probability_zero_between_blocks(self):
         net = sbm.sample(two_level([20, 30], 0.5, 0.0))
-        cross = net.membership[net.edges[:, 0]] != net.membership[net.edges[:, 1]]
+        block = np.repeat(np.arange(2), net.community_sizes)
+        cross = block[net.edges[:, 0]] != block[net.edges[:, 1]]
         assert not cross.any()
 
     def test_within_block_count_within_4_sigma(self):
@@ -87,8 +88,12 @@ class TestSampling:
         assert not np.array_equal(a.edges, c.edges)
 
     def test_membership_ordered_by_block(self):
-        net = sbm.sample(two_level([3, 5, 2], 0.5, 0.5))
-        assert net.membership.tolist() == [0] * 3 + [1] * 5 + [2] * 2
+        # complete blocks, no cross edges: each block is a contiguous node range
+        net = sbm.sample(two_level([3, 5, 2], 1.0, 0.0))
+        assert net.community_sizes == (3, 5, 2)
+        blocks = [range(0, 3), range(3, 8), range(8, 10)]
+        expected = [pair for block in blocks for pair in itertools.combinations(block, 2)]
+        assert net.edges.tolist() == [list(pair) for pair in expected]
 
     def test_edge_frequency_matches_probability(self):
         # empirical Bernoulli frequency of one within and one cross pair
@@ -112,8 +117,9 @@ class TestSampling:
         totals = np.zeros(3)
         for seed in range(reps):
             net = sbm.sample(model.with_seed(seed))
-            b0 = net.membership[net.edges[:, 0]]
-            b1 = net.membership[net.edges[:, 1]]
+            block = np.repeat(np.arange(2), net.community_sizes)
+            b0 = block[net.edges[:, 0]]
+            b1 = block[net.edges[:, 1]]
             totals[0] += ((b0 == 0) & (b1 == 0)).sum()
             totals[1] += (b0 != b1).sum()
             totals[2] += ((b0 == 1) & (b1 == 1)).sum()
@@ -179,35 +185,51 @@ class TestConnectivity:
         assert not sbm.is_connected(sbm.sample(two_level([10, 10], 1.0, 0.0)))
 
     def test_path_graph_connected(self):
-        net = sbm.Network(3, np.array([[0, 1], [1, 2]]), np.zeros(3, dtype=np.int64), [3])
+        net = sbm.Network([3], np.array([[0, 1], [1, 2]]))
         assert sbm.is_connected(net)
 
 
 class TestNetworkValidation:
     def test_self_edge_rejected(self):
         with pytest.raises(ValueError):
-            sbm.Network(3, np.array([[1, 1]]), np.zeros(3, dtype=np.int64), [3])
+            sbm.Network([3], np.array([[1, 1]]))
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            sbm.Network(3, np.array([[0, 1], [1, 0]]), np.zeros(3, dtype=np.int64), [3])
+            sbm.Network([3], np.array([[0, 1], [1, 0]]))
         with pytest.raises(ValueError, match="duplicate"):
-            sbm.Network(3, np.array([[2, 0], [1, 2], [0, 2]]), np.zeros(3, dtype=np.int64), [3])
+            sbm.Network([3], np.array([[2, 0], [1, 2], [0, 2]]))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            sbm.Network(3, np.array([[0, 5]]), np.zeros(3, dtype=np.int64), [3])
+            sbm.Network([3], np.array([[0, 5]]))
 
-    def test_sizes_not_summing_to_n_rejected(self):
-        doc = {"n": 4, "sizes": [10, 10], "membership": [0, 0, 1, 1], "edges": [[0, 1], [2, 3]]}
-        with pytest.raises(ValueError, match="do not sum to n=4"):
-            sbm.network_from_json(doc)
+    def test_sizes_not_summing_to_n_rejected(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text("4 2 10 10\n0 1\n2 3\n")
+        with pytest.raises(ValueError, match="inconsistent with n=4"):
+            sbm.load_edge_list(path)
 
-    @pytest.mark.parametrize("membership", [[0, 5, 1, 1], [1, 1, 0, 0], [0, 1, 0, 1]])
-    def test_membership_not_grouped_by_size_rejected(self, membership):
-        doc = {"n": 4, "sizes": [2, 2], "membership": membership, "edges": [[0, 1], [2, 3]]}
-        with pytest.raises(ValueError, match="contiguously"):
-            sbm.network_from_json(doc)
+    @pytest.mark.parametrize("sizes", [(2, 0), (3, -1), ()])
+    def test_community_size_below_one_rejected(self, sizes):
+        with pytest.raises(ValueError, match="sizes >= 1"):
+            sbm.Network(sizes, [])
+
+    def test_header_with_empty_community_rejected(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text("3 2 0 3\n1 2\n")
+        with pytest.raises(ValueError, match=r"sizes >= 1, got \(0, 3\)"):
+            sbm.load_edge_list(path)
+
+    @pytest.mark.parametrize("text, where", [("4 2 2 x\n0 1\n", "1: expected an integer, got 'x'"),
+                                             ("4 1 4\n0 1\n\n2 3.0\n", "4: expected an integer, got '3.0'")],
+                             ids=["header", "pair"])
+    def test_non_integer_token_names_line(self, tmp_path, text, where):
+        path = tmp_path / "net.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            sbm.load_edge_list(path)
+        assert str(info.value) == f"{path}:{where}"
 
 
 class TestSerialization:
@@ -217,19 +239,10 @@ class TestSerialization:
         sbm.save_edge_list(net, path)
         back = sbm.load_edge_list(path)
         assert back.n == net.n
+        assert back.community_sizes == net.community_sizes
         assert np.array_equal(back.edges, net.edges)
-        assert np.array_equal(back.membership, net.membership)
         header = path.read_text().splitlines()[0]
         assert header == "20 2 8 12"
-
-    def test_json_roundtrip(self, tmp_path):
-        net = sbm.sample(two_level([5, 5], 0.6, 0.2, seed=9))
-        path = tmp_path / "net.json"
-        sbm.network_to_json(net, path)
-        back = sbm.network_from_json(path)
-        assert back.seed == net.seed
-        assert np.array_equal(back.edges, net.edges)
-        assert np.array_equal(back.membership, net.membership)
 
 
 @st.composite
@@ -241,28 +254,14 @@ def small_networks(draw):
     pairs = list(itertools.combinations(range(n), 2))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     edges = [(j, i) if draw(st.booleans()) else (i, j) for i, j in chosen]
-    seed = draw(st.one_of(st.none(), st.integers(0, 2**63 - 1)))
-    membership = np.repeat(np.arange(len(sizes)), sizes)
-    return sbm.Network(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), membership, sizes, seed=seed)
+    return sbm.Network(sizes, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
 
 
 def assert_same_network(back, net):
     assert back.n == net.n
     assert back.community_sizes == net.community_sizes
     assert np.array_equal(back.edges, net.edges)
-    assert np.array_equal(back.membership, net.membership)
     assert np.array_equal(back.degrees, net.degrees)
-
-
-@settings(max_examples=60)
-@given(small_networks())
-def test_json_roundtrip_property(tmp_path_factory, net):
-    path = tmp_path_factory.mktemp("json") / "net.json"
-    sbm.network_to_json(net, path)
-    back = sbm.network_from_json(path)
-    assert_same_network(back, net)
-    assert back.seed == net.seed
-    assert_same_network(sbm.network_from_json(sbm.network_to_json(net)), net)
 
 
 @settings(max_examples=60)

@@ -8,7 +8,7 @@ from netconsensus import sbm, spectra
 
 def complete_graph(n):
     edges = np.array(list(itertools.combinations(range(n), 2)))
-    return sbm.Network(n, edges, np.zeros(n, dtype=np.int64), [n])
+    return sbm.Network([n], edges)
 
 
 def sample_two_level(sizes, p_in, p_out, seed=0):
@@ -28,7 +28,7 @@ class TestFullSpectrum:
         assert spec.lambda2 == pytest.approx(0.0, abs=1e-10)
 
     def test_two_node_path(self):
-        net = sbm.Network(2, np.array([[0, 1]]), np.zeros(2, dtype=np.int64), [2])
+        net = sbm.Network([2], np.array([[0, 1]]))
         spec = spectra.normalized_laplacian_spectrum(net)
         assert spec.eigenvalues == pytest.approx([0.0, 2.0], abs=1e-12)
 
@@ -71,7 +71,7 @@ class TestFullSpectrum:
         )
 
     def test_isolated_node_rejected(self):
-        net = sbm.Network(3, np.array([[0, 1]]), np.zeros(3, dtype=np.int64), [3])
+        net = sbm.Network([3], np.array([[0, 1]]))
         with pytest.raises(ValueError, match="isolated"):
             spectra.normalized_laplacian_spectrum(net)
 
@@ -92,7 +92,7 @@ class TestLambda2Fast:
         edges = list(itertools.combinations(range(5), 2))
         edges += [(i + 5, j + 5) for i, j in itertools.combinations(range(5), 2)]
         edges += [(4, 5)]
-        net = sbm.Network(10, np.array(edges), np.zeros(10, dtype=np.int64), [10])
+        net = sbm.Network([10], np.array(edges))
         dense = spectra.normalized_laplacian_spectrum(net).lambda2
         assert dense < 0.1
         assert spectra.lambda2_only(net) == pytest.approx(dense, abs=1e-8)
