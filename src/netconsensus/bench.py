@@ -10,13 +10,9 @@ sample cannot skew a point.
 
 from __future__ import annotations
 
-import csv
-import dataclasses
 import functools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -34,16 +30,10 @@ __all__ = [
     "fit_reciprocal",
     "detect_bifurcation",
     "log_spaced",
-    "csv_row",
-    "rows_to_csv",
-    "rows_from_csv",
-    "write_sidecar",
 ]
 
 # width of the final bisection bracket around the bifurcation point
 BIFURCATION_TOL = 1e-4
-
-CSV_HEADER = ["delta", "p_out", "tau_median", "tau_iqr", "lambda2_emp", "lambda2_pred", "lambdaL", "censored"]
 
 
 class FitError(ValueError):
@@ -84,6 +74,8 @@ class SweepConfig:
             raise ValueError(f"mode must be 'scalar' or 'gadget', got {self.mode!r}")
         if self.seeds_per_point < 1:
             raise ValueError("seeds_per_point must be >= 1")
+        if not self.p_out_list:
+            raise ValueError("p_out_list is empty: a sweep needs at least one point")
         for p in self.p_out_list:
             if not 0.0 < p <= self.p_in:
                 raise ValueError(f"p_out={p} outside (0, p_in={self.p_in}]")
@@ -307,64 +299,3 @@ def detect_bifurcation(sizes, p_in: float, delta_grid) -> float:
             hi = mid
     return 0.5 * (lo + hi)
 
-
-def csv_row(r: SweepRow) -> list:
-    """The CSV_HEADER fields of one row; a missing value is an empty field."""
-    return [
-        repr(float(r.delta)),
-        repr(float(r.p_out)),
-        "" if r.tau_median is None else repr(float(r.tau_median)),
-        "" if r.tau_iqr is None else repr(float(r.tau_iqr)),
-        "" if r.lambda2_emp is None else repr(float(r.lambda2_emp)),
-        repr(float(r.lambda2_pred)),
-        repr(float(r.lambdaL)),
-        str(int(r.censored)),
-    ]
-
-
-def rows_to_csv(rows, path) -> None:
-    """Write the fixed row schema; extra fields live in the JSON sidecar."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(csv_row(r) for r in rows)
-
-
-def rows_from_csv(path):
-    """Read rows written by rows_to_csv."""
-    path = Path(path)
-    rows = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                SweepRow(
-                    delta=float(rec["delta"]),
-                    p_out=float(rec["p_out"]),
-                    tau_median=float(rec["tau_median"]) if rec["tau_median"] else None,
-                    tau_iqr=float(rec["tau_iqr"]) if rec["tau_iqr"] else None,
-                    lambda2_emp=float(rec["lambda2_emp"]) if rec["lambda2_emp"] else None,
-                    lambda2_pred=float(rec["lambda2_pred"]),
-                    lambdaL=float(rec["lambdaL"]),
-                    censored=int(rec["censored"]),
-                )
-            )
-    return rows
-
-
-def write_sidecar(cfg: SweepConfig, path, extra=None) -> None:
-    """JSON sidecar with the full config and provenance (timestamp lives
-    here, never in the data CSV)."""
-    import datetime
-
-    from . import __version__
-
-    doc = {
-        "config": dataclasses.asdict(cfg),
-        "tool_version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    if extra:
-        doc.update(extra)
-    Path(path).write_text(json.dumps(doc, indent=2))

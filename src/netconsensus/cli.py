@@ -7,16 +7,18 @@ key/value JSON file whose keys are the long flag names with underscores
 overrides the config value of the same name. A few settings have no flag
 and come only from the config, e.g. learning_rounds, nu and steps_per_round
 of a sweep, and trace of consensus; learning_rounds may be "none" (learn on
-every round). Outputs are JSON/CSV files under --out (default out/); CSV
-floats are written at full precision, and spectrum's eigenvalues.csv holds
-one plain float per line. Exit codes: 0 success, 1 runtime failure, 2 usage
-error.
+every round). Outputs are JSON/CSV files under --out (default out/), all
+written here; CSV floats are written at full precision, and spectrum's
+eigenvalues.csv holds one plain float per line. Exit codes: 0 success, 1
+runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import datetime
 import json
 import sys
 from pathlib import Path
@@ -83,13 +85,18 @@ def _write_json(path, doc):
     Path(path).write_text(json.dumps(doc, indent=2))
 
 
+def _csv_row(values):
+    """One CSV record: a float as its repr (full precision), None as an empty field."""
+    return ["" if v is None else repr(float(v)) if isinstance(v, float) else v for v in values]
+
+
 def _write_csv(path, header, rows):
-    """Write rows as CSV, every float as its repr; no header line when header is None."""
+    """Write rows through _csv_row; no header line when header is None."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         if header is not None:
             writer.writerow(header)
-        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+        writer.writerows(map(_csv_row, rows))
 
 
 # ---------------------------------------------------------------- commands
@@ -122,8 +129,8 @@ def _cmd_spectrum(settings, out):
     net = _load_network(settings)
     spec = spectra.normalized_laplacian_spectrum(net)
     _write_csv(out / "eigenvalues.csv", None, ([v] for v in spec.eigenvalues))
-    bins = int(_setting(settings, "bins", default=80))
-    _write_json(out / "histogram.json", spectra.eigenvalue_histogram(spec.eigenvalues, bins=bins))
+    counts, edges = np.histogram(spec.eigenvalues, bins=int(_setting(settings, "bins", default=80)))
+    _write_json(out / "histogram.json", {"bin_edges": edges.tolist(), "counts": counts.tolist()})
     _write_json(out / "spectrum.json", {
         "n": net.n,
         "lambda2": spec.lambda2,
@@ -213,6 +220,10 @@ def _sweep_config(settings):
     )
 
 
+# the SweepRow fields of rows.csv, in column order; the others go to sweep.json
+SWEEP_COLUMNS = ("delta", "p_out", "tau_median", "tau_iqr", "lambda2_emp", "lambda2_pred", "lambdaL", "censored")
+
+
 def _cmd_sweep(settings, out):
     cfg = _sweep_config(settings)
     dataset = None
@@ -223,14 +234,17 @@ def _cmd_sweep(settings, out):
 
     with (out / "rows.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(bench.CSV_HEADER)
+        writer.writerow(SWEEP_COLUMNS)
 
         def emit(row):
-            writer.writerow(bench.csv_row(row))
+            writer.writerow(_csv_row(getattr(row, k) for k in SWEEP_COLUMNS))
             fh.flush()
 
         rows = bench.sweep(cfg, dataset=dataset, row_callback=emit)
-    bench.write_sidecar(cfg, out / "sweep.json", extra={
+    _write_json(out / "sweep.json", {
+        "config": dataclasses.asdict(cfg),
+        "tool_version": __version__,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "rows": len(rows),
         "failures": [r.error for r in rows if r.error is not None],
         "accuracy_mean": [r.accuracy_mean for r in rows] if cfg.mode == "gadget" else None,
@@ -238,8 +252,27 @@ def _cmd_sweep(settings, out):
     return 0
 
 
+def _read_fit_rows(path):
+    """(deltas, taus) of the rows.csv rows with a tau_median; a failed or wholly censored point has none."""
+    with Path(path).open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [k for k in ("delta", "tau_median") if k not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        deltas, taus = [], []
+        for rec in reader:
+            if rec["tau_median"] == "":
+                continue
+            for column, values in (("delta", deltas), ("tau_median", taus)):
+                try:
+                    values.append(float(rec[column]))
+                except (TypeError, ValueError):
+                    raise ValueError(f"{path}:{reader.line_num}: {column} is not a number: {rec[column]!r}") from None
+    return deltas, taus
+
+
 def _cmd_fit(settings, out):
-    rows = bench.rows_from_csv(_setting(settings, "rows", required=True))
+    rows = _read_fit_rows(_setting(settings, "rows", required=True))
     fix_pole = _setting(settings, "fix_pole")
     fit = bench.fit_reciprocal(rows, fix_pole=None if fix_pole is None else float(fix_pole))
     _write_json(out / "fit.json", {
@@ -255,8 +288,11 @@ def _cmd_bifurcation(settings, out):
     if isinstance(grid_spec, (list, tuple)):
         grid = [float(v) for v in grid_spec]
     else:
-        lo, hi, num = str(grid_spec).split(":")
-        grid = np.linspace(float(lo), float(hi), int(num)).tolist()
+        try:
+            lo, hi, num = str(grid_spec).split(":")
+            grid = np.linspace(float(lo), float(hi), int(num)).tolist()
+        except ValueError:
+            raise ValueError(f"delta_grid {grid_spec!r} is not lo:hi:num (two numbers and a point count)") from None
     delta1 = bench.detect_bifurcation(sizes, p_in, grid)
     _write_json(out / "bifurcation.json", {"delta1_star": delta1, "p_in": p_in, "sizes": list(sizes)})
     return 0

@@ -28,7 +28,6 @@ __all__ = [
     "normalized_laplacian_spectrum",
     "lambda2_only",
     "normalized_laplacian",
-    "eigenvalue_histogram",
 ]
 
 
@@ -130,9 +129,3 @@ def lambda2_only(net: Network) -> float:
         ) from exc
     return float(1.0 - vals[0])
 
-
-def eigenvalue_histogram(eigenvalues, bins=80):
-    """Histogram of eigenvalues as a JSON-friendly dict of edges and counts."""
-    vals = np.asarray(eigenvalues, dtype=float)
-    counts, edges = np.histogram(vals, bins=bins)
-    return {"bin_edges": edges.tolist(), "counts": counts.tolist()}

@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netconsensus import bench, consensus, data, sbm
+from netconsensus import bench, cli, consensus, data, sbm
 
 
 class TestFitReciprocal:
@@ -181,14 +183,18 @@ class TestSweep:
             bench.sweep(self.make_config(mode="gadget"))
 
     def test_csv_roundtrip_and_byte_reproducibility(self, tmp_path):
-        rows = bench.sweep(self.make_config(p_out_list=(0.2, 0.4), seeds_per_point=2))
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        bench.rows_to_csv(rows, p1)
-        bench.rows_to_csv(rows, p2)
+        settings = {"sizes": [25, 25], "p_in": 0.5, "p_out_list": [0.2, 0.4], "seeds_per_point": 2,
+                    "epsilon": 1e-8, "base_seed": 3, "max_rounds": 20_000}
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(json.dumps(settings))
+        for run in ("a", "b"):
+            assert cli.cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / run)]) == 0
+        p1, p2 = tmp_path / "a" / "rows.csv", tmp_path / "b" / "rows.csv"
         assert p1.read_bytes() == p2.read_bytes()
-        back = bench.rows_from_csv(p1)
-        assert [r.delta for r in back] == [r.delta for r in rows]
-        assert [r.tau_median for r in back] == [r.tau_median for r in rows]
+        rows = bench.sweep(self.make_config(p_out_list=(0.2, 0.4), seeds_per_point=2))
+        back = read_rows_csv(p1)
+        assert [r["delta"] for r in back] == [r.delta for r in rows]
+        assert [r["tau_median"] for r in back] == [r.tau_median for r in rows]
 
 
 class TestDetectBifurcation:
@@ -238,15 +244,24 @@ def same_float(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
+def read_rows_csv(path):
+    """The records of a rows.csv: a float per column, None for an empty field, censored an int."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames) == cli.SWEEP_COLUMNS
+        return [{k: int(v) if k == "censored" else float(v) if v else None for k, v in rec.items()}
+                for rec in reader]
+
+
 @settings(max_examples=60)
 @given(st.lists(sweep_rows(), max_size=5))
 def test_rows_csv_roundtrip_property(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("rows") / "rows.csv"
-    bench.rows_to_csv(rows, path)
-    back = bench.rows_from_csv(path)
+    cli._write_csv(path, cli.SWEEP_COLUMNS, ([getattr(r, k) for k in cli.SWEEP_COLUMNS] for r in rows))
+    back = read_rows_csv(path)
     assert len(back) == len(rows)
     fields = ("delta", "p_out", "tau_median", "tau_iqr", "lambda2_emp", "lambda2_pred", "lambdaL")
     for got, want in zip(back, rows):
         for name in fields:
-            assert same_float(getattr(got, name), getattr(want, name)), name
-        assert got.censored == want.censored
+            assert same_float(got[name], getattr(want, name)), name
+        assert got["censored"] == want.censored

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from netconsensus import bench, rmt, sbm, spectra
-from netconsensus.cli import cli
+from netconsensus.cli import SWEEP_COLUMNS, cli
+from test_bench import read_rows_csv, same_float
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -40,13 +41,14 @@ def test_spectrum_from_edge_list(tmp_path):
     out = tmp_path / "o"
     cli(["sample", "--sizes", "12,12", "--p-in", "0.9", "--p-out", "0.4",
          "--seed", "1", "--out", str(out), "--connected"])
-    rc = cli(["spectrum", "--net", str(out / "network.txt"), "--out", str(out)])
+    rc = cli(["spectrum", "--net", str(out / "network.txt"), "--bins", "20", "--out", str(out)])
     assert rc == 0
     doc = json.loads((out / "spectrum.json").read_text())
     assert 0.0 < doc["lambda2"] < 2.0
     eig_lines = (out / "eigenvalues.csv").read_text().splitlines()
     assert len(eig_lines) == 24
     hist = json.loads((out / "histogram.json").read_text())
+    assert len(hist["bin_edges"]) == 21
     assert sum(hist["counts"]) == 24
 
 
@@ -154,8 +156,8 @@ def test_sweep_then_fit_pipeline(tmp_path):
     }))
     out = tmp_path / "o"
     assert cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    rows = bench.rows_from_csv(out / "rows.csv")
-    assert len(rows) == 4
+    with (out / "rows.csv").open(newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 4
     sidecar = json.loads((out / "sweep.json").read_text())
     assert sidecar["rows"] == 4
     assert "timestamp" in sidecar
@@ -167,16 +169,45 @@ def test_sweep_then_fit_pipeline(tmp_path):
     assert np.isfinite(fit["a"])
 
 
-def test_sweep_rows_csv_matches_rows_to_csv(tmp_path):
-    # the incremental rows.csv and rows_to_csv share one row format
-    settings = {"sizes": [20, 20], "p_in": 0.6, "p_out_list": [0.2, 0.4], "seeds_per_point": 1,
-                "epsilon": 1e-8, "base_seed": 9, "max_rounds": 20000}
+SWEEP_SETTINGS = {"sizes": [20, 20], "p_in": 0.6, "p_out_list": [0.2, 0.4], "seeds_per_point": 1,
+                  "epsilon": 1e-8, "base_seed": 9, "max_rounds": 20000}
+
+
+def test_sweep_rows_csv_matches_sweep_rows(tmp_path):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(json.dumps(settings))
+    cfg.write_text(json.dumps(SWEEP_SETTINGS))
     out = tmp_path / "o"
     assert cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    bench.rows_to_csv(bench.sweep(bench.SweepConfig(**settings)), tmp_path / "direct.csv")
-    assert (out / "rows.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+    rows = bench.sweep(bench.SweepConfig(**SWEEP_SETTINGS))
+    back = read_rows_csv(out / "rows.csv")
+    assert len(back) == len(rows) == 2
+    for got, want in zip(back, rows):
+        for name in SWEEP_COLUMNS:
+            assert same_float(got[name], getattr(want, name)), name
+
+
+def test_interrupted_sweep_keeps_finished_rows(tmp_path, monkeypatch):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(json.dumps(SWEEP_SETTINGS))
+    assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "full")]) == 0
+    expected = "".join((tmp_path / "full" / "rows.csv").read_text().splitlines(keepends=True)[:2])
+
+    point, rows_csv = bench._point, tmp_path / "cut" / "rows.csv"
+    calls, on_disk = [], []
+
+    def interrupted(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            on_disk.append(rows_csv.read_text())  # what a reader sees while the sweep runs
+            raise KeyboardInterrupt
+        return point(*args)
+
+    monkeypatch.setattr(bench, "_point", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "cut")])
+    assert on_disk == [expected]
+    assert rows_csv.read_text() == expected
+    assert not (tmp_path / "cut" / "sweep.json").exists()
 
 
 def test_fit_insufficient_rows_is_runtime_error(tmp_path):
@@ -186,10 +217,42 @@ def test_fit_insufficient_rows_is_runtime_error(tmp_path):
     assert cli(["fit", "--rows", str(rows), "--out", str(tmp_path)]) == 1
 
 
+def test_fit_names_missing_columns(tmp_path, capsys):
+    rows = tmp_path / "rows.csv"
+    rows.write_text("p_out,tau_iqr\n0.5,0.0\n")
+    assert cli(["fit", "--rows", str(rows), "--out", str(tmp_path)]) == 1
+    assert f"error: {rows}: missing column(s) delta, tau_median" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_fit_names_the_bad_value(tmp_path, capsys):
+    rows = tmp_path / "rows.csv"
+    rows.write_text("delta,tau_median\n0.01,10.0\n0.02,abc\n0.03,30.0\n0.04,40.0\n")
+    assert cli(["fit", "--rows", str(rows), "--out", str(tmp_path)]) == 1
+    assert f"error: {rows}:3: tau_median is not a number: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [{"p_out_list": []}, {"p_out_lo": 0.1, "p_out_hi": 0.5, "p_out_num": 0}],
+                         ids=["list", "range"])
+def test_sweep_rejects_empty_grid(tmp_path, capsys, grid):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(json.dumps({**{k: v for k, v in SWEEP_SETTINGS.items() if k != "p_out_list"}, **grid}))
+    assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "p_out_list is empty" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "rows.csv").exists()
+
+
 def test_bifurcation_out_of_range_is_runtime_error(tmp_path):
     rc = cli(["bifurcation", "--sizes", "700,300", "--p-in", "0.1",
               "--delta-grid", "0.0001:0.001:2", "--out", str(tmp_path)])
     assert rc == 1
+
+
+@pytest.mark.parametrize("spec", ["0.01:0.09", "0.01:x:5", "0.01:0.09:2.5"])
+def test_bifurcation_rejects_malformed_grid(tmp_path, capsys, spec):
+    rc = cli(["bifurcation", "--sizes", "700,300", "--p-in", "0.1", "--delta-grid", spec, "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"error: delta_grid {spec!r} is not lo:hi:num" in capsys.readouterr().err
 
 
 def test_missing_required_setting_is_runtime_error(tmp_path):

@@ -110,11 +110,3 @@ class TestLambda2Fast:
         with pytest.raises(spectra.EigensolverError, match="iterations"):
             spectra.lambda2_only(net)
 
-
-class TestHistogram:
-    def test_bins_and_counts(self):
-        net = sample_two_level([40, 40], 0.5, 0.2, seed=1)
-        spec = spectra.normalized_laplacian_spectrum(net)
-        hist = spectra.eigenvalue_histogram(spec.eigenvalues, bins=20)
-        assert len(hist["bin_edges"]) == 21
-        assert sum(hist["counts"]) == net.n
