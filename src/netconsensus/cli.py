@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -44,9 +45,14 @@ def _setting(settings, key, default=None, required=False):
 
 
 def _parse_sizes(value):
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    return tuple(int(tok) for tok in str(value).replace(",", " ").split())
+    tokens = value if isinstance(value, (list, tuple)) else str(value).replace(",", " ").split()
+    sizes = []
+    for tok in tokens:
+        try:
+            sizes.append(int(str(tok)))
+        except ValueError:
+            raise ValueError(f"sizes: {tok!r} is not an integer") from None
+    return tuple(sizes)
 
 
 def _model_from_settings(settings):
@@ -265,9 +271,12 @@ def _read_fit_rows(path):
                 continue
             for column, values in (("delta", deltas), ("tau_median", taus)):
                 try:
-                    values.append(float(rec[column]))
+                    value = float(rec[column])
                 except (TypeError, ValueError):
                     raise ValueError(f"{path}:{reader.line_num}: {column} is not a number: {rec[column]!r}") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{reader.line_num}: {column} is not finite: {rec[column]!r}")
+                values.append(value)
     return deltas, taus
 
 

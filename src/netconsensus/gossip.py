@@ -1,9 +1,13 @@
 """Gossip-based decentralized SVM: local Pegasos steps + push-sum mixing.
 
 The n nodes' weight vectors are the rows of one (n, d) matrix. A learning
-round is one ``pegasos_step`` for every node at once: each node draws an
-example from its shard with its own seeded generator, and one masked update
-applies the hinge subgradient to the rows whose margin is below 1. The
+step is one ``pegasos_step`` for every node at once: one masked update
+applies the hinge subgradient to the rows whose margin is below 1. Each node
+draws its examples from its shard with its own seeded generator;
+``draw_picks`` draws them for a whole block of steps in one call per node,
+and the block's feature rows are gathered in one index of the training
+matrix. A block of m draws continues each stream exactly as m single draws
+would, so the block size changes no output. The
 weights then enter the mass-conserving push-sum protocol: every node splits
 its (sum, weight) pair equally over itself and its neighbors, so the mixing
 matrix is column-stochastic and the totals are invariants; ``push_sum_round``
@@ -29,6 +33,7 @@ if TYPE_CHECKING:
 __all__ = [
     "GadgetConfig",
     "GadgetRun",
+    "draw_picks",
     "pegasos_step",
     "push_sum_round",
     "mixing_matrix",
@@ -44,6 +49,10 @@ TEST_FRACTION = 0.25
 # relative margin around epsilon inside which the stop test falls back to the
 # exact pairwise distances; distance round-off is ~1e-14 relative
 _BRACKET_MARGIN = 1e-9
+
+# dense feature values gathered per block of learning steps (~1 MB of
+# float64); a block is one step when a single step holds more
+_BLOCK_VALUES = 1 << 17
 
 
 @dataclass
@@ -87,20 +96,29 @@ class GadgetRun:
     node_weights: np.ndarray | None = None
 
 
-def pegasos_step(weights: np.ndarray, X, y, shards, rngs, nu: float, t: int) -> None:
+def draw_picks(shards, rngs, steps: int) -> np.ndarray:
+    """(steps, n) example indices: column i holds node i's next steps picks.
+
+    Node i draws uniformly from shards[i] with rngs[i], continuing its stream
+    exactly as steps single draws would. An empty shard raises ValueError.
+    """
+    picks = np.empty((steps, len(shards)), dtype=np.int64)
+    for i, (shard, rng) in enumerate(zip(shards, rngs)):
+        if shard.size == 0:
+            raise ValueError(f"node {i} has an empty shard")
+        picks[:, i] = shard[rng.integers(shard.size, size=steps)]
+    return picks
+
+
+def pegasos_step(weights: np.ndarray, rows: np.ndarray, labels: np.ndarray, nu: float, t: int) -> None:
     """One stochastic subgradient step for every node, in place.
 
-    Row i of the (n, d) weights is node i's vector. Node i picks an example
-    of shards[i] uniformly with rngs[i] (an empty shard raises ValueError);
-    every node then applies the learning rate 1/(nu*t) to the subgradient
-    nu*w - 1[y <w,x> < 1] y x of its own example.
+    Row i of the (n, d) weights is node i's vector, and rows[i], labels[i]
+    are the example it picked. Every node applies the learning rate
+    1/(nu*t) to the subgradient nu*w - 1[y <w,x> < 1] y x of its example.
     """
     if t < 1:
         raise ValueError("step index t must be >= 1")
-    picks = np.array([shard[rng.integers(shard.size)] for shard, rng in zip(shards, rngs)], dtype=np.int64)
-    rows = X[picks]
-    rows = rows.toarray() if hasattr(rows, "toarray") else np.asarray(rows, dtype=float)
-    labels = y[picks]
     eta = 1.0 / (nu * t)
     hit = labels * np.einsum("ij,ij->i", weights, rows) < 1.0
     weights *= 1.0 - eta * nu
@@ -215,11 +233,23 @@ def run_gadget(
     gap_trace, obj_trace, acc_trace = [], [], []
     rounds_done = None
     steps = cfg.steps_per_round
+    learning_rounds = cfg.max_rounds if cfg.learning_rounds is None else min(cfg.learning_rounds, cfg.max_rounds)
+    total_steps = learning_rounds * steps
+    block = max(1, _BLOCK_VALUES // (n * train.d))
+    t = 0  # learning steps taken
     for t_round in range(1, cfg.max_rounds + 1):
-        learning = cfg.learning_rounds is None or t_round <= cfg.learning_rounds
+        learning = t_round <= learning_rounds
         if learning:
-            for k in range(1, steps + 1):
-                pegasos_step(weights, X_train, y_train, shards, rngs, cfg.nu, (t_round - 1) * steps + k)
+            for _ in range(steps):
+                j = t % block
+                if j == 0:
+                    picks = draw_picks(shards, rngs, min(block, total_steps - t))
+                    rows = X_train[picks.ravel()]
+                    rows = rows.toarray() if hasattr(rows, "toarray") else np.asarray(rows, dtype=float)
+                    rows = rows.reshape(*picks.shape, train.d)
+                    labels = y_train[picks]
+                t += 1
+                pegasos_step(weights, rows[j], labels[j], cfg.nu, t)
         sums, psw = push_sum_round(mix, weights * psw[:, None], psw)
         weights = sums / psw[:, None]
         if cfg.record_trace:

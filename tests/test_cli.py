@@ -232,6 +232,31 @@ def test_fit_names_the_bad_value(tmp_path, capsys):
     assert f"error: {rows}:3: tau_median is not a number: 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column, line", [("delta", "nan,20.0"), ("delta", "-inf,20.0"),
+                                          ("tau_median", "0.02,nan"), ("tau_median", "0.02,inf")])
+def test_fit_rejects_non_finite_values(tmp_path, capsys, column, line):
+    rows = tmp_path / "rows.csv"
+    rows.write_text(f"delta,tau_median\n0.01,10.0\n{line}\n0.03,30.0\n0.04,40.0\n")
+    assert cli(["fit", "--rows", str(rows), "--out", str(tmp_path)]) == 1
+    token = line.split(",")[0 if column == "delta" else 1]
+    assert f"error: {rows}:3: {column} is not finite: {token!r}" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("sizes, token", [("10,x", "'x'"), ([10, "x"], "'x'"), ([10, 2.5], "2.5")],
+                         ids=["flag", "config-string", "config-float"])
+def test_malformed_sizes_named(tmp_path, capsys, sizes, token):
+    model = ["--p-in", "0.5", "--p-out", "0.1", "--out", str(tmp_path)]
+    if isinstance(sizes, str):
+        args = ["predict", "--sizes", sizes] + model
+    else:
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(json.dumps({"sizes": sizes}))
+        args = ["predict", "--config", str(cfg)] + model
+    assert cli(args) == 1
+    assert f"error: sizes: {token} is not an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", [{"p_out_list": []}, {"p_out_lo": 0.1, "p_out_hi": 0.5, "p_out_num": 0}],
                          ids=["list", "range"])
 def test_sweep_rejects_empty_grid(tmp_path, capsys, grid):

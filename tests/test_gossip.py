@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,11 +14,18 @@ def complete_graph(n):
     return sbm.Network([n], edges)
 
 
+def gather(X, y, picks):
+    """Dense feature rows and labels of the examples in picks."""
+    rows = X[picks]
+    return (rows.toarray() if hasattr(rows, "toarray") else rows), y[picks]
+
+
 def one_node_step(w, X, y, nu, t):
     """One pegasos_step on a single node that holds every example; returns
     the node's weight vector."""
     weights = np.asarray(w, dtype=float)[None, :].copy()
-    gossip.pegasos_step(weights, X, y, [np.arange(len(y))], [np.random.default_rng(0)], nu, t)
+    picks = gossip.draw_picks([np.arange(len(y))], [np.random.default_rng(0)], 1)
+    gossip.pegasos_step(weights, *gather(X, y, picks[0]), nu, t)
     return weights[0]
 
 
@@ -39,16 +47,15 @@ class TestPegasosStep:
         ds = data.make_blobs(20, 2, margin=6.0, seed=7)
         X, y = ds.X.toarray(), ds.y
         weights = np.zeros((1, 2))
-        shards, rngs = [np.arange(20)], [np.random.default_rng(1)]
+        picks = gossip.draw_picks([np.arange(20)], [np.random.default_rng(1)], 1000)
         for t in range(1, 1001):
-            gossip.pegasos_step(weights, X, y, shards, rngs, 0.1, t)
+            gossip.pegasos_step(weights, *gather(X, y, picks[t - 1]), 0.1, t)
         assert gossip.accuracy(weights[0], X, y) == 1.0
 
     def test_empty_shard_rejected(self):
-        weights = np.zeros((1, 2))
-        with pytest.raises(ValueError):
-            gossip.pegasos_step(weights, np.zeros((0, 2)), np.zeros(0), [np.arange(0)],
-                                [np.random.default_rng(0)], 0.1, 1)
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        with pytest.raises(ValueError, match="node 1 has an empty shard"):
+            gossip.draw_picks([np.arange(3), np.arange(0)], rngs, 1)
 
     def test_step_counter_advances(self):
         # the step index t sets the rate 1/(nu t): two steps at t = 1, 2 on
@@ -59,7 +66,8 @@ class TestPegasosStep:
         weights = np.zeros((3, 2))
         rngs = [np.random.default_rng(i) for i in range(3)]
         for t in (1, 2):
-            gossip.pegasos_step(weights, ds.X, y, shards, rngs, 0.1, t)
+            picks = gossip.draw_picks(shards, rngs, 1)
+            gossip.pegasos_step(weights, *gather(ds.X, y, picks[0]), 0.1, t)
         for i, shard in enumerate(shards):
             rng, w = np.random.default_rng(i), np.zeros(2)
             for t in (1, 2):
@@ -71,7 +79,32 @@ class TestPegasosStep:
                     w += eta * y[k] * X[k]
             assert weights[i] == pytest.approx(w, rel=1e-12)
         with pytest.raises(ValueError, match="t must be >= 1"):
-            gossip.pegasos_step(weights, X, y, shards, rngs, 0.1, 0)
+            gossip.pegasos_step(weights, *gather(X, y, picks[0]), 0.1, 0)
+
+
+@st.composite
+def shards_and_splits(draw):
+    """(shard sizes, seed, block lengths): 1..6 shards of 1..70000 examples
+    and a split of m = sum(blocks) steps into blocks."""
+    sizes = draw(st.lists(st.integers(1, 70_000), min_size=1, max_size=6))
+    blocks = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    return sizes, draw(st.integers(0, 2**32 - 1)), blocks
+
+
+@settings(max_examples=100)
+@given(shards_and_splits())
+def test_draw_picks_continues_each_stream_as_scalar_draws(case):
+    sizes, seed, blocks = case
+    shards = [np.arange(size) * 3 + 1 for size in sizes]
+    streams = np.random.SeedSequence(seed).spawn(len(sizes))
+    rngs = [np.random.default_rng(s) for s in streams]
+    picks = np.vstack([gossip.draw_picks(shards, rngs, m) for m in blocks])
+    assert picks.shape == (sum(blocks), len(sizes))
+    for i, (shard, stream) in enumerate(zip(shards, streams)):
+        oracle = np.random.default_rng(stream)
+        scalar = [shard[oracle.integers(shard.size)] for _ in range(sum(blocks))]
+        assert picks[:, i].tolist() == scalar
+        assert rngs[i].bit_generator.state == oracle.bit_generator.state
 
 
 def estimates(sums, psw):
@@ -146,7 +179,8 @@ class TestRunGadget:
         shards = [np.arange(12)] * n
         rngs = [np.random.default_rng(99) for _ in range(n)]
         mix = gossip.mixing_matrix(complete_graph(n))
-        gossip.pegasos_step(weights, X, y, shards, rngs, 0.1, 1)
+        picks = gossip.draw_picks(shards, rngs, 1)
+        gossip.pegasos_step(weights, *gather(X, y, picks[0]), 0.1, 1)
         sums, psw = gossip.push_sum_round(mix, weights * psw[:, None], psw)
         assert gossip.max_pairwise_gap(estimates(sums, psw)) == 0.0
 
@@ -246,6 +280,68 @@ def test_run_gadget_matches_per_node_oracle(sizes, dense, steps, trace, rounds, 
     assert run.rounds_to_consensus == rounds
     assert run.final_weights == pytest.approx(final, rel=1e-12, abs=0.0)
     assert len(run.max_pairwise_gap_trace) == (rounds if trace else 0)
+
+
+# run_gadget outputs with learning on every round (learning_rounds=None),
+# written in as literals from the implementation that drew one example per
+# node per step: the PER_NODE_RUNS (10, 15) model at epsilon 1e-2,
+# (steps_per_round, rounds, final_weights)
+LEARNING_EVERY_ROUND = {
+    1: (196, [-0.5095048302196536, -0.7819889383484402, -0.10135101117927643, 0.2371995564007045]),
+    3: (158, [-0.4490987160771706, -0.7668673298279818, -0.12962991074670877, 0.23428278436159647]),
+}
+
+
+def per_node_model_run(steps, learning, trace, epsilon):
+    ds = data.make_blobs(300, 4, margin=2.0, seed=5)
+    model = sbm.make_two_level_model([10, 15], sbm.TwoLevelProbs(0.8, 0.3), 2)
+    cfg = gossip.GadgetConfig(nu=0.1, epsilon=epsilon, max_rounds=20_000, learning_rounds=learning,
+                              steps_per_round=steps, seed=4, record_trace=trace)
+    return gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg)
+
+
+def run_outputs(run):
+    return (run.rounds_to_consensus, run.final_weights.tobytes(), run.node_weights.tobytes(),
+            run.max_pairwise_gap_trace.tobytes(), run.objective_trace.tobytes(), run.accuracy_trace.tobytes())
+
+
+@pytest.mark.parametrize("trace", [True, False])
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("learning", [30, None])
+def test_block_size_changes_no_output(monkeypatch, learning, steps, trace):
+    # n * d = 100 values per step: blocks of 1 step, of 2 steps (ending
+    # mid-round when steps_per_round is 3) and the default 1310 steps
+    epsilon = 1e-9 if learning else 1e-2
+    outputs = []
+    for block_values in (1, 200, gossip._BLOCK_VALUES):
+        monkeypatch.setattr(gossip, "_BLOCK_VALUES", block_values)
+        outputs.append(run_outputs(per_node_model_run(steps, learning, trace, epsilon)))
+    assert outputs[0] == outputs[1] == outputs[2]
+    if learning is None:
+        rounds, final = LEARNING_EVERY_ROUND[steps]
+        assert outputs[0][0] == rounds
+        assert np.frombuffer(outputs[0][1]).tolist() == final
+
+
+def test_examples_drawn_once_per_block(monkeypatch):
+    # n = 100 nodes, d = 20 features: a block is 131072 // 2000 = 65 steps, so
+    # 200 learning rounds draw their examples in 4 calls, not 200
+    calls = []
+    draw_picks = gossip.draw_picks
+
+    def counted(shards, rngs, steps):
+        calls.append(steps)
+        return draw_picks(shards, rngs, steps)
+
+    monkeypatch.setattr(gossip, "draw_picks", counted)
+    ds = data.make_blobs(400, 20, margin=2.0, seed=0)
+    net, _ = sbm.sample_connected(sbm.make_two_level_model([50, 50], sbm.TwoLevelProbs(0.3, 0.1), 0))
+    cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-12, max_rounds=200, learning_rounds=200, seed=0,
+                              record_trace=False)
+    gossip.run_gadget(net, ds, cfg)
+    block = gossip._BLOCK_VALUES // (100 * 20)
+    assert len(calls) == math.ceil(200 / block) == 4
+    assert sum(calls) == 200
 
 
 # a traced run of the implementation that evaluated the objective and the
