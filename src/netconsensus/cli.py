@@ -174,6 +174,7 @@ def _cmd_consensus(settings, out):
         "epsilon": run["epsilon"],
         "tau_eps": result.tau_eps,
         "censored": result.censored,
+        "tail_from": result.tail_from,
         "lambda2_empirical": spec.lambda2,
         "mu2_abs": spec.mu2_abs,
     })

@@ -5,6 +5,18 @@ fixed point is known analytically: every node ends at the degree-weighted
 mean of x0 (the random walk's stationary distribution pi_i = d_i / 2m), so
 the simulator only tracks the sup-norm error and the round at which it
 permanently drops below the threshold.
+
+A run first iterates the pi-centred deviation e = x - x_star, re-centred
+every round, so the shrinking error carries no round-off of x itself. After
+a few rounds only the walk's slow modes are left. Once the decay the loop
+observes says that the rounds still to go cost more than a Lanczos solve,
+the run switches to the tail: one deflated Lanczos solve from the current
+deviation gives the slow modes' Ritz pairs, and each block of rounds is one
+small product over them. A bound on the dropped modes and the Ritz
+residuals certifies each round's side of epsilon; if any round lies within
+that bound (plus a round-off margin) of epsilon, the tail gives up and the
+loop continues from the switch state. The loop stays the fallback and the
+oracle.
 """
 
 from __future__ import annotations
@@ -14,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectra
 from .sbm import Network, is_connected
 
 __all__ = [
@@ -26,6 +39,23 @@ __all__ = [
 
 # rounds the error must stay below epsilon before tau is declared
 CONFIRM_WINDOW = 50
+# the tail's cost in loop rounds: a run switches to it once more rounds than
+# this are still to go (its solve and set-up cost ~20 rounds of the loop on
+# fig4's networks and ~40 on fig3's; each tail round costs ~0.1 loop rounds
+# on fig3's and less on denser ones)
+TAIL_MATVECS = 50
+# rounds over which the loop observes its own decay; the switch is weighed
+# once per window from the second window on, as the first holds the fast
+# modes' transient
+DECAY_WINDOW = 16
+# ARPACK restarts the tail's Lanczos solve may take before the run stays on the loop
+TAIL_RESTARTS = 20
+# rounds the tail evaluates per product
+TAIL_BLOCK = 64
+# slack, in units of epsilon, for the round-off of the loop before the switch
+# and of the tail's own evaluation (the centred loop is within ~2e-8 epsilon
+# of a long-double oracle)
+MARGIN = 1e-5
 
 
 class DivergentBoundError(ValueError):
@@ -38,16 +68,17 @@ class ConsensusRun:
 
     x_star is the common value of the attracting fixed point (the pi-weighted
     mean of x0). tau_eps is None when the run was censored at max_rounds.
-    error_trace[t] is the relative sup-norm error after t rounds.
+    error_trace[t] is the relative sup-norm error after t rounds; after
+    tail_from, the round at which the run switched to the slow-mode tail
+    (None when every round ran on the loop), it holds the tail's estimates.
     """
 
-    x0: np.ndarray
     x_star: float
     tau_eps: int | None
     error_trace: np.ndarray
-    epsilon: float
     censored: bool
     rounds: int
+    tail_from: int | None = None
 
 
 def random_initial_state(n: int, seed: int) -> np.ndarray:
@@ -62,6 +93,8 @@ def run(net: Network, x0, epsilon: float, max_rounds: int = 100_000) -> Consensu
     that stays below epsilon for CONFIRM_WINDOW further rounds (negative walk
     eigenvalues make the error non-monotone, so a one-shot crossing is not
     enough). Runs that never confirm within max_rounds come back censored.
+    The centred loop, the tail and its fallback are described in the module
+    docstring.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -75,30 +108,123 @@ def run(net: Network, x0, epsilon: float, max_rounds: int = 100_000) -> Consensu
     # stationary distribution of P; a single node, which has no edges, holds all the mass
     pi = np.ones(1) if net.n == 1 else deg / deg.sum()
     x_star = float(pi @ x0)
-    denom = float(np.abs(x0 - x_star).max())
+    e = x0 - x_star
+    denom = float(np.abs(e).max())
     if denom == 0.0:
-        return ConsensusRun(x0=x0, x_star=x_star, tau_eps=0, error_trace=np.zeros(1),
-                            epsilon=epsilon, censored=False, rounds=0)
+        return ConsensusRun(x_star=x_star, tau_eps=0, error_trace=np.zeros(1), censored=False, rounds=0)
 
     adj = net.adjacency()
     inv_deg = 1.0 / deg
-    x = x0.copy()
     errors = [1.0]
     candidate: int | None = None
+    # the tail's Ritz pairs: one per community mode, the slow modes of a block model
+    modes = max(1, len(net.community_sizes) - 1)
+    # the Lanczos basis of the tail does not fit a tiny network
+    may_switch = net.n > max(16, 4 * modes)
     for t in range(1, max_rounds + 1):
-        x = inv_deg * (adj @ x)
-        err = float(np.abs(x - x_star).max()) / denom
+        e = inv_deg * (adj @ e)
+        e -= pi @ e
+        err = float(np.abs(e).max()) / denom
         errors.append(err)
         if err <= epsilon:
             if candidate is None:
                 candidate = t
             elif t - candidate >= CONFIRM_WINDOW:
-                return ConsensusRun(x0=x0, x_star=x_star, tau_eps=candidate, error_trace=np.asarray(errors),
-                                    epsilon=epsilon, censored=False, rounds=t)
+                return ConsensusRun(x_star=x_star, tau_eps=candidate, error_trace=np.asarray(errors),
+                                    censored=False, rounds=t)
         else:
             candidate = None
-    return ConsensusRun(x0=x0, x_star=x_star, tau_eps=None, error_trace=np.asarray(errors),
-                        epsilon=epsilon, censored=True, rounds=max_rounds)
+        if may_switch and t % DECAY_WINDOW == 0 and t > DECAY_WINDOW and _rounds_to_go(errors, epsilon) > TAIL_MATVECS:
+            may_switch = False
+            tail = _tail(net, e, modes, t, candidate, epsilon, denom, max_rounds)
+            if tail is not None:
+                tau, rounds, tail_errors = tail
+                return ConsensusRun(x_star=x_star, tau_eps=tau, error_trace=np.asarray(errors + tail_errors),
+                                    censored=tau is None, rounds=rounds, tail_from=t)
+    return ConsensusRun(x_star=x_star, tau_eps=None, error_trace=np.asarray(errors), censored=True,
+                        rounds=max_rounds)
+
+
+def _rounds_to_go(errors, epsilon: float) -> float:
+    """Rounds to tau plus the confirmation, at the decay of the last DECAY_WINDOW rounds."""
+    now, before = errors[-1], errors[-1 - DECAY_WINDOW]
+    if now <= epsilon:
+        return 0.0
+    if now >= before:
+        return math.inf
+    return math.log(epsilon / now) / math.log(now / before) * DECAY_WINDOW + CONFIRM_WINDOW
+
+
+def _tail(net: Network, e, modes: int, t0: int, candidate, epsilon: float, denom: float, max_rounds: int):
+    """Rounds t0+1.. of a run from the walk's slow modes: (tau or None, rounds, errors).
+
+    In y = D^{1/2} e the loop is y <- S' y with S' = D^{-1/2} A D^{-1/2} - u u^T
+    (the re-centring removes the top eigenvector u). One Lanczos solve from
+    y0 gives Ritz pairs S' V ~ V diag(theta), and round t0 + s of the loop is
+    D^{-1/2} V diag(theta^s) c with c = V^T y0, up to the remainder that
+    _remainder_bound bounds. Returns None, and the loop carries on from round
+    t0, if the solve does not converge or any round's error lies within that
+    bound + MARGIN * epsilon of epsilon.
+    """
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    op = spectra.deflated_walk_operator(net, shift=1.0)
+    sqrt_d = np.sqrt(net.degrees.astype(float))
+    y0 = sqrt_d * e
+    try:
+        theta, vecs = eigsh(op, k=modes, which="LM", v0=y0, tol=0, maxiter=TAIL_RESTARTS)
+    except ArpackNoConvergence:
+        return None
+    coef = vecs.T @ y0
+    dropped = float(np.linalg.norm(y0 - vecs @ coef))
+    resid = float(np.linalg.norm([op.matvec(v) - lam * v for lam, v in zip(theta, vecs.T)]))
+    rho = float(np.abs(theta).min()) + 2.0 * resid
+    if rho >= 1.0:  # the dropped modes need not decay: nothing to certify with
+        return None
+    y0_norm = float(np.linalg.norm(y0))
+    basis = vecs / sqrt_d[:, None]
+    # a y-space 2-norm bounds each |e_i| * sqrt(d_i), so max_i d_i^{-1/2} turns it into relative sup-norm error
+    to_error = 1.0 / (float(sqrt_d.min()) * denom)
+    errors: list[float] = []
+    t = t0
+    while t < max_rounds:
+        s = np.arange(t - t0 + 1, min(t + TAIL_BLOCK, max_rounds) - t0 + 1)
+        estimate = np.abs(basis @ (coef[:, None] * theta[:, None] ** s)).max(axis=0) / denom
+        bound = to_error * _remainder_bound(s, theta, coef, rho, resid, dropped, y0_norm)
+        for err, slack in zip(estimate.tolist(), (bound + MARGIN * epsilon).tolist()):
+            if abs(err - epsilon) <= slack:
+                return None
+            t += 1
+            errors.append(err)
+            if err <= epsilon:
+                if candidate is None:
+                    candidate = t
+                elif t - candidate >= CONFIRM_WINDOW:
+                    return candidate, t, errors
+            else:
+                candidate = None
+    return None, max_rounds, errors
+
+
+def _remainder_bound(s, theta, coef, rho, resid, dropped, y0_norm):
+    """Upper bound on |S'^s y0 - V diag(theta^s) c|_2 for the rounds s >= 1.
+
+    Split y(s) = V a(s) + q(s) with q orthogonal to the Ritz vectors V. With
+    R = S'V - V diag(theta) and r = |R| <= resid,
+        a(s+1) = theta a(s) + R^T q(s),   q(s+1) = R a(s) + Q S' Q q(s),
+    where Q S' Q, S' compressed to the complement of V, has norm at most
+    rho = min |theta| + 2 resid as long as the Lanczos solve found the
+    largest-magnitude eigenvalues. |S'| <= 1 bounds |a|, |q| by |y0|; the
+    sums below follow from unrolling both recurrences.
+    """
+    abs_theta = np.abs(theta)[:, None]
+    top = np.maximum(abs_theta, rho)
+    # sum_{j<s} rho^(s-1-j) |theta_i|^j, bounded two ways
+    gap = abs_theta - rho
+    above = np.divide(abs_theta**s, gap, out=np.full((abs_theta.size, s.size), np.inf), where=gap > 0)
+    leak = np.minimum(s * top ** (s - 1), above)
+    second = resid * (dropped + resid * s * (np.abs(coef).sum() + y0_norm * (1.0 + resid * s))) / (1.0 - rho)
+    return rho**s * dropped + resid * (np.abs(coef) @ leak) + second
 
 
 def tau_bound(mu2_abs: float, epsilon: float):

@@ -15,7 +15,7 @@ import numpy as np
 from .sbm import Network
 
 if TYPE_CHECKING:
-    from scipy import sparse
+    from scipy.sparse.linalg import LinearOperator
 
 # ARPACK residual tolerance of lambda2_only
 LAMBDA2_TOL = 1e-8
@@ -27,7 +27,7 @@ __all__ = [
     "EigensolverError",
     "normalized_laplacian_spectrum",
     "lambda2_only",
-    "normalized_laplacian",
+    "deflated_walk_operator",
 ]
 
 
@@ -59,23 +59,16 @@ def _check_degrees(net: Network) -> None:
         raise ValueError(f"isolated node {bad}: normalized Laplacian undefined")
 
 
-def normalized_laplacian(net: Network) -> sparse.csr_matrix:
-    """Sparse symmetric L = I - D^{-1/2} A D^{-1/2}."""
-    from scipy import sparse
-
-    _check_degrees(net)
-    inv_sqrt_d = 1.0 / np.sqrt(net.degrees.astype(float))
-    adj = net.adjacency()
-    scaled = sparse.diags(inv_sqrt_d) @ adj @ sparse.diags(inv_sqrt_d)
-    lap = (sparse.identity(net.n, format="csr") - scaled).tocsr()
-    lap.sort_indices()
-    return lap
-
-
 def normalized_laplacian_spectrum(net: Network) -> SpectrumEmpirical:
     """Full symmetric eigendecomposition (values only), ascending order."""
     _check_degrees(net)
-    lap = normalized_laplacian(net).toarray()
+    # dense L = I - D^{-1/2} A D^{-1/2}, built in place; 0 - 0 keeps the zeros positive
+    inv_sqrt_d = 1.0 / np.sqrt(net.degrees.astype(float))
+    lap = net.adjacency().toarray()
+    lap *= inv_sqrt_d[:, None]
+    lap *= inv_sqrt_d
+    np.subtract(0.0, lap, out=lap)
+    lap.flat[:: net.n + 1] += 1.0
     vals = np.linalg.eigvalsh(lap)
     lam2 = float(vals[1]) if net.n >= 2 else 0.0
     if net.n >= 2:
@@ -104,19 +97,10 @@ def lambda2_only(net: Network) -> float:
     if n <= 16:
         return normalized_laplacian_spectrum(net).lambda2
 
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    sqrt_d = np.sqrt(net.degrees.astype(float))
-    u = sqrt_d / np.linalg.norm(sqrt_d)
-    inv_sqrt_d = 1.0 / sqrt_d
-    adj = net.adjacency()
-
-    def matvec(x):
-        y = inv_sqrt_d * (adj @ (inv_sqrt_d * x))
-        # shift the known top eigenpair (value 1) down to -1
-        return y - 2.0 * u * (u @ x)
-
-    op = LinearOperator((n, n), matvec=matvec, dtype=float)
+    # the known top eigenpair (value 1) shifted down to -1
+    op = deflated_walk_operator(net, shift=2.0)
     budget = LAMBDA2_ITERS_PER_NODE * n
     # deterministic generic start; ARPACK's default random v0 breaks
     # run-to-run reproducibility of sweep outputs
@@ -129,3 +113,23 @@ def lambda2_only(net: Network) -> float:
         ) from exc
     return float(1.0 - vals[0])
 
+
+def deflated_walk_operator(net: Network, shift: float) -> LinearOperator:
+    """S - shift * u u^T as a LinearOperator, with S = D^{-1/2} A D^{-1/2}.
+
+    u = sqrt(d) / |sqrt(d)| is S's eigenvector of eigenvalue 1, which the
+    shift moves to 1 - shift; every other eigenpair of S is kept.
+    """
+    from scipy.sparse.linalg import LinearOperator
+
+    _check_degrees(net)
+    sqrt_d = np.sqrt(net.degrees.astype(float))
+    u = sqrt_d / np.linalg.norm(sqrt_d)
+    inv_sqrt_d = 1.0 / sqrt_d
+    adj = net.adjacency()
+
+    def matvec(x):
+        y = inv_sqrt_d * (adj @ (inv_sqrt_d * x))
+        return y - shift * u * (u @ x)
+
+    return LinearOperator((net.n, net.n), matvec=matvec, dtype=float)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netconsensus import bench, rmt, sbm, spectra
+from netconsensus import bench, consensus, rmt, sbm, spectra
 from netconsensus.cli import SWEEP_COLUMNS, cli
 from test_bench import read_rows_csv, same_float
 
@@ -128,9 +128,10 @@ def test_consensus_summary_schema(tmp_path):
     assert rc == 0
     doc = json.loads((out / "consensus.json").read_text())
     for key in ("n", "K", "p_in", "p_out", "delta", "epsilon", "tau_eps",
-                "censored", "lambda2_empirical", "mu2_abs"):
+                "censored", "tail_from", "lambda2_empirical", "mu2_abs"):
         assert key in doc
     assert doc["censored"] is False
+    assert doc["tail_from"] is None  # tau is a few rounds: the run stays on the loop
     trace = (out / "consensus_trace.csv").read_text().splitlines()
     assert trace[0] == "round,error"
 
@@ -184,6 +185,27 @@ def test_sweep_rows_csv_matches_sweep_rows(tmp_path):
     for got, want in zip(back, rows):
         for name in SWEEP_COLUMNS:
             assert same_float(got[name], getattr(want, name)), name
+
+
+def test_tail_sweep_rows_independent_of_workers(tmp_path, monkeypatch):
+    run, tails = consensus.run, []
+
+    def spy(*args, **kwargs):
+        result = run(*args, **kwargs)
+        tails.append(result.tail_from)
+        return result
+
+    monkeypatch.setattr(consensus, "run", spy)
+    settings = {"mode": "scalar", "sizes": [60, 40], "p_in": 0.5, "p_out_list": [0.01, 0.012, 0.2],
+                "seeds_per_point": 2, "epsilon": 1e-10, "base_seed": 9, "max_rounds": 20000}
+    written = []
+    for workers in (1, 2):
+        cfg = tmp_path / f"w{workers}.cfg"
+        cfg.write_text(json.dumps({**settings, "workers": workers}))
+        assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / f"w{workers}")]) == 0
+        written.append((tmp_path / f"w{workers}" / "rows.csv").read_bytes())
+    assert written[0] == written[1]
+    assert sum(tail is not None for tail in tails) >= 4
 
 
 def test_interrupted_sweep_keeps_finished_rows(tmp_path, monkeypatch):

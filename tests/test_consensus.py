@@ -1,9 +1,14 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from netconsensus import consensus, sbm, spectra
+
+EPS = 1e-10
 
 
 def complete_graph(n):
@@ -35,6 +40,56 @@ def dense_trajectory(net, x0, rounds):
     for _ in range(rounds):
         states.append(walk @ states[-1])
     return np.asarray(states)
+
+
+def parent_loop(net, x0, epsilon, max_rounds=100_000):
+    """Oracle: the loop before the centred rewrite, iterating x itself.
+
+    Returns (tau, rounds, errors) with the same confirmation rule as run().
+    """
+    deg = net.degrees.astype(float)
+    pi = deg / deg.sum()
+    x0 = np.asarray(x0, dtype=float)
+    x_star = float(pi @ x0)
+    denom = float(np.abs(x0 - x_star).max())
+    adj, inv_deg = net.adjacency(), 1.0 / deg
+    x, errors, candidate = x0.copy(), [1.0], None
+    for t in range(1, max_rounds + 1):
+        x = inv_deg * (adj @ x)
+        errors.append(float(np.abs(x - x_star).max()) / denom)
+        if errors[-1] <= epsilon:
+            if candidate is None:
+                candidate = t
+            elif t - candidate >= consensus.CONFIRM_WINDOW:
+                return candidate, t, np.asarray(errors)
+        else:
+            candidate = None
+    return None, max_rounds, np.asarray(errors)
+
+
+def long_double_errors(net, x0, rounds):
+    """Oracle: relative sup-norm errors of x(t) = P^t x0 for t = 0..rounds in
+    long double, each neighbour sum taken by np.add.reduceat over the CSR rows."""
+    adj = net.adjacency()
+    deg = net.degrees.astype(np.longdouble)
+    x = np.asarray(x0, dtype=np.longdouble)
+    x_star = (deg * x).sum() / deg.sum()
+    denom = np.abs(x - x_star).max()
+    errors = [np.longdouble(1)]
+    for _ in range(rounds):
+        x = np.add.reduceat(x[adj.indices], adj.indptr[:-1]) / deg
+        errors.append(np.abs(x - x_star).max() / denom)
+    return np.asarray(errors)
+
+
+def loop_only(monkeypatch):
+    monkeypatch.setattr(consensus, "TAIL_MATVECS", math.inf)
+
+
+def force_switch_at(monkeypatch, round_):
+    """Take the switch at the first round it is weighed, round_ (even), whatever is still to go."""
+    monkeypatch.setattr(consensus, "DECAY_WINDOW", round_ // 2)
+    monkeypatch.setattr(consensus, "TAIL_MATVECS", -1)
 
 
 class TestStationary:
@@ -176,3 +231,182 @@ class TestTauBound:
     def test_diverges_monotonically_toward_one(self):
         values = [consensus.tau_bound(mu, 1e-10)[0] for mu in (0.9, 0.99, 0.999)]
         assert values[0] < values[1] < values[2]
+
+
+class TestCentredLoop:
+    """The loop iterates the pi-centred deviation, so its error is exact to round-off of the error itself."""
+
+    def test_tracks_long_double_oracle_near_tau(self, monkeypatch):
+        net = sample_connected([200, 100], 0.3, 0.005, seed=1)
+        x0 = consensus.random_initial_state(net.n, 1)
+        loop_only(monkeypatch)
+        result = consensus.run(net, x0, EPS)
+        assert result.tail_from is None
+        oracle = long_double_errors(net, x0, result.rounds)
+        near = np.abs(oracle - EPS) <= 0.5 * EPS
+        assert near.sum() >= 20
+        assert np.abs(result.error_trace[near] - oracle[near]).max() <= 1e-6 * EPS
+        tau = next(t for t in range(len(oracle)) if (oracle[t : t + consensus.CONFIRM_WINDOW + 1] <= EPS).all())
+        assert result.tau_eps == tau
+
+    def test_offset_initial_state_tracks_oracle(self, monkeypatch):
+        # x_star = pi @ x0 rounds at ~1e-13 here; re-centring keeps that constant out of the error
+        net = sample_connected([200, 100], 0.3, 0.005, seed=1)
+        x0 = consensus.random_initial_state(net.n, 1) + 1e3
+        loop_only(monkeypatch)
+        result = consensus.run(net, x0, EPS)
+        oracle = long_double_errors(net, x0, result.rounds)
+        near = np.abs(oracle - EPS) <= 0.5 * EPS
+        assert np.abs(result.error_trace[near] - oracle[near]).max() <= 1e-5 * EPS
+        assert result.tau_eps == consensus.run(net, x0 - 1e3, EPS).tau_eps
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_parent_loop_within_one_round(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(20, 120, size=2).tolist()
+        net = sample_connected(sizes, rng.uniform(0.2, 0.8), rng.uniform(0.002, 0.05), seed=seed)
+        x0 = consensus.random_initial_state(net.n, seed)
+        loop_only(monkeypatch)
+        result = consensus.run(net, x0, EPS)
+        tau, rounds, errors = parent_loop(net, x0, EPS)
+        assert abs(result.tau_eps - tau) <= 1
+        assert np.abs(result.error_trace[: len(errors)] - errors[: len(result.error_trace)]).max() <= 1e-13
+
+
+class TestTail:
+    def test_default_run_takes_tail_and_tracks_oracle(self):
+        net = sample_connected([200, 100], 0.3, 0.005, seed=1)
+        x0 = consensus.random_initial_state(net.n, 1)
+        result = consensus.run(net, x0, EPS)
+        assert result.tail_from is not None
+        assert len(result.error_trace) == result.rounds + 1
+        oracle = long_double_errors(net, x0, result.rounds)
+        near = np.abs(oracle - EPS) <= 0.5 * EPS
+        assert np.abs(result.error_trace[near] - oracle[near]).max() <= 1e-6 * EPS
+        assert np.abs(result.error_trace - oracle).max() <= 1e-13
+
+    def test_forced_early_switch_gives_loop_tau_and_rounds(self, monkeypatch):
+        took_tail = 0
+        for seed in range(16):
+            rng = np.random.default_rng(100 + seed)
+            sizes = rng.integers(15, 100, size=2).tolist()
+            net = sample_connected(sizes, rng.uniform(0.2, 0.9), rng.uniform(0.001, 0.05), seed=seed)
+            x0 = consensus.random_initial_state(net.n, seed)
+            loop_only(monkeypatch)
+            loop = consensus.run(net, x0, EPS)
+            force_switch_at(monkeypatch, 16)
+            fast = consensus.run(net, x0, EPS)
+            assert (fast.tau_eps, fast.rounds, fast.censored) == (loop.tau_eps, loop.rounds, loop.censored)
+            took_tail += fast.tail_from == 16
+        assert took_tail >= 12
+
+    def test_keeps_candidate_started_before_switch(self, monkeypatch):
+        net = sample_connected([60, 40], 0.5, 0.01, seed=1)
+        x0 = consensus.random_initial_state(net.n, 1)
+        loop_only(monkeypatch)
+        loop = consensus.run(net, x0, EPS)
+        # switch 5 or 6 rounds into the confirmation window of the loop's tau
+        switch = 2 * ((loop.tau_eps + 6) // 2)
+        force_switch_at(monkeypatch, switch)
+        fast = consensus.run(net, x0, EPS)
+        assert fast.tail_from == switch
+        assert (fast.tau_eps, fast.rounds) == (loop.tau_eps, loop.rounds)
+
+    def test_max_rounds_inside_tail_censors(self, monkeypatch):
+        net = sample_connected([60, 40], 0.5, 0.01, seed=1)
+        x0 = consensus.random_initial_state(net.n, 1)
+        force_switch_at(monkeypatch, 32)
+        result = consensus.run(net, x0, EPS, max_rounds=300)
+        assert result.tail_from == 32
+        assert result.tau_eps is None
+        assert result.censored
+        assert result.rounds == 300
+        assert len(result.error_trace) == 301
+
+    def test_uncertified_rounds_fall_back_to_loop(self, monkeypatch):
+        net = sample_connected([60, 40], 0.5, 0.01, seed=1)
+        x0 = consensus.random_initial_state(net.n, 1)
+        loop_only(monkeypatch)
+        loop = consensus.run(net, x0, EPS)
+        force_switch_at(monkeypatch, 32)
+        # a margin of a whole epsilon makes every round near tau ambiguous
+        monkeypatch.setattr(consensus, "MARGIN", 1.0)
+        fast = consensus.run(net, x0, EPS)
+        assert fast.tail_from is None
+        assert (fast.tau_eps, fast.rounds) == (loop.tau_eps, loop.rounds)
+        assert np.array_equal(fast.error_trace, loop.error_trace)
+
+    def test_unconverged_solve_falls_back_to_loop(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def unconverged(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        net = sample_connected([60, 40], 0.5, 0.01, seed=1)
+        x0 = consensus.random_initial_state(net.n, 1)
+        loop_only(monkeypatch)
+        loop = consensus.run(net, x0, EPS)
+        force_switch_at(monkeypatch, 32)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", unconverged)
+        fast = consensus.run(net, x0, EPS)
+        assert fast.tail_from is None
+        assert (fast.tau_eps, fast.rounds) == (loop.tau_eps, loop.rounds)
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_remainder_bound_covers_unsettled_state(self, modes):
+        from scipy.sparse.linalg import eigsh
+
+        net = sample_connected([40, 30], 0.5, 0.02, seed=3)
+        op = spectra.deflated_walk_operator(net, shift=1.0)
+        y0 = np.sqrt(net.degrees) * (consensus.random_initial_state(net.n, 3) - 0.5)
+        theta, vecs = eigsh(op, k=modes, which="LM", v0=y0, tol=0)
+        coef = vecs.T @ y0
+        dropped = np.linalg.norm(y0 - vecs @ coef)
+        resid = np.linalg.norm([op.matvec(v) - lam * v for lam, v in zip(theta, vecs.T)])
+        rho = np.abs(theta).min() + 2 * resid
+        s = np.arange(1, 301)
+        bound = consensus._remainder_bound(s, theta, coef, rho, resid, dropped, np.linalg.norm(y0))
+        y, gaps = y0, []
+        for step in s:
+            y = op.matvec(y)
+            gaps.append(np.linalg.norm(y - vecs @ (coef * theta**step)))
+        assert dropped > 0.1 * np.linalg.norm(y0)
+        assert np.all(np.asarray(gaps) <= bound)
+
+    def test_tiny_network_stays_on_loop(self, monkeypatch):
+        def no_tail(*args):
+            raise AssertionError("tail on a tiny network")
+
+        force_switch_at(monkeypatch, 4)
+        monkeypatch.setattr(consensus, "_tail", no_tail)
+        net = sample_connected([8, 8], 0.8, 0.05, seed=2)
+        result = consensus.run(net, consensus.random_initial_state(16, 2), EPS)
+        assert result.tail_from is None
+        assert not result.censored
+
+
+@st.composite
+def connected_two_community_graphs(draw):
+    sizes = [draw(st.integers(5, 60)), draw(st.integers(5, 60))]
+    p_in = draw(st.floats(0.3, 0.9))
+    # at least ~3 expected bridge edges, so that a connected sample is found
+    lo = min(p_in, 3.0 / (sizes[0] * sizes[1]))
+    p_out = min(p_in, lo + draw(st.floats(0.0, 1.0)) * (p_in - lo))
+    seed = draw(st.integers(0, 2**31 - 1))
+    return sample_connected(sizes, p_in, p_out, seed=seed), seed
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(connected_two_community_graphs())
+def test_tau_within_spectral_bound_property(case):
+    """The relative error after t rounds is at most mu2^t sqrt(2m / d_min), so
+    tau <= tau_bound(mu2) + 1 + ln sqrt(2m / d_min) / |ln mu2|. Without the
+    last term the bound is not a theorem: sizes 40,5, p_in 0.3, p_out 0.015,
+    seed 0 gives tau 51 against a bound of 49.8."""
+    net, seed = case
+    spec = spectra.normalized_laplacian_spectrum(net)
+    assume(spec.mu2_abs < 0.999)
+    result = consensus.run(net, consensus.random_initial_state(net.n, seed), EPS)
+    bound, _ = consensus.tau_bound(spec.mu2_abs, EPS)
+    spread = math.log(math.sqrt(net.degrees.sum() / net.degrees.min())) / abs(math.log(spec.mu2_abs))
+    assert result.tau_eps <= bound + 1 + spread

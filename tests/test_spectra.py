@@ -76,6 +76,35 @@ class TestFullSpectrum:
             spectra.normalized_laplacian_spectrum(net)
 
 
+def sparse_laplacian_eigenvalues(net):
+    """Oracle: eigenvalues of L = I - D^-1/2 A D^-1/2 built as sparse products, then densified."""
+    from scipy import sparse
+
+    inv_sqrt_d = sparse.diags(1.0 / np.sqrt(net.degrees.astype(float)))
+    lap = sparse.identity(net.n, format="csr") - inv_sqrt_d @ net.adjacency() @ inv_sqrt_d
+    return np.linalg.eigvalsh(lap.toarray())
+
+
+@pytest.mark.parametrize("sizes, p_in, p_out, seed", [
+    ([70, 30], 0.1, 0.01, 3), ([30, 70], 0.9, 0.003, 4), ([5, 5, 8], 0.6, 0.1, 5), ([200, 100, 50], 0.2, 0.02, 6),
+])
+def test_dense_build_matches_sparse_products_bitwise(sizes, p_in, p_out, seed):
+    model = sbm.make_two_level_model(sizes, sbm.TwoLevelProbs(p_in, p_out), seed)
+    net, _ = sbm.sample_connected(model)
+    dense = spectra.normalized_laplacian_spectrum(net).eigenvalues
+    assert dense.tobytes() == sparse_laplacian_eigenvalues(net).tobytes()
+
+
+@pytest.mark.parametrize("shift", [1.0, 2.0])
+def test_deflated_walk_operator_moves_only_the_top_eigenvalue(shift):
+    net = sample_two_level([20, 20], 0.5, 0.1, seed=3)
+    op = spectra.deflated_walk_operator(net, shift)
+    matrix = np.column_stack([op.matvec(col) for col in np.eye(net.n)])
+    walk = np.sort(1.0 - spectra.normalized_laplacian_spectrum(net).eigenvalues)
+    want = np.sort(np.append(walk[:-1], walk[-1] - shift))
+    assert np.linalg.eigvalsh(matrix) == pytest.approx(want, abs=1e-12)
+
+
 class TestLambda2Fast:
     def test_matches_closed_form_complete(self):
         assert spectra.lambda2_only(complete_graph(4)) == pytest.approx(4 / 3, abs=1e-8)
