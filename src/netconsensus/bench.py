@@ -218,22 +218,15 @@ def _fit_with_pole(deltas, taus, c):
     return a, rss
 
 
-def fit_reciprocal(rows, fix_pole: float | None = None) -> ReciprocalFit:
-    """Least squares of tau against a / (c - delta).
+def fit_reciprocal(deltas, taus, fix_pole: float | None = None) -> ReciprocalFit:
+    """Least squares of taus against a / (c - deltas).
 
-    rows may be SweepRow objects (censored-only rows are skipped) or a
-    (deltas, taus) pair of arrays. With fix_pole the problem reduces to a
-    one-parameter linear fit; otherwise the pole is located by a bounded
-    scalar minimization over c with the inner linear solve, constrained right
-    of the data.
+    With fix_pole the problem reduces to a one-parameter linear fit;
+    otherwise the pole is located by a bounded scalar minimization over c
+    with the inner linear solve, constrained right of the data.
     """
-    if isinstance(rows, tuple) and len(rows) == 2:
-        deltas = np.asarray(rows[0], dtype=float)
-        taus = np.asarray(rows[1], dtype=float)
-    else:
-        usable = [r for r in rows if r.tau_median is not None and r.error is None]
-        deltas = np.array([r.delta for r in usable], dtype=float)
-        taus = np.array([r.tau_median for r in usable], dtype=float)
+    deltas = np.asarray(deltas, dtype=float)
+    taus = np.asarray(taus, dtype=float)
     if deltas.size < 3:
         raise FitError(f"need >= 3 uncensored rows, got {deltas.size}")
     d_max = float(deltas.max())

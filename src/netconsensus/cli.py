@@ -63,15 +63,21 @@ def _model_from_settings(settings):
     return sbm.make_two_level_model(sizes, sbm.TwoLevelProbs(p_in, p_out), seed)
 
 
+def _parse_learning_rounds(value):
+    try:
+        return None if value in (None, "none") else int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"learning_rounds: {value!r} is not an integer or none") from None
+
+
 def _run_settings(settings):
     """The simulation settings shared by consensus, gadget and sweep."""
-    learning_rounds = _setting(settings, "learning_rounds", default=200)
     return {
         "nu": float(_setting(settings, "nu", default=0.1)),
         "epsilon": float(_setting(settings, "epsilon", default=1e-10)),
         "max_rounds": int(_setting(settings, "max_rounds", default=200_000)),
         "steps_per_round": int(_setting(settings, "steps_per_round", default=1)),
-        "learning_rounds": None if learning_rounds in (None, "none") else int(learning_rounds),
+        "learning_rounds": _parse_learning_rounds(_setting(settings, "learning_rounds", default=200)),
     }
 
 
@@ -79,10 +85,14 @@ def _resolve_dataset(ref, seed=0):
     """Dataset reference: a sparse-text path or blobs:N:D:MARGIN[:SEED]."""
     if ref.startswith("blobs:"):
         parts = ref.split(":")
+        bad = ValueError(f"bad blobs spec {ref!r}; want blobs:N:D:MARGIN[:SEED]")
         if len(parts) not in (4, 5):
-            raise ValueError(f"bad blobs spec {ref!r}; want blobs:N:D:MARGIN[:SEED]")
-        n, d, margin = int(parts[1]), int(parts[2]), float(parts[3])
-        blob_seed = int(parts[4]) if len(parts) == 5 else seed
+            raise bad
+        try:
+            n, d, margin = int(parts[1]), int(parts[2]), float(parts[3])
+            blob_seed = int(parts[4]) if len(parts) == 5 else seed
+        except ValueError:
+            raise bad from None
         return data.make_blobs(n, d, margin, seed=blob_seed)
     return data.load_sparse_text(ref)
 
@@ -282,9 +292,9 @@ def _read_fit_rows(path):
 
 
 def _cmd_fit(settings, out):
-    rows = _read_fit_rows(_setting(settings, "rows", required=True))
+    deltas, taus = _read_fit_rows(_setting(settings, "rows", required=True))
     fix_pole = _setting(settings, "fix_pole")
-    fit = bench.fit_reciprocal(rows, fix_pole=None if fix_pole is None else float(fix_pole))
+    fit = bench.fit_reciprocal(deltas, taus, fix_pole=None if fix_pole is None else float(fix_pole))
     _write_json(out / "fit.json", {
         "a": fit.a, "c": fit.c, "rss": fit.rss, "r2": fit.r2, "pole_fixed": fit.pole_fixed,
     })

@@ -43,7 +43,7 @@ __all__ = [
     "max_pairwise_gap",
 ]
 
-# share of the dataset held out for test accuracy when no test set is given
+# share of the dataset held out for test accuracy
 TEST_FRACTION = 0.25
 
 # relative margin around epsilon inside which the stop test falls back to the
@@ -193,30 +193,25 @@ def _gap_below(weights: np.ndarray, epsilon: float) -> bool:
     return max_pairwise_gap(weights) < epsilon
 
 
-def run_gadget(
-    net: Network,
-    dataset: LabeledDataset,
-    cfg: GadgetConfig,
-    test_dataset: LabeledDataset | None = None,
-) -> GadgetRun:
+def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig) -> GadgetRun:
     """Synchronous decentralized SVM over a connected network.
 
     Each round: steps_per_round Pegasos steps on every node (while the
     learning budget lasts), then the working weights enter the push-sum pair,
     one mixing exchange runs, and nodes adopt s/psw as their new weights.
     Stops when the max pairwise weight gap drops below epsilon, or reports a
-    censored run at max_rounds. A disconnected network raises ValueError.
+    censored run at max_rounds. A disconnected network or a dataset without
+    features raises ValueError.
     """
     if not is_connected(net):
         raise ValueError("run_gadget requires a connected network")
+    if dataset.d == 0:
+        raise ValueError("dataset has no features (d = 0)")
     n = net.n
 
     root = np.random.SeedSequence(cfg.seed)
     split_seed, part_seed, node_root = root.spawn(3)
-    if test_dataset is None:
-        train, test = train_test_split(dataset, TEST_FRACTION, seed=int(split_seed.generate_state(1)[0]))
-    else:
-        train, test = dataset, test_dataset
+    train, test = train_test_split(dataset, TEST_FRACTION, seed=int(split_seed.generate_state(1)[0]))
     if train.n_examples < n:
         raise ValueError(
             f"dataset has {train.n_examples} examples for {n} nodes; every shard must be nonempty"

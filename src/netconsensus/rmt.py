@@ -31,12 +31,9 @@ import numpy as np
 from .sbm import SbmModel, block_matrices
 
 __all__ = [
-    "StieltjesState",
     "SpectralPrediction",
-    "SingularPointError",
     "SupportNotFoundError",
     "Support",
-    "fixed_point",
     "bulk_density",
     "support_boundaries",
     "isolated_eigenvalues",
@@ -60,23 +57,8 @@ _EDGE_MAX_ITERS = 50_000
 _EDGE_RHO_TOL = 1e-6
 
 
-class SingularPointError(ArithmeticError):
-    """Fixed-point denominator collapsed below the singularity floor."""
-
-
 class SupportNotFoundError(RuntimeError):
     """The bulk edge solve failed, or the support leaves (0, 2)."""
-
-
-@dataclass(frozen=True, eq=False)
-class StieltjesState:
-    """Converged (or stalled) resolvent fixed point at one evaluation point."""
-
-    z: complex
-    t: np.ndarray
-    residual: float
-    converged: bool
-    iterations: int
 
 
 @dataclass(eq=False)
@@ -138,8 +120,8 @@ def _solve(kern, z, t0, max_iters, tol):
     below tol, converged if Im t <= 0 on every component (the physical
     branch), or when a denominator falls below _SINGULAR_FLOOR.
 
-    Returns (t, residual, iterations, converged, singular) per row; a
-    singular row's t is 1, which gives it zero density.
+    Returns (t, residual, iterations, converged) per row; a singular row is
+    not converged, and its t of 1 gives it zero density.
     """
     shift, mix, eye = z - 1.0, kern.mix, np.eye(kern.k)
     t = np.array(t0)
@@ -170,7 +152,7 @@ def _solve(kern, z, t0, max_iters, tol):
         work = work + step
     t[rows], res[rows] = work, r
     converged = ~singular & (res < tol) & (t.imag <= 0.0).all(axis=1)
-    return t, res, iters, converged, singular
+    return t, res, iters, converged
 
 
 def _default_t0(kern, z):
@@ -183,32 +165,6 @@ def _spectral_radius(mat) -> float:
     return float(np.abs(np.linalg.eigvals(mat)).max())
 
 
-def fixed_point(
-    model: SbmModel,
-    z,
-    t0=None,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
-) -> StieltjesState:
-    """Solve the resolvent system at one point z.
-
-    For Im(z) > 0 this converges to the unique physical solution with
-    Im(t_r) <= 0; for real z outside the bulk it converges to the stable
-    real branch. Non-convergence is reported in the returned state; a
-    collapsed denominator raises SingularPointError.
-    """
-    kern = _kernel(model)
-    z = np.array([z], dtype=complex if np.iscomplexobj(z) or np.iscomplexobj(t0) else float)
-    t0 = np.asarray(_default_t0(kern, z)[0] if t0 is None else t0, dtype=z.dtype)
-    if t0.shape != (kern.k,):
-        raise ValueError(f"t0 must have shape ({kern.k},)")
-    t, res, iters, ok, singular = _solve(kern, z, t0[None, :], max_iters, tol)
-    if singular[0]:
-        raise SingularPointError(f"denominator below {_SINGULAR_FLOOR} at z={z[0]}")
-    return StieltjesState(z=z[0].item(), t=t[0], residual=float(res[0]), converged=bool(ok[0]),
-                          iterations=int(iters[0]))
-
-
 def bulk_density(model: SbmModel, grid, eta: float = DEFAULT_ETA):
     """Bulk spectral density on a real grid, evaluated at z = lambda + i*eta.
 
@@ -219,7 +175,7 @@ def bulk_density(model: SbmModel, grid, eta: float = DEFAULT_ETA):
         raise ValueError("eta must be positive")
     kern = _kernel(model)
     z = np.asarray(grid, dtype=float) + 1j * eta
-    t, _res, _iters, ok, _singular = _solve(kern, z, _default_t0(kern, z), DEFAULT_MAX_ITERS, DEFAULT_TOL)
+    t, _res, _iters, ok = _solve(kern, z, _default_t0(kern, z), DEFAULT_MAX_ITERS, DEFAULT_TOL)
     density = np.maximum(0.0, -(t.imag @ kern.sizes) / (np.pi * kern.n))
     return density, {"eta": eta, "failed_points": np.flatnonzero(~ok).tolist()}
 
@@ -283,18 +239,16 @@ def support_boundaries(model: SbmModel) -> Support:
     return Support(1.0 - c, 1.0 + c, iterations)
 
 
-def isolated_eigenvalues(model: SbmModel, support=None):
+def isolated_eigenvalues(model: SbmModel, support):
     """Predicted isolated eigenvalues, ascending and with multiplicity.
 
     The roots of det(I + T(z) E N) on the noise-free resolvent
     T = 1/(z - 1) are 1 - eig(E N): the low-rank eigenvalues of the expected
     Laplacian, which the degree-normalized samples track. E N is similar to
     the symmetric N^1/2 E N^1/2. Values within EDGE_MARGIN of the support
-    count as bulk.
+    (left, right) of support_boundaries count as bulk.
     """
     kern = _kernel(model)
-    if support is None:
-        support = support_boundaries(model)
     root_n = np.sqrt(kern.sizes)
     values = 1.0 - np.linalg.eigvalsh(root_n[:, None] * kern.en / root_n[None, :])
     outside = (values < support[0] - EDGE_MARGIN) | (values > support[1] + EDGE_MARGIN)

@@ -14,7 +14,7 @@ class TestFitReciprocal:
     def test_noiseless_recovery_free_pole(self):
         deltas = np.linspace(0.0, 0.08, 9)
         taus = 5.0 / (0.1 - deltas)
-        fit = bench.fit_reciprocal((deltas, taus))
+        fit = bench.fit_reciprocal(deltas, taus)
         assert fit.a == pytest.approx(5.0, abs=1e-6)
         assert fit.c == pytest.approx(0.1, abs=1e-6)
         assert fit.r2 > 1 - 1e-9
@@ -23,7 +23,7 @@ class TestFitReciprocal:
     def test_noiseless_recovery_fixed_pole(self):
         deltas = np.linspace(0.0, 0.08, 9)
         taus = 5.0 / (0.1 - deltas)
-        fit = bench.fit_reciprocal((deltas, taus), fix_pole=0.1)
+        fit = bench.fit_reciprocal(deltas, taus, fix_pole=0.1)
         assert fit.a == pytest.approx(5.0, abs=1e-9)
         assert fit.pole_fixed
 
@@ -32,42 +32,22 @@ class TestFitReciprocal:
         rng = np.random.default_rng(seed)
         deltas = np.linspace(0.0, 0.08, 12)
         taus = 3.0 / (0.12 - deltas) * (1.0 + 0.01 * rng.standard_normal(12))
-        fit = bench.fit_reciprocal((deltas, taus))
+        fit = bench.fit_reciprocal(deltas, taus)
         assert fit.c == pytest.approx(0.12, rel=0.05)
 
     def test_insufficient_rows_rejected(self):
         with pytest.raises(bench.FitError):
-            bench.fit_reciprocal((np.array([0.0, 0.1]), np.array([1.0, 2.0])))
+            bench.fit_reciprocal(np.array([0.0, 0.1]), np.array([1.0, 2.0]))
 
     def test_pole_inside_data_rejected(self):
         deltas = np.array([0.0, 0.05, 0.1])
         with pytest.raises(bench.FitError):
-            bench.fit_reciprocal((deltas, 1.0 / (0.2 - deltas)), fix_pole=0.05)
-
-    def test_sweep_rows_accepted(self):
-        rows = [
-            bench.SweepRow(delta=d, p_out=0.1 - d, tau_median=2.0 / (0.1 - d), tau_iqr=0.0,
-                           lambda2_emp=None, lambda2_pred=0.5, lambdaL=0.8, censored=0)
-            for d in (0.0, 0.02, 0.04, 0.06)
-        ]
-        fit = bench.fit_reciprocal(rows, fix_pole=0.1)
-        assert fit.a == pytest.approx(2.0, abs=1e-9)
-
-    def test_censored_rows_skipped(self):
-        rows = [
-            bench.SweepRow(delta=d, p_out=0.1 - d, tau_median=2.0 / (0.1 - d), tau_iqr=0.0,
-                           lambda2_emp=None, lambda2_pred=0.5, lambdaL=0.8, censored=0)
-            for d in (0.0, 0.02, 0.04)
-        ]
-        rows.append(bench.SweepRow(delta=0.09, p_out=0.01, tau_median=None, tau_iqr=None,
-                                   lambda2_emp=None, lambda2_pred=0.1, lambdaL=0.8, censored=5))
-        fit = bench.fit_reciprocal(rows, fix_pole=0.1)
-        assert fit.a == pytest.approx(2.0, abs=1e-9)
+            bench.fit_reciprocal(deltas, 1.0 / (0.2 - deltas), fix_pole=0.05)
 
     def test_inverse_lambda2_form(self):
         lam2 = np.array([0.8, 0.4, 0.2, 0.1, 0.05])
         taus = 3.0 / lam2
-        fit = bench.fit_reciprocal((-lam2, taus), fix_pole=0.0)  # tau = a / (0 - (-lambda2))
+        fit = bench.fit_reciprocal(-lam2, taus, fix_pole=0.0)  # tau = a / (0 - (-lambda2))
         assert fit.a == pytest.approx(3.0, abs=1e-9)
         assert fit.r2 > 1 - 1e-12
 

@@ -265,6 +265,19 @@ def test_fit_rejects_non_finite_values(tmp_path, capsys, column, line):
     assert not (tmp_path / "fit.json").exists()
 
 
+@pytest.mark.parametrize("fix_pole", [[], ["--fix-pole", "0.1"]], ids=["free-pole", "fixed-pole"])
+def test_fit_skips_rows_without_tau(tmp_path, fix_pole):
+    header = "delta,p_out,tau_median,tau_iqr,lambda2_emp,lambda2_pred,lambdaL,censored\n"
+    body = "".join(f"{d!r},{0.1 - d!r},{2.0 / (0.1 - d)!r},0.0,0.5,0.5,0.8,0\n" for d in (0.0, 0.02, 0.04))
+    fits = []
+    for name, text in (("with", header + body + "0.09,0.01,,,0.1,0.1,0.8,5\n"), ("without", header + body)):
+        rows = tmp_path / f"{name}.csv"
+        rows.write_text(text)
+        assert cli(["fit", "--rows", str(rows), *fix_pole, "--out", str(tmp_path / name)]) == 0
+        fits.append((tmp_path / name / "fit.json").read_bytes())
+    assert fits[0] == fits[1]
+
+
 @pytest.mark.parametrize("sizes, token", [("10,x", "'x'"), ([10, "x"], "'x'"), ([10, 2.5], "2.5")],
                          ids=["flag", "config-string", "config-float"])
 def test_malformed_sizes_named(tmp_path, capsys, sizes, token):
@@ -277,6 +290,36 @@ def test_malformed_sizes_named(tmp_path, capsys, sizes, token):
         args = ["predict", "--config", str(cfg)] + model
     assert cli(args) == 1
     assert f"error: sizes: {token} is not an integer" in capsys.readouterr().err
+
+
+GADGET_MODEL = ["--sizes", "10,10", "--p-in", "0.9", "--p-out", "0.3"]
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("key, value, message", [
+    ("dataset", "blobs:400:x:2.0", "bad blobs spec 'blobs:400:x:2.0'; want blobs:N:D:MARGIN[:SEED]"),
+    ("learning_rounds", "abc", "learning_rounds: 'abc' is not an integer or none"),
+], ids=["dataset", "learning_rounds"])
+def test_malformed_gadget_settings_named(tmp_path, capsys, form, key, value, message):
+    settings = {"dataset": "blobs:400:2:2.0", key: value}
+    if form == "flag":
+        args = [arg for k, v in settings.items() for arg in (f"--{k.replace('_', '-')}", v)]
+    else:
+        cfg = tmp_path / "gadget.cfg"
+        cfg.write_text(json.dumps(settings))
+        args = ["--config", str(cfg)]
+    assert cli(["gadget", *GADGET_MODEL, *args, "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["blobs", "label-only-file"])
+def test_gadget_rejects_featureless_dataset(tmp_path, capsys, source):
+    ref = "blobs:400:0:2.0"
+    if source == "label-only-file":
+        ref = str(tmp_path / "labels.txt")
+        Path(ref).write_text("+1\n-1\n" * 200)
+    assert cli(["gadget", *GADGET_MODEL, "--dataset", ref, "--out", str(tmp_path / "o")]) == 1
+    assert "error: dataset has no features (d = 0)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", [{"p_out_list": []}, {"p_out_lo": 0.1, "p_out_hi": 0.5, "p_out_num": 0}],

@@ -224,7 +224,7 @@ class TestRunGadget:
 
         model = sbm.make_two_level_model([30], sbm.TwoLevelProbs(0.9, 0.9), 5)
         cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-8, max_rounds=10_000, learning_rounds=100, seed=6)
-        run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg, test_dataset=ds)
+        run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg)
         assert gossip.accuracy(run.final_weights, X, y) >= oracle_acc - 0.02
 
     def test_dataset_smaller_than_network_rejected(self):

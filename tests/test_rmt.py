@@ -26,27 +26,35 @@ def semicircle_sigma2(n, p):
     return (1.0 - p) / (n * p)
 
 
+def solve_at(model, z, max_iters=rmt.DEFAULT_MAX_ITERS, tol=rmt.DEFAULT_TOL):
+    """rmt._solve at the one point z from its default start: (t, residual, iterations, converged)."""
+    kern = rmt._kernel(model)
+    z = np.array([z])
+    t, res, iters, ok = rmt._solve(kern, z, rmt._default_t0(kern, z), max_iters, tol)
+    return t[0], res[0], iters[0], ok[0]
+
+
 class TestFixedPoint:
     def test_k1_matches_quadratic_closed_form(self):
         # scalar case: t = 1/(z - 1 - s2 t) solves s2 t^2 - (z-1) t + 1 = 0
         n, p = 1000, 0.1
         s2 = semicircle_sigma2(n, p)
         z = 1 + 0.01j
-        state = rmt.fixed_point(er_model(n, p), z)
-        assert state.converged
+        t, _res, _iters, ok = solve_at(er_model(n, p), z)
+        assert ok
         disc = np.sqrt((z - 1) ** 2 - 4 * s2 + 0j)
         candidates = [((z - 1) + disc) / (2 * s2), ((z - 1) - disc) / (2 * s2)]
-        physical = [t for t in candidates if t.imag <= 0]
+        physical = [c for c in candidates if c.imag <= 0]
         assert len(physical) == 1
-        assert abs(state.t[0] - physical[0]) < 1e-10
-        assert state.t[0].imag <= 0
+        assert abs(t[0] - physical[0]) < 1e-10
+        assert t[0].imag <= 0
 
     def test_zero_variance_exact(self):
         model = two_level([5, 5], 1.0, 1.0)
         z = 0.3 + 0.05j
-        state = rmt.fixed_point(model, z)
-        assert state.converged
-        assert np.allclose(state.t, 1.0 / (z - 1.0), atol=1e-14)
+        t, _res, _iters, ok = solve_at(model, z)
+        assert ok
+        assert np.allclose(t, 1.0 / (z - 1.0), atol=1e-14)
 
     def test_k2_matches_newton_oracle(self):
         # independent multi-start Newton solve of the 2-equation system
@@ -73,25 +81,23 @@ class TestFixedPoint:
                 if np.all(t.imag <= 1e-12):
                     solutions.append(t)
         assert solutions, "oracle found no physical root"
-        state = rmt.fixed_point(two_level([700, 300], 0.1, 0.02), z, tol=1e-13)
-        assert state.converged
-        matches = [t for t in solutions if np.max(np.abs(t - state.t)) < 1e-8]
+        t_fp, _res, _iters, ok = solve_at(two_level([700, 300], 0.1, 0.02), z, tol=1e-13)
+        assert ok
+        matches = [t for t in solutions if np.max(np.abs(t - t_fp)) < 1e-8]
         assert matches, "fixed point disagrees with every Newton root"
 
     def test_resolvent_sign_on_grid(self):
         model = two_level([700, 300], 0.1, 0.02)
         for lam in np.linspace(0.7, 1.3, 13):
-            state = rmt.fixed_point(model, complex(lam, 1e-3))
-            assert state.converged
-            assert np.all(state.t.imag <= 1e-12)
+            t, _res, _iters, ok = solve_at(model, complex(lam, 1e-3))
+            assert ok
+            assert np.all(t.imag <= 1e-12)
 
-    def test_singular_point_raises(self):
-        with pytest.raises(rmt.SingularPointError):
-            rmt.fixed_point(two_level([5, 5], 1.0, 1.0), 1.0)
-
-    def test_bad_t0_shape_rejected(self):
-        with pytest.raises(ValueError):
-            rmt.fixed_point(er_model(100, 0.5), 1 + 0.1j, t0=np.zeros(3))
+    def test_singular_point_not_converged(self):
+        # zero variance at z = 1: the denominator z - 1 - M t is exactly 0
+        t, _res, _iters, ok = solve_at(two_level([5, 5], 1.0, 1.0), 1.0)
+        assert not ok
+        assert np.all(t == 1.0)
 
 
 class TestBulkDensity:
@@ -128,11 +134,11 @@ class TestBulkDensity:
 
     def test_nonconvergence_reported_with_residual(self):
         # a point inside the bulk with a real start cannot converge; the
-        # state must report that rather than raise
-        state = rmt.fixed_point(two_level([700, 300], 0.1, 0.02), 1.0005, max_iters=50)
-        assert not state.converged
-        assert np.isfinite(state.residual) and state.residual > 0
-        assert state.iterations == 50
+        # solve must report that rather than raise
+        _t, res, iters, ok = solve_at(two_level([700, 300], 0.1, 0.02), 1.0005, max_iters=50)
+        assert not ok
+        assert np.isfinite(res) and res > 0
+        assert iters == 50
 
     def test_rejects_nonpositive_eta(self):
         with pytest.raises(ValueError):
@@ -325,13 +331,12 @@ def test_fixed_point_equals_batched_row():
     kern = rmt._kernel(model)
     lam_l, lam_r = rmt.support_boundaries(model)
     z = np.linspace(lam_l - 0.02, lam_r + 0.02, 9) + 1e-3j
-    t, _res, _iters, ok, _singular = rmt._solve(kern, z, rmt._default_t0(kern, z), rmt.DEFAULT_MAX_ITERS,
-                                                rmt.DEFAULT_TOL)
+    t, _res, _iters, ok = rmt._solve(kern, z, rmt._default_t0(kern, z), rmt.DEFAULT_MAX_ITERS, rmt.DEFAULT_TOL)
     assert ok.all()
     for zi, row in zip(z, t):
-        state = rmt.fixed_point(model, zi)
-        assert state.converged
-        assert np.abs(state.t - row).max() <= 1e-12 * np.abs(row).max()
+        t_one, _res, _iters, ok_one = solve_at(model, zi)
+        assert ok_one
+        assert np.abs(t_one - row).max() <= 1e-12 * np.abs(row).max()
 
 
 def test_unconverged_density_point_flagged_not_raised(monkeypatch):
@@ -349,13 +354,14 @@ def test_unconverged_density_point_flagged_not_raised(monkeypatch):
 class TestIsolatedEigenvalues:
     def test_delta_zero_single_trivial_root(self):
         # rank-1 expectation: only the trivial root near 0 survives
-        roots = rmt.isolated_eigenvalues(two_level([400, 600], 0.1, 0.1))
+        model = two_level([400, 600], 0.1, 0.1)
+        roots = rmt.isolated_eigenvalues(model, rmt.support_boundaries(model))
         assert len(roots) == 1
         assert roots[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_disconnected_equal_blocks_double_root(self):
         model = two_level([500, 500], 0.1, 0.0)
-        roots = rmt.isolated_eigenvalues(model)
+        roots = rmt.isolated_eigenvalues(model, rmt.support_boundaries(model))
         assert len(roots) == 2
         assert roots[0] == pytest.approx(roots[1], abs=1e-6)
         pred = rmt.predict(model, with_density=False)
@@ -365,7 +371,7 @@ class TestIsolatedEigenvalues:
         # nontrivial root ~ 2 p_out/(p_in + p_out), the lambda2 of E[Lhat]
         n = 1000
         model = two_level([500, 500], 0.1, 0.02)
-        roots = rmt.isolated_eigenvalues(model)
+        roots = rmt.isolated_eigenvalues(model, rmt.support_boundaries(model))
         assert len(roots) == 2
         oracle = _expected_laplacian_spectrum([500, 500], model.edge_probs)[1]
         assert abs(roots[1] - oracle) < 0.05
