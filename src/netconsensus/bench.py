@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,30 +50,30 @@ class SweepConfig:
 
     p_out_list values must lie in (0, p_in]. mode is "scalar" (consensus of
     random scalars) or "gadget" (decentralized SVM; pass the dataset to
-    sweep() and record its origin in dataset_ref).
+    sweep() and record its origin in dataset_ref, unset in scalar mode).
     """
 
     sizes: tuple
     p_in: float
     p_out_list: tuple
     seeds_per_point: int
-    epsilon: float
+    run: gossip.GadgetConfig = field(default_factory=gossip.GadgetConfig)
     mode: str = "scalar"
     base_seed: int = 0
-    max_rounds: int = 200_000
     workers: int = 1
     dataset_ref: str | None = None
-    nu: float = 0.1
-    steps_per_round: int = 1
-    learning_rounds: int | None = 200
 
     def __post_init__(self) -> None:
         self.sizes = tuple(int(s) for s in self.sizes)
         self.p_out_list = tuple(float(p) for p in self.p_out_list)
         if self.mode not in ("scalar", "gadget"):
             raise ValueError(f"mode must be 'scalar' or 'gadget', got {self.mode!r}")
+        if self.mode == "scalar" and self.dataset_ref is not None:
+            raise ValueError(f"a scalar sweep uses no dataset, got dataset {self.dataset_ref!r}")
         if self.seeds_per_point < 1:
             raise ValueError("seeds_per_point must be >= 1")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not self.p_out_list:
             raise ValueError("p_out_list is empty: a sweep needs at least one point")
         for p in self.p_out_list:
@@ -124,20 +124,11 @@ def _point_seeds(base_seed: int, num_points: int, seeds_per_point: int):
 
 def _scalar_run(cfg: SweepConfig, net, run_seed: int):
     x0 = consensus.random_initial_state(net.n, run_seed)
-    return consensus.run(net, x0, cfg.epsilon, max_rounds=cfg.max_rounds).tau_eps, None
+    return consensus.run(net, x0, cfg.run.epsilon, max_rounds=cfg.run.max_rounds).tau_eps, None
 
 
 def _gadget_run(cfg: SweepConfig, net, run_seed: int, dataset: LabeledDataset):
-    gcfg = gossip.GadgetConfig(
-        nu=cfg.nu,
-        epsilon=cfg.epsilon,
-        max_rounds=cfg.max_rounds,
-        steps_per_round=cfg.steps_per_round,
-        learning_rounds=cfg.learning_rounds,
-        seed=run_seed,
-        record_trace=False,
-    )
-    result = gossip.run_gadget(net, dataset, gcfg)
+    result = gossip.run_gadget(net, dataset, cfg.run, seed=run_seed, record_trace=False)
     return result.rounds_to_consensus, result.test_accuracy
 
 

@@ -4,13 +4,15 @@ Subcommands: sample, spectrum, predict, consensus, gadget, sweep, fit,
 bifurcation. Settings live in one namespace: --config names a flat
 key/value JSON file whose keys are the long flag names with underscores
 (p_in, max_rounds, connected, ...), and every flag given on the command line
-overrides the config value of the same name. A few settings have no flag
-and come only from the config, e.g. learning_rounds, nu and steps_per_round
-of a sweep, and trace of consensus; learning_rounds may be "none" (learn on
-every round). Outputs are JSON/CSV files under --out (default out/), all
-written here; CSV floats are written at full precision, and spectrum's
-eigenvalues.csv holds one plain float per line. Exit codes: 0 success, 1
-runtime failure, 2 usage error.
+overrides the config value of the same name; a config number is read as its
+flag reads it (an integer takes 5 or "5", not 2.5), a null counts as unset,
+and a bad value's error names its setting. A few settings have no flag and
+come only from the config, e.g. learning_rounds, nu and steps_per_round of a
+sweep, and trace of consensus; learning_rounds may be "none" (learn on every
+round). The run settings' defaults and checks live in gossip.GadgetConfig.
+Outputs are JSON/CSV files under --out (default out/), all written here; CSV
+floats are written at full precision, and spectrum's eigenvalues.csv holds
+one plain float per line. Exit codes: 0 success, 1 runtime failure, 2 usage.
 """
 
 from __future__ import annotations
@@ -36,12 +38,30 @@ def _load_config(path):
     return doc
 
 
+# every numeric setting: the reader its flag uses (given str(value)), and what a rejected value is not
+_NUMERIC = {
+    **dict.fromkeys(("seed", "base_seed", "max_rounds", "steps_per_round", "seeds_per_point", "workers", "bins",
+                     "grid_points", "p_out_num"), (int, "an integer")),
+    **dict.fromkeys(("p_in", "p_out", "epsilon", "nu", "eta", "fix_pole", "p_out_lo", "p_out_hi"),
+                    (float, "a number")),
+    "learning_rounds": (lambda text: None if text == "none" else int(text), "an integer or none"),
+}
+
+
 def _setting(settings, key, default=None, required=False):
-    """Merged flag/config value of key, else default."""
-    val = settings.get(key, default)
-    if required and val is None:
-        raise ValueError(f"missing required setting {key!r} (flag or config)")
-    return val
+    """Merged flag/config value of key, else default; a numeric one goes through its _NUMERIC reader."""
+    val = settings.get(key)
+    if val is None:
+        if required:
+            raise ValueError(f"missing required setting {key!r} (flag or config)")
+        return default
+    if key not in _NUMERIC:
+        return val
+    read, kind = _NUMERIC[key]
+    try:
+        return read(str(val))
+    except ValueError:
+        raise ValueError(f"{key}: {val!r} is not {kind}") from None
 
 
 def _parse_sizes(value):
@@ -57,28 +77,15 @@ def _parse_sizes(value):
 
 def _model_from_settings(settings):
     sizes = _parse_sizes(_setting(settings, "sizes", required=True))
-    p_in = float(_setting(settings, "p_in", required=True))
-    p_out = float(_setting(settings, "p_out", required=True))
-    seed = int(_setting(settings, "seed", default=0))
-    return sbm.make_two_level_model(sizes, sbm.TwoLevelProbs(p_in, p_out), seed)
+    probs = sbm.TwoLevelProbs(_setting(settings, "p_in", required=True), _setting(settings, "p_out", required=True))
+    return sbm.make_two_level_model(sizes, probs, _setting(settings, "seed", default=0))
 
 
-def _parse_learning_rounds(value):
-    try:
-        return None if value in (None, "none") else int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"learning_rounds: {value!r} is not an integer or none") from None
-
-
-def _run_settings(settings):
-    """The simulation settings shared by consensus, gadget and sweep."""
-    return {
-        "nu": float(_setting(settings, "nu", default=0.1)),
-        "epsilon": float(_setting(settings, "epsilon", default=1e-10)),
-        "max_rounds": int(_setting(settings, "max_rounds", default=200_000)),
-        "steps_per_round": int(_setting(settings, "steps_per_round", default=1)),
-        "learning_rounds": _parse_learning_rounds(_setting(settings, "learning_rounds", default=200)),
-    }
+def _run_config(settings):
+    """The run settings that were given, as a GadgetConfig: it holds the defaults and the checks."""
+    unset = object()
+    given = {f.name: _setting(settings, f.name, default=unset) for f in dataclasses.fields(gossip.GadgetConfig)}
+    return gossip.GadgetConfig(**{key: val for key, val in given.items() if val is not unset})
 
 
 def _resolve_dataset(ref, seed=0):
@@ -93,6 +100,8 @@ def _resolve_dataset(ref, seed=0):
             blob_seed = int(parts[4]) if len(parts) == 5 else seed
         except ValueError:
             raise bad from None
+        if n < 0 or d < 0:
+            raise bad
         return data.make_blobs(n, d, margin, seed=blob_seed)
     return data.load_sparse_text(ref)
 
@@ -145,7 +154,7 @@ def _cmd_spectrum(settings, out):
     net = _load_network(settings)
     spec = spectra.normalized_laplacian_spectrum(net)
     _write_csv(out / "eigenvalues.csv", None, ([v] for v in spec.eigenvalues))
-    counts, edges = np.histogram(spec.eigenvalues, bins=int(_setting(settings, "bins", default=80)))
+    counts, edges = np.histogram(spec.eigenvalues, bins=_setting(settings, "bins", default=80))
     _write_json(out / "histogram.json", {"bin_edges": edges.tolist(), "counts": counts.tolist()})
     _write_json(out / "spectrum.json", {
         "n": net.n,
@@ -158,8 +167,8 @@ def _cmd_spectrum(settings, out):
 
 def _cmd_predict(settings, out):
     model = _model_from_settings(settings)
-    eta = float(_setting(settings, "eta", default=rmt.DEFAULT_ETA))
-    grid_points = int(_setting(settings, "grid_points", default=401))
+    eta = _setting(settings, "eta", default=rmt.DEFAULT_ETA)
+    grid_points = _setting(settings, "grid_points", default=401)
     pred = rmt.predict(model, grid_spec=grid_points, eta=eta)
     _write_json(out / "prediction.json", pred.to_json_dict())
     _write_csv(out / "prediction.csv", ["lambda", "density"], zip(pred.grid, pred.density))
@@ -168,11 +177,11 @@ def _cmd_predict(settings, out):
 
 def _cmd_consensus(settings, out):
     model = _model_from_settings(settings)
-    run = _run_settings(settings)
+    run = _run_config(settings)
     net, _ = sbm.sample_connected(model)
     spec = spectra.normalized_laplacian_spectrum(net)
     x0 = consensus.random_initial_state(net.n, model.seed)
-    result = consensus.run(net, x0, run["epsilon"], max_rounds=run["max_rounds"])
+    result = consensus.run(net, x0, run.epsilon, max_rounds=run.max_rounds)
     p_in = float(model.edge_probs[0, 0])
     p_out = float(model.edge_probs[0, 1]) if model.num_communities > 1 else p_in
     _write_json(out / "consensus.json", {
@@ -181,7 +190,7 @@ def _cmd_consensus(settings, out):
         "p_in": p_in,
         "p_out": p_out,
         "delta": p_in - p_out,
-        "epsilon": run["epsilon"],
+        "epsilon": run.epsilon,
         "tau_eps": result.tau_eps,
         "censored": result.censored,
         "tail_from": result.tail_from,
@@ -197,15 +206,11 @@ def _cmd_gadget(settings, out):
     model = _model_from_settings(settings)
     dataset_ref = _setting(settings, "dataset", required=True)
     dataset = _resolve_dataset(dataset_ref, seed=model.seed)
-    cfg = gossip.GadgetConfig(**_run_settings(settings), seed=model.seed)
+    cfg = _run_config(settings)
     net, _ = sbm.sample_connected(model)
-    result = gossip.run_gadget(net, dataset, cfg)
+    result = gossip.run_gadget(net, dataset, cfg, seed=model.seed)
     _write_json(out / "gadget.json", {
-        "config": {
-            "nu": cfg.nu, "epsilon": cfg.epsilon, "max_rounds": cfg.max_rounds,
-            "steps_per_round": cfg.steps_per_round, "learning_rounds": cfg.learning_rounds,
-            "seed": cfg.seed, "dataset": dataset_ref,
-        },
+        "config": {**dataclasses.asdict(cfg), "seed": model.seed, "dataset": dataset_ref},
         "rounds_to_consensus": result.rounds_to_consensus,
         "censored": result.censored,
         "final_accuracy": result.test_accuracy,
@@ -220,19 +225,17 @@ def _cmd_gadget(settings, out):
 def _sweep_config(settings):
     p_out_list = _setting(settings, "p_out_list")
     if p_out_list is None:
-        lo = float(_setting(settings, "p_out_lo", required=True))
-        hi = float(_setting(settings, "p_out_hi", required=True))
-        num = int(_setting(settings, "p_out_num", required=True))
-        p_out_list = bench.log_spaced(lo, hi, num)
+        grid = (_setting(settings, k, required=True) for k in ("p_out_lo", "p_out_hi", "p_out_num"))
+        p_out_list = bench.log_spaced(*grid)
     return bench.SweepConfig(
-        **_run_settings(settings),
         sizes=_parse_sizes(_setting(settings, "sizes", required=True)),
-        p_in=float(_setting(settings, "p_in", required=True)),
-        p_out_list=tuple(float(p) for p in p_out_list),
-        seeds_per_point=int(_setting(settings, "seeds_per_point", default=5)),
-        mode=str(_setting(settings, "mode", default="scalar")),
-        base_seed=int(_setting(settings, "seed", default=_setting(settings, "base_seed") or 0)),
-        workers=int(_setting(settings, "workers", default=1)),
+        p_in=_setting(settings, "p_in", required=True),
+        p_out_list=p_out_list,
+        seeds_per_point=_setting(settings, "seeds_per_point", default=5),
+        run=_run_config(settings),
+        mode=_setting(settings, "mode", default="scalar"),
+        base_seed=_setting(settings, "seed", default=_setting(settings, "base_seed", default=0)),
+        workers=_setting(settings, "workers", default=1),
         dataset_ref=_setting(settings, "dataset"),
     )
 
@@ -243,11 +246,9 @@ SWEEP_COLUMNS = ("delta", "p_out", "tau_median", "tau_iqr", "lambda2_emp", "lamb
 
 def _cmd_sweep(settings, out):
     cfg = _sweep_config(settings)
-    dataset = None
-    if cfg.mode == "gadget":
-        if cfg.dataset_ref is None:
-            raise ValueError("gadget sweep requires a dataset setting")
-        dataset = _resolve_dataset(cfg.dataset_ref, seed=cfg.base_seed)
+    if cfg.mode == "gadget" and cfg.dataset_ref is None:
+        raise ValueError("gadget sweep requires a dataset setting")
+    dataset = None if cfg.dataset_ref is None else _resolve_dataset(cfg.dataset_ref, seed=cfg.base_seed)
 
     with (out / "rows.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -293,8 +294,7 @@ def _read_fit_rows(path):
 
 def _cmd_fit(settings, out):
     deltas, taus = _read_fit_rows(_setting(settings, "rows", required=True))
-    fix_pole = _setting(settings, "fix_pole")
-    fit = bench.fit_reciprocal(deltas, taus, fix_pole=None if fix_pole is None else float(fix_pole))
+    fit = bench.fit_reciprocal(deltas, taus, fix_pole=_setting(settings, "fix_pole"))
     _write_json(out / "fit.json", {
         "a": fit.a, "c": fit.c, "rss": fit.rss, "r2": fit.r2, "pole_fixed": fit.pole_fixed,
     })
@@ -303,7 +303,7 @@ def _cmd_fit(settings, out):
 
 def _cmd_bifurcation(settings, out):
     sizes = _parse_sizes(_setting(settings, "sizes", required=True))
-    p_in = float(_setting(settings, "p_in", required=True))
+    p_in = _setting(settings, "p_in", required=True)
     grid_spec = _setting(settings, "delta_grid", required=True)
     if isinstance(grid_spec, (list, tuple)):
         grid = [float(v) for v in grid_spec]

@@ -55,9 +55,10 @@ _BRACKET_MARGIN = 1e-9
 _BLOCK_VALUES = 1 << 17
 
 
-@dataclass
+@dataclass(frozen=True)
 class GadgetConfig:
-    """Knobs for a decentralized SVM run.
+    """The run settings with their defaults and checks: scalar consensus reads
+    epsilon and max_rounds (0 is a legal, censored run), the SVM all five.
 
     learning_rounds bounds how many rounds include local subgradient steps;
     None keeps learning on every round, but the 1/(nu*t) step size then
@@ -66,19 +67,23 @@ class GadgetConfig:
     remaining gap.
     """
 
-    nu: float
-    epsilon: float
-    max_rounds: int
+    nu: float = 0.1
+    epsilon: float = 1e-10
+    max_rounds: int = 200_000
     steps_per_round: int = 1
     learning_rounds: int | None = 200
-    seed: int = 0
-    record_trace: bool = True
 
     def __post_init__(self) -> None:
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not self.nu > 0:
+            raise ValueError(f"nu must be > 0, got {self.nu}")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if self.max_rounds < 0:
+            raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds}")
+        if self.steps_per_round < 1:
+            raise ValueError(f"steps_per_round must be >= 1, got {self.steps_per_round}")
+        if self.learning_rounds is not None and self.learning_rounds < 0:
+            raise ValueError(f"learning_rounds must be None or >= 0, got {self.learning_rounds}")
 
 
 @dataclass(eq=False)
@@ -193,15 +198,17 @@ def _gap_below(weights: np.ndarray, epsilon: float) -> bool:
     return max_pairwise_gap(weights) < epsilon
 
 
-def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig) -> GadgetRun:
+def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: int = 0,
+               record_trace: bool = True) -> GadgetRun:
     """Synchronous decentralized SVM over a connected network.
 
     Each round: steps_per_round Pegasos steps on every node (while the
     learning budget lasts), then the working weights enter the push-sum pair,
     one mixing exchange runs, and nodes adopt s/psw as their new weights.
     Stops when the max pairwise weight gap drops below epsilon, or reports a
-    censored run at max_rounds. A disconnected network or a dataset without
-    features raises ValueError.
+    censored run at max_rounds. seed fixes the data split and the example
+    streams; record_trace keeps the per-round traces. A disconnected network
+    or a dataset without features raises ValueError.
     """
     if not is_connected(net):
         raise ValueError("run_gadget requires a connected network")
@@ -209,7 +216,7 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig) -> Gadg
         raise ValueError("dataset has no features (d = 0)")
     n = net.n
 
-    root = np.random.SeedSequence(cfg.seed)
+    root = np.random.SeedSequence(seed)
     split_seed, part_seed, node_root = root.spawn(3)
     train, test = train_test_split(dataset, TEST_FRACTION, seed=int(split_seed.generate_state(1)[0]))
     if train.n_examples < n:
@@ -247,7 +254,7 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig) -> Gadg
                 pegasos_step(weights, rows[j], labels[j], cfg.nu, t)
         sums, psw = push_sum_round(mix, weights * psw[:, None], psw)
         weights = sums / psw[:, None]
-        if cfg.record_trace:
+        if record_trace:
             gap = max_pairwise_gap(weights)
             gap_trace.append(gap)
             if learning or not obj_trace:

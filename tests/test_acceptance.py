@@ -98,10 +98,9 @@ def test_04_reciprocal_law_sparse_sweep():
             p_in=0.1,
             p_out_list=bench.log_spaced(1e-3, 0.1, 12),
             seeds_per_point=5,
-            epsilon=1e-10,
+            run=gossip.GadgetConfig(epsilon=1e-10, max_rounds=60_000),
             mode="scalar",
             base_seed=404,
-            max_rounds=60_000,
         )
         rows = bench.sweep(cfg)
         assert all(r.error is None for r in rows)
@@ -205,13 +204,9 @@ def test_08_gadget_reciprocal_shape():
             p_in=0.9,
             p_out_list=bench.log_spaced(1e-3, 0.9, 10),
             seeds_per_point=3,
-            epsilon=1e-10,
+            run=gossip.GadgetConfig(nu=0.1, epsilon=1e-10, max_rounds=200_000, steps_per_round=1, learning_rounds=200),
             mode="gadget",
             base_seed=808,
-            max_rounds=200_000,
-            nu=0.1,
-            steps_per_round=1,
-            learning_rounds=200,
         )
         rows = bench.sweep(cfg, dataset=dataset)
         assert all(r.error is None for r in rows)

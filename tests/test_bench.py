@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netconsensus import bench, cli, consensus, data, sbm
+from netconsensus import bench, cli, consensus, data, gossip, sbm
 
 
 class TestFitReciprocal:
@@ -68,7 +68,7 @@ class TestSweep:
     def make_config(self, **overrides):
         base = dict(
             sizes=(25, 25), p_in=0.5, p_out_list=(0.2,), seeds_per_point=1,
-            epsilon=1e-8, mode="scalar", base_seed=3, max_rounds=20_000,
+            run=gossip.GadgetConfig(epsilon=1e-8, max_rounds=20_000), mode="scalar", base_seed=3,
         )
         base.update(overrides)
         return bench.SweepConfig(**base)
@@ -141,7 +141,7 @@ class TestSweep:
         ds = data.make_blobs(300, 4, margin=2.0, seed=5)
         cfg = self.make_config(
             sizes=(10, 15), p_in=0.8, p_out_list=(0.2, 0.6), mode="gadget",
-            epsilon=1e-8, max_rounds=20_000, learning_rounds=30,
+            run=gossip.GadgetConfig(epsilon=1e-8, max_rounds=20_000, learning_rounds=30),
         )
         rows = bench.sweep(cfg, dataset=ds)
         assert len(rows) == 2

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netconsensus import bench, consensus, rmt, sbm, spectra
+from netconsensus import bench, consensus, gossip, rmt, sbm, spectra
 from netconsensus.cli import SWEEP_COLUMNS, cli
 from test_bench import read_rows_csv, same_float
 
@@ -161,6 +161,8 @@ def test_sweep_then_fit_pipeline(tmp_path):
         assert len(list(csv.DictReader(fh))) == 4
     sidecar = json.loads((out / "sweep.json").read_text())
     assert sidecar["rows"] == 4
+    assert sidecar["config"]["run"] == {"nu": 0.1, "epsilon": 1e-8, "max_rounds": 20000, "steps_per_round": 1,
+                                        "learning_rounds": 200}
     assert "timestamp" in sidecar
 
     assert cli(["fit", "--rows", str(out / "rows.csv"), "--fix-pole", "0.6",
@@ -179,7 +181,10 @@ def test_sweep_rows_csv_matches_sweep_rows(tmp_path):
     cfg.write_text(json.dumps(SWEEP_SETTINGS))
     out = tmp_path / "o"
     assert cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    rows = bench.sweep(bench.SweepConfig(**SWEEP_SETTINGS))
+    run = gossip.GadgetConfig(epsilon=SWEEP_SETTINGS["epsilon"], max_rounds=SWEEP_SETTINGS["max_rounds"])
+    rows = bench.sweep(bench.SweepConfig(sizes=SWEEP_SETTINGS["sizes"], p_in=SWEEP_SETTINGS["p_in"],
+                                         p_out_list=SWEEP_SETTINGS["p_out_list"], seeds_per_point=1,
+                                         run=run, base_seed=SWEEP_SETTINGS["base_seed"]))
     back = read_rows_csv(out / "rows.csv")
     assert len(back) == len(rows) == 2
     for got, want in zip(back, rows):
@@ -299,7 +304,13 @@ GADGET_MODEL = ["--sizes", "10,10", "--p-in", "0.9", "--p-out", "0.3"]
 @pytest.mark.parametrize("key, value, message", [
     ("dataset", "blobs:400:x:2.0", "bad blobs spec 'blobs:400:x:2.0'; want blobs:N:D:MARGIN[:SEED]"),
     ("learning_rounds", "abc", "learning_rounds: 'abc' is not an integer or none"),
-], ids=["dataset", "learning_rounds"])
+    ("dataset", "blobs:400:-1:2.0", "bad blobs spec 'blobs:400:-1:2.0'; want blobs:N:D:MARGIN[:SEED]"),
+    ("dataset", "blobs:-4:2:2.0", "bad blobs spec 'blobs:-4:2:2.0'; want blobs:N:D:MARGIN[:SEED]"),
+    ("learning_rounds", "-5", "learning_rounds must be None or >= 0, got -5"),
+    ("steps_per_round", "0", "steps_per_round must be >= 1, got 0"),
+    ("max_rounds", "-5", "max_rounds must be >= 0, got -5"),
+], ids=["dataset", "learning_rounds", "blobs-negative-d", "blobs-negative-n", "learning_rounds-negative",
+        "steps_per_round-zero", "max_rounds-negative"])
 def test_malformed_gadget_settings_named(tmp_path, capsys, form, key, value, message):
     settings = {"dataset": "blobs:400:2:2.0", key: value}
     if form == "flag":
@@ -310,6 +321,56 @@ def test_malformed_gadget_settings_named(tmp_path, capsys, form, key, value, mes
         args = ["--config", str(cfg)]
     assert cli(["gadget", *GADGET_MODEL, *args, "--out", str(tmp_path / "o")]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_consensus_rejects_negative_max_rounds(tmp_path, capsys):
+    assert cli(["consensus", *GADGET_MODEL, "--max-rounds", "-5", "--out", str(tmp_path / "o")]) == 1
+    assert "error: max_rounds must be >= 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "consensus.json").exists()
+
+
+MODEL_SETTINGS = {"sizes": [6, 6], "p_in": 0.9, "p_out": 0.3}
+# a valid config of each command, and the numeric settings it reads
+NUMERIC_SETTINGS = {
+    "sample": (MODEL_SETTINGS, ("seed", "p_in", "p_out")),
+    "spectrum": (MODEL_SETTINGS, ("bins",)),
+    "predict": (MODEL_SETTINGS, ("eta", "grid_points")),
+    "gadget": ({**MODEL_SETTINGS, "dataset": "blobs:100:3:2.0:1"},
+               ("max_rounds", "steps_per_round", "learning_rounds", "epsilon", "nu")),
+    "sweep": ({"sizes": [6, 6], "p_in": 0.9, "p_out_lo": 0.1, "p_out_hi": 0.5, "p_out_num": 2},
+              ("seeds_per_point", "workers", "p_out_num", "p_out_lo", "p_out_hi")),
+    "fit": ({}, ("fix_pole",)),
+}
+INTEGER_SETTINGS = {"seed", "max_rounds", "steps_per_round", "learning_rounds", "seeds_per_point", "workers",
+                    "bins", "grid_points", "p_out_num"}
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, (_, keys) in NUMERIC_SETTINGS.items() for k in keys])
+def test_config_numbers_read_as_their_flags_read_them(tmp_path, capsys, command, key):
+    # an integer setting is not truncated, and a bad number names its setting
+    settings = dict(NUMERIC_SETTINGS[command][0])
+    if command == "fit":
+        settings["rows"] = str(tmp_path / "rows.csv")
+        (tmp_path / "rows.csv").write_text("delta,tau_median\n0.01,10.0\n0.02,20.0\n0.03,30.0\n")
+    value = 2.5 if key in INTEGER_SETTINGS else "abc"
+    kind = "an integer" if key in INTEGER_SETTINGS else "a number"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(json.dumps({**settings, key: value}))
+    assert cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    suffix = " or none" if key == "learning_rounds" else ""
+    assert f"error: {key}: {value!r} is not {kind}{suffix}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"dataset": "blobs:400:2:2.0"}, "a scalar sweep uses no dataset, got dataset 'blobs:400:2:2.0'"),
+    ({"workers": -3}, "workers must be >= 1, got -3"),
+], ids=["scalar-with-dataset", "negative-workers"])
+def test_sweep_rejects_bad_settings(tmp_path, capsys, extra, message):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(json.dumps({**SWEEP_SETTINGS, **extra}))
+    assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "rows.csv").exists()
 
 
 @pytest.mark.parametrize("source", ["blobs", "label-only-file"])

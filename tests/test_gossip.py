@@ -187,8 +187,8 @@ class TestRunGadget:
     def test_stopping_soundness_exact_recheck(self):
         model = sbm.make_two_level_model([10, 15], sbm.TwoLevelProbs(0.8, 0.3), 2)
         ds = data.make_blobs(400, 6, margin=2.0, seed=3)
-        cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-10, max_rounds=20_000, learning_rounds=50, seed=4)
-        run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg)
+        cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-10, max_rounds=20_000, learning_rounds=50)
+        run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg, seed=4)
         assert not run.censored
         brute = 0.0
         for i in range(run.node_weights.shape[0]):
@@ -200,8 +200,8 @@ class TestRunGadget:
     def test_objective_dominates_regularizer(self):
         ds = data.make_blobs(300, 5, margin=1.0, seed=6)
         model = sbm.make_two_level_model([12, 12], sbm.TwoLevelProbs(0.8, 0.4), 1)
-        cfg = gossip.GadgetConfig(nu=0.2, epsilon=1e-8, max_rounds=5000, learning_rounds=40, seed=2)
-        run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg)
+        cfg = gossip.GadgetConfig(nu=0.2, epsilon=1e-8, max_rounds=5000, learning_rounds=40)
+        run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg, seed=2)
         w = run.final_weights
         assert np.isfinite(run.final_objective)
         assert run.final_objective >= 0.5 * 0.2 * float(w @ w) - 1e-12
@@ -223,8 +223,8 @@ class TestRunGadget:
         oracle_acc = gossip.accuracy(w, X, y)
 
         model = sbm.make_two_level_model([30], sbm.TwoLevelProbs(0.9, 0.9), 5)
-        cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-8, max_rounds=10_000, learning_rounds=100, seed=6)
-        run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg)
+        cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-8, max_rounds=10_000, learning_rounds=100)
+        run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg, seed=6)
         assert gossip.accuracy(run.final_weights, X, y) >= oracle_acc - 0.02
 
     def test_dataset_smaller_than_network_rejected(self):
@@ -235,17 +235,21 @@ class TestRunGadget:
                               gossip.GadgetConfig(nu=0.1, epsilon=1e-6, max_rounds=10))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            gossip.GadgetConfig(nu=0.0, epsilon=1e-6, max_rounds=10)
-        with pytest.raises(ValueError):
-            gossip.GadgetConfig(nu=0.1, epsilon=0.0, max_rounds=10)
+        bad = [("nu", 0.0), ("nu", float("nan")), ("epsilon", 0.0), ("max_rounds", -1),
+               ("steps_per_round", 0), ("learning_rounds", -1)]
+        for name, value in bad:
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                gossip.GadgetConfig(**{name: value})
+        # a zero budget is legal: a capped replay of the learning phase uses max_rounds = 0
+        gossip.GadgetConfig(max_rounds=0, learning_rounds=0)
+        gossip.GadgetConfig(learning_rounds=None)
 
     def test_deterministic_given_seeds(self):
         ds = data.make_blobs(200, 4, margin=2.0, seed=1)
         model = sbm.make_two_level_model([8, 8], sbm.TwoLevelProbs(0.9, 0.5), 3)
-        cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-9, max_rounds=5000, learning_rounds=30, seed=7)
-        a = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg)
-        b = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg)
+        cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-9, max_rounds=5000, learning_rounds=30)
+        a = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg, seed=7)
+        b = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg, seed=7)
         assert a.rounds_to_consensus == b.rounds_to_consensus
         assert np.array_equal(a.final_weights, b.final_weights)
 
@@ -274,9 +278,8 @@ def test_run_gadget_matches_per_node_oracle(sizes, dense, steps, trace, rounds, 
         ds = data.LabeledDataset(ds.X.toarray(), ds.y)
     probs = sbm.TwoLevelProbs(0.8, 0.3) if len(sizes) == 2 else sbm.TwoLevelProbs(0.9, 0.9)
     model = sbm.make_two_level_model(list(sizes), probs, 2 if len(sizes) == 2 else 1)
-    cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-9, max_rounds=20_000, learning_rounds=30,
-                              steps_per_round=steps, seed=4, record_trace=trace)
-    run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg)
+    cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-9, max_rounds=20_000, learning_rounds=30, steps_per_round=steps)
+    run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg, seed=4, record_trace=trace)
     assert run.rounds_to_consensus == rounds
     assert run.final_weights == pytest.approx(final, rel=1e-12, abs=0.0)
     assert len(run.max_pairwise_gap_trace) == (rounds if trace else 0)
@@ -296,8 +299,8 @@ def per_node_model_run(steps, learning, trace, epsilon):
     ds = data.make_blobs(300, 4, margin=2.0, seed=5)
     model = sbm.make_two_level_model([10, 15], sbm.TwoLevelProbs(0.8, 0.3), 2)
     cfg = gossip.GadgetConfig(nu=0.1, epsilon=epsilon, max_rounds=20_000, learning_rounds=learning,
-                              steps_per_round=steps, seed=4, record_trace=trace)
-    return gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg)
+                              steps_per_round=steps)
+    return gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg, seed=4, record_trace=trace)
 
 
 def run_outputs(run):
@@ -336,9 +339,8 @@ def test_examples_drawn_once_per_block(monkeypatch):
     monkeypatch.setattr(gossip, "draw_picks", counted)
     ds = data.make_blobs(400, 20, margin=2.0, seed=0)
     net, _ = sbm.sample_connected(sbm.make_two_level_model([50, 50], sbm.TwoLevelProbs(0.3, 0.1), 0))
-    cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-12, max_rounds=200, learning_rounds=200, seed=0,
-                              record_trace=False)
-    gossip.run_gadget(net, ds, cfg)
+    cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-12, max_rounds=200, learning_rounds=200)
+    gossip.run_gadget(net, ds, cfg, seed=0, record_trace=False)
     block = gossip._BLOCK_VALUES // (100 * 20)
     assert len(calls) == math.ceil(200 / block) == 4
     assert sum(calls) == 200
@@ -366,8 +368,8 @@ TRACED_ACCURACIES = [
 def test_traced_run_matches_every_round_evaluation():
     ds = data.make_blobs(300, 4, margin=0.5, seed=5)
     model = sbm.make_two_level_model([10, 15], sbm.TwoLevelProbs(0.8, 0.3), 2)
-    cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-5, max_rounds=20_000, learning_rounds=8, seed=4)
-    run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg)
+    cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-5, max_rounds=20_000, learning_rounds=8)
+    run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg, seed=4)
     assert run.rounds_to_consensus == 21
     assert run.max_pairwise_gap_trace.tolist() == TRACED_GAPS
     assert run.accuracy_trace.tolist() == TRACED_ACCURACIES
