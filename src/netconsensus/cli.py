@@ -57,7 +57,11 @@ def _setting(settings, key, default=None, required=False):
         return default
     if key not in _NUMERIC:
         return val
-    read, kind = _NUMERIC[key]
+    return _number(key, val, *_NUMERIC[key])
+
+
+def _number(key, val, read=float, kind="a number"):
+    """val read as its flag would read it; a rejected value's error names the setting key."""
     try:
         return read(str(val))
     except ValueError:
@@ -227,6 +231,8 @@ def _sweep_config(settings):
     if p_out_list is None:
         grid = (_setting(settings, k, required=True) for k in ("p_out_lo", "p_out_hi", "p_out_num"))
         p_out_list = bench.log_spaced(*grid)
+    else:
+        p_out_list = [_number("p_out_list", p) for p in p_out_list]
     return bench.SweepConfig(
         sizes=_parse_sizes(_setting(settings, "sizes", required=True)),
         p_in=_setting(settings, "p_in", required=True),
@@ -306,7 +312,7 @@ def _cmd_bifurcation(settings, out):
     p_in = _setting(settings, "p_in", required=True)
     grid_spec = _setting(settings, "delta_grid", required=True)
     if isinstance(grid_spec, (list, tuple)):
-        grid = [float(v) for v in grid_spec]
+        grid = [_number("delta_grid", v) for v in grid_spec]
     else:
         try:
             lo, hi, num = str(grid_spec).split(":")

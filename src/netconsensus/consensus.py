@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectra
+from .gossip import GadgetConfig
 from .sbm import Network, is_connected
 
 __all__ = [
@@ -86,7 +87,7 @@ def random_initial_state(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).random(n)
 
 
-def run(net: Network, x0, epsilon: float, max_rounds: int = 100_000) -> ConsensusRun:
+def run(net: Network, x0, epsilon: float, max_rounds: int = GadgetConfig.max_rounds) -> ConsensusRun:
     """Iterate neighbor averaging until the error criterion holds.
 
     tau_eps is the first round t* with relative sup-norm error <= epsilon

@@ -15,6 +15,15 @@ is that exchange, one sparse product of the stacked pair. A run stops once
 all pairwise weight-vector distances fall below the threshold. The decision
 is exact, but the full pairwise distances are only computed when the cheap
 bracket dev <= gap <= 2 dev, dev = max_i ||w_i - w_0||, cannot settle it.
+
+A run is push-sum rounds, then a certified slow-mode tail. Once learning
+ends, the pair evolves linearly, so an untraced run on a network of at most
+TAIL_MAX_NODES nodes leaves the loop: one dense eigh of the symmetrized
+mixing matrix gives every later round, and each block of rounds is one small
+product over the modes that still matter. The same bracket, widened by the
+dropped modes' bound and the loop's round-off, decides each round; a round
+it cannot settle sends the run back to the loop from the switch state. The
+loop stays for traced runs, for the learning rounds and as the oracle.
 """
 
 from __future__ import annotations
@@ -50,9 +59,23 @@ TEST_FRACTION = 0.25
 # exact pairwise distances; distance round-off is ~1e-14 relative
 _BRACKET_MARGIN = 1e-9
 
-# dense feature values gathered per block of learning steps (~1 MB of
-# float64); a block is one step when a single step holds more
+# dense feature values gathered per block of learning steps, and node weights
+# evaluated per block of tail rounds (~1 MB of float64); a block is one step
+# or round when a single one holds more
 _BLOCK_VALUES = 1 << 17
+
+# the largest network whose mixing phase runs on the slow-mode tail. Its dense
+# eigh (single thread) costs 2 ms at n = 100, about 20 rounds of the loop, and
+# as much at 300 (17 ms); at 600 it is ~130 rounds and at 1000 (0.25 s) ~300,
+# as long as a whole run on a well-connected network, and at 2000 it is 1.7 s
+TAIL_MAX_NODES = 500
+# the tail's slack for the loop's round-off, in units of
+# u |w|_max / sqrt(1 - theta_2^2) (u the float64 epsilon, theta_2 the slowest
+# mode): the round-off the loop adds each round lives on for about
+# 1 / (1 - theta_2^2) rounds, and near epsilon the loop's gap strayed from a
+# long-double oracle's by at most 2 units in 44 of the 45 fig5 grid runs and
+# by 5.5 in one; the tail itself agrees with that oracle to ~1e-12 epsilon
+_DRIFT_UNITS = 8.0
 
 
 @dataclass(frozen=True)
@@ -88,7 +111,8 @@ class GadgetConfig:
 
 @dataclass(eq=False)
 class GadgetRun:
-    """Outcome of one decentralized run."""
+    """Outcome of one decentralized run; tail_from is the round after which
+    mixing ran on the slow-mode tail, None when every round ran on the loop."""
 
     rounds_to_consensus: int | None
     censored: bool
@@ -99,6 +123,7 @@ class GadgetRun:
     final_objective: float
     final_weights: np.ndarray
     node_weights: np.ndarray | None = None
+    tail_from: int | None = None
 
 
 def draw_picks(shards, rngs, steps: int) -> np.ndarray:
@@ -182,20 +207,103 @@ def max_pairwise_gap(weights: np.ndarray) -> float:
     return float(pdist(weights).max())
 
 
+def _bracket(dev, epsilon: float, slack):
+    """(below, above): where dev <= gap <= 2 dev settles gap < epsilon either way.
+
+    dev = max_i ||w_i - w_0|| and the gap are each known to within slack;
+    above means gap >= epsilon, below means gap < epsilon, and neither
+    leaves the decision to the exact pairwise distances. Elementwise over
+    arrays of rounds.
+    """
+    return 2.0 * dev + slack < epsilon, dev - slack >= epsilon
+
+
 def _gap_below(weights: np.ndarray, epsilon: float) -> bool:
     """max_pairwise_gap(weights) < epsilon, mostly without the pairwise distances.
 
-    With dev = max_i ||w_i - w_0||, the triangle inequality gives
-    dev <= gap <= 2 dev; pdist runs only when epsilon lies in that bracket,
-    widened by _BRACKET_MARGIN so round-off cannot flip the decision.
+    pdist runs only when epsilon lies in the _bracket of dev, widened by
+    _BRACKET_MARGIN so round-off cannot flip the decision.
     """
     diff = weights - weights[0]
     dev = float(np.sqrt(np.einsum("ij,ij->i", diff, diff).max()))
-    if dev >= epsilon * (1.0 + _BRACKET_MARGIN):
-        return False
-    if 2.0 * dev < epsilon * (1.0 - _BRACKET_MARGIN):
-        return True
+    below, above = _bracket(dev, epsilon, epsilon * _BRACKET_MARGIN)
+    if below or above:
+        return bool(below)
     return max_pairwise_gap(weights) < epsilon
+
+
+def _mixing_tail(net: Network, weights: np.ndarray, psw: np.ndarray, epsilon: float, rounds: int, block: int):
+    """Up to rounds mixing-only rounds of the loop from weights and psw, from
+    the mixing matrix's modes: (first round whose gap is below epsilon or
+    None, node weights of that round or of the last).
+
+    M = (A + I) D'^-1 with D' = D + I is similar to the symmetric
+    S' = D'^-1/2 (A + I) D'^-1/2 = U diag(theta) U^T, so round s of the loop is
+    M^s X = D'^1/2 U diag(theta^s) U^T D'^-1/2 X. The deviation E = sums -
+    psw w_inf from the conserved mean w_inf has no mass, and the node weights
+    are w_inf + E / psw. Each block of rounds (their number doubling from one
+    up to block) is one product over the modes whose remaining size exceeds
+    the round-off slack; the dropped ones move node i by at most
+    sqrt(d'_i) |theta^s C|_F over their coefficients C.
+    Returns None, and the loop carries on, if any round's gap lies within the
+    dropped modes' bound plus the loop's round-off (_DRIFT_UNITS) of epsilon.
+    """
+    n = net.n
+    sqrt_dp = np.sqrt(net.degrees + 1.0)
+    with_self = net.adjacency().toarray()
+    with_self[np.diag_indices(n)] += 1.0
+    theta, vecs = np.linalg.eigh(with_self / np.outer(sqrt_dp, sqrt_dp))
+    basis = sqrt_dp[:, None] * vecs
+    sums = weights * psw[:, None]
+    w_inf = sums.sum(axis=0) / psw.sum()
+    coef = vecs.T @ ((sums - psw[:, None] * w_inf) / sqrt_dp[:, None])
+    coef_psw = vecs.T @ (psw / sqrt_dp)
+    size = np.sqrt(np.einsum("ij,ij->i", coef, coef))
+    # theta is ascending, its last the conserved mode 1
+    slow = float(np.abs(theta[:-1]).max()) if n > 1 else 0.0
+    w_max = float(np.sqrt(np.einsum("ij,ij->i", weights, weights).max()))
+    drift = _DRIFT_UNITS * np.finfo(float).eps * w_max / np.sqrt(1.0 - slow * slow)
+
+    def node_weights(s):
+        power = theta**s
+        return w_inf + (basis @ (power[:, None] * coef)) / (basis @ (power * coef_psw))[:, None]
+
+    steps = theta[:, None] ** np.arange(1, block + 1)
+    done, length = 0, 1
+    while done < rounds:
+        s = np.arange(done + 1, min(done + length, rounds) + 1)
+        length = min(2 * length, block)
+        power = steps[:, :s.size] * (theta**done)[:, None]
+        p = basis @ (power * coef_psw[:, None])
+        # |w_i - w_j| moves by at most twice the largest sqrt(d'_i) / psw_i times |theta^s C|_F
+        scale = 2.0 * (sqrt_dp[:, None] / p).max(axis=0)
+        reach = np.abs(power[:, 0]) * size
+        order = np.argsort(reach)
+        cut = np.searchsorted(scale.max() * np.sqrt(np.cumsum(reach[order] ** 2)), drift, side="right")
+        drop, keep = order[:cut], order[cut:]
+        slack = drift + scale * np.sqrt((power[drop] ** 2).T @ size[drop] ** 2)
+        factor = coef[keep]
+        if 0 < keep.size < factor.shape[1]:
+            # R^T of C^T = QR spans the rows' distances in keep.size coordinates
+            factor = np.linalg.qr(factor.T, mode="r").T
+        width = s.size * factor.shape[1]
+        # w_i - w_0 over the kept modes, in the factor's coordinates
+        diff = basis[:, keep] @ (power[keep, :, None] * factor[:, None, :]).reshape(keep.size, width)
+        diff = diff.reshape(n, s.size, factor.shape[1])
+        diff /= p[:, :, None]
+        diff -= diff[0].copy()
+        dev = np.sqrt(np.einsum("isj,isj->is", diff, diff).max(axis=0))
+        below, above = _bracket(dev, epsilon, slack)
+        for j in np.flatnonzero(~above):
+            if not below[j]:
+                gap = max_pairwise_gap(diff[:, j])
+                if abs(gap - epsilon) <= slack[j]:
+                    return None
+                if gap >= epsilon:
+                    continue
+            return int(s[j]), node_weights(s[j])
+        done = int(s[-1])
+    return None, node_weights(rounds)
 
 
 def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: int = 0,
@@ -207,8 +315,10 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
     one mixing exchange runs, and nodes adopt s/psw as their new weights.
     Stops when the max pairwise weight gap drops below epsilon, or reports a
     censored run at max_rounds. seed fixes the data split and the example
-    streams; record_trace keeps the per-round traces. A disconnected network
-    or a dataset without features raises ValueError.
+    streams; record_trace keeps the per-round traces, and without it the
+    mixing rounds after the learning budget may run on the slow-mode tail
+    (module docstring). A disconnected network or a dataset without features
+    raises ValueError.
     """
     if not is_connected(net):
         raise ValueError("run_gadget requires a connected network")
@@ -238,8 +348,19 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
     learning_rounds = cfg.max_rounds if cfg.learning_rounds is None else min(cfg.learning_rounds, cfg.max_rounds)
     total_steps = learning_rounds * steps
     block = max(1, _BLOCK_VALUES // (n * train.d))
+    # the round after which an untraced run's mixing may run on the slow-mode tail
+    tail_ok = not record_trace and learning_rounds < cfg.max_rounds and n <= TAIL_MAX_NODES
+    switch = learning_rounds if tail_ok else None
+    tail_from = None
     t = 0  # learning steps taken
     for t_round in range(1, cfg.max_rounds + 1):
+        if t_round - 1 == switch:
+            tail = _mixing_tail(net, weights, psw, cfg.epsilon, cfg.max_rounds - switch, block)
+            if tail is not None:
+                stop, weights = tail
+                rounds_done = None if stop is None else switch + stop
+                tail_from = switch
+                break
         learning = t_round <= learning_rounds
         if learning:
             for _ in range(steps):
@@ -282,4 +403,5 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
         final_objective=hinge_objective(w_avg, X_train, y_train, cfg.nu, n),
         final_weights=w_avg,
         node_weights=weights,
+        tail_from=tail_from,
     )

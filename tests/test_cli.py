@@ -361,6 +361,18 @@ def test_config_numbers_read_as_their_flags_read_them(tmp_path, capsys, command,
     assert f"error: {key}: {value!r} is not {kind}{suffix}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, settings", [
+    ("sweep", "p_out_list", SWEEP_SETTINGS),
+    ("bifurcation", "delta_grid", {"sizes": [700, 300], "p_in": 0.1}),
+], ids=["p_out_list", "delta_grid"])
+def test_list_setting_entries_named(tmp_path, capsys, command, key, settings):
+    # each entry of a list setting is read as a number, and a bad one names its setting
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(json.dumps({**settings, key: [0.3, "abc"]}))
+    assert cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {key}: 'abc' is not a number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra, message", [
     ({"dataset": "blobs:400:2:2.0"}, "a scalar sweep uses no dataset, got dataset 'blobs:400:2:2.0'"),
     ({"workers": -3}, "workers must be >= 1, got -3"),

@@ -428,3 +428,99 @@ def test_push_sum_conserves_mass_property(case, rounds):
     assert np.all(np.abs(sums.sum(axis=0) - total_s) <= tol * scale_s)
     assert abs(psw.sum() - total_w) <= tol * total_w
     assert (psw > 0).all()
+
+
+def loop_and_tail(net, ds, cfg, seed=0):
+    """Untraced runs of one network: on the slow-mode tail, then on the loop alone."""
+    tail = gossip.run_gadget(net, ds, cfg, seed=seed, record_trace=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gossip, "TAIL_MAX_NODES", 0)
+        loop = gossip.run_gadget(net, ds, cfg, seed=seed, record_trace=False)
+    assert loop.tail_from is None
+    return tail, loop
+
+
+def assert_same_run(tail, loop):
+    assert tail.rounds_to_consensus == loop.rounds_to_consensus
+    assert tail.censored == loop.censored
+    scale = np.abs(loop.final_weights).max()
+    assert np.abs(tail.final_weights - loop.final_weights).max() <= 1e-12 * scale
+    assert tail.test_accuracy == loop.test_accuracy
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_graphs(), st.integers(0, 20))
+def test_tail_rounds_match_the_loop_on_random_graphs(case, learning):
+    net, rng = case
+    ds = data.make_blobs(200, 3, margin=2.0, seed=int(rng.integers(1000)))
+    cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-9, max_rounds=20_000, learning_rounds=learning)
+    tail, loop = loop_and_tail(net, ds, cfg, seed=int(rng.integers(1000)))
+    assert tail.tail_from in (learning, None)
+    assert_same_run(tail, loop)
+    if tail.tail_from is not None and net.n > 1:
+        # the stop round's weights are below epsilon and within epsilon of the loop's
+        assert gossip.max_pairwise_gap(tail.node_weights) < cfg.epsilon
+        assert np.abs(tail.node_weights - loop.node_weights).max() < cfg.epsilon
+
+
+# two-community models: PER_NODE_RUNS's, a sparse one, and fig5's model at
+# p_out 0.003 with its dataset (the one fig5-sized network of these tests)
+TWO_COMMUNITY_RUNS = [
+    ([10, 15], (0.8, 0.3), 2, (300, 4, 2.0, 5), 30),
+    ([40, 20], (0.5, 0.02), 3, (400, 6, 1.0, 1), 50),
+    ([30, 70], (0.9, 0.003), 5, (10_000, 20, 2.0, 88), 200),
+]
+
+
+@pytest.mark.parametrize("sizes, probs, seed, blobs, learning", TWO_COMMUNITY_RUNS)
+def test_tail_rounds_match_the_loop_on_two_community_models(sizes, probs, seed, blobs, learning):
+    n, d, margin, blob_seed = blobs
+    ds = data.make_blobs(n, d, margin, seed=blob_seed)
+    net, _ = sbm.sample_connected(sbm.make_two_level_model(sizes, sbm.TwoLevelProbs(*probs), seed))
+    cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-10, learning_rounds=learning)
+    tail, loop = loop_and_tail(net, ds, cfg, seed=seed)
+    assert tail.tail_from == learning
+    assert_same_run(tail, loop)
+
+
+def test_uncertified_round_falls_back_to_the_loop(monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(gossip, "TAIL_MAX_NODES", 0)
+        loop = per_node_model_run(1, 30, False, 1e-9)
+    # a round-off slack larger than any gap leaves the first round uncertified
+    monkeypatch.setattr(gossip, "_DRIFT_UNITS", 1e300)
+    calls = []
+    tail = gossip._mixing_tail
+
+    def counted(*args):
+        calls.append(tail(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(gossip, "_mixing_tail", counted)
+    fallback = per_node_model_run(1, 30, False, 1e-9)
+    assert calls == [None]
+    assert fallback.tail_from is None
+    assert fallback.rounds_to_consensus == 52
+    assert run_outputs(fallback) == run_outputs(loop)
+
+
+@pytest.mark.parametrize("learning, trace", [(30, True), (None, False), (None, True)])
+def test_traced_and_always_learning_runs_stay_on_the_loop(monkeypatch, learning, trace):
+    def refuse(*args):
+        raise AssertionError("entered the tail")
+
+    monkeypatch.setattr(gossip, "_mixing_tail", refuse)
+    run = per_node_model_run(1, learning, trace, 1e-9 if learning else 1e-2)
+    assert run.tail_from is None
+    assert run.rounds_to_consensus == (52 if learning else LEARNING_EVERY_ROUND[1][0])
+
+
+def test_censored_tail_reports_the_last_round():
+    # a budget that ends inside the mixing phase: the tail censors as the loop does
+    net, _ = sbm.sample_connected(sbm.make_two_level_model([10, 15], sbm.TwoLevelProbs(0.8, 0.3), 2))
+    ds = data.make_blobs(300, 4, margin=2.0, seed=5)
+    cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-9, max_rounds=40, learning_rounds=30)
+    tail, loop = loop_and_tail(net, ds, cfg, seed=4)
+    assert tail.censored and tail.rounds_to_consensus is None and tail.tail_from == 30
+    assert_same_run(tail, loop)
+    assert np.abs(tail.node_weights - loop.node_weights).max() < 1e-12
