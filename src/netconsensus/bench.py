@@ -56,7 +56,7 @@ class SweepConfig:
     sizes: tuple
     p_in: float
     p_out_list: tuple
-    seeds_per_point: int
+    seeds_per_point: int = 5
     run: gossip.GadgetConfig = field(default_factory=gossip.GadgetConfig)
     mode: str = "scalar"
     base_seed: int = 0

@@ -1,18 +1,19 @@
-"""Command-line workbench.
+"""Command-line workbench: netconsensus <subcommand> [--config FILE] [flags].
 
-Subcommands: sample, spectrum, predict, consensus, gadget, sweep, fit,
-bifurcation. Settings live in one namespace: --config names a flat
-key/value JSON file whose keys are the long flag names with underscores
-(p_in, max_rounds, connected, ...), and every flag given on the command line
-overrides the config value of the same name; a config number is read as its
-flag reads it (an integer takes 5 or "5", not 2.5), a null counts as unset,
-and a bad value's error names its setting. A few settings have no flag and
-come only from the config, e.g. learning_rounds, nu and steps_per_round of a
-sweep, and trace of consensus; learning_rounds may be "none" (learn on every
-round). The run settings' defaults and checks live in gossip.GadgetConfig.
-Outputs are JSON/CSV files under --out (default out/), all written here; CSV
-floats are written at full precision, and spectrum's eigenvalues.csv holds
-one plain float per line. Exit codes: 0 success, 1 runtime failure, 2 usage.
+_COMMANDS names the subcommands and the settings each takes as flags. --config
+names a flat JSON object keyed by the long flag names with underscores (--p-in
+sets p_in), and a flag given on the command line overrides the config value of
+the same name. Each setting has one reader in _SETTINGS, which reads a flag and
+a config value alike: a number as its flag string (an integer takes 5 or "5",
+not 2.5), connected and trace only as true or false. A malformed value exits 1
+with an error naming the setting, and a null counts as unset. Some settings are
+config-only: a sweep's p_out_list, p_out_lo/hi/num, nu, steps_per_round and
+learning_rounds, and consensus's trace (default true: write consensus_trace.csv).
+gossip.GadgetConfig and bench.SweepConfig hold the defaults and checks of their
+fields. Outputs are JSON/CSV files under --out (default out/), all written here;
+CSV floats are written at full precision, and spectrum's eigenvalues.csv holds
+one plain float per line. Exit codes: 0 success, 1 runtime failure or malformed
+setting, 2 unknown subcommand or flag, or no arguments.
 """
 
 from __future__ import annotations
@@ -31,65 +32,99 @@ import numpy as np
 from . import __version__, bench, consensus, data, gossip, rmt, sbm, spectra
 
 
-def _load_config(path):
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: config must be a flat JSON object")
-    return doc
+def _reader(read, kind):
+    """A setting's reader: read(value), where a rejected value's error names the setting and what it is not."""
+    def reader(key, val):
+        try:
+            return read(val)
+        except (TypeError, ValueError):
+            raise ValueError(f"{key}: {val!r} is not {kind}") from None
+    return reader
 
 
-# every numeric setting: the reader its flag uses (given str(value)), and what a rejected value is not
-_NUMERIC = {
+def _listed(entry):
+    """A reader of a list, or of a comma/space-separated string, reading each item with the reader entry."""
+    return lambda key, val: tuple(entry(key, item) for item in (
+        val if isinstance(val, list) else str(val).replace(",", " ").split()))
+
+
+def _exactly(kind):
+    """A read that takes only a value already of this type: bool (JSON true/false, or the flag) or str."""
+    def read(val):
+        if not isinstance(val, kind):
+            raise TypeError(val)
+        return val
+    return read
+
+
+# a number is read through str, as its flag is: an integer setting takes 5 or "5" but rejects 2.5
+_INTEGER = _reader(lambda val: int(str(val)), "an integer")
+_NUMBER = _reader(lambda val: float(str(val)), "a number")
+
+
+def _delta_grid(key, val):
+    """A list of deltas, or lo:hi:num for num evenly spaced ones."""
+    if isinstance(val, list):
+        return _listed(_NUMBER)(key, val)
+    try:
+        lo, hi, num = str(val).split(":")
+        return tuple(np.linspace(float(lo), float(hi), int(num)).tolist())
+    except ValueError:
+        raise ValueError(f"{key} {val!r} is not lo:hi:num (two numbers and a point count)") from None
+
+
+# every setting, by flag (--p-in sets p_in) or config key, and the one reader of its value
+_SETTINGS = {
     **dict.fromkeys(("seed", "base_seed", "max_rounds", "steps_per_round", "seeds_per_point", "workers", "bins",
-                     "grid_points", "p_out_num"), (int, "an integer")),
-    **dict.fromkeys(("p_in", "p_out", "epsilon", "nu", "eta", "fix_pole", "p_out_lo", "p_out_hi"),
-                    (float, "a number")),
-    "learning_rounds": (lambda text: None if text == "none" else int(text), "an integer or none"),
+                     "grid_points", "p_out_num"), _INTEGER),
+    **dict.fromkeys(("p_in", "p_out", "epsilon", "nu", "eta", "fix_pole", "p_out_lo", "p_out_hi"), _NUMBER),
+    "learning_rounds": _reader(lambda val: None if val == "none" else int(str(val)), "an integer or none"),
+    "sizes": _listed(_INTEGER),
+    "p_out_list": _listed(_NUMBER),
+    "delta_grid": _delta_grid,
+    **dict.fromkeys(("connected", "trace"), _reader(_exactly(bool), "true or false")),
+    **dict.fromkeys(("out", "net", "dataset", "rows", "mode"), _reader(_exactly(str), "a string")),
+}
+
+# the help line of each flag that needs one
+_HELP = {
+    "config": "flat key/value JSON config file",
+    "out": "output directory (default: out)",
+    "sizes": "community sizes, e.g. 700,300",
+    "seed": "RNG seed (of a sweep: its base seed)",
+    "mode": "scalar or gadget",
+    "connected": "resample until connected",
+    "net": "edge list to load (as written by sample) in place of a model",
+    "dataset": "sparse text path or blobs:N:D:MARGIN[:SEED]",
+    "rows": "rows.csv produced by sweep",
+    "delta_grid": "lo:hi:num",
 }
 
 
 def _setting(settings, key, default=None, required=False):
-    """Merged flag/config value of key, else default; a numeric one goes through its _NUMERIC reader."""
+    """Merged flag/config value of key read by its _SETTINGS reader, else default; a null counts as unset."""
     val = settings.get(key)
     if val is None:
         if required:
             raise ValueError(f"missing required setting {key!r} (flag or config)")
         return default
-    if key not in _NUMERIC:
-        return val
-    return _number(key, val, *_NUMERIC[key])
-
-
-def _number(key, val, read=float, kind="a number"):
-    """val read as its flag would read it; a rejected value's error names the setting key."""
-    try:
-        return read(str(val))
-    except ValueError:
-        raise ValueError(f"{key}: {val!r} is not {kind}") from None
-
-
-def _parse_sizes(value):
-    tokens = value if isinstance(value, (list, tuple)) else str(value).replace(",", " ").split()
-    sizes = []
-    for tok in tokens:
-        try:
-            sizes.append(int(str(tok)))
-        except ValueError:
-            raise ValueError(f"sizes: {tok!r} is not an integer") from None
-    return tuple(sizes)
+    return _SETTINGS[key](key, val)
 
 
 def _model_from_settings(settings):
-    sizes = _parse_sizes(_setting(settings, "sizes", required=True))
+    sizes = _setting(settings, "sizes", required=True)
     probs = sbm.TwoLevelProbs(_setting(settings, "p_in", required=True), _setting(settings, "p_out", required=True))
     return sbm.make_two_level_model(sizes, probs, _setting(settings, "seed", default=0))
 
 
-def _run_config(settings):
-    """The run settings that were given, as a GadgetConfig: it holds the defaults and the checks."""
+def _config(cls, settings, **known):
+    """A cls from known and from the given settings named as its other fields: cls holds their defaults and
+    checks, and a field without a default is a required setting."""
     unset = object()
-    given = {f.name: _setting(settings, f.name, default=unset) for f in dataclasses.fields(gossip.GadgetConfig)}
-    return gossip.GadgetConfig(**{key: val for key, val in given.items() if val is not unset})
+    given = {f.name: _setting(settings, f.name, default=unset,
+                              required=f.default is f.default_factory is dataclasses.MISSING)
+             for f in dataclasses.fields(cls) if f.name not in known}
+    return cls(**known, **{key: val for key, val in given.items() if val is not unset})
 
 
 def _resolve_dataset(ref, seed=0):
@@ -171,9 +206,8 @@ def _cmd_spectrum(settings, out):
 
 def _cmd_predict(settings, out):
     model = _model_from_settings(settings)
-    eta = _setting(settings, "eta", default=rmt.DEFAULT_ETA)
-    grid_points = _setting(settings, "grid_points", default=401)
-    pred = rmt.predict(model, grid_spec=grid_points, eta=eta)
+    pred = rmt.predict(model, grid_spec=_setting(settings, "grid_points", default=401),
+                       eta=_setting(settings, "eta", default=rmt.DEFAULT_ETA))
     _write_json(out / "prediction.json", pred.to_json_dict())
     _write_csv(out / "prediction.csv", ["lambda", "density"], zip(pred.grid, pred.density))
     return 0
@@ -181,7 +215,7 @@ def _cmd_predict(settings, out):
 
 def _cmd_consensus(settings, out):
     model = _model_from_settings(settings)
-    run = _run_config(settings)
+    run = _config(gossip.GadgetConfig, settings)
     net, _ = sbm.sample_connected(model)
     spec = spectra.normalized_laplacian_spectrum(net)
     x0 = consensus.random_initial_state(net.n, model.seed)
@@ -201,7 +235,7 @@ def _cmd_consensus(settings, out):
         "lambda2_empirical": spec.lambda2,
         "mu2_abs": spec.mu2_abs,
     })
-    if bool(_setting(settings, "trace", default=True)):
+    if _setting(settings, "trace", default=True):
         _write_csv(out / "consensus_trace.csv", ["round", "error"], enumerate(result.error_trace))
     return 0
 
@@ -210,7 +244,7 @@ def _cmd_gadget(settings, out):
     model = _model_from_settings(settings)
     dataset_ref = _setting(settings, "dataset", required=True)
     dataset = _resolve_dataset(dataset_ref, seed=model.seed)
-    cfg = _run_config(settings)
+    cfg = _config(gossip.GadgetConfig, settings)
     net, _ = sbm.sample_connected(model)
     result = gossip.run_gadget(net, dataset, cfg, seed=model.seed)
     _write_json(out / "gadget.json", {
@@ -226,32 +260,18 @@ def _cmd_gadget(settings, out):
     return 0
 
 
-def _sweep_config(settings):
-    p_out_list = _setting(settings, "p_out_list")
-    if p_out_list is None:
-        grid = (_setting(settings, k, required=True) for k in ("p_out_lo", "p_out_hi", "p_out_num"))
-        p_out_list = bench.log_spaced(*grid)
-    else:
-        p_out_list = [_number("p_out_list", p) for p in p_out_list]
-    return bench.SweepConfig(
-        sizes=_parse_sizes(_setting(settings, "sizes", required=True)),
-        p_in=_setting(settings, "p_in", required=True),
-        p_out_list=p_out_list,
-        seeds_per_point=_setting(settings, "seeds_per_point", default=5),
-        run=_run_config(settings),
-        mode=_setting(settings, "mode", default="scalar"),
-        base_seed=_setting(settings, "seed", default=_setting(settings, "base_seed", default=0)),
-        workers=_setting(settings, "workers", default=1),
-        dataset_ref=_setting(settings, "dataset"),
-    )
-
-
 # the SweepRow fields of rows.csv, in column order; the others go to sweep.json
 SWEEP_COLUMNS = ("delta", "p_out", "tau_median", "tau_iqr", "lambda2_emp", "lambda2_pred", "lambdaL", "censored")
 
 
 def _cmd_sweep(settings, out):
-    cfg = _sweep_config(settings)
+    p_out_list = _setting(settings, "p_out_list")
+    if p_out_list is None:
+        grid = (_setting(settings, k, required=True) for k in ("p_out_lo", "p_out_hi", "p_out_num"))
+        p_out_list = bench.log_spaced(*grid)
+    cfg = _config(bench.SweepConfig, settings, p_out_list=p_out_list, run=_config(gossip.GadgetConfig, settings),
+                  base_seed=_setting(settings, "seed", default=_setting(settings, "base_seed", default=0)),
+                  dataset_ref=_setting(settings, "dataset"))
     if cfg.mode == "gadget" and cfg.dataset_ref is None:
         raise ValueError("gadget sweep requires a dataset setting")
     dataset = None if cfg.dataset_ref is None else _resolve_dataset(cfg.dataset_ref, seed=cfg.base_seed)
@@ -308,18 +328,9 @@ def _cmd_fit(settings, out):
 
 
 def _cmd_bifurcation(settings, out):
-    sizes = _parse_sizes(_setting(settings, "sizes", required=True))
+    sizes = _setting(settings, "sizes", required=True)
     p_in = _setting(settings, "p_in", required=True)
-    grid_spec = _setting(settings, "delta_grid", required=True)
-    if isinstance(grid_spec, (list, tuple)):
-        grid = [_number("delta_grid", v) for v in grid_spec]
-    else:
-        try:
-            lo, hi, num = str(grid_spec).split(":")
-            grid = np.linspace(float(lo), float(hi), int(num)).tolist()
-        except ValueError:
-            raise ValueError(f"delta_grid {grid_spec!r} is not lo:hi:num (two numbers and a point count)") from None
-    delta1 = bench.detect_bifurcation(sizes, p_in, grid)
+    delta1 = bench.detect_bifurcation(sizes, p_in, _setting(settings, "delta_grid", required=True))
     _write_json(out / "bifurcation.json", {"delta1_star": delta1, "p_in": p_in, "sizes": list(sizes)})
     return 0
 
@@ -327,89 +338,36 @@ def _cmd_bifurcation(settings, out):
 # ---------------------------------------------------------------- dispatch
 
 
+_MODEL = ("sizes", "p_in", "p_out", "seed")
+# each subcommand: its function, its help line, and the settings it takes as flags
+_COMMANDS = {
+    "sample": (_cmd_sample, "sample a network and export it", (*_MODEL, "connected")),
+    "spectrum": (_cmd_spectrum, "empirical normalized-Laplacian spectrum", (*_MODEL, "net", "bins")),
+    "predict": (_cmd_predict, "random-matrix spectral prediction", (*_MODEL, "eta", "grid_points")),
+    "consensus": (_cmd_consensus, "scalar consensus run over one sample", (*_MODEL, "epsilon", "max_rounds")),
+    "gadget": (_cmd_gadget, "decentralized SVM run over one sample",
+               (*_MODEL, "dataset", "nu", "epsilon", "max_rounds", "steps_per_round", "learning_rounds")),
+    "sweep": (_cmd_sweep, "community-strength sweep over p_out_list or p_out_lo/hi/num",
+              ("sizes", "p_in", "seed", "mode", "seeds_per_point", "epsilon", "max_rounds", "workers", "dataset")),
+    "fit": (_cmd_fit, "reciprocal-law fit of sweep rows", ("rows", "fix_pole")),
+    "bifurcation": (_cmd_bifurcation, "locate the spectral bifurcation", ("sizes", "p_in", "delta_grid")),
+}
+
+
 def _build_parser():
+    """argparse registers the flag names only; every value is read by _setting."""
     parser = argparse.ArgumentParser(
         prog="netconsensus",
         description="Spectral prediction and consensus/gossip simulation over block-model networks.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="flat key/value JSON config file")
-        p.add_argument("--out", help="output directory (default: out)")
-
-    def sizes_p_in(p):
-        p.add_argument("--sizes", help="community sizes, e.g. 700,300")
-        p.add_argument("--p-in", dest="p_in", type=float)
-
-    def model_flags(p):
-        sizes_p_in(p)
-        p.add_argument("--p-out", dest="p_out", type=float)
-        p.add_argument("--seed", type=int, help="RNG seed")
-
-    p = sub.add_parser("sample", help="sample a network and export it")
-    common(p)
-    model_flags(p)
-    p.add_argument("--connected", action="store_true", default=None, help="resample until connected")
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("spectrum", help="empirical normalized-Laplacian spectrum")
-    common(p)
-    model_flags(p)
-    p.add_argument("--net", help="edge list to load (as written by sample) in place of a model")
-    p.add_argument("--bins", type=int)
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("predict", help="random-matrix spectral prediction")
-    common(p)
-    model_flags(p)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.set_defaults(func=_cmd_predict)
-
-    p = sub.add_parser("consensus", help="scalar consensus run over one sample")
-    common(p)
-    model_flags(p)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--max-rounds", dest="max_rounds", type=int)
-    p.set_defaults(func=_cmd_consensus)
-
-    p = sub.add_parser("gadget", help="decentralized SVM run over one sample")
-    common(p)
-    model_flags(p)
-    p.add_argument("--dataset", help="sparse text path or blobs:N:D:MARGIN[:SEED]")
-    p.add_argument("--nu", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--max-rounds", dest="max_rounds", type=int)
-    p.add_argument("--steps-per-round", dest="steps_per_round", type=int)
-    p.add_argument("--learning-rounds", dest="learning_rounds")
-    p.set_defaults(func=_cmd_gadget)
-
-    p = sub.add_parser("sweep", help="community-strength sweep over p_out_list or p_out_lo/hi/num")
-    common(p)
-    sizes_p_in(p)
-    p.add_argument("--seed", type=int, help="base seed of the sweep's seed table")
-    p.add_argument("--mode", choices=["scalar", "gadget"])
-    p.add_argument("--seeds-per-point", dest="seeds_per_point", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--max-rounds", dest="max_rounds", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--dataset")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("fit", help="reciprocal-law fit of sweep rows")
-    common(p)
-    p.add_argument("--rows", help="rows.csv produced by sweep")
-    p.add_argument("--fix-pole", dest="fix_pole", type=float)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("bifurcation", help="locate the spectral bifurcation")
-    common(p)
-    sizes_p_in(p)
-    p.add_argument("--delta-grid", dest="delta_grid", help="lo:hi:num")
-    p.set_defaults(func=_cmd_bifurcation)
-
+    for command, (func, help_line, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.set_defaults(func=func)
+        for key in ("config", "out", *keys):
+            store = {"action": "store_true", "default": None} if key == "connected" else {}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key), **store)
     return parser
 
 
@@ -422,7 +380,9 @@ def cli(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     func = flags.pop("func")
     try:
-        settings = _load_config(flags["config"]) if flags["config"] else {}
+        settings = json.loads(Path(flags["config"]).read_text()) if flags["config"] else {}
+        if not isinstance(settings, dict):
+            raise ValueError(f"{flags['config']}: config must be a flat JSON object")
         settings.update((key, val) for key, val in flags.items() if val is not None)
         out = Path(_setting(settings, "out", default="out"))
         out.mkdir(parents=True, exist_ok=True)

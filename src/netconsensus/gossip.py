@@ -97,8 +97,8 @@ class GadgetConfig:
     learning_rounds: int | None = 200
 
     def __post_init__(self) -> None:
-        if not self.nu > 0:
-            raise ValueError(f"nu must be > 0, got {self.nu}")
+        if not 0 < self.nu < np.inf:
+            raise ValueError(f"nu must be > 0 and finite, got {self.nu}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.max_rounds < 0:

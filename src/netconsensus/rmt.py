@@ -171,8 +171,8 @@ def bulk_density(model: SbmModel, grid, eta: float = DEFAULT_ETA):
     Returns (density, diagnostics); a point that does not converge is
     flagged in diagnostics["failed_points"] with a best-effort density.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < np.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta!r}")
     kern = _kernel(model)
     z = np.asarray(grid, dtype=float) + 1j * eta
     t, _res, _iters, ok = _solve(kern, z, _default_t0(kern, z), DEFAULT_MAX_ITERS, DEFAULT_TOL)
@@ -270,6 +270,8 @@ def predict(
     The density is sampled at grid_spec points spanning the support with a
     margin; bulk_density takes any other grid.
     """
+    if grid_spec < 1:
+        raise ValueError(f"grid_spec (the number of grid points) must be >= 1, got {grid_spec}")
     support = support_boundaries(model)
     lam_l, lam_r = support
     isolated = isolated_eigenvalues(model, support=support)

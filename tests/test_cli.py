@@ -343,22 +343,48 @@ NUMERIC_SETTINGS = {
 }
 INTEGER_SETTINGS = {"seed", "max_rounds", "steps_per_round", "learning_rounds", "seeds_per_point", "workers",
                     "bins", "grid_points", "p_out_num"}
+CONFIG_ONLY = {"p_out_lo", "p_out_hi", "p_out_num"}  # of a sweep
 
 
-@pytest.mark.parametrize("command, key", [(c, k) for c, (_, keys) in NUMERIC_SETTINGS.items() for k in keys])
-def test_config_numbers_read_as_their_flags_read_them(tmp_path, capsys, command, key):
-    # an integer setting is not truncated, and a bad number names its setting
+@pytest.mark.parametrize("command, key, form", [
+    pytest.param(c, k, form, id=f"{c}-{k}" + ("-flag" if form == "flag" else ""))
+    for c, (_, keys) in NUMERIC_SETTINGS.items() for k in keys for form in ("config", "flag")
+    if form == "config" or k not in CONFIG_ONLY])
+def test_config_numbers_read_as_their_flags_read_them(tmp_path, capsys, command, key, form):
+    # an integer setting is not truncated, and a bad number names its setting, by flag as by config
     settings = dict(NUMERIC_SETTINGS[command][0])
     if command == "fit":
         settings["rows"] = str(tmp_path / "rows.csv")
         (tmp_path / "rows.csv").write_text("delta,tau_median\n0.01,10.0\n0.02,20.0\n0.03,30.0\n")
     value = 2.5 if key in INTEGER_SETTINGS else "abc"
     kind = "an integer" if key in INTEGER_SETTINGS else "a number"
+    flags = []
+    if form == "flag":
+        value = str(value)
+        flags = ["--" + key.replace("_", "-"), value]
+    else:
+        settings[key] = value
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(json.dumps({**settings, key: value}))
-    assert cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    cfg.write_text(json.dumps(settings))
+    assert cli([command, "--config", str(cfg), *flags, "--out", str(tmp_path / "o")]) == 1
     suffix = " or none" if key == "learning_rounds" else ""
     assert f"error: {key}: {value!r} is not {kind}{suffix}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, output", [("sample", "connected", "network.txt"),
+                                                  ("consensus", "trace", "consensus_trace.csv")],
+                         ids=["connected", "trace"])
+def test_boolean_settings_take_only_true_or_false(tmp_path, capsys, command, key, output):
+    # read by truthiness, the string "false" would resample until connected, or write the trace
+    cfg = tmp_path / "c.cfg"
+    for value in ("false", 0):
+        cfg.write_text(json.dumps({**MODEL_SETTINGS, key: value}))
+        assert cli([command, "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 1
+        assert f"error: {key}: {value!r} is not true or false" in capsys.readouterr().err
+    assert not (tmp_path / "bad" / output).exists()
+    cfg.write_text(json.dumps({**MODEL_SETTINGS, key: False}))
+    assert cli([command, "--config", str(cfg), "--out", str(tmp_path / "false")]) == 0
+    assert (tmp_path / "false" / output).exists() == (key == "connected")
 
 
 @pytest.mark.parametrize("command, key, settings", [
@@ -383,6 +409,13 @@ def test_sweep_rejects_bad_settings(tmp_path, capsys, extra, message):
     assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o" / "rows.csv").exists()
+
+
+def test_sweep_mode_flag_checked_by_sweep_config(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(json.dumps(SWEEP_SETTINGS))
+    assert cli(["sweep", "--config", str(cfg), "--mode", "other", "--out", str(tmp_path / "o")]) == 1
+    assert "error: mode must be 'scalar' or 'gadget', got 'other'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["blobs", "label-only-file"])

@@ -235,7 +235,7 @@ class TestRunGadget:
                               gossip.GadgetConfig(nu=0.1, epsilon=1e-6, max_rounds=10))
 
     def test_config_validation(self):
-        bad = [("nu", 0.0), ("nu", float("nan")), ("epsilon", 0.0), ("max_rounds", -1),
+        bad = [("nu", 0.0), ("nu", float("nan")), ("nu", float("inf")), ("epsilon", 0.0), ("max_rounds", -1),
                ("steps_per_round", 0), ("learning_rounds", -1)]
         for name, value in bad:
             with pytest.raises(ValueError, match=f"^{name} must be"):

@@ -141,8 +141,9 @@ class TestBulkDensity:
         assert iters == 50
 
     def test_rejects_nonpositive_eta(self):
-        with pytest.raises(ValueError):
-            rmt.bulk_density(er_model(100, 0.5), [1.0], eta=0.0)
+        for eta in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="^eta must be positive and finite"):
+                rmt.bulk_density(er_model(100, 0.5), [1.0], eta=eta)
 
 
 class TestSupportBoundaries:
@@ -389,6 +390,11 @@ class TestIsolatedEigenvalues:
 
 
 class TestPredict:
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_rejects_an_empty_grid(self, points):
+        with pytest.raises(ValueError, match="^grid_spec .* must be >= 1"):
+            rmt.predict(er_model(100, 0.5), grid_spec=points)
+
     def test_delta_zero_reports_bulk_edge(self):
         pred = rmt.predict(two_level([700, 300], 0.1, 0.1), with_density=False)
         assert pred.predicted_lambda2 == pred.support[0]
