@@ -2,13 +2,14 @@
 
 _COMMANDS names the subcommands and the settings each takes as flags. --config
 names a flat JSON object keyed by the long flag names with underscores (--p-in
-sets p_in), and a flag given on the command line overrides the config value of
-the same name. Each setting has one reader in _SETTINGS, which reads a flag and
-a config value alike: a number as its flag string (an integer takes 5 or "5",
-not 2.5), connected and trace only as true or false. A malformed value exits 1
-with an error naming the setting, and a null counts as unset. Some settings are
-config-only: a sweep's p_out_list, p_out_lo/hi/num, nu, steps_per_round and
-learning_rounds, and consensus's trace (default true: write consensus_trace.csv).
+sets p_in; a key that names no setting exits 1), and a flag given on the command
+line overrides the config value of the same name. Each setting has one reader
+in _SETTINGS, which reads a flag and a config value alike: a number as its flag
+string (an integer takes 5 or "5", not 2.5), connected and trace only as true
+or false. A malformed value exits 1 with an error naming the setting, and a
+null counts as unset. Some settings are config-only: a sweep's p_out_list,
+p_out_lo/hi/num, nu, steps_per_round and learning_rounds, and consensus's trace
+(default true: write consensus_trace.csv).
 gossip.GadgetConfig and bench.SweepConfig hold the defaults and checks of their
 fields. Outputs are JSON/CSV files under --out (default out/), all written here;
 CSV floats are written at full precision, and spectrum's eigenvalues.csv holds
@@ -171,7 +172,7 @@ def _cmd_sample(settings, out):
     net, attempts = sbm.sample_connected(model) if _setting(settings, "connected") else (sbm.sample(model), 1)
     sbm.save_edge_list(net, out / "network.txt")
     _write_json(out / "sample.json", {
-        "n": net.n, "edges": net.num_edges, "connected": sbm.is_connected(net),
+        "n": net.n, "edges": net.num_edges, "connected": net.connected,
         "attempts": attempts, "seed": model.seed,
     })
     return 0
@@ -383,6 +384,9 @@ def cli(argv=None) -> int:
         settings = json.loads(Path(flags["config"]).read_text()) if flags["config"] else {}
         if not isinstance(settings, dict):
             raise ValueError(f"{flags['config']}: config must be a flat JSON object")
+        unknown = [key for key in settings if key not in _SETTINGS]
+        if unknown:
+            raise ValueError(f"{flags['config']}: unknown setting(s) {', '.join(map(repr, unknown))}")
         settings.update((key, val) for key, val in flags.items() if val is not None)
         out = Path(_setting(settings, "out", default="out"))
         out.mkdir(parents=True, exist_ok=True)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import spectra
 from .gossip import GadgetConfig
-from .sbm import Network, is_connected
+from .sbm import Network
 
 __all__ = [
     "ConsensusRun",
@@ -97,9 +97,9 @@ def run(net: Network, x0, epsilon: float, max_rounds: int = GadgetConfig.max_rou
     The centred loop, the tail and its fallback are described in the module
     docstring.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if not is_connected(net):
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be > 0 and finite, got {epsilon}")
+    if not net.connected:
         raise ValueError("consensus requires a connected network")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (net.n,):
@@ -114,7 +114,7 @@ def run(net: Network, x0, epsilon: float, max_rounds: int = GadgetConfig.max_rou
     if denom == 0.0:
         return ConsensusRun(x_star=x_star, tau_eps=0, error_trace=np.zeros(1), censored=False, rounds=0)
 
-    adj = net.adjacency()
+    adj = net.adjacency
     inv_deg = 1.0 / deg
     errors = [1.0]
     candidate: int | None = None

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import LabeledDataset, partition_equal, train_test_split
-from .sbm import Network, is_connected
+from .sbm import Network
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -99,8 +99,8 @@ class GadgetConfig:
     def __post_init__(self) -> None:
         if not 0 < self.nu < np.inf:
             raise ValueError(f"nu must be > 0 and finite, got {self.nu}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be > 0 and finite, got {self.epsilon}")
         if self.max_rounds < 0:
             raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds}")
         if self.steps_per_round < 1:
@@ -159,12 +159,9 @@ def mixing_matrix(net: Network) -> sparse.csr_matrix:
     """Column-stochastic push-sum matrix: equal split over self and neighbors."""
     from scipy import sparse
 
-    n = net.n
-    adj = net.adjacency()
-    with_self = (adj + sparse.identity(n, format="csr")).tocsr()
-    inv_share = 1.0 / (net.degrees.astype(float) + 1.0)
-    mix = (with_self @ sparse.diags(inv_share)).tocsr()
-    mix.sort_indices()
+    # both terms have sorted indices, so their sum does too; column j is scaled by its share
+    mix = net.adjacency + sparse.identity(net.n, format="csr")
+    mix.data *= (1.0 / (net.degrees.astype(float) + 1.0))[mix.indices]
     return mix
 
 
@@ -250,7 +247,7 @@ def _mixing_tail(net: Network, weights: np.ndarray, psw: np.ndarray, epsilon: fl
     """
     n = net.n
     sqrt_dp = np.sqrt(net.degrees + 1.0)
-    with_self = net.adjacency().toarray()
+    with_self = net.adjacency.toarray()
     with_self[np.diag_indices(n)] += 1.0
     theta, vecs = np.linalg.eigh(with_self / np.outer(sqrt_dp, sqrt_dp))
     basis = sqrt_dp[:, None] * vecs
@@ -320,7 +317,7 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
     (module docstring). A disconnected network or a dataset without features
     raises ValueError.
     """
-    if not is_connected(net):
+    if not net.connected:
         raise ValueError("run_gadget requires a connected network")
     if dataset.d == 0:
         raise ValueError("dataset has no features (d = 0)")

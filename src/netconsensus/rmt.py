@@ -165,14 +165,18 @@ def _spectral_radius(mat) -> float:
     return float(np.abs(np.linalg.eigvals(mat)).max())
 
 
+def _check_eta(eta: float) -> None:
+    if not 0.0 < eta < np.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta!r}")
+
+
 def bulk_density(model: SbmModel, grid, eta: float = DEFAULT_ETA):
     """Bulk spectral density on a real grid, evaluated at z = lambda + i*eta.
 
     Returns (density, diagnostics); a point that does not converge is
     flagged in diagnostics["failed_points"] with a best-effort density.
     """
-    if not 0.0 < eta < np.inf:
-        raise ValueError(f"eta must be positive and finite, got {eta!r}")
+    _check_eta(eta)
     kern = _kernel(model)
     z = np.asarray(grid, dtype=float) + 1j * eta
     t, _res, _iters, ok = _solve(kern, z, _default_t0(kern, z), DEFAULT_MAX_ITERS, DEFAULT_TOL)
@@ -272,6 +276,8 @@ def predict(
     """
     if grid_spec < 1:
         raise ValueError(f"grid_spec (the number of grid points) must be >= 1, got {grid_spec}")
+    # checked here too: a model without a bulk never reaches bulk_density
+    _check_eta(eta)
     support = support_boundaries(model)
     lam_l, lam_r = support
     isolated = isolated_eigenvalues(model, support=support)

@@ -10,12 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "TwoLevelProbs",
@@ -26,7 +22,6 @@ __all__ = [
     "sample",
     "sample_connected",
     "block_matrices",
-    "is_connected",
     "save_edge_list",
     "load_edge_list",
 ]
@@ -98,19 +93,24 @@ class SbmModel:
 
 
 class Network:
-    """Undirected simple graph, immutable after construction.
+    """Undirected simple graph, built whole by its constructor and immutable after.
 
     A network is its community sizes and its edges. Nodes are 0..n-1 with
     n = sum(community_sizes), grouped contiguously by community in size
     order. Edges are stored as an (m, 2) array of pairs with i < j sorted by
     (i, j); self-edges, out-of-range endpoints and duplicate pairs are
-    rejected. The CSR adjacency matrix and the connectivity flag are
-    computed lazily and cached.
+    rejected. adjacency is the symmetric CSR matrix with 0/1 float entries
+    and sorted indices; connected is True iff one breadth-first search from
+    node 0 reaches all n nodes.
     """
 
-    __slots__ = ("n", "edges", "degrees", "community_sizes", "_adj", "_connected")
+    __slots__ = ("n", "edges", "degrees", "community_sizes", "adjacency", "connected")
 
     def __init__(self, community_sizes, edges):
+        # scipy loads with the first network, so commands that build none do not pay for it
+        from scipy import sparse
+        from scipy.sparse.csgraph import breadth_first_order
+
         community_sizes = tuple(int(c) for c in community_sizes)
         if not community_sizes or min(community_sizes) < 1:
             raise ValueError(f"community sizes must be a nonempty list of sizes >= 1, got {community_sizes}")
@@ -127,32 +127,24 @@ class Network:
             if (np.diff(key[order]) == 0).any():
                 raise ValueError("duplicate edges are not allowed")
             edges = np.stack([lo[order], hi[order]], axis=1)
+            # free the sort's temporaries before the adjacency is built (peak memory)
+            del lo, hi, key, order
         self.n = n
         self.edges = edges
         self.edges.flags.writeable = False
         self.degrees = np.bincount(edges.ravel(), minlength=n) if edges.size else np.zeros(n, dtype=np.int64)
         self.degrees.flags.writeable = False
         self.community_sizes = community_sizes
-        self._adj = None
-        self._connected = None
+        # the edges are the upper triangle already in CSR order: row i holds the j of its pairs (i, j)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(edges[:, 0], minlength=n))])
+        upper = sparse.csr_matrix((np.ones(len(edges)), edges[:, 1], indptr), shape=(n, n))
+        self.adjacency = upper + upper.T
+        # the matrix is symmetric, so a directed search finds the undirected component
+        self.connected = len(breadth_first_order(self.adjacency, 0, return_predecessors=False)) == n
 
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
-
-    def adjacency(self) -> sparse.csr_matrix:
-        """Symmetric CSR adjacency matrix with 0/1 float entries."""
-        if self._adj is None:
-            from scipy import sparse
-
-            m = self.edges.shape[0]
-            rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-            cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-            data = np.ones(2 * m, dtype=float)
-            adj = sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
-            adj.sort_indices()
-            self._adj = adj
-        return self._adj
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,6 +212,8 @@ def sample(model: SbmModel) -> Network:
         edges = np.stack([np.concatenate(rows_out), np.concatenate(cols_out)], axis=1)
     else:
         edges = np.empty((0, 2), dtype=np.int64)
+    # free the per-chunk pieces before the network builds its adjacency (peak memory)
+    del rows_out, cols_out
     return Network(model.community_sizes, edges)
 
 
@@ -232,7 +226,7 @@ def sample_connected(model: SbmModel):
     seeds = np.random.SeedSequence(model.seed).generate_state(CONNECT_TRIES, dtype=np.uint64)
     for attempt, s in enumerate(seeds, start=1):
         net = sample(model.with_seed(int(s)))
-        if is_connected(net):
+        if net.connected:
             return net, attempt
     raise RuntimeError(f"no connected sample in {CONNECT_TRIES} tries (model seed {model.seed})")
 
@@ -257,22 +251,6 @@ def block_matrices(model: SbmModel) -> BlockMatrices:
     for arr in (expectation, variance, dhat):
         arr.flags.writeable = False
     return BlockMatrices(expectation=expectation, variance=variance, expected_degrees=dhat)
-
-
-def is_connected(net: Network) -> bool:
-    """True iff a single undirected component spans all nodes (computed once
-    per network and cached)."""
-    if net._connected is None:
-        if net.n <= 1:
-            net._connected = True
-        elif net.num_edges == 0:
-            net._connected = False
-        else:
-            from scipy.sparse.csgraph import connected_components
-
-            ncomp, _ = connected_components(net.adjacency(), directed=False)
-            net._connected = int(ncomp) == 1
-    return net._connected
 
 
 def save_edge_list(net: Network, path) -> None:

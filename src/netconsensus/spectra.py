@@ -64,7 +64,7 @@ def normalized_laplacian_spectrum(net: Network) -> SpectrumEmpirical:
     _check_degrees(net)
     # dense L = I - D^{-1/2} A D^{-1/2}, built in place; 0 - 0 keeps the zeros positive
     inv_sqrt_d = 1.0 / np.sqrt(net.degrees.astype(float))
-    lap = net.adjacency().toarray()
+    lap = net.adjacency.toarray()
     lap *= inv_sqrt_d[:, None]
     lap *= inv_sqrt_d
     np.subtract(0.0, lap, out=lap)
@@ -126,7 +126,7 @@ def deflated_walk_operator(net: Network, shift: float) -> LinearOperator:
     sqrt_d = np.sqrt(net.degrees.astype(float))
     u = sqrt_d / np.linalg.norm(sqrt_d)
     inv_sqrt_d = 1.0 / sqrt_d
-    adj = net.adjacency()
+    adj = net.adjacency
 
     def matvec(x):
         y = inv_sqrt_d * (adj @ (inv_sqrt_d * x))

@@ -245,7 +245,7 @@ def test_09_property_suites():
         pi = small_net.degrees / small_net.degrees.sum()
         x0 = consensus.random_initial_state(small_net.n, 2)
         run = consensus.run(small_net, x0, 1e-10)
-        adj = small_net.adjacency().toarray()
+        adj = small_net.adjacency.toarray()
         walk = adj / adj.sum(axis=1)[:, None]
         states = [x0]
         for _ in range(run.rounds):

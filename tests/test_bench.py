@@ -119,23 +119,23 @@ class TestSweep:
     def test_connectivity_computed_once_per_sampled_network(self, monkeypatch):
         import scipy.sparse.csgraph
 
-        counts = {"sample": 0, "components": 0}
-        sample, components = sbm.sample, scipy.sparse.csgraph.connected_components
+        counts = {"sample": 0, "search": 0}
+        sample, search = sbm.sample, scipy.sparse.csgraph.breadth_first_order
 
         def counted_sample(*args, **kwargs):
             counts["sample"] += 1
             return sample(*args, **kwargs)
 
-        def counted_components(*args, **kwargs):
-            counts["components"] += 1
-            return components(*args, **kwargs)
+        def counted_search(*args, **kwargs):
+            counts["search"] += 1
+            return search(*args, **kwargs)
 
         monkeypatch.setattr(sbm, "sample", counted_sample)
-        monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", counted_components)
+        monkeypatch.setattr(scipy.sparse.csgraph, "breadth_first_order", counted_search)
         rows = bench.sweep(self.make_config(seeds_per_point=2))
         assert rows[0].error is None and rows[0].censored == 0 and rows[0].tau_median is not None
         assert counts["sample"] >= 2
-        assert counts["components"] == counts["sample"]
+        assert counts["search"] == counts["sample"]
 
     def test_gadget_smoke_two_points(self):
         ds = data.make_blobs(300, 4, margin=2.0, seed=5)

@@ -309,8 +309,9 @@ GADGET_MODEL = ["--sizes", "10,10", "--p-in", "0.9", "--p-out", "0.3"]
     ("learning_rounds", "-5", "learning_rounds must be None or >= 0, got -5"),
     ("steps_per_round", "0", "steps_per_round must be >= 1, got 0"),
     ("max_rounds", "-5", "max_rounds must be >= 0, got -5"),
+    ("epsilon", "inf", "epsilon must be > 0 and finite, got inf"),
 ], ids=["dataset", "learning_rounds", "blobs-negative-d", "blobs-negative-n", "learning_rounds-negative",
-        "steps_per_round-zero", "max_rounds-negative"])
+        "steps_per_round-zero", "max_rounds-negative", "epsilon-infinite"])
 def test_malformed_gadget_settings_named(tmp_path, capsys, form, key, value, message):
     settings = {"dataset": "blobs:400:2:2.0", key: value}
     if form == "flag":
@@ -327,6 +328,30 @@ def test_consensus_rejects_negative_max_rounds(tmp_path, capsys):
     assert cli(["consensus", *GADGET_MODEL, "--max-rounds", "-5", "--out", str(tmp_path / "o")]) == 1
     assert "error: max_rounds must be >= 0, got -5" in capsys.readouterr().err
     assert not (tmp_path / "o" / "consensus.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_consensus_rejects_non_finite_epsilon(tmp_path, capsys, value):
+    assert cli(["consensus", *GADGET_MODEL, "--epsilon", value, "--out", str(tmp_path / "o")]) == 1
+    assert f"error: epsilon must be > 0 and finite, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "consensus.json").exists()
+
+
+def test_predict_without_bulk_rejects_nan_eta(tmp_path, capsys):
+    # a complete two-block graph has no bulk, so the density's own eta check is never reached
+    args = ["predict", "--sizes", "5,5", "--p-in", "1", "--p-out", "1", "--eta", "nan", "--out", str(tmp_path / "o")]
+    assert cli(args) == 1
+    assert "error: eta must be positive and finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "prediction.json").exists()
+
+
+def test_config_rejects_unknown_setting(tmp_path, capsys):
+    # a misspelt key would otherwise leave its setting at the default (max_rounds 200000)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(json.dumps({"max_round": 3, "colour": "red"}))
+    assert cli(["consensus", *GADGET_MODEL, "--config", str(cfg), "--max-rounds", "3", "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {cfg}: unknown setting(s) 'max_round', 'colour'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 MODEL_SETTINGS = {"sizes": [6, 6], "p_in": 0.9, "p_out": 0.3}

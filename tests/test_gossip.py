@@ -235,8 +235,8 @@ class TestRunGadget:
                               gossip.GadgetConfig(nu=0.1, epsilon=1e-6, max_rounds=10))
 
     def test_config_validation(self):
-        bad = [("nu", 0.0), ("nu", float("nan")), ("nu", float("inf")), ("epsilon", 0.0), ("max_rounds", -1),
-               ("steps_per_round", 0), ("learning_rounds", -1)]
+        bad = [("nu", 0.0), ("nu", float("nan")), ("nu", float("inf")), ("epsilon", 0.0), ("epsilon", float("nan")),
+               ("epsilon", float("inf")), ("max_rounds", -1), ("steps_per_round", 0), ("learning_rounds", -1)]
         for name, value in bad:
             with pytest.raises(ValueError, match=f"^{name} must be"):
                 gossip.GadgetConfig(**{name: value})
@@ -416,7 +416,7 @@ def connected_graphs(draw):
 @given(connected_graphs(), st.integers(1, 40))
 def test_push_sum_conserves_mass_property(case, rounds):
     net, rng = case
-    assert sbm.is_connected(net)
+    assert net.connected
     sums = rng.normal(size=(net.n, 3)) * 10.0 ** rng.uniform(-3, 3)
     psw = rng.uniform(0.1, 2.0, size=net.n)
     total_s, total_w = sums.sum(axis=0), psw.sum()

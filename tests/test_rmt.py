@@ -144,6 +144,9 @@ class TestBulkDensity:
         for eta in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="^eta must be positive and finite"):
                 rmt.bulk_density(er_model(100, 0.5), [1.0], eta=eta)
+            # a complete graph has no bulk, so predict never reaches bulk_density
+            with pytest.raises(ValueError, match="^eta must be positive and finite"):
+                rmt.predict(er_model(10, 1.0), eta=eta)
 
 
 class TestSupportBoundaries:

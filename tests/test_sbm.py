@@ -130,7 +130,7 @@ class TestSampling:
 
     def test_sample_connected_resamples(self):
         net, attempts = sbm.sample_connected(two_level([30, 30], 0.3, 0.02, seed=5))
-        assert sbm.is_connected(net)
+        assert net.connected
         assert attempts >= 1
 
 
@@ -179,14 +179,77 @@ class TestBlockMatrices:
 
 class TestConnectivity:
     def test_complete_graph_connected(self):
-        assert sbm.is_connected(sbm.sample(two_level([4], 1.0, 1.0)))
+        assert sbm.sample(two_level([4], 1.0, 1.0)).connected
 
     def test_two_blocks_disconnected(self):
-        assert not sbm.is_connected(sbm.sample(two_level([10, 10], 1.0, 0.0)))
+        assert not sbm.sample(two_level([10, 10], 1.0, 0.0)).connected
 
     def test_path_graph_connected(self):
         net = sbm.Network([3], np.array([[0, 1], [1, 2]]))
-        assert sbm.is_connected(net)
+        assert net.connected
+
+
+def coo_adjacency(net):
+    """The COO-to-CSR adjacency build the constructor's direct CSR build replaced, kept as its oracle."""
+    from scipy import sparse
+
+    rows = np.concatenate([net.edges[:, 0], net.edges[:, 1]])
+    cols = np.concatenate([net.edges[:, 1], net.edges[:, 0]])
+    adj = sparse.csr_matrix((np.ones(2 * net.num_edges), (rows, cols)), shape=(net.n, net.n))
+    adj.sort_indices()
+    return adj
+
+
+def components_connected(net):
+    """The connected_components test the constructor's breadth-first search replaced, kept as its oracle."""
+    from scipy.sparse.csgraph import connected_components
+
+    if net.n <= 1:
+        return True
+    if net.num_edges == 0:
+        return False
+    return connected_components(coo_adjacency(net), directed=False)[0] == 1
+
+
+def assert_matches_oracles(net):
+    adj, oracle = net.adjacency, coo_adjacency(net)
+    assert type(adj) is type(oracle)
+    for field in ("indptr", "indices", "data"):
+        got, want = getattr(adj, field), getattr(oracle, field)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+    assert adj.has_sorted_indices
+    assert net.connected is components_connected(net)
+
+
+def reordered_edge_list(net, path, seed):
+    """net's edge list written with its pairs shuffled and about half of them reversed."""
+    rng = np.random.default_rng(seed)
+    edges = net.edges[rng.permutation(net.num_edges)]
+    flip = rng.random(net.num_edges) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    sizes = " ".join(map(str, net.community_sizes))
+    path.write_text(f"{net.n} {len(net.community_sizes)} {sizes}\n" + "".join(f"{i} {j}\n" for i, j in edges))
+    return path
+
+
+class TestConstructionOracles:
+    @pytest.mark.parametrize("sizes, p_in, p_out, seed, connected", [
+        ([30, 70], 0.9, 0.01, 1, True), ([700, 300], 0.1, 0.001, 2, True), ([40, 25, 35], 0.3, 0.02, 5, True),
+        ([60], 0.03, 0.03, 3, False), ([10, 10], 1.0, 0.0, 4, False),
+    ], ids=["fig5-like", "fig3-sparse", "three-blocks", "sparse-er-disconnected", "two-blocks-disconnected"])
+    def test_sampled_and_reloaded_networks(self, tmp_path, sizes, p_in, p_out, seed, connected):
+        net = sbm.sample(two_level(sizes, p_in, p_out, seed=seed))
+        assert net.connected is connected
+        assert_matches_oracles(net)
+        back = sbm.load_edge_list(reordered_edge_list(net, tmp_path / "net.txt", seed))
+        assert np.array_equal(back.edges, net.edges)
+        assert_matches_oracles(back)
+
+    @pytest.mark.parametrize("sizes, connected", [([1], True), ([3, 2], False)], ids=["n=1", "no-edges"])
+    def test_networks_without_edges(self, sizes, connected):
+        net = sbm.Network(sizes, [])
+        assert net.connected is connected
+        assert_matches_oracles(net)
 
 
 class TestNetworkValidation:
@@ -270,3 +333,9 @@ def test_edge_list_roundtrip_property(tmp_path_factory, net):
     path = tmp_path_factory.mktemp("edges") / "net.txt"
     sbm.save_edge_list(net, path)
     assert_same_network(sbm.load_edge_list(path), net)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_networks())
+def test_construction_matches_oracles_property(net):
+    assert_matches_oracles(net)

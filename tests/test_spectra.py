@@ -50,7 +50,7 @@ class TestFullSpectrum:
         # 1 - lambda_j must reproduce the spectrum of D^{-1} A
         net = sample_two_level([20, 25], 0.4, 0.15, seed=11)
         spec = spectra.normalized_laplacian_spectrum(net)
-        adj = net.adjacency().toarray()
+        adj = net.adjacency.toarray()
         walk = adj / net.degrees[:, None]
         mu = np.sort(np.linalg.eigvals(walk).real)
         assert np.allclose(np.sort(1.0 - spec.eigenvalues), mu, atol=1e-8)
@@ -81,7 +81,7 @@ def sparse_laplacian_eigenvalues(net):
     from scipy import sparse
 
     inv_sqrt_d = sparse.diags(1.0 / np.sqrt(net.degrees.astype(float)))
-    lap = sparse.identity(net.n, format="csr") - inv_sqrt_d @ net.adjacency() @ inv_sqrt_d
+    lap = sparse.identity(net.n, format="csr") - inv_sqrt_d @ net.adjacency @ inv_sqrt_d
     return np.linalg.eigvalsh(lap.toarray())
 
 
