@@ -76,7 +76,7 @@ def _delta_grid(key, val):
 
 # every setting, by flag (--p-in sets p_in) or config key, and the one reader of its value
 _SETTINGS = {
-    **dict.fromkeys(("seed", "base_seed", "max_rounds", "steps_per_round", "seeds_per_point", "workers", "bins",
+    **dict.fromkeys(("seed", "max_rounds", "steps_per_round", "seeds_per_point", "workers", "bins",
                      "grid_points", "p_out_num"), _INTEGER),
     **dict.fromkeys(("p_in", "p_out", "epsilon", "nu", "eta", "fix_pole", "p_out_lo", "p_out_hi"), _NUMBER),
     "learning_rounds": _reader(lambda val: None if val == "none" else int(str(val)), "an integer or none"),
@@ -271,7 +271,7 @@ def _cmd_sweep(settings, out):
         grid = (_setting(settings, k, required=True) for k in ("p_out_lo", "p_out_hi", "p_out_num"))
         p_out_list = bench.log_spaced(*grid)
     cfg = _config(bench.SweepConfig, settings, p_out_list=p_out_list, run=_config(gossip.GadgetConfig, settings),
-                  base_seed=_setting(settings, "seed", default=_setting(settings, "base_seed", default=0)),
+                  base_seed=_setting(settings, "seed", default=0),
                   dataset_ref=_setting(settings, "dataset"))
     if cfg.mode == "gadget" and cfg.dataset_ref is None:
         raise ValueError("gadget sweep requires a dataset setting")

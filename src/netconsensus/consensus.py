@@ -8,15 +8,15 @@ permanently drops below the threshold.
 
 A run first iterates the pi-centred deviation e = x - x_star, re-centred
 every round, so the shrinking error carries no round-off of x itself. After
-a few rounds only the walk's slow modes are left. Once the decay the loop
-observes says that the rounds still to go cost more than a Lanczos solve,
-the run switches to the tail: one deflated Lanczos solve from the current
-deviation gives the slow modes' Ritz pairs, and each block of rounds is one
-small product over them. A bound on the dropped modes and the Ritz
-residuals certifies each round's side of epsilon; if any round lies within
-that bound (plus a round-off margin) of epsilon, the tail gives up and the
-loop continues from the switch state. The loop stays the fallback and the
-oracle.
+a few rounds only the walk's slow modes are left. Every SWITCH_WINDOW rounds
+from the second window on, the run switches to the tail if its error is
+still above epsilon, and then never weighs the switch again: one deflated
+Lanczos solve from the current deviation gives the slow modes' Ritz pairs,
+and each block of rounds is one small product over them. A bound on the
+dropped modes and the Ritz residuals certifies each round's side of epsilon;
+if any round lies within that bound (plus a round-off margin) of epsilon, the
+tail gives up and the loop continues from the switch state. The loop stays
+the fallback and the oracle.
 """
 
 from __future__ import annotations
@@ -40,15 +40,13 @@ __all__ = [
 
 # rounds the error must stay below epsilon before tau is declared
 CONFIRM_WINDOW = 50
-# the tail's cost in loop rounds: a run switches to it once more rounds than
-# this are still to go (its solve and set-up cost ~20 rounds of the loop on
-# fig4's networks and ~40 on fig3's; each tail round costs ~0.1 loop rounds
-# on fig3's and less on denser ones)
-TAIL_MATVECS = 50
-# rounds over which the loop observes its own decay; the switch is weighed
-# once per window from the second window on, as the first holds the fast
-# modes' transient
-DECAY_WINDOW = 16
+# rounds between the loop's weighings of the switch to the tail, from the
+# second window on, as the first holds the fast modes' transient. A run whose
+# error is above epsilon has at least CONFIRM_WINDOW rounds to go, more than
+# the tail costs: its solve and set-up cost ~20 loop rounds on fig4's
+# networks and ~40 on fig3's, and each tail round ~0.1 loop rounds on fig3's
+# and less on denser ones
+SWITCH_WINDOW = 16
 # ARPACK restarts the tail's Lanczos solve may take before the run stays on the loop
 TAIL_RESTARTS = 20
 # rounds the tail evaluates per product
@@ -77,9 +75,12 @@ class ConsensusRun:
     x_star: float
     tau_eps: int | None
     error_trace: np.ndarray
-    censored: bool
     rounds: int
     tail_from: int | None = None
+
+    @property
+    def censored(self) -> bool:
+        return self.tau_eps is None
 
 
 def random_initial_state(n: int, seed: int) -> np.ndarray:
@@ -112,7 +113,7 @@ def run(net: Network, x0, epsilon: float, max_rounds: int = GadgetConfig.max_rou
     e = x0 - x_star
     denom = float(np.abs(e).max())
     if denom == 0.0:
-        return ConsensusRun(x_star=x_star, tau_eps=0, error_trace=np.zeros(1), censored=False, rounds=0)
+        return ConsensusRun(x_star=x_star, tau_eps=0, error_trace=np.zeros(1), rounds=0)
 
     adj = net.adjacency
     inv_deg = 1.0 / deg
@@ -131,32 +132,20 @@ def run(net: Network, x0, epsilon: float, max_rounds: int = GadgetConfig.max_rou
             if candidate is None:
                 candidate = t
             elif t - candidate >= CONFIRM_WINDOW:
-                return ConsensusRun(x_star=x_star, tau_eps=candidate, error_trace=np.asarray(errors),
-                                    censored=False, rounds=t)
+                return ConsensusRun(x_star=x_star, tau_eps=candidate, error_trace=np.asarray(errors), rounds=t)
         else:
             candidate = None
-        if may_switch and t % DECAY_WINDOW == 0 and t > DECAY_WINDOW and _rounds_to_go(errors, epsilon) > TAIL_MATVECS:
-            may_switch = False
-            tail = _tail(net, e, modes, t, candidate, epsilon, denom, max_rounds)
-            if tail is not None:
-                tau, rounds, tail_errors = tail
-                return ConsensusRun(x_star=x_star, tau_eps=tau, error_trace=np.asarray(errors + tail_errors),
-                                    censored=tau is None, rounds=rounds, tail_from=t)
-    return ConsensusRun(x_star=x_star, tau_eps=None, error_trace=np.asarray(errors), censored=True,
-                        rounds=max_rounds)
+            if may_switch and t % SWITCH_WINDOW == 0 and t > SWITCH_WINDOW:
+                may_switch = False
+                tail = _tail(net, e, modes, t, epsilon, denom, max_rounds)
+                if tail is not None:
+                    tau, rounds, tail_errors = tail
+                    return ConsensusRun(x_star=x_star, tau_eps=tau, error_trace=np.asarray(errors + tail_errors),
+                                        rounds=rounds, tail_from=t)
+    return ConsensusRun(x_star=x_star, tau_eps=None, error_trace=np.asarray(errors), rounds=max_rounds)
 
 
-def _rounds_to_go(errors, epsilon: float) -> float:
-    """Rounds to tau plus the confirmation, at the decay of the last DECAY_WINDOW rounds."""
-    now, before = errors[-1], errors[-1 - DECAY_WINDOW]
-    if now <= epsilon:
-        return 0.0
-    if now >= before:
-        return math.inf
-    return math.log(epsilon / now) / math.log(now / before) * DECAY_WINDOW + CONFIRM_WINDOW
-
-
-def _tail(net: Network, e, modes: int, t0: int, candidate, epsilon: float, denom: float, max_rounds: int):
+def _tail(net: Network, e, modes: int, t0: int, epsilon: float, denom: float, max_rounds: int):
     """Rounds t0+1.. of a run from the walk's slow modes: (tau or None, rounds, errors).
 
     In y = D^{1/2} e the loop is y <- S' y with S' = D^{-1/2} A D^{-1/2} - u u^T
@@ -187,6 +176,8 @@ def _tail(net: Network, e, modes: int, t0: int, candidate, epsilon: float, denom
     # a y-space 2-norm bounds each |e_i| * sqrt(d_i), so max_i d_i^{-1/2} turns it into relative sup-norm error
     to_error = 1.0 / (float(sqrt_d.min()) * denom)
     errors: list[float] = []
+    # the switch round's error is above epsilon, so no candidate is open
+    candidate = None
     t = t0
     while t < max_rounds:
         s = np.arange(t - t0 + 1, min(t + TAIL_BLOCK, max_rounds) - t0 + 1)
@@ -236,8 +227,8 @@ def tau_bound(mu2_abs: float, epsilon: float):
     """
     mu2_abs = float(mu2_abs)
     epsilon = float(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be > 0 and finite, got {epsilon}")
     if not 0.0 <= mu2_abs < 1.0:
         raise DivergentBoundError(f"bounds require |mu2| < 1, got {mu2_abs}")
     if epsilon >= 1.0:

@@ -115,7 +115,6 @@ class GadgetRun:
     mixing ran on the slow-mode tail, None when every round ran on the loop."""
 
     rounds_to_consensus: int | None
-    censored: bool
     max_pairwise_gap_trace: np.ndarray
     objective_trace: np.ndarray
     accuracy_trace: np.ndarray
@@ -124,6 +123,10 @@ class GadgetRun:
     final_weights: np.ndarray
     node_weights: np.ndarray | None = None
     tail_from: int | None = None
+
+    @property
+    def censored(self) -> bool:
+        return self.rounds_to_consensus is None
 
 
 def draw_picks(shards, rngs, steps: int) -> np.ndarray:
@@ -392,7 +395,6 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
     w_avg = sums.sum(axis=0) / psw.sum()
     return GadgetRun(
         rounds_to_consensus=rounds_done,
-        censored=rounds_done is None,
         max_pairwise_gap_trace=np.asarray(gap_trace),
         objective_trace=np.asarray(obj_trace),
         accuracy_trace=np.asarray(acc_trace),

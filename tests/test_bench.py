@@ -164,7 +164,7 @@ class TestSweep:
 
     def test_csv_roundtrip_and_byte_reproducibility(self, tmp_path):
         settings = {"sizes": [25, 25], "p_in": 0.5, "p_out_list": [0.2, 0.4], "seeds_per_point": 2,
-                    "epsilon": 1e-8, "base_seed": 3, "max_rounds": 20_000}
+                    "epsilon": 1e-8, "seed": 3, "max_rounds": 20_000}
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(json.dumps(settings))
         for run in ("a", "b"):

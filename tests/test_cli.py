@@ -153,7 +153,7 @@ def test_sweep_then_fit_pipeline(tmp_path):
     cfg.write_text(json.dumps({
         "mode": "scalar", "sizes": [20, 20], "p_in": 0.6,
         "p_out_list": [0.1, 0.2, 0.35, 0.55], "seeds_per_point": 1,
-        "epsilon": 1e-8, "base_seed": 9, "max_rounds": 20000,
+        "epsilon": 1e-8, "seed": 9, "max_rounds": 20000,
     }))
     out = tmp_path / "o"
     assert cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
@@ -173,7 +173,7 @@ def test_sweep_then_fit_pipeline(tmp_path):
 
 
 SWEEP_SETTINGS = {"sizes": [20, 20], "p_in": 0.6, "p_out_list": [0.2, 0.4], "seeds_per_point": 1,
-                  "epsilon": 1e-8, "base_seed": 9, "max_rounds": 20000}
+                  "epsilon": 1e-8, "seed": 9, "max_rounds": 20000}
 
 
 def test_sweep_rows_csv_matches_sweep_rows(tmp_path):
@@ -184,7 +184,7 @@ def test_sweep_rows_csv_matches_sweep_rows(tmp_path):
     run = gossip.GadgetConfig(epsilon=SWEEP_SETTINGS["epsilon"], max_rounds=SWEEP_SETTINGS["max_rounds"])
     rows = bench.sweep(bench.SweepConfig(sizes=SWEEP_SETTINGS["sizes"], p_in=SWEEP_SETTINGS["p_in"],
                                          p_out_list=SWEEP_SETTINGS["p_out_list"], seeds_per_point=1,
-                                         run=run, base_seed=SWEEP_SETTINGS["base_seed"]))
+                                         run=run, base_seed=SWEEP_SETTINGS["seed"]))
     back = read_rows_csv(out / "rows.csv")
     assert len(back) == len(rows) == 2
     for got, want in zip(back, rows):
@@ -202,7 +202,7 @@ def test_tail_sweep_rows_independent_of_workers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(consensus, "run", spy)
     settings = {"mode": "scalar", "sizes": [60, 40], "p_in": 0.5, "p_out_list": [0.01, 0.012, 0.2],
-                "seeds_per_point": 2, "epsilon": 1e-10, "base_seed": 9, "max_rounds": 20000}
+                "seeds_per_point": 2, "epsilon": 1e-10, "seed": 9, "max_rounds": 20000}
     written = []
     for workers in (1, 2):
         cfg = tmp_path / f"w{workers}.cfg"
@@ -351,6 +351,15 @@ def test_config_rejects_unknown_setting(tmp_path, capsys):
     cfg.write_text(json.dumps({"max_round": 3, "colour": "red"}))
     assert cli(["consensus", *GADGET_MODEL, "--config", str(cfg), "--max-rounds", "3", "--out", str(tmp_path / "o")]) == 1
     assert f"error: {cfg}: unknown setting(s) 'max_round', 'colour'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_config_rejects_base_seed(tmp_path, capsys):
+    # a sweep's base seed is its seed setting; the old key would otherwise be read beside it
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(json.dumps({**SWEEP_SETTINGS, "base_seed": 9}))
+    assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {cfg}: unknown setting(s) 'base_seed'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

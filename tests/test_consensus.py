@@ -83,13 +83,13 @@ def long_double_errors(net, x0, rounds):
 
 
 def loop_only(monkeypatch):
-    monkeypatch.setattr(consensus, "TAIL_MATVECS", math.inf)
+    """Never weigh the switch: no round is a multiple of an infinite window."""
+    monkeypatch.setattr(consensus, "SWITCH_WINDOW", math.inf)
 
 
 def force_switch_at(monkeypatch, round_):
-    """Take the switch at the first round it is weighed, round_ (even), whatever is still to go."""
-    monkeypatch.setattr(consensus, "DECAY_WINDOW", round_ // 2)
-    monkeypatch.setattr(consensus, "TAIL_MATVECS", -1)
+    """Weigh the switch first at round_ (even); it is taken there if the error is still above epsilon."""
+    monkeypatch.setattr(consensus, "SWITCH_WINDOW", round_ // 2)
 
 
 class TestStationary:
@@ -235,6 +235,12 @@ class TestTauBound:
         with pytest.raises(consensus.DivergentBoundError):
             consensus.tau_bound(1.0, 1e-10)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_epsilon_must_be_positive_and_finite(self, epsilon):
+        # a NaN epsilon would come back as the bound (nan, nan), an infinite one as (0.0, 0.0)
+        with pytest.raises(ValueError, match="^epsilon must be > 0 and finite"):
+            consensus.tau_bound(0.5, epsilon)
+
     def test_diverges_monotonically_toward_one(self):
         values = [consensus.tau_bound(mu, 1e-10)[0] for mu in (0.9, 0.99, 0.999)]
         assert values[0] < values[1] < values[2]
@@ -307,18 +313,6 @@ class TestTail:
             took_tail += fast.tail_from == 16
         assert took_tail >= 12
 
-    def test_keeps_candidate_started_before_switch(self, monkeypatch):
-        net = sample_connected([60, 40], 0.5, 0.01, seed=1)
-        x0 = consensus.random_initial_state(net.n, 1)
-        loop_only(monkeypatch)
-        loop = consensus.run(net, x0, EPS)
-        # switch 5 or 6 rounds into the confirmation window of the loop's tau
-        switch = 2 * ((loop.tau_eps + 6) // 2)
-        force_switch_at(monkeypatch, switch)
-        fast = consensus.run(net, x0, EPS)
-        assert fast.tail_from == switch
-        assert (fast.tau_eps, fast.rounds) == (loop.tau_eps, loop.rounds)
-
     def test_max_rounds_inside_tail_censors(self, monkeypatch):
         net = sample_connected([60, 40], 0.5, 0.01, seed=1)
         x0 = consensus.random_initial_state(net.n, 1)
@@ -380,6 +374,17 @@ class TestTail:
         assert dropped > 0.1 * np.linalg.norm(y0)
         assert np.all(np.asarray(gaps) <= bound)
 
+    def test_converged_by_first_weighing_never_switches(self, monkeypatch):
+        def no_tail(*args):
+            raise AssertionError("tail after the error fell below epsilon")
+
+        net = sample_connected([30, 30], 0.9, 0.5, seed=2)
+        monkeypatch.setattr(consensus, "_tail", no_tail)
+        result = consensus.run(net, consensus.random_initial_state(net.n, 2), EPS)
+        assert result.error_trace[2 * consensus.SWITCH_WINDOW] <= EPS
+        assert result.tail_from is None
+        assert not result.censored
+
     def test_tiny_network_stays_on_loop(self, monkeypatch):
         def no_tail(*args):
             raise AssertionError("tail on a tiny network")
@@ -393,12 +398,14 @@ class TestTail:
 
 
 @st.composite
-def connected_two_community_graphs(draw):
+def connected_two_community_graphs(draw, log_p_out=False):
+    """log_p_out draws p_out log-uniformly, so that slow-mixing graphs with few bridges are common."""
     sizes = [draw(st.integers(5, 60)), draw(st.integers(5, 60))]
     p_in = draw(st.floats(0.3, 0.9))
     # at least ~3 expected bridge edges, so that a connected sample is found
     lo = min(p_in, 3.0 / (sizes[0] * sizes[1]))
-    p_out = min(p_in, lo + draw(st.floats(0.0, 1.0)) * (p_in - lo))
+    share = draw(st.floats(0.0, 1.0))
+    p_out = min(p_in, lo * (p_in / lo) ** share if log_p_out else lo + share * (p_in - lo))
     seed = draw(st.integers(0, 2**31 - 1))
     return sample_connected(sizes, p_in, p_out, seed=seed), seed
 
@@ -417,3 +424,37 @@ def test_tau_within_spectral_bound_property(case):
     bound, _ = consensus.tau_bound(spec.mu2_abs, EPS)
     spread = math.log(math.sqrt(net.degrees.sum() / net.degrees.min())) / abs(math.log(spec.mu2_abs))
     assert result.tau_eps <= bound + 1 + spread
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(connected_two_community_graphs(log_p_out=True), st.floats(2.0, 12.0))
+def test_switch_rule_against_loop_trace(case, digits):
+    """The run tries the tail at the first weighing round whose loop error is
+    above epsilon, and at no other round; it never tries it when there is no
+    such round or the network is tiny. tail_from is that round, or None after a
+    fallback, and either way tau, rounds and censoring are the loop's."""
+    net, seed = case
+    epsilon = 10.0**-digits
+    x0 = consensus.random_initial_state(net.n, seed)
+    tail, tried = consensus._tail, []
+
+    def spy(net, e, modes, t0, *args):
+        tried.append(t0)
+        return tail(net, e, modes, t0, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        loop_only(patch)
+        loop = consensus.run(net, x0, epsilon, max_rounds=3000)
+        patch.undo()
+        patch.setattr(consensus, "_tail", spy)
+        result = consensus.run(net, x0, epsilon, max_rounds=3000)
+    window = consensus.SWITCH_WINDOW
+    above = [t for t in range(2 * window, loop.rounds + 1, window) if loop.error_trace[t] > epsilon]
+    tiny = net.n <= 16  # max(16, 4 * modes), with one tail mode for two communities
+    assert tried == ([] if tiny else above[:1])
+    assert result.tail_from in (None, *tried)
+    if result.tail_from is None:
+        assert np.array_equal(result.error_trace, loop.error_trace)
+    else:
+        assert np.array_equal(result.error_trace[: tried[0] + 1], loop.error_trace[: tried[0] + 1])
+    assert (result.tau_eps, result.rounds, result.censored) == (loop.tau_eps, loop.rounds, loop.censored)
