@@ -17,13 +17,14 @@ is exact, but the full pairwise distances are only computed when the cheap
 bracket dev <= gap <= 2 dev, dev = max_i ||w_i - w_0||, cannot settle it.
 
 A run is push-sum rounds, then a certified slow-mode tail. Once learning
-ends, the pair evolves linearly, so an untraced run on a network of at most
-TAIL_MAX_NODES nodes leaves the loop: one dense eigh of the symmetrized
-mixing matrix gives every later round, and each block of rounds is one small
-product over the modes that still matter. The same bracket, widened by the
-dropped modes' bound and the loop's round-off, decides each round; a round
-it cannot settle sends the run back to the loop from the switch state. The
-loop stays for traced runs, for the learning rounds and as the oracle.
+ends, the rounds iterate the mass-free deviation sums - psw w_inf from the
+conserved mean w_inf, so w_inf enters no difference of the gap. An untraced
+run on at most TAIL_MAX_NODES nodes evaluates them from the modes: one dense
+eigh of the symmetrized mixing matrix gives every later round, and each block
+of rounds is one small product over the modes that still matter. The bracket,
+widened by the dropped modes' bound and _BRACKET_MARGIN, decides each round;
+a round it cannot settle sends the run back to the loop from the same state.
+The loop stays for traced runs, for the learning rounds and as the oracle.
 """
 
 from __future__ import annotations
@@ -55,8 +56,10 @@ __all__ = [
 # share of the dataset held out for test accuracy
 TEST_FRACTION = 0.25
 
-# relative margin around epsilon inside which the stop test falls back to the
-# exact pairwise distances; distance round-off is ~1e-14 relative
+# relative margin around epsilon inside which the stop test, on the loop and
+# the tail, falls back to the exact pairwise distances. It covers distance
+# round-off (~1e-14 relative), the loop's mixing error (~rounds * u relative to
+# the gap, u the float64 epsilon) and the tail's (~1e-12 epsilon)
 _BRACKET_MARGIN = 1e-9
 
 # dense feature values gathered per block of learning steps, and node weights
@@ -69,13 +72,6 @@ _BLOCK_VALUES = 1 << 17
 # as much at 300 (17 ms); at 600 it is ~130 rounds and at 1000 (0.25 s) ~300,
 # as long as a whole run on a well-connected network, and at 2000 it is 1.7 s
 TAIL_MAX_NODES = 500
-# the tail's slack for the loop's round-off, in units of
-# u |w|_max / sqrt(1 - theta_2^2) (u the float64 epsilon, theta_2 the slowest
-# mode): the round-off the loop adds each round lives on for about
-# 1 / (1 - theta_2^2) rounds, and near epsilon the loop's gap strayed from a
-# long-double oracle's by at most 2 units in 44 of the 45 fig5 grid runs and
-# by 5.5 in one; the tail itself agrees with that oracle to ~1e-12 epsilon
-_DRIFT_UNITS = 8.0
 
 
 @dataclass(frozen=True)
@@ -111,8 +107,10 @@ class GadgetConfig:
 
 @dataclass(eq=False)
 class GadgetRun:
-    """Outcome of one decentralized run; tail_from is the round after which
-    mixing ran on the slow-mode tail, None when every round ran on the loop."""
+    """Outcome of one decentralized run. final_weights is w_inf, the mean that
+    mixing conserves once learning ends (the last round's if it never does);
+    tail_from is the round after which mixing ran on the slow-mode tail, None
+    when every round ran on the loop."""
 
     rounds_to_consensus: int | None
     max_pairwise_gap_trace: np.ndarray
@@ -232,21 +230,21 @@ def _gap_below(weights: np.ndarray, epsilon: float) -> bool:
     return max_pairwise_gap(weights) < epsilon
 
 
-def _mixing_tail(net: Network, weights: np.ndarray, psw: np.ndarray, epsilon: float, rounds: int, block: int):
-    """Up to rounds mixing-only rounds of the loop from weights and psw, from
-    the mixing matrix's modes: (first round whose gap is below epsilon or
-    None, node weights of that round or of the last).
+def _mixing_tail(net: Network, dev: np.ndarray, psw: np.ndarray, epsilon: float, rounds: int, block: int):
+    """Up to rounds mixing-only rounds of the loop from the deviation dev and
+    psw, from the mixing matrix's modes: (first round whose gap is below
+    epsilon or None, dev / psw of that round or of the last).
 
     M = (A + I) D'^-1 with D' = D + I is similar to the symmetric
     S' = D'^-1/2 (A + I) D'^-1/2 = U diag(theta) U^T, so round s of the loop is
-    M^s X = D'^1/2 U diag(theta^s) U^T D'^-1/2 X. The deviation E = sums -
+    M^s X = D'^1/2 U diag(theta^s) U^T D'^-1/2 X. The deviation dev = sums -
     psw w_inf from the conserved mean w_inf has no mass, and the node weights
-    are w_inf + E / psw. Each block of rounds (their number doubling from one
+    are w_inf + dev / psw. Each block of rounds (their number doubling from one
     up to block) is one product over the modes whose remaining size exceeds
-    the round-off slack; the dropped ones move node i by at most
-    sqrt(d'_i) |theta^s C|_F over their coefficients C.
+    the stop test's margin _BRACKET_MARGIN epsilon; the dropped ones move node
+    i by at most sqrt(d'_i) |theta^s C|_F over their coefficients C.
     Returns None, and the loop carries on, if any round's gap lies within the
-    dropped modes' bound plus the loop's round-off (_DRIFT_UNITS) of epsilon.
+    dropped modes' bound plus that margin of epsilon.
     """
     n = net.n
     sqrt_dp = np.sqrt(net.degrees + 1.0)
@@ -254,19 +252,14 @@ def _mixing_tail(net: Network, weights: np.ndarray, psw: np.ndarray, epsilon: fl
     with_self[np.diag_indices(n)] += 1.0
     theta, vecs = np.linalg.eigh(with_self / np.outer(sqrt_dp, sqrt_dp))
     basis = sqrt_dp[:, None] * vecs
-    sums = weights * psw[:, None]
-    w_inf = sums.sum(axis=0) / psw.sum()
-    coef = vecs.T @ ((sums - psw[:, None] * w_inf) / sqrt_dp[:, None])
+    coef = vecs.T @ (dev / sqrt_dp[:, None])
     coef_psw = vecs.T @ (psw / sqrt_dp)
     size = np.sqrt(np.einsum("ij,ij->i", coef, coef))
-    # theta is ascending, its last the conserved mode 1
-    slow = float(np.abs(theta[:-1]).max()) if n > 1 else 0.0
-    w_max = float(np.sqrt(np.einsum("ij,ij->i", weights, weights).max()))
-    drift = _DRIFT_UNITS * np.finfo(float).eps * w_max / np.sqrt(1.0 - slow * slow)
+    margin = epsilon * _BRACKET_MARGIN
 
-    def node_weights(s):
+    def spread(s):
         power = theta**s
-        return w_inf + (basis @ (power[:, None] * coef)) / (basis @ (power * coef_psw))[:, None]
+        return (basis @ (power[:, None] * coef)) / (basis @ (power * coef_psw))[:, None]
 
     steps = theta[:, None] ** np.arange(1, block + 1)
     done, length = 0, 1
@@ -279,9 +272,9 @@ def _mixing_tail(net: Network, weights: np.ndarray, psw: np.ndarray, epsilon: fl
         scale = 2.0 * (sqrt_dp[:, None] / p).max(axis=0)
         reach = np.abs(power[:, 0]) * size
         order = np.argsort(reach)
-        cut = np.searchsorted(scale.max() * np.sqrt(np.cumsum(reach[order] ** 2)), drift, side="right")
+        cut = np.searchsorted(scale.max() * np.sqrt(np.cumsum(reach[order] ** 2)), margin, side="right")
         drop, keep = order[:cut], order[cut:]
-        slack = drift + scale * np.sqrt((power[drop] ** 2).T @ size[drop] ** 2)
+        slack = margin + scale * np.sqrt((power[drop] ** 2).T @ size[drop] ** 2)
         factor = coef[keep]
         if 0 < keep.size < factor.shape[1]:
             # R^T of C^T = QR spans the rows' distances in keep.size coordinates
@@ -292,8 +285,8 @@ def _mixing_tail(net: Network, weights: np.ndarray, psw: np.ndarray, epsilon: fl
         diff = diff.reshape(n, s.size, factor.shape[1])
         diff /= p[:, :, None]
         diff -= diff[0].copy()
-        dev = np.sqrt(np.einsum("isj,isj->is", diff, diff).max(axis=0))
-        below, above = _bracket(dev, epsilon, slack)
+        radius = np.sqrt(np.einsum("isj,isj->is", diff, diff).max(axis=0))
+        below, above = _bracket(radius, epsilon, slack)
         for j in np.flatnonzero(~above):
             if not below[j]:
                 gap = max_pairwise_gap(diff[:, j])
@@ -301,9 +294,9 @@ def _mixing_tail(net: Network, weights: np.ndarray, psw: np.ndarray, epsilon: fl
                     return None
                 if gap >= epsilon:
                     continue
-            return int(s[j]), node_weights(s[j])
+            return int(s[j]), spread(s[j])
         done = int(s[-1])
-    return None, node_weights(rounds)
+    return None, spread(rounds)
 
 
 def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: int = 0,
@@ -313,12 +306,12 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
     Each round: steps_per_round Pegasos steps on every node (while the
     learning budget lasts), then the working weights enter the push-sum pair,
     one mixing exchange runs, and nodes adopt s/psw as their new weights.
-    Stops when the max pairwise weight gap drops below epsilon, or reports a
-    censored run at max_rounds. seed fixes the data split and the example
-    streams; record_trace keeps the per-round traces, and without it the
-    mixing rounds after the learning budget may run on the slow-mode tail
-    (module docstring). A disconnected network or a dataset without features
-    raises ValueError.
+    Once learning ends, the rounds mix the deviation from the conserved mean
+    w_inf instead. Stops when the max pairwise weight gap drops below epsilon,
+    or reports a censored run at max_rounds. seed fixes the data split and the
+    example streams; record_trace keeps the per-round traces, and without it
+    the mixing rounds may run on the slow-mode tail (module docstring). A
+    disconnected network or a dataset without features raises ValueError.
     """
     if not net.connected:
         raise ValueError("run_gadget requires a connected network")
@@ -348,19 +341,9 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
     learning_rounds = cfg.max_rounds if cfg.learning_rounds is None else min(cfg.learning_rounds, cfg.max_rounds)
     total_steps = learning_rounds * steps
     block = max(1, _BLOCK_VALUES // (n * train.d))
-    # the round after which an untraced run's mixing may run on the slow-mode tail
-    tail_ok = not record_trace and learning_rounds < cfg.max_rounds and n <= TAIL_MAX_NODES
-    switch = learning_rounds if tail_ok else None
-    tail_from = None
+    tail_from = w_inf = None
     t = 0  # learning steps taken
     for t_round in range(1, cfg.max_rounds + 1):
-        if t_round - 1 == switch:
-            tail = _mixing_tail(net, weights, psw, cfg.epsilon, cfg.max_rounds - switch, block)
-            if tail is not None:
-                stop, weights = tail
-                rounds_done = None if stop is None else switch + stop
-                tail_from = switch
-                break
         learning = t_round <= learning_rounds
         if learning:
             for _ in range(steps):
@@ -373,34 +356,50 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
                     labels = y_train[picks]
                 t += 1
                 pegasos_step(weights, rows[j], labels[j], cfg.nu, t)
-        sums, psw = push_sum_round(mix, weights * psw[:, None], psw)
-        weights = sums / psw[:, None]
+            sums, psw = push_sum_round(mix, weights * psw[:, None], psw)
+            spread = weights = sums / psw[:, None]
+        else:
+            if w_inf is None:
+                # mixing conserves the mass: iterate its deviation from the mean w_inf
+                w_inf = sums.sum(axis=0) / psw.sum()
+                dev = sums - psw[:, None] * w_inf
+                if not record_trace and n <= TAIL_MAX_NODES:
+                    tail = _mixing_tail(net, dev, psw, cfg.epsilon, cfg.max_rounds - learning_rounds, block)
+                    if tail is not None:
+                        stop, spread = tail
+                        rounds_done = None if stop is None else learning_rounds + stop
+                        tail_from = learning_rounds
+                        break
+            dev, psw = push_sum_round(mix, dev, psw)
+            spread = dev / psw[:, None]  # the weights less w_inf: the same gap
         if record_trace:
-            gap = max_pairwise_gap(weights)
+            gap = max_pairwise_gap(spread)
             gap_trace.append(gap)
             if learning or not obj_trace:
-                # mixing conserves mass: w_avg stays fixed once learning ends
-                w_avg = sums.sum(axis=0) / psw.sum()
+                w_avg = sums.sum(axis=0) / psw.sum() if learning else w_inf
                 objective = hinge_objective(w_avg, X_train, y_train, cfg.nu, n)
                 acc = accuracy(w_avg, X_test, y_test)
             obj_trace.append(objective)
             acc_trace.append(acc)
             done = gap < cfg.epsilon
         else:
-            done = _gap_below(weights, cfg.epsilon)
+            done = _gap_below(spread, cfg.epsilon)
         if done:
             rounds_done = t_round
             break
 
-    w_avg = sums.sum(axis=0) / psw.sum()
+    if w_inf is None:  # the run ended while learning
+        w_inf = sums.sum(axis=0) / psw.sum()
+    else:
+        weights = w_inf + spread
     return GadgetRun(
         rounds_to_consensus=rounds_done,
         max_pairwise_gap_trace=np.asarray(gap_trace),
         objective_trace=np.asarray(obj_trace),
         accuracy_trace=np.asarray(acc_trace),
-        test_accuracy=accuracy(w_avg, X_test, y_test),
-        final_objective=hinge_objective(w_avg, X_train, y_train, cfg.nu, n),
-        final_weights=w_avg,
+        test_accuracy=accuracy(w_inf, X_test, y_test),
+        final_objective=hinge_objective(w_inf, X_train, y_train, cfg.nu, n),
+        final_weights=w_inf,
         node_weights=weights,
         tail_from=tail_from,
     )

@@ -347,13 +347,15 @@ def test_examples_drawn_once_per_block(monkeypatch):
 
 
 # a traced run of the implementation that evaluated the objective and the
-# accuracy every round, written in as literals
+# accuracy every round, written in as literals; the 13 mixing-round gaps come
+# from the loop on the deviation from the conserved mean, each within 1e-13
+# relative of the long-double oracle of the next test
 TRACED_GAPS = [
     11.88089085952928, 3.1900076315657273, 2.081697363118811, 2.0314575227755265, 1.933301945851119,
-    0.8713964257279678, 1.1802480512721893, 0.9830006600637393, 0.32343284669572553, 0.11682874011778172,
-    0.04937407343691213, 0.020689780843077404, 0.008746378349475812, 0.0037082177910117515,
-    0.00157528930258517, 0.0006704113008996496, 0.00028549776794372847, 0.00012167612243957425,
-    5.187049979911862e-05, 2.2119453919590713e-05, 9.433577724271548e-06,
+    0.8713964257279678, 1.1802480512721893, 0.9830006600637393, 0.32343284669572536, 0.11682874011778162,
+    0.04937407343691208, 0.020689780843077293, 0.0087463783494758, 0.0037082177910117984,
+    0.001575289302585109, 0.0006704113008997033, 0.00028549776794378827, 0.00012167612243958357,
+    5.187049979909186e-05, 2.2119453919565438e-05, 9.433577724312499e-06,
 ]
 TRACED_OBJECTIVES = [
     17.64747685718411, 8.533241963864947, 7.409817767009358, 8.192171681197355, 7.536705712730227,
@@ -365,16 +367,52 @@ TRACED_ACCURACIES = [
 ] + [0.64] * 13
 
 
-def test_traced_run_matches_every_round_evaluation():
+def traced_run():
     ds = data.make_blobs(300, 4, margin=0.5, seed=5)
-    model = sbm.make_two_level_model([10, 15], sbm.TwoLevelProbs(0.8, 0.3), 2)
+    net, _ = sbm.sample_connected(sbm.make_two_level_model([10, 15], sbm.TwoLevelProbs(0.8, 0.3), 2))
     cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-5, max_rounds=20_000, learning_rounds=8)
-    run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg, seed=4)
+    return net, gossip.run_gadget(net, ds, cfg, seed=4)
+
+
+def test_traced_run_matches_every_round_evaluation():
+    _, run = traced_run()
     assert run.rounds_to_consensus == 21
     assert run.max_pairwise_gap_trace.tolist() == TRACED_GAPS
     assert run.accuracy_trace.tolist() == TRACED_ACCURACIES
     assert run.objective_trace == pytest.approx(TRACED_OBJECTIVES, rel=1e-12, abs=0.0)
 
+
+
+def long_double_gaps(net, sums, psw, rounds):
+    """The gaps of rounds mixing-only rounds from the pair (sums, psw), in long
+    double with the dense mixing matrix. The weights' gap is that of
+    (sums - psw c) / psw for any row c, so the pair is centred on its own
+    mean first and no round takes a difference of two near-equal weights."""
+    mix = gossip.mixing_matrix(net).toarray().astype(np.longdouble)
+    sums, psw = sums.astype(np.longdouble), psw.astype(np.longdouble)
+    dev = sums - psw[:, None] * (sums.sum(axis=0) / psw.sum())
+    gaps = []
+    for _ in range(rounds):
+        dev, psw = mix @ dev, mix @ psw
+        spread = dev / psw[:, None]
+        gaps.append(np.sqrt(((spread[:, None] - spread[None]) ** 2).sum(axis=-1).max()))
+    return np.array(gaps)
+
+
+def test_traced_mixing_gaps_match_a_long_double_oracle(monkeypatch):
+    pairs = []
+    push_sum_round = gossip.push_sum_round
+
+    def recorded(mix, sums, psw):
+        pairs.append(push_sum_round(mix, sums, psw))
+        return pairs[-1]
+
+    monkeypatch.setattr(gossip, "push_sum_round", recorded)
+    net, run = traced_run()
+    # the oracle starts from the pair the 8 learning rounds left
+    want = long_double_gaps(net, *pairs[7], len(TRACED_GAPS) - 8)
+    got = run.max_pairwise_gap_trace[8:]
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 @st.composite
 def weight_matrices(draw):
@@ -443,8 +481,8 @@ def loop_and_tail(net, ds, cfg, seed=0):
 def assert_same_run(tail, loop):
     assert tail.rounds_to_consensus == loop.rounds_to_consensus
     assert tail.censored == loop.censored
-    scale = np.abs(loop.final_weights).max()
-    assert np.abs(tail.final_weights - loop.final_weights).max() <= 1e-12 * scale
+    # both report the conserved mean w_inf fixed when learning ends
+    assert tail.final_weights.tobytes() == loop.final_weights.tobytes()
     assert tail.test_accuracy == loop.test_accuracy
 
 
@@ -463,23 +501,27 @@ def test_tail_rounds_match_the_loop_on_random_graphs(case, learning):
         assert np.abs(tail.node_weights - loop.node_weights).max() < cfg.epsilon
 
 
-# two-community models: PER_NODE_RUNS's, a sparse one, and fig5's model at
-# p_out 0.003 with its dataset (the one fig5-sized network of these tests)
+# two-community models: PER_NODE_RUNS's, a sparse one, fig5's model at p_out
+# 0.003 with its dataset, and the fig5 grid run at p_out 0.0026 whose gap at
+# round 4053 is 1 + 2.5e-5 epsilon by a long-double oracle and 0.9945 epsilon at
+# 4054: (sizes, probs, seed, blobs, learning_rounds, rounds)
 TWO_COMMUNITY_RUNS = [
-    ([10, 15], (0.8, 0.3), 2, (300, 4, 2.0, 5), 30),
-    ([40, 20], (0.5, 0.02), 3, (400, 6, 1.0, 1), 50),
-    ([30, 70], (0.9, 0.003), 5, (10_000, 20, 2.0, 88), 200),
+    ([10, 15], (0.8, 0.3), 2, (300, 4, 2.0, 5), 30, 54),
+    ([40, 20], (0.5, 0.02), 3, (400, 6, 1.0, 1), 50, 256),
+    ([30, 70], (0.9, 0.003), 5, (10_000, 20, 2.0, 88), 200, 2778),
+    ([30, 70], (0.9, 0.002642619553930058), 984030676, (10_000, 20, 2.0, 88), 200, 4054),
 ]
 
 
-@pytest.mark.parametrize("sizes, probs, seed, blobs, learning", TWO_COMMUNITY_RUNS)
-def test_tail_rounds_match_the_loop_on_two_community_models(sizes, probs, seed, blobs, learning):
+@pytest.mark.parametrize("sizes, probs, seed, blobs, learning, rounds", TWO_COMMUNITY_RUNS)
+def test_tail_rounds_match_the_loop_on_two_community_models(sizes, probs, seed, blobs, learning, rounds):
     n, d, margin, blob_seed = blobs
     ds = data.make_blobs(n, d, margin, seed=blob_seed)
     net, _ = sbm.sample_connected(sbm.make_two_level_model(sizes, sbm.TwoLevelProbs(*probs), seed))
     cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-10, learning_rounds=learning)
     tail, loop = loop_and_tail(net, ds, cfg, seed=seed)
     assert tail.tail_from == learning
+    assert tail.rounds_to_consensus == rounds
     assert_same_run(tail, loop)
 
 
@@ -487,8 +529,10 @@ def test_uncertified_round_falls_back_to_the_loop(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(gossip, "TAIL_MAX_NODES", 0)
         loop = per_node_model_run(1, 30, False, 1e-9)
-    # a round-off slack larger than any gap leaves the first round uncertified
-    monkeypatch.setattr(gossip, "_DRIFT_UNITS", 1e300)
+    # a stop-test margin larger than any gap leaves the tail's first round
+    # uncertified; the loop's stop test then always takes the exact distances,
+    # which decide as its bracket does
+    monkeypatch.setattr(gossip, "_BRACKET_MARGIN", 1e300)
     calls = []
     tail = gossip._mixing_tail
 
