@@ -8,15 +8,12 @@ permanently drops below the threshold.
 
 A run first iterates the pi-centred deviation e = x - x_star, re-centred
 every round, so the shrinking error carries no round-off of x itself. After
-a few rounds only the walk's slow modes are left. Every SWITCH_WINDOW rounds
-from the second window on, the run switches to the tail if its error is
-still above epsilon, and then never weighs the switch again: one deflated
-Lanczos solve from the current deviation gives the slow modes' Ritz pairs,
-and each block of rounds is one small product over them. A bound on the
-dropped modes and the Ritz residuals certifies each round's side of epsilon;
-if any round lies within that bound (plus a round-off margin) of epsilon, the
-tail gives up and the loop continues from the switch state. The loop stays
-the fallback and the oracle.
+a few rounds only the walk's slow modes are left. Every spectra.SWITCH_WINDOW
+rounds from the second window on, the run switches to the tail (_tail), once,
+if its error is still above epsilon: each block of rounds is one small
+product over the slow modes' Ritz pairs, and a bound on what they miss
+certifies each round's side of epsilon. If it cannot certify a round, the
+loop continues from the switch state; it stays the fallback and the oracle.
 """
 
 from __future__ import annotations
@@ -40,17 +37,6 @@ __all__ = [
 
 # rounds the error must stay below epsilon before tau is declared
 CONFIRM_WINDOW = 50
-# rounds between the loop's weighings of the switch to the tail, from the
-# second window on, as the first holds the fast modes' transient. A run whose
-# error is above epsilon has at least CONFIRM_WINDOW rounds to go, more than
-# the tail costs: its solve and set-up cost ~20 loop rounds on fig4's
-# networks and ~40 on fig3's, and each tail round ~0.1 loop rounds on fig3's
-# and less on denser ones
-SWITCH_WINDOW = 16
-# ARPACK restarts the tail's Lanczos solve may take before the run stays on the loop
-TAIL_RESTARTS = 20
-# rounds the tail evaluates per product
-TAIL_BLOCK = 64
 # slack, in units of epsilon, for the round-off of the loop before the switch
 # and of the tail's own evaluation (the centred loop is within ~2e-8 epsilon
 # of a long-double oracle)
@@ -122,7 +108,7 @@ def run(net: Network, x0, epsilon: float, max_rounds: int = GadgetConfig.max_rou
     # the tail's Ritz pairs: one per community mode, the slow modes of a block model
     modes = max(1, len(net.community_sizes) - 1)
     # the Lanczos basis of the tail does not fit a tiny network
-    may_switch = net.n > max(16, 4 * modes)
+    may_switch = spectra.lanczos_fits(net.n, modes)
     for t in range(1, max_rounds + 1):
         e = inv_deg * (adj @ e)
         e -= pi @ e
@@ -135,7 +121,7 @@ def run(net: Network, x0, epsilon: float, max_rounds: int = GadgetConfig.max_rou
                 return ConsensusRun(x_star=x_star, tau_eps=candidate, error_trace=np.asarray(errors), rounds=t)
         else:
             candidate = None
-            if may_switch and t % SWITCH_WINDOW == 0 and t > SWITCH_WINDOW:
+            if may_switch and t % spectra.SWITCH_WINDOW == 0 and t > spectra.SWITCH_WINDOW:
                 may_switch = False
                 tail = _tail(net, e, modes, t, epsilon, denom, max_rounds)
                 if tail is not None:
@@ -149,29 +135,21 @@ def _tail(net: Network, e, modes: int, t0: int, epsilon: float, denom: float, ma
     """Rounds t0+1.. of a run from the walk's slow modes: (tau or None, rounds, errors).
 
     In y = D^{1/2} e the loop is y <- S' y with S' = D^{-1/2} A D^{-1/2} - u u^T
-    (the re-centring removes the top eigenvector u). One Lanczos solve from
-    y0 gives Ritz pairs S' V ~ V diag(theta), and round t0 + s of the loop is
-    D^{-1/2} V diag(theta^s) c with c = V^T y0, up to the remainder that
-    _remainder_bound bounds. Returns None, and the loop carries on from round
-    t0, if the solve does not converge or any round's error lies within that
-    bound + MARGIN * epsilon of epsilon.
+    (the re-centring removes the top eigenvector u). The Ritz pairs
+    S' V ~ V diag(theta) of spectra.slow_modes give round t0 + s of the loop
+    as D^{-1/2} V diag(theta^s) c with c = V^T y0, up to spectra.remainder_bound.
+    Returns None, and the loop carries on from round t0, if there are no such
+    pairs or any round's error lies within that bound + MARGIN * epsilon of
+    epsilon.
     """
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-    op = spectra.deflated_walk_operator(net, shift=1.0)
     sqrt_d = np.sqrt(net.degrees.astype(float))
     y0 = sqrt_d * e
-    try:
-        theta, vecs = eigsh(op, k=modes, which="LM", v0=y0, tol=0, maxiter=TAIL_RESTARTS)
-    except ArpackNoConvergence:
+    solve = spectra.slow_modes(net, y0, modes)
+    if solve is None:
         return None
+    theta, vecs = solve[:2]
     coef = vecs.T @ y0
-    dropped = float(np.linalg.norm(y0 - vecs @ coef))
-    resid = float(np.linalg.norm([op.matvec(v) - lam * v for lam, v in zip(theta, vecs.T)]))
-    rho = float(np.abs(theta).min()) + 2.0 * resid
-    if rho >= 1.0:  # the dropped modes need not decay: nothing to certify with
-        return None
-    y0_norm = float(np.linalg.norm(y0))
+    remainder = spectra.remainder_bound(solve, y0)
     basis = vecs / sqrt_d[:, None]
     # a y-space 2-norm bounds each |e_i| * sqrt(d_i), so max_i d_i^{-1/2} turns it into relative sup-norm error
     to_error = 1.0 / (float(sqrt_d.min()) * denom)
@@ -180,9 +158,9 @@ def _tail(net: Network, e, modes: int, t0: int, epsilon: float, denom: float, ma
     candidate = None
     t = t0
     while t < max_rounds:
-        s = np.arange(t - t0 + 1, min(t + TAIL_BLOCK, max_rounds) - t0 + 1)
+        s = np.arange(t - t0 + 1, min(t + spectra.TAIL_BLOCK, max_rounds) - t0 + 1)
         estimate = np.abs(basis @ (coef[:, None] * theta[:, None] ** s)).max(axis=0) / denom
-        bound = to_error * _remainder_bound(s, theta, coef, rho, resid, dropped, y0_norm)
+        bound = to_error * remainder(s)
         for err, slack in zip(estimate.tolist(), (bound + MARGIN * epsilon).tolist()):
             if abs(err - epsilon) <= slack:
                 return None
@@ -196,27 +174,6 @@ def _tail(net: Network, e, modes: int, t0: int, epsilon: float, denom: float, ma
             else:
                 candidate = None
     return None, max_rounds, errors
-
-
-def _remainder_bound(s, theta, coef, rho, resid, dropped, y0_norm):
-    """Upper bound on |S'^s y0 - V diag(theta^s) c|_2 for the rounds s >= 1.
-
-    Split y(s) = V a(s) + q(s) with q orthogonal to the Ritz vectors V. With
-    R = S'V - V diag(theta) and r = |R| <= resid,
-        a(s+1) = theta a(s) + R^T q(s),   q(s+1) = R a(s) + Q S' Q q(s),
-    where Q S' Q, S' compressed to the complement of V, has norm at most
-    rho = min |theta| + 2 resid as long as the Lanczos solve found the
-    largest-magnitude eigenvalues. |S'| <= 1 bounds |a|, |q| by |y0|; the
-    sums below follow from unrolling both recurrences.
-    """
-    abs_theta = np.abs(theta)[:, None]
-    top = np.maximum(abs_theta, rho)
-    # sum_{j<s} rho^(s-1-j) |theta_i|^j, bounded two ways
-    gap = abs_theta - rho
-    above = np.divide(abs_theta**s, gap, out=np.full((abs_theta.size, s.size), np.inf), where=gap > 0)
-    leak = np.minimum(s * top ** (s - 1), above)
-    second = resid * (dropped + resid * s * (np.abs(coef).sum() + y0_norm * (1.0 + resid * s))) / (1.0 - rho)
-    return rho**s * dropped + resid * (np.abs(coef) @ leak) + second
 
 
 def tau_bound(mu2_abs: float, epsilon: float):

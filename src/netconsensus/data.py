@@ -1,8 +1,8 @@
 """Dataset ingestion, horizontal partitioning, and synthetic blob generation.
 
 The on-disk format is the usual sparse text layout, one example per line:
-``label idx:val idx:val ...`` with 0- or 1-based indices (autodetected,
-overridable). Labels are mapped to {-1, +1}; absent indices mean zero.
+``label idx:val idx:val ...`` with 0- or 1-based indices (autodetected).
+Labels -1/+1 or 0/1 are mapped to {-1, +1}; absent indices mean zero.
 """
 
 from __future__ import annotations
@@ -64,34 +64,18 @@ class LabeledDataset:
         return LabeledDataset(self.X[idx], self.y[idx])
 
 
-def _map_labels(raw: np.ndarray, target_class=None) -> np.ndarray:
-    values = np.unique(raw)
-    if target_class is not None:
-        return np.where(raw == target_class, 1, -1).astype(np.int64)
-    as_set = set(values.tolist())
-    if as_set <= {-1.0, 1.0}:
-        return raw.astype(np.int64)
-    if as_set <= {0.0, 1.0}:
-        return np.where(raw > 0.5, 1, -1).astype(np.int64)
-    raise DatasetFormatError(
-        f"labels {sorted(as_set)} are not binary; pass target_class for one-vs-rest"
-    )
-
-
-def load_sparse_text(path, index_base=None, target_class=None) -> LabeledDataset:
+def load_sparse_text(path) -> LabeledDataset:
     """Parse a sparse text file into a dataset.
 
-    index_base: 0, 1, or None to autodetect (any index 0 present => 0-based).
-    target_class: when given, labels equal to it map to +1 and the rest to -1
-    (one-vs-rest); otherwise labels must already be -1/+1 or 0/1. A feature
-    index repeated within one line is rejected.
+    Indices are 0-based if any index 0 is present and 1-based otherwise.
+    Labels must be -1/+1 or 0/1. A feature index repeated within one line is
+    rejected.
     """
     from scipy import sparse
 
     path = Path(path)
     labels = []
     rows, cols, vals = [], [], []
-    min_index = None
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -120,25 +104,19 @@ def load_sparse_text(path, index_base=None, target_class=None) -> LabeledDataset
                 rows.append(len(labels) - 1)
                 cols.append(idx)
                 vals.append(val)
-                min_index = idx if min_index is None else min(min_index, idx)
 
-    n = len(labels)
-    if index_base is None:
-        index_base = 0 if min_index == 0 else 1
-    if index_base not in (0, 1):
-        raise ValueError("index_base must be 0, 1, or None")
     cols_arr = np.asarray(cols, dtype=np.int64)
-    if cols_arr.size and index_base == 1:
-        if cols_arr.min() < 1:
-            raise DatasetFormatError(f"{path}: index 0 present in a 1-based file")
-        cols_arr = cols_arr - 1
+    if cols_arr.size and cols_arr.min() > 0:  # no index 0: 1-based
+        cols_arr -= 1
     d = int(cols_arr.max()) + 1 if cols_arr.size else 0
     X = sparse.csr_matrix(
         (np.asarray(vals, dtype=float), (np.asarray(rows, dtype=np.int64), cols_arr)),
-        shape=(n, d),
+        shape=(len(labels), d),
     )
-    y = _map_labels(np.asarray(labels, dtype=float), target_class=target_class)
-    return LabeledDataset(X=X, y=y)
+    values = set(labels)
+    if not (values <= {-1.0, 1.0} or values <= {0.0, 1.0}):
+        raise DatasetFormatError(f"{path}: labels {sorted(values)} are not binary; want -1/+1 or 0/1")
+    return LabeledDataset(X=X, y=np.where(np.asarray(labels) > 0, 1, -1))
 
 
 def partition_equal(ds: LabeledDataset, n_nodes: int, seed: int) -> list:

@@ -19,12 +19,10 @@ bracket dev <= gap <= 2 dev, dev = max_i ||w_i - w_0||, cannot settle it.
 A run is push-sum rounds, then a certified slow-mode tail. Once learning
 ends, the rounds iterate the mass-free deviation sums - psw w_inf from the
 conserved mean w_inf, so w_inf enters no difference of the gap. An untraced
-run on at most TAIL_MAX_NODES nodes evaluates them from the modes: one dense
-eigh of the symmetrized mixing matrix gives every later round, and each block
-of rounds is one small product over the modes that still matter. The bracket,
-widened by the dropped modes' bound and _BRACKET_MARGIN, decides each round;
-a round it cannot settle sends the run back to the loop from the same state.
-The loop stays for traced runs, for the learning rounds and as the oracle.
+run still mixing 2 spectra.SWITCH_WINDOW rounds later switches, once, to the
+tail (_mixing_tail), which falls back to the loop from the switch state where
+it cannot certify a round. The loop stays for traced runs, for the learning
+rounds and as the oracle.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import spectra
 from .data import LabeledDataset, partition_equal, train_test_split
 from .sbm import Network
 
@@ -62,16 +61,9 @@ TEST_FRACTION = 0.25
 # the gap, u the float64 epsilon) and the tail's (~1e-12 epsilon)
 _BRACKET_MARGIN = 1e-9
 
-# dense feature values gathered per block of learning steps, and node weights
-# evaluated per block of tail rounds (~1 MB of float64); a block is one step
-# or round when a single one holds more
+# dense feature values gathered per block of learning steps (~1 MB of
+# float64); a block is one step when a single one holds more
 _BLOCK_VALUES = 1 << 17
-
-# the largest network whose mixing phase runs on the slow-mode tail. Its dense
-# eigh (single thread) costs 2 ms at n = 100, about 20 rounds of the loop, and
-# as much at 300 (17 ms); at 600 it is ~130 rounds and at 1000 (0.25 s) ~300,
-# as long as a whole run on a well-connected network, and at 2000 it is 1.7 s
-TAIL_MAX_NODES = 500
 
 
 @dataclass(frozen=True)
@@ -109,8 +101,9 @@ class GadgetConfig:
 class GadgetRun:
     """Outcome of one decentralized run. final_weights is w_inf, the mean that
     mixing conserves once learning ends (the last round's if it never does);
-    tail_from is the round after which mixing ran on the slow-mode tail, None
-    when every round ran on the loop."""
+    tail_from is the round after which mixing ran on the slow-mode tail,
+    learning_rounds + 2 spectra.SWITCH_WINDOW, or None when every round ran on
+    the loop."""
 
     rounds_to_consensus: int | None
     max_pairwise_gap_trace: np.ndarray
@@ -119,7 +112,6 @@ class GadgetRun:
     test_accuracy: float
     final_objective: float
     final_weights: np.ndarray
-    node_weights: np.ndarray | None = None
     tail_from: int | None = None
 
     @property
@@ -213,7 +205,7 @@ def _bracket(dev, epsilon: float, slack):
     leaves the decision to the exact pairwise distances. Elementwise over
     arrays of rounds.
     """
-    return 2.0 * dev + slack < epsilon, dev - slack >= epsilon
+    return 2.0 * (dev + slack) < epsilon, dev - slack >= epsilon
 
 
 def _gap_below(weights: np.ndarray, epsilon: float) -> bool:
@@ -230,73 +222,64 @@ def _gap_below(weights: np.ndarray, epsilon: float) -> bool:
     return max_pairwise_gap(weights) < epsilon
 
 
-def _mixing_tail(net: Network, dev: np.ndarray, psw: np.ndarray, epsilon: float, rounds: int, block: int):
+def _mixing_tail(net: Network, dev: np.ndarray, psw: np.ndarray, epsilon: float, rounds: int):
     """Up to rounds mixing-only rounds of the loop from the deviation dev and
-    psw, from the mixing matrix's modes: (first round whose gap is below
-    epsilon or None, dev / psw of that round or of the last).
+    psw, from the mixing matrix's slow modes: (rounds run, whether the last
+    one's gap is below epsilon), or None.
 
-    M = (A + I) D'^-1 with D' = D + I is similar to the symmetric
-    S' = D'^-1/2 (A + I) D'^-1/2 = U diag(theta) U^T, so round s of the loop is
-    M^s X = D'^1/2 U diag(theta^s) U^T D'^-1/2 X. The deviation dev = sums -
-    psw w_inf from the conserved mean w_inf has no mass, and the node weights
-    are w_inf + dev / psw. Each block of rounds (their number doubling from one
-    up to block) is one product over the modes whose remaining size exceeds
-    the stop test's margin _BRACKET_MARGIN epsilon; the dropped ones move node
-    i by at most sqrt(d'_i) |theta^s C|_F over their coefficients C.
-    Returns None, and the loop carries on, if any round's gap lies within the
-    dropped modes' bound plus that margin of epsilon.
+    M = (A + I) D'^-1 with D' = D + I is similar to the symmetric S, so round
+    s of the loop is M^s X = D'^1/2 S^s D'^-1/2 X. Of the start block
+    Y = D'^-1/2 [dev | psw], only psw has a part along S's top eigenvector u,
+    which every round keeps; the rest follows S - u u^T, whose Ritz pairs
+    (spectra.slow_modes) give each block of rounds as one small product.
+    With b_psw psw's remainder_bound and b_dev the root sum of squares of
+    those of dev's columns, which bounds their Frobenius norm, node i's
+    dev_i / psw_i lies within
+    sqrt(d'_i) (b_dev + |w_i| b_psw) / (psw_i - sqrt(d'_i) b_psw) of its
+    estimate w_i. Returns None if a round's psw is not bounded away from 0
+    or its gap lies within twice the largest node bound plus _BRACKET_MARGIN
+    epsilon of epsilon.
     """
-    n = net.n
+    # the Ritz pairs: one per community mode, the slow modes of a block model
+    modes = max(1, len(net.community_sizes) - 1)
     sqrt_dp = np.sqrt(net.degrees + 1.0)
-    with_self = net.adjacency.toarray()
-    with_self[np.diag_indices(n)] += 1.0
-    theta, vecs = np.linalg.eigh(with_self / np.outer(sqrt_dp, sqrt_dp))
+    u = sqrt_dp / np.linalg.norm(sqrt_dp)
+    start = np.column_stack([dev, psw]) / sqrt_dp[:, None]
+    settled = sqrt_dp * u * (u @ start[:, -1])  # psw's part along u, at every round
+    start -= np.outer(u, u @ start)
+    solve = spectra.slow_modes(net, start.sum(axis=1), modes, loops=1.0)
+    if solve is None:
+        return None
+    theta, vecs = solve[:2]
+    coef = vecs.T @ start
+    remainder = spectra.remainder_bound(solve, start)
     basis = sqrt_dp[:, None] * vecs
-    coef = vecs.T @ (dev / sqrt_dp[:, None])
-    coef_psw = vecs.T @ (psw / sqrt_dp)
-    size = np.sqrt(np.einsum("ij,ij->i", coef, coef))
-    margin = epsilon * _BRACKET_MARGIN
-
-    def spread(s):
-        power = theta**s
-        return (basis @ (power[:, None] * coef)) / (basis @ (power * coef_psw))[:, None]
-
-    steps = theta[:, None] ** np.arange(1, block + 1)
-    done, length = 0, 1
-    while done < rounds:
-        s = np.arange(done + 1, min(done + length, rounds) + 1)
-        length = min(2 * length, block)
-        power = steps[:, :s.size] * (theta**done)[:, None]
-        p = basis @ (power * coef_psw[:, None])
-        # |w_i - w_j| moves by at most twice the largest sqrt(d'_i) / psw_i times |theta^s C|_F
-        scale = 2.0 * (sqrt_dp[:, None] / p).max(axis=0)
-        reach = np.abs(power[:, 0]) * size
-        order = np.argsort(reach)
-        cut = np.searchsorted(scale.max() * np.sqrt(np.cumsum(reach[order] ** 2)), margin, side="right")
-        drop, keep = order[:cut], order[cut:]
-        slack = margin + scale * np.sqrt((power[drop] ** 2).T @ size[drop] ** 2)
-        factor = coef[keep]
-        if 0 < keep.size < factor.shape[1]:
-            # R^T of C^T = QR spans the rows' distances in keep.size coordinates
-            factor = np.linalg.qr(factor.T, mode="r").T
-        width = s.size * factor.shape[1]
-        # w_i - w_0 over the kept modes, in the factor's coordinates
-        diff = basis[:, keep] @ (power[keep, :, None] * factor[:, None, :]).reshape(keep.size, width)
-        diff = diff.reshape(n, s.size, factor.shape[1])
-        diff /= p[:, :, None]
-        diff -= diff[0].copy()
-        radius = np.sqrt(np.einsum("isj,isj->is", diff, diff).max(axis=0))
+    # F = R^T of C_dev^T = QR: x^T F is as long as x^T C_dev, in at most modes coordinates
+    factor = np.linalg.qr(coef[:, :-1].T, mode="r").T
+    for done in range(0, rounds, spectra.TAIL_BLOCK):
+        s = np.arange(done + 1, min(done + spectra.TAIL_BLOCK, rounds) + 1)
+        power = theta[:, None] ** s
+        p = settled[:, None] + basis @ (power * coef[:, -1:])
+        bound = remainder(s)
+        reach = sqrt_dp[:, None] * bound[-1]
+        if (reach >= p).any():
+            return None
+        spread = np.einsum("im,ms,mf->isf", basis, power, factor) / p[:, :, None]
+        miss = sqrt_dp[:, None] * np.linalg.norm(bound[:-1], axis=0)
+        node = (miss + np.linalg.norm(spread, axis=2) * reach) / (p - reach)
+        # the estimated distances, and the loop's, each lie within slack of the exact ones
+        slack = 2.0 * node.max(axis=0) + epsilon * _BRACKET_MARGIN
+        radius = np.linalg.norm(spread - spread[0], axis=2).max(axis=0)
         below, above = _bracket(radius, epsilon, slack)
         for j in np.flatnonzero(~above):
             if not below[j]:
-                gap = max_pairwise_gap(diff[:, j])
+                gap = max_pairwise_gap(spread[:, j])
                 if abs(gap - epsilon) <= slack[j]:
                     return None
                 if gap >= epsilon:
                     continue
-            return int(s[j]), spread(s[j])
-        done = int(s[-1])
-    return None, spread(rounds)
+            return int(s[j]), True
+    return rounds, False
 
 
 def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: int = 0,
@@ -310,7 +293,8 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
     w_inf instead. Stops when the max pairwise weight gap drops below epsilon,
     or reports a censored run at max_rounds. seed fixes the data split and the
     example streams; record_trace keeps the per-round traces, and without it
-    the mixing rounds may run on the slow-mode tail (module docstring). A
+    the mixing rounds from learning_rounds + 2 spectra.SWITCH_WINDOW on may run
+    on the slow-mode tail, on a network of any size (module docstring). A
     disconnected network or a dataset without features raises ValueError.
     """
     if not net.connected:
@@ -341,6 +325,8 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
     learning_rounds = cfg.max_rounds if cfg.learning_rounds is None else min(cfg.learning_rounds, cfg.max_rounds)
     total_steps = learning_rounds * steps
     block = max(1, _BLOCK_VALUES // (n * train.d))
+    # the one round at which an untraced run weighs the switch to the tail
+    switch = None if record_trace else learning_rounds + 2 * spectra.SWITCH_WINDOW
     tail_from = w_inf = None
     t = 0  # learning steps taken
     for t_round in range(1, cfg.max_rounds + 1):
@@ -363,13 +349,6 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
                 # mixing conserves the mass: iterate its deviation from the mean w_inf
                 w_inf = sums.sum(axis=0) / psw.sum()
                 dev = sums - psw[:, None] * w_inf
-                if not record_trace and n <= TAIL_MAX_NODES:
-                    tail = _mixing_tail(net, dev, psw, cfg.epsilon, cfg.max_rounds - learning_rounds, block)
-                    if tail is not None:
-                        stop, spread = tail
-                        rounds_done = None if stop is None else learning_rounds + stop
-                        tail_from = learning_rounds
-                        break
             dev, psw = push_sum_round(mix, dev, psw)
             spread = dev / psw[:, None]  # the weights less w_inf: the same gap
         if record_trace:
@@ -387,11 +366,16 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
         if done:
             rounds_done = t_round
             break
+        if t_round == switch:
+            tail = _mixing_tail(net, dev, psw, cfg.epsilon, cfg.max_rounds - t_round)
+            if tail is not None:
+                ran, below = tail
+                rounds_done = t_round + ran if below else None
+                tail_from = t_round
+                break
 
     if w_inf is None:  # the run ended while learning
         w_inf = sums.sum(axis=0) / psw.sum()
-    else:
-        weights = w_inf + spread
     return GadgetRun(
         rounds_to_consensus=rounds_done,
         max_pairwise_gap_trace=np.asarray(gap_trace),
@@ -400,6 +384,5 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
         test_accuracy=accuracy(w_inf, X_test, y_test),
         final_objective=hinge_objective(w_inf, X_train, y_train, cfg.nu, n),
         final_weights=w_inf,
-        node_weights=weights,
         tail_from=tail_from,
     )

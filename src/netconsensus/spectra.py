@@ -1,8 +1,11 @@
-"""Empirical spectra of sampled networks.
+"""Empirical spectra of sampled networks, and the slow modes the simulators' tails run on.
 
 All spectral work happens on the symmetric normalized Laplacian
 L = I - D^{-1/2} A D^{-1/2}; the random-walk matrix P = D^{-1} A is reached
 through the exact mapping mu = 1 - lambda, never diagonalized directly.
+Consensus's P and push-sum's (A + I) (D + I)^{-1} are similar to symmetric
+operators (deflated_walk_operator); slow_modes gives their certified slow
+modes from one Lanczos solve, and remainder_bound bounds what those miss.
 """
 
 from __future__ import annotations
@@ -21,6 +24,16 @@ if TYPE_CHECKING:
 LAMBDA2_TOL = 1e-8
 # ARPACK restart budget of lambda2_only, per node
 LAMBDA2_ITERS_PER_NODE = 100
+# rounds between a simulator's weighings of the switch to its slow-mode tail
+# from the second window on, as the first holds the fast modes' transient;
+# push-sum weighs once, two windows after learning ends. A consensus run above
+# epsilon has at least consensus.CONFIRM_WINDOW rounds to go, more than the
+# tail's solve and set-up (~20 loop rounds on fig4's networks, ~40 on fig3's)
+SWITCH_WINDOW = 16
+# ARPACK restarts the slow-mode solve may take before the run stays on its loop
+TAIL_RESTARTS = 20
+# rounds a tail evaluates per product
+TAIL_BLOCK = 64
 
 __all__ = [
     "SpectrumEmpirical",
@@ -28,6 +41,9 @@ __all__ = [
     "normalized_laplacian_spectrum",
     "lambda2_only",
     "deflated_walk_operator",
+    "lanczos_fits",
+    "slow_modes",
+    "remainder_bound",
 ]
 
 
@@ -94,7 +110,7 @@ def lambda2_only(net: Network) -> float:
     """
     _check_degrees(net)
     n = net.n
-    if n <= 16:
+    if not lanczos_fits(n, 1):
         return normalized_laplacian_spectrum(net).lambda2
 
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -114,22 +130,87 @@ def lambda2_only(net: Network) -> float:
     return float(1.0 - vals[0])
 
 
-def deflated_walk_operator(net: Network, shift: float) -> LinearOperator:
-    """S - shift * u u^T as a LinearOperator, with S = D^{-1/2} A D^{-1/2}.
+def deflated_walk_operator(net: Network, shift: float, loops: float = 0.0) -> LinearOperator:
+    """S - shift * u u^T as a LinearOperator, with S = D'^{-1/2} (A + loops I) D'^{-1/2}.
 
-    u = sqrt(d) / |sqrt(d)| is S's eigenvector of eigenvalue 1, which the
+    D' = D + loops I: loops 0 gives the walk's D^{-1/2} A D^{-1/2}, loops 1
+    the symmetric form of push-sum's mixing matrix (A + I) D'^{-1}.
+    u = sqrt(d') / |sqrt(d')| is S's eigenvector of eigenvalue 1, which the
     shift moves to 1 - shift; every other eigenpair of S is kept.
     """
+    from scipy import sparse
     from scipy.sparse.linalg import LinearOperator
 
     _check_degrees(net)
-    sqrt_d = np.sqrt(net.degrees.astype(float))
+    sqrt_d = np.sqrt(net.degrees + float(loops))
     u = sqrt_d / np.linalg.norm(sqrt_d)
     inv_sqrt_d = 1.0 / sqrt_d
     adj = net.adjacency
+    if loops:
+        adj = adj + loops * sparse.identity(net.n, format="csr")
 
     def matvec(x):
         y = inv_sqrt_d * (adj @ (inv_sqrt_d * x))
         return y - shift * u * (u @ x)
 
     return LinearOperator((net.n, net.n), matvec=matvec, dtype=float)
+
+
+def lanczos_fits(n: int, k: int) -> bool:
+    """Whether a Lanczos basis for k eigenpairs fits a network of n nodes."""
+    return n > max(16, 4 * k)
+
+
+def slow_modes(net: Network, v0: np.ndarray, k: int, loops: float = 0.0):
+    """The k largest-magnitude Ritz pairs S' V ~ V diag(theta) of
+    S' = deflated_walk_operator(net, 1, loops) from one Lanczos solve from v0,
+    as (theta, V, resid, rho) for remainder_bound; None when the basis does
+    not fit (lanczos_fits), the solve does not converge within TAIL_RESTARTS
+    restarts, or rho >= 1, where the other modes need not decay.
+    """
+    if not lanczos_fits(net.n, k):
+        return None
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    op = deflated_walk_operator(net, shift=1.0, loops=loops)
+    try:
+        theta, vecs = eigsh(op, k=k, which="LM", v0=v0, tol=0, maxiter=TAIL_RESTARTS)
+    except ArpackNoConvergence:
+        return None
+    resid = float(np.linalg.norm([op.matvec(v) - lam * v for lam, v in zip(theta, vecs.T)]))
+    rho = float(np.abs(theta).min()) + 2.0 * resid
+    if rho >= 1.0:
+        return None
+    return theta, vecs, resid, rho
+
+
+def remainder_bound(modes, y0):
+    """The function of the rounds s >= 1 that bounds |S'^s y - V diag(theta^s) V^T y|
+    from above, with modes = (theta, V, resid, rho) from slow_modes: one row
+    over s for a vector y0, one row per column y of a block y0.
+
+    Split y(s) = V a(s) + q(s) with q orthogonal to the Ritz vectors V. With
+    R = S'V - V diag(theta) and r = |R| <= resid,
+        a(s+1) = theta a(s) + R^T q(s),   q(s+1) = R a(s) + Q S' Q q(s),
+    where Q S' Q, S' compressed to the complement of V, has norm at most
+    rho = min |theta| + 2 resid as long as the Lanczos solve found the
+    largest-magnitude eigenvalues. |S'| <= 1 bounds |a|, |q| by |y0|; the
+    sums below follow from unrolling both recurrences.
+    """
+    theta, vecs, resid, rho = modes
+    block = y0.reshape(len(y0), -1)
+    coef = vecs.T @ block
+    dropped = np.linalg.norm(block - vecs @ coef, axis=0)[:, None]
+    size = np.abs(coef)
+    y0_norm = np.linalg.norm(block, axis=0)[:, None]
+    abs_theta = np.abs(theta)[:, None]
+    gap = abs_theta - rho
+
+    def bound(s):
+        # sum_{j<s} rho^(s-1-j) |theta_i|^j, bounded two ways
+        above = np.divide(abs_theta**s, gap, out=np.full((abs_theta.size, s.size), np.inf), where=gap > 0)
+        leak = np.minimum(s * np.maximum(abs_theta, rho) ** (s - 1), above)
+        second = resid * (dropped + resid * s * (size.sum(axis=0)[:, None] + y0_norm * (1.0 + resid * s))) / (1.0 - rho)
+        return (rho**s * dropped + resid * (size.T @ leak) + second).reshape(y0.shape[1:] + s.shape)
+
+    return bound

@@ -324,6 +324,13 @@ def test_malformed_gadget_settings_named(tmp_path, capsys, form, key, value, mes
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_multiclass_dataset_names_the_accepted_labels(tmp_path, capsys):
+    path = tmp_path / "mc.txt"
+    path.write_text("".join(f"{k % 3} {k % 2}:1.0\n" for k in range(40)))
+    assert cli(["gadget", *GADGET_MODEL, "--dataset", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "labels [0.0, 1.0, 2.0] are not binary; want -1/+1 or 0/1" in capsys.readouterr().err
+
+
 def test_consensus_rejects_negative_max_rounds(tmp_path, capsys):
     assert cli(["consensus", *GADGET_MODEL, "--max-rounds", "-5", "--out", str(tmp_path / "o")]) == 1
     assert "error: max_rounds must be >= 0, got -5" in capsys.readouterr().err

@@ -84,12 +84,12 @@ def long_double_errors(net, x0, rounds):
 
 def loop_only(monkeypatch):
     """Never weigh the switch: no round is a multiple of an infinite window."""
-    monkeypatch.setattr(consensus, "SWITCH_WINDOW", math.inf)
+    monkeypatch.setattr(spectra, "SWITCH_WINDOW", math.inf)
 
 
 def force_switch_at(monkeypatch, round_):
     """Weigh the switch first at round_ (even); it is taken there if the error is still above epsilon."""
-    monkeypatch.setattr(consensus, "SWITCH_WINDOW", round_ // 2)
+    monkeypatch.setattr(spectra, "SWITCH_WINDOW", round_ // 2)
 
 
 class TestStationary:
@@ -368,13 +368,31 @@ class TestTail:
         resid = np.linalg.norm([op.matvec(v) - lam * v for lam, v in zip(theta, vecs.T)])
         rho = np.abs(theta).min() + 2 * resid
         s = np.arange(1, 301)
-        bound = consensus._remainder_bound(s, theta, coef, rho, resid, dropped, np.linalg.norm(y0))
+        bound = spectra.remainder_bound((theta, vecs, resid, rho), y0)(s)
         y, gaps = y0, []
         for step in s:
             y = op.matvec(y)
             gaps.append(np.linalg.norm(y - vecs @ (coef * theta**step)))
         assert dropped > 0.1 * np.linalg.norm(y0)
         assert np.all(np.asarray(gaps) <= bound)
+
+        # a block of columns on push-sum's operator, as the mixing tail bounds
+        # it: one bound per column, whose root sum of squares bounds the
+        # Frobenius norm of the block's remainder
+        block = np.random.default_rng(modes).standard_normal((net.n, 20))
+        solve = spectra.slow_modes(net, block.sum(axis=1), modes, loops=1.0)
+        theta, vecs = solve[:2]
+        op = spectra.deflated_walk_operator(net, shift=1.0, loops=1.0)
+        coef = vecs.T @ block
+        bound = spectra.remainder_bound(solve, block)(s)
+        assert bound.shape == (20, s.size)
+        y, gaps = block, []
+        for step in s:
+            y = np.column_stack([op.matvec(col) for col in y.T])
+            gaps.append(np.linalg.norm(y - vecs @ (coef * theta[:, None] ** step), axis=0))
+        assert np.linalg.norm(block - vecs @ coef) > 0.1 * np.linalg.norm(block)
+        assert np.all(np.asarray(gaps).T <= bound)
+        assert np.all(np.linalg.norm(gaps, axis=1) <= np.sqrt((bound**2).sum(axis=0)))
 
     def test_converged_by_first_weighing_never_switches(self, monkeypatch):
         def no_tail(*args):
@@ -383,7 +401,7 @@ class TestTail:
         net = sample_connected([30, 30], 0.9, 0.5, seed=2)
         monkeypatch.setattr(consensus, "_tail", no_tail)
         result = consensus.run(net, consensus.random_initial_state(net.n, 2), EPS)
-        assert result.error_trace[2 * consensus.SWITCH_WINDOW] <= EPS
+        assert result.error_trace[2 * spectra.SWITCH_WINDOW] <= EPS
         assert result.tail_from is None
         assert not result.censored
 
@@ -450,7 +468,7 @@ def test_switch_rule_against_loop_trace(case, digits):
         patch.undo()
         patch.setattr(consensus, "_tail", spy)
         result = consensus.run(net, x0, epsilon, max_rounds=3000)
-    window = consensus.SWITCH_WINDOW
+    window = spectra.SWITCH_WINDOW
     above = [t for t in range(2 * window, loop.rounds + 1, window) if loop.error_trace[t] > epsilon]
     tiny = net.n <= 16  # max(16, 4 * modes), with one tail mode for two communities
     assert tried == ([] if tiny else above[:1])

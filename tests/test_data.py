@@ -33,7 +33,7 @@ class TestLoadSparseText:
         ]
         path = tmp_path / "fixture.txt"
         path.write_text("\n".join(lines) + "\n")
-        ds = data.load_sparse_text(path, index_base=0)
+        ds = data.load_sparse_text(path)
         assert ds.n_examples == 10
         dense = ds.X.toarray()
         for i, (label, feats) in enumerate(rows):
@@ -51,14 +51,9 @@ class TestLoadSparseText:
     def test_multiclass_rejected_without_target(self, tmp_path):
         path = tmp_path / "mc.txt"
         path.write_text("3 0:1.0\n8 1:2.0\n1 2:0.5\n")
-        with pytest.raises(data.DatasetFormatError):
+        with pytest.raises(data.DatasetFormatError, match=r"mc\.txt: labels \[1\.0, 3\.0, 8\.0\] are not binary; "
+                                                           r"want -1/\+1 or 0/1$"):
             data.load_sparse_text(path)
-
-    def test_one_vs_rest_with_target(self, tmp_path):
-        path = tmp_path / "mc.txt"
-        path.write_text("3 0:1.0\n8 1:2.0\n1 2:0.5\n")
-        ds = data.load_sparse_text(path, target_class=8)
-        assert ds.y.tolist() == [-1, 1, -1]
 
     def test_nan_token_rejected(self, tmp_path):
         path = tmp_path / "nan.txt"
@@ -85,12 +80,6 @@ class TestLoadSparseText:
         one_based = tmp_path / "ob.txt"
         one_based.write_text("+1 1:1.0 5:2.0\n")
         assert data.load_sparse_text(one_based).d == 5
-
-    def test_index_base_override(self, tmp_path):
-        path = tmp_path / "ov.txt"
-        path.write_text("+1 1:1.0 5:2.0\n")
-        ds = data.load_sparse_text(path, index_base=0)
-        assert ds.d == 6
 
 
 class TestSaveRoundTrip:

@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netconsensus import data, gossip, sbm
+from netconsensus import data, gossip, sbm, spectra
 
 
 def complete_graph(n):
@@ -184,16 +184,27 @@ class TestRunGadget:
         sums, psw = gossip.push_sum_round(mix, weights * psw[:, None], psw)
         assert gossip.max_pairwise_gap(estimates(sums, psw)) == 0.0
 
-    def test_stopping_soundness_exact_recheck(self):
+    def test_stopping_soundness_exact_recheck(self, monkeypatch):
+        # a traced run takes each round's gap of the weights less w_inf: keep the last round's
+        spreads = []
+        max_pairwise_gap = gossip.max_pairwise_gap
+
+        def recorded(weights):
+            spreads.append(weights.copy())
+            return max_pairwise_gap(weights)
+
+        monkeypatch.setattr(gossip, "max_pairwise_gap", recorded)
         model = sbm.make_two_level_model([10, 15], sbm.TwoLevelProbs(0.8, 0.3), 2)
         ds = data.make_blobs(400, 6, margin=2.0, seed=3)
         cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-10, max_rounds=20_000, learning_rounds=50)
         run = gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg, seed=4)
         assert not run.censored
+        assert len(spreads) == run.rounds_to_consensus
+        weights = run.final_weights + spreads[-1]
         brute = 0.0
-        for i in range(run.node_weights.shape[0]):
-            for j in range(i + 1, run.node_weights.shape[0]):
-                brute = max(brute, float(np.linalg.norm(run.node_weights[i] - run.node_weights[j])))
+        for i in range(weights.shape[0]):
+            for j in range(i + 1, weights.shape[0]):
+                brute = max(brute, float(np.linalg.norm(weights[i] - weights[j])))
         assert brute < cfg.epsilon
         assert run.max_pairwise_gap_trace[-1] == pytest.approx(brute, rel=1e-6, abs=1e-15)
 
@@ -304,7 +315,7 @@ def per_node_model_run(steps, learning, trace, epsilon):
 
 
 def run_outputs(run):
-    return (run.rounds_to_consensus, run.final_weights.tobytes(), run.node_weights.tobytes(),
+    return (run.rounds_to_consensus, run.final_weights.tobytes(),
             run.max_pairwise_gap_trace.tobytes(), run.objective_trace.tobytes(), run.accuracy_trace.tobytes())
 
 
@@ -437,17 +448,25 @@ def test_bracketed_stop_decision_is_exact(case):
     assert gossip._gap_below(weights, epsilon) == (gossip.max_pairwise_gap(weights) < epsilon)
 
 
+def random_connected_graph(n, extra, rng):
+    """A random spanning tree on n nodes plus each other edge with probability extra."""
+    tree = {(int(rng.integers(i)), i) for i in range(1, n)}
+    more = rng.random((n, n)) < extra
+    edges = tree | {(i, j) for i, j in zip(*np.nonzero(np.triu(more, 1)))}
+    return sbm.Network([n], np.array(sorted(edges), dtype=np.int64).reshape(-1, 2))
+
+
 @st.composite
 def connected_graphs(draw):
-    """A random connected graph on 1..30 nodes: a random spanning tree plus
-    random extra edges."""
+    """A random connected graph on 1..30 nodes, and the generator that drew it."""
     n = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    tree = {(int(rng.integers(i)), i) for i in range(1, n)}
-    extra = rng.random((n, n)) < draw(st.floats(0.0, 0.5))
-    edges = tree | {(i, j) for i, j in zip(*np.nonzero(np.triu(extra, 1)))}
-    net = sbm.Network([n], np.array(sorted(edges), dtype=np.int64).reshape(-1, 2))
-    return net, rng
+    return random_connected_graph(n, draw(st.floats(0.0, 0.5)), rng), rng
+
+
+def graph_case(seed, n, extra):
+    rng = np.random.default_rng(seed)
+    return random_connected_graph(n, extra, rng), rng
 
 
 @settings(max_examples=60)
@@ -468,11 +487,21 @@ def test_push_sum_conserves_mass_property(case, rounds):
     assert (psw > 0).all()
 
 
+def loop_only(monkeypatch):
+    """Never weigh the switch: no round is the learning rounds plus an infinite window."""
+    monkeypatch.setattr(spectra, "SWITCH_WINDOW", math.inf)
+
+
+def switch_round(learning):
+    """The round at which an untraced run weighs the switch to the tail."""
+    return learning + 2 * spectra.SWITCH_WINDOW
+
+
 def loop_and_tail(net, ds, cfg, seed=0):
     """Untraced runs of one network: on the slow-mode tail, then on the loop alone."""
     tail = gossip.run_gadget(net, ds, cfg, seed=seed, record_trace=False)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gossip, "TAIL_MAX_NODES", 0)
+        loop_only(mp)
         loop = gossip.run_gadget(net, ds, cfg, seed=seed, record_trace=False)
     assert loop.tail_from is None
     return tail, loop
@@ -488,17 +517,18 @@ def assert_same_run(tail, loop):
 
 @settings(max_examples=25, deadline=None)
 @given(connected_graphs(), st.integers(0, 20))
+# two graphs whose runs take the tail (145 and 225 rounds)
+@example(graph_case(15, 18, 0.1), 15)
+@example(graph_case(34, 23, 0.05), 13)
 def test_tail_rounds_match_the_loop_on_random_graphs(case, learning):
     net, rng = case
     ds = data.make_blobs(200, 3, margin=2.0, seed=int(rng.integers(1000)))
     cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-9, max_rounds=20_000, learning_rounds=learning)
     tail, loop = loop_and_tail(net, ds, cfg, seed=int(rng.integers(1000)))
-    assert tail.tail_from in (learning, None)
+    # most drawn examples have at most 16 nodes, stop before the switch, or
+    # have slow modes too close together to certify, and stay on the loop
+    assert tail.tail_from in (switch_round(learning), None)
     assert_same_run(tail, loop)
-    if tail.tail_from is not None and net.n > 1:
-        # the stop round's weights are below epsilon and within epsilon of the loop's
-        assert gossip.max_pairwise_gap(tail.node_weights) < cfg.epsilon
-        assert np.abs(tail.node_weights - loop.node_weights).max() < cfg.epsilon
 
 
 # two-community models: PER_NODE_RUNS's, a sparse one, fig5's model at p_out
@@ -520,15 +550,95 @@ def test_tail_rounds_match_the_loop_on_two_community_models(sizes, probs, seed, 
     net, _ = sbm.sample_connected(sbm.make_two_level_model(sizes, sbm.TwoLevelProbs(*probs), seed))
     cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-10, learning_rounds=learning)
     tail, loop = loop_and_tail(net, ds, cfg, seed=seed)
-    assert tail.tail_from == learning
+    # the run weighs the switch only if it has not stopped by then
+    assert tail.tail_from == (switch_round(learning) if rounds > switch_round(learning) else None)
     assert tail.rounds_to_consensus == rounds
     assert_same_run(tail, loop)
 
 
+# a three-community model, whose tail keeps two Ritz modes, and a network of
+# 550 nodes: (sizes, probs, seed, blobs, learning_rounds, rounds)
+MORE_MODES_AND_NODES = [
+    ([30, 30, 30], (0.6, 0.005), 3, (600, 5, 2.0, 3), 20, 1464),
+    ([300, 250], (0.1, 0.002), 4, (2000, 5, 2.0, 4), 20, 617),
+]
+
+
+@pytest.mark.parametrize("sizes, probs, seed, blobs, learning, rounds", MORE_MODES_AND_NODES)
+def test_tail_rounds_match_the_loop_on_more_modes_and_nodes(monkeypatch, sizes, probs, seed, blobs, learning,
+                                                              rounds):
+    n, d, margin, blob_seed = blobs
+    ds = data.make_blobs(n, d, margin, seed=blob_seed)
+    net, _ = sbm.sample_connected(sbm.make_two_level_model(sizes, sbm.TwoLevelProbs(*probs), seed))
+    modes = []
+    slow_modes = spectra.slow_modes
+
+    def counted(*args, **kwargs):
+        solve = slow_modes(*args, **kwargs)
+        modes.append(solve[0].size)
+        return solve
+
+    monkeypatch.setattr(spectra, "slow_modes", counted)
+    cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-10, learning_rounds=learning)
+    tail, loop = loop_and_tail(net, ds, cfg, seed=seed)
+    assert modes == [len(sizes) - 1]
+    assert tail.tail_from == switch_round(learning)
+    assert tail.rounds_to_consensus == rounds
+    assert_same_run(tail, loop)
+
+
+@st.composite
+def block_models(draw):
+    """A connected sample of a random 1- to 3-community model, p_out up to 300
+    times below p_in so that slow community modes are common, and its seed."""
+    sizes = draw(st.lists(st.integers(10, 40), min_size=1, max_size=3))
+    p_in = draw(st.floats(0.3, 0.9))
+    # at least ~3 expected edges between two blocks, so that a connected sample is found
+    p_out = max(p_in * 10.0 ** draw(st.floats(-2.5, -1.0)), 3.0 / min(sizes) ** 2)
+    seed = draw(st.integers(0, 2**31 - 1))
+    net, _ = sbm.sample_connected(sbm.make_two_level_model(sizes, sbm.TwoLevelProbs(p_in, p_out), seed))
+    return net, seed
+
+
+@settings(max_examples=20, deadline=None)
+@given(block_models(), st.integers(0, 40))
+def test_tail_rounds_match_the_loop_on_random_block_models(case, learning):
+    net, seed = case
+    ds = data.make_blobs(400, 4, margin=2.0, seed=seed % 1000)
+    cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-10, max_rounds=20_000, learning_rounds=learning)
+    tail, loop = loop_and_tail(net, ds, cfg, seed=seed)
+    assert tail.tail_from in (switch_round(learning), None)
+    assert_same_run(tail, loop)
+
+
+def test_forced_early_switch_gives_the_loop_rounds(monkeypatch):
+    # switching 2, 4 or 8 rounds after learning, before the fast modes have
+    # decayed, the bound must still send every uncertified round to the loop
+    took_tail = 0
+    for seed in range(16):
+        rng = np.random.default_rng(100 + seed)
+        sizes = rng.integers(8, 40, size=rng.integers(1, 4)).tolist()
+        p_in = rng.uniform(0.3, 0.9)
+        model = sbm.make_two_level_model(sizes, sbm.TwoLevelProbs(p_in, p_in * 10 ** rng.uniform(-2.5, 0)), seed)
+        net, _ = sbm.sample_connected(model)
+        ds = data.make_blobs(400, 4, margin=2.0, seed=seed)
+        cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-10, max_rounds=20_000, learning_rounds=10)
+        loop_only(monkeypatch)
+        loop = gossip.run_gadget(net, ds, cfg, seed=seed, record_trace=False)
+        for window in (1, 2, 4):
+            monkeypatch.setattr(spectra, "SWITCH_WINDOW", window)
+            fast = gossip.run_gadget(net, ds, cfg, seed=seed, record_trace=False)
+            assert fast.tail_from in (switch_round(10), None)
+            assert_same_run(fast, loop)
+            took_tail += fast.tail_from is not None
+    assert took_tail >= 10
+
+
 def test_uncertified_round_falls_back_to_the_loop(monkeypatch):
+    # epsilon 1e-14 keeps the run mixing past the switch at round 62
     with monkeypatch.context() as mp:
-        mp.setattr(gossip, "TAIL_MAX_NODES", 0)
-        loop = per_node_model_run(1, 30, False, 1e-9)
+        loop_only(mp)
+        loop = per_node_model_run(1, 30, False, 1e-14)
     # a stop-test margin larger than any gap leaves the tail's first round
     # uncertified; the loop's stop test then always takes the exact distances,
     # which decide as its bracket does
@@ -541,10 +651,10 @@ def test_uncertified_round_falls_back_to_the_loop(monkeypatch):
         return calls[-1]
 
     monkeypatch.setattr(gossip, "_mixing_tail", counted)
-    fallback = per_node_model_run(1, 30, False, 1e-9)
+    fallback = per_node_model_run(1, 30, False, 1e-14)
     assert calls == [None]
     assert fallback.tail_from is None
-    assert fallback.rounds_to_consensus == 52
+    assert fallback.rounds_to_consensus == 65
     assert run_outputs(fallback) == run_outputs(loop)
 
 
@@ -560,11 +670,11 @@ def test_traced_and_always_learning_runs_stay_on_the_loop(monkeypatch, learning,
 
 
 def test_censored_tail_reports_the_last_round():
-    # a budget that ends inside the mixing phase: the tail censors as the loop does
+    # a budget that ends two rounds after the switch, before the gap meets
+    # epsilon at round 65: the tail censors as the loop does
     net, _ = sbm.sample_connected(sbm.make_two_level_model([10, 15], sbm.TwoLevelProbs(0.8, 0.3), 2))
     ds = data.make_blobs(300, 4, margin=2.0, seed=5)
-    cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-9, max_rounds=40, learning_rounds=30)
+    cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-14, max_rounds=64, learning_rounds=30)
     tail, loop = loop_and_tail(net, ds, cfg, seed=4)
-    assert tail.censored and tail.rounds_to_consensus is None and tail.tail_from == 30
+    assert tail.censored and tail.rounds_to_consensus is None and tail.tail_from == 62
     assert_same_run(tail, loop)
-    assert np.abs(tail.node_weights - loop.node_weights).max() < 1e-12

@@ -105,6 +105,25 @@ def test_deflated_walk_operator_moves_only_the_top_eigenvalue(shift):
     assert np.linalg.eigvalsh(matrix) == pytest.approx(want, abs=1e-12)
 
 
+def test_self_loop_operator_is_the_symmetrized_mixing_matrix():
+    # push-sum's M = (A + I) D'^-1 is D'^1/2 S D'^-1/2 with S the loops = 1 operator at shift 0
+    from netconsensus import gossip
+
+    net = sample_two_level([20, 20], 0.5, 0.1, seed=3)
+    op = spectra.deflated_walk_operator(net, 0.0, loops=1.0)
+    matrix = np.column_stack([op.matvec(col) for col in np.eye(net.n)])
+    sqrt_dp = np.sqrt(net.degrees + 1.0)
+    mix = gossip.mixing_matrix(net).toarray()
+    assert matrix == pytest.approx(mix * sqrt_dp[None, :] / sqrt_dp[:, None], abs=1e-15)
+
+
+def test_lanczos_basis_fits_above_sixteen_and_four_per_mode():
+    assert [spectra.lanczos_fits(n, 1) for n in (16, 17)] == [False, True]
+    assert [spectra.lanczos_fits(n, 5) for n in (20, 21)] == [False, True]
+    net = sample_two_level([8, 8], 0.9, 0.2, seed=1)
+    assert spectra.slow_modes(net, np.ones(16), 1) is None
+
+
 class TestLambda2Fast:
     def test_matches_closed_form_complete(self):
         assert spectra.lambda2_only(complete_graph(4)) == pytest.approx(4 / 3, abs=1e-8)
