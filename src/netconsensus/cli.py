@@ -5,9 +5,9 @@ names a flat JSON object keyed by the long flag names with underscores (--p-in
 sets p_in; a key that names no setting exits 1), and a flag given on the command
 line overrides the config value of the same name. Each setting has one reader
 in _SETTINGS, which reads a flag and a config value alike: a number as its flag
-string (an integer takes 5 or "5", not 2.5), connected and trace only as true
-or false. A malformed value exits 1 with an error naming the setting, and a
-null counts as unset. Some settings are config-only: a sweep's p_out_list,
+string (an integer takes 5 or "5", not 2.5; a seed is >= 0), connected and
+trace only as true or false. A malformed value exits 1 with an error naming the
+setting, and a null counts as unset. Config-only settings: a sweep's p_out_list,
 p_out_lo/hi/num, nu, steps_per_round and learning_rounds, and consensus's trace
 (default true: write consensus_trace.csv).
 gossip.GadgetConfig and bench.SweepConfig hold the defaults and checks of their
@@ -63,6 +63,13 @@ _INTEGER = _reader(lambda val: int(str(val)), "an integer")
 _NUMBER = _reader(lambda val: float(str(val)), "a number")
 
 
+def _natural(val):
+    """An integer >= 0 (a seed), read as _INTEGER reads one."""
+    if (num := int(str(val))) < 0:
+        raise ValueError(val)
+    return num
+
+
 def _delta_grid(key, val):
     """A list of deltas, or lo:hi:num for num evenly spaced ones."""
     if isinstance(val, list):
@@ -76,10 +83,10 @@ def _delta_grid(key, val):
 
 # every setting, by flag (--p-in sets p_in) or config key, and the one reader of its value
 _SETTINGS = {
-    **dict.fromkeys(("seed", "max_rounds", "steps_per_round", "seeds_per_point", "workers", "bins",
+    **dict.fromkeys(("max_rounds", "steps_per_round", "learning_rounds", "seeds_per_point", "workers", "bins",
                      "grid_points", "p_out_num"), _INTEGER),
+    "seed": _reader(_natural, "an integer >= 0"),
     **dict.fromkeys(("p_in", "p_out", "epsilon", "nu", "eta", "fix_pole", "p_out_lo", "p_out_hi"), _NUMBER),
-    "learning_rounds": _reader(lambda val: None if val == "none" else int(str(val)), "an integer or none"),
     "sizes": _listed(_INTEGER),
     "p_out_list": _listed(_NUMBER),
     "delta_grid": _delta_grid,
@@ -140,7 +147,7 @@ def _resolve_dataset(ref, seed=0):
             blob_seed = int(parts[4]) if len(parts) == 5 else seed
         except ValueError:
             raise bad from None
-        if n < 0 or d < 0:
+        if n < 0 or d < 0 or not math.isfinite(margin) or blob_seed < 0:
             raise bad
         return data.make_blobs(n, d, margin, seed=blob_seed)
     return data.load_sparse_text(ref)

@@ -8,12 +8,13 @@ permanently drops below the threshold.
 
 A run first iterates the pi-centred deviation e = x - x_star, re-centred
 every round, so the shrinking error carries no round-off of x itself. After
-a few rounds only the walk's slow modes are left. Every spectra.SWITCH_WINDOW
-rounds from the second window on, the run switches to the tail (_tail), once,
-if its error is still above epsilon: each block of rounds is one small
-product over the slow modes' Ritz pairs, and a bound on what they miss
-certifies each round's side of epsilon. If it cannot certify a round, the
-loop continues from the switch state; it stays the fallback and the oracle.
+a few rounds only the walk's slow modes are left. At round
+spectra.SWITCH_ROUND, if its error is still above epsilon, the run switches
+to the tail (_tail): each block of rounds is one small product over the slow
+modes' Ritz pairs, and a bound on what they miss certifies each round's side
+of epsilon. Where there are no such pairs (a tiny network) or it cannot
+certify a round, the loop continues from the switch state; it stays the
+fallback and the oracle.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ def run(net: Network, x0, epsilon: float, max_rounds: int = GadgetConfig.max_rou
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (net.n,):
         raise ValueError(f"x0 must have shape ({net.n},)")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0[~np.isfinite(x0)][0]} at node {np.isfinite(x0).argmin()}")
 
     deg = net.degrees.astype(float)
     # stationary distribution of P; a single node, which has no edges, holds all the mass
@@ -104,26 +107,20 @@ def run(net: Network, x0, epsilon: float, max_rounds: int = GadgetConfig.max_rou
     adj = net.adjacency
     inv_deg = 1.0 / deg
     errors = [1.0]
-    candidate: int | None = None
-    # the tail's Ritz pairs: one per community mode, the slow modes of a block model
-    modes = max(1, len(net.community_sizes) - 1)
-    # the Lanczos basis of the tail does not fit a tiny network
-    may_switch = spectra.lanczos_fits(net.n, modes)
+    # the stop state, here and in _tail: the last round above epsilon; tau is the round after it
+    above = 0
     for t in range(1, max_rounds + 1):
         e = inv_deg * (adj @ e)
         e -= pi @ e
         err = float(np.abs(e).max()) / denom
         errors.append(err)
         if err <= epsilon:
-            if candidate is None:
-                candidate = t
-            elif t - candidate >= CONFIRM_WINDOW:
-                return ConsensusRun(x_star=x_star, tau_eps=candidate, error_trace=np.asarray(errors), rounds=t)
+            if t - above > CONFIRM_WINDOW:
+                return ConsensusRun(x_star=x_star, tau_eps=above + 1, error_trace=np.asarray(errors), rounds=t)
         else:
-            candidate = None
-            if may_switch and t % spectra.SWITCH_WINDOW == 0 and t > spectra.SWITCH_WINDOW:
-                may_switch = False
-                tail = _tail(net, e, modes, t, epsilon, denom, max_rounds)
+            above = t
+            if t == spectra.SWITCH_ROUND:
+                tail = _tail(net, e, t, epsilon, denom, max_rounds)
                 if tail is not None:
                     tau, rounds, tail_errors = tail
                     return ConsensusRun(x_star=x_star, tau_eps=tau, error_trace=np.asarray(errors + tail_errors),
@@ -131,7 +128,7 @@ def run(net: Network, x0, epsilon: float, max_rounds: int = GadgetConfig.max_rou
     return ConsensusRun(x_star=x_star, tau_eps=None, error_trace=np.asarray(errors), rounds=max_rounds)
 
 
-def _tail(net: Network, e, modes: int, t0: int, epsilon: float, denom: float, max_rounds: int):
+def _tail(net: Network, e, t0: int, epsilon: float, denom: float, max_rounds: int):
     """Rounds t0+1.. of a run from the walk's slow modes: (tau or None, rounds, errors).
 
     In y = D^{1/2} e the loop is y <- S' y with S' = D^{-1/2} A D^{-1/2} - u u^T
@@ -144,7 +141,7 @@ def _tail(net: Network, e, modes: int, t0: int, epsilon: float, denom: float, ma
     """
     sqrt_d = np.sqrt(net.degrees.astype(float))
     y0 = sqrt_d * e
-    solve = spectra.slow_modes(net, y0, modes)
+    solve = spectra.slow_modes(net, y0)
     if solve is None:
         return None
     theta, vecs = solve[:2]
@@ -154,9 +151,8 @@ def _tail(net: Network, e, modes: int, t0: int, epsilon: float, denom: float, ma
     # a y-space 2-norm bounds each |e_i| * sqrt(d_i), so max_i d_i^{-1/2} turns it into relative sup-norm error
     to_error = 1.0 / (float(sqrt_d.min()) * denom)
     errors: list[float] = []
-    # the switch round's error is above epsilon, so no candidate is open
-    candidate = None
-    t = t0
+    # the switch round's error is above epsilon
+    above = t = t0
     while t < max_rounds:
         s = np.arange(t - t0 + 1, min(t + spectra.TAIL_BLOCK, max_rounds) - t0 + 1)
         estimate = np.abs(basis @ (coef[:, None] * theta[:, None] ** s)).max(axis=0) / denom
@@ -166,13 +162,10 @@ def _tail(net: Network, e, modes: int, t0: int, epsilon: float, denom: float, ma
                 return None
             t += 1
             errors.append(err)
-            if err <= epsilon:
-                if candidate is None:
-                    candidate = t
-                elif t - candidate >= CONFIRM_WINDOW:
-                    return candidate, t, errors
-            else:
-                candidate = None
+            if err > epsilon:
+                above = t
+            elif t - above > CONFIRM_WINDOW:
+                return above + 1, t, errors
     return None, max_rounds, errors
 
 

@@ -19,7 +19,7 @@ bracket dev <= gap <= 2 dev, dev = max_i ||w_i - w_0||, cannot settle it.
 A run is push-sum rounds, then a certified slow-mode tail. Once learning
 ends, the rounds iterate the mass-free deviation sums - psw w_inf from the
 conserved mean w_inf, so w_inf enters no difference of the gap. An untraced
-run still mixing 2 spectra.SWITCH_WINDOW rounds later switches, once, to the
+run still mixing spectra.SWITCH_ROUND rounds later switches, once, to the
 tail (_mixing_tail), which falls back to the loop from the switch state where
 it cannot certify a round. The loop stays for traced runs, for the learning
 rounds and as the oracle.
@@ -72,9 +72,9 @@ class GadgetConfig:
     epsilon and max_rounds (0 is a legal, censored run), the SVM all five.
 
     learning_rounds bounds how many rounds include local subgradient steps;
-    None keeps learning on every round, but the 1/(nu*t) step size then
+    at max_rounds or more every round learns, but the 1/(nu*t) step size then
     injects fresh disagreement each round and tiny epsilon targets become
-    unreachable, so sweeps use a finite budget and let pure gossip close the
+    unreachable, so sweeps use a smaller budget and let pure gossip close the
     remaining gap.
     """
 
@@ -82,7 +82,7 @@ class GadgetConfig:
     epsilon: float = 1e-10
     max_rounds: int = 200_000
     steps_per_round: int = 1
-    learning_rounds: int | None = 200
+    learning_rounds: int = 200
 
     def __post_init__(self) -> None:
         if not 0 < self.nu < np.inf:
@@ -93,8 +93,8 @@ class GadgetConfig:
             raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds}")
         if self.steps_per_round < 1:
             raise ValueError(f"steps_per_round must be >= 1, got {self.steps_per_round}")
-        if self.learning_rounds is not None and self.learning_rounds < 0:
-            raise ValueError(f"learning_rounds must be None or >= 0, got {self.learning_rounds}")
+        if self.learning_rounds < 0:
+            raise ValueError(f"learning_rounds must be >= 0, got {self.learning_rounds}")
 
 
 @dataclass(eq=False)
@@ -102,8 +102,8 @@ class GadgetRun:
     """Outcome of one decentralized run. final_weights is w_inf, the mean that
     mixing conserves once learning ends (the last round's if it never does);
     tail_from is the round after which mixing ran on the slow-mode tail,
-    learning_rounds + 2 spectra.SWITCH_WINDOW, or None when every round ran on
-    the loop."""
+    learning_rounds + spectra.SWITCH_ROUND, or None when every round ran on the
+    loop."""
 
     rounds_to_consensus: int | None
     max_pairwise_gap_trace: np.ndarray
@@ -240,21 +240,19 @@ def _mixing_tail(net: Network, dev: np.ndarray, psw: np.ndarray, epsilon: float,
     or its gap lies within twice the largest node bound plus _BRACKET_MARGIN
     epsilon of epsilon.
     """
-    # the Ritz pairs: one per community mode, the slow modes of a block model
-    modes = max(1, len(net.community_sizes) - 1)
     sqrt_dp = np.sqrt(net.degrees + 1.0)
     u = sqrt_dp / np.linalg.norm(sqrt_dp)
     start = np.column_stack([dev, psw]) / sqrt_dp[:, None]
     settled = sqrt_dp * u * (u @ start[:, -1])  # psw's part along u, at every round
     start -= np.outer(u, u @ start)
-    solve = spectra.slow_modes(net, start.sum(axis=1), modes, loops=1.0)
+    solve = spectra.slow_modes(net, start.sum(axis=1), loops=1.0)
     if solve is None:
         return None
     theta, vecs = solve[:2]
     coef = vecs.T @ start
     remainder = spectra.remainder_bound(solve, start)
     basis = sqrt_dp[:, None] * vecs
-    # F = R^T of C_dev^T = QR: x^T F is as long as x^T C_dev, in at most modes coordinates
+    # F = R^T of C_dev^T = QR: x^T F is as long as x^T C_dev, in at most one coordinate per mode
     factor = np.linalg.qr(coef[:, :-1].T, mode="r").T
     for done in range(0, rounds, spectra.TAIL_BLOCK):
         s = np.arange(done + 1, min(done + spectra.TAIL_BLOCK, rounds) + 1)
@@ -293,7 +291,7 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
     w_inf instead. Stops when the max pairwise weight gap drops below epsilon,
     or reports a censored run at max_rounds. seed fixes the data split and the
     example streams; record_trace keeps the per-round traces, and without it
-    the mixing rounds from learning_rounds + 2 spectra.SWITCH_WINDOW on may run
+    the mixing rounds from learning_rounds + spectra.SWITCH_ROUND on may run
     on the slow-mode tail, on a network of any size (module docstring). A
     disconnected network or a dataset without features raises ValueError.
     """
@@ -322,11 +320,11 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
     gap_trace, obj_trace, acc_trace = [], [], []
     rounds_done = None
     steps = cfg.steps_per_round
-    learning_rounds = cfg.max_rounds if cfg.learning_rounds is None else min(cfg.learning_rounds, cfg.max_rounds)
+    learning_rounds = min(cfg.learning_rounds, cfg.max_rounds)
     total_steps = learning_rounds * steps
     block = max(1, _BLOCK_VALUES // (n * train.d))
     # the one round at which an untraced run weighs the switch to the tail
-    switch = None if record_trace else learning_rounds + 2 * spectra.SWITCH_WINDOW
+    switch = None if record_trace else learning_rounds + spectra.SWITCH_ROUND
     tail_from = w_inf = None
     t = 0  # learning steps taken
     for t_round in range(1, cfg.max_rounds + 1):

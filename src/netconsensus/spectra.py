@@ -1,11 +1,12 @@
-"""Empirical spectra of sampled networks, and the slow modes the simulators' tails run on.
+"""Empirical spectra of sampled networks, and the slow-mode tail both simulators run on.
 
 All spectral work happens on the symmetric normalized Laplacian
 L = I - D^{-1/2} A D^{-1/2}; the random-walk matrix P = D^{-1} A is reached
 through the exact mapping mu = 1 - lambda, never diagonalized directly.
 Consensus's P and push-sum's (A + I) (D + I)^{-1} are similar to symmetric
-operators (deflated_walk_operator); slow_modes gives their certified slow
-modes from one Lanczos solve, and remainder_bound bounds what those miss.
+operators (deflated_walk_operator); at SWITCH_ROUND, slow_modes gives both
+simulators' tails their certified slow modes from one Lanczos solve, and
+remainder_bound bounds what those miss.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ if TYPE_CHECKING:
 LAMBDA2_TOL = 1e-8
 # ARPACK restart budget of lambda2_only, per node
 LAMBDA2_ITERS_PER_NODE = 100
-# rounds between a simulator's weighings of the switch to its slow-mode tail
-# from the second window on, as the first holds the fast modes' transient;
-# push-sum weighs once, two windows after learning ends. A consensus run above
-# epsilon has at least consensus.CONFIRM_WINDOW rounds to go, more than the
-# tail's solve and set-up (~20 loop rounds on fig4's networks, ~40 on fig3's)
-SWITCH_WINDOW = 16
+# the one round of a simulator's linear phase (push-sum's starts when learning
+# ends) at which it weighs the switch to its tail, after the fast modes'
+# transient. A consensus run above epsilon has CONFIRM_WINDOW rounds to go, more
+# than the tail's set-up (~20 loop rounds on fig4's networks, ~40 on fig3's)
+SWITCH_ROUND = 32
 # ARPACK restarts the slow-mode solve may take before the run stays on its loop
 TAIL_RESTARTS = 20
 # rounds a tail evaluates per product
@@ -41,7 +41,6 @@ __all__ = [
     "normalized_laplacian_spectrum",
     "lambda2_only",
     "deflated_walk_operator",
-    "lanczos_fits",
     "slow_modes",
     "remainder_bound",
 ]
@@ -110,7 +109,7 @@ def lambda2_only(net: Network) -> float:
     """
     _check_degrees(net)
     n = net.n
-    if not lanczos_fits(n, 1):
+    if not _lanczos_fits(n, 1):
         return normalized_laplacian_spectrum(net).lambda2
 
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -156,19 +155,21 @@ def deflated_walk_operator(net: Network, shift: float, loops: float = 0.0) -> Li
     return LinearOperator((net.n, net.n), matvec=matvec, dtype=float)
 
 
-def lanczos_fits(n: int, k: int) -> bool:
+def _lanczos_fits(n: int, k: int) -> bool:
     """Whether a Lanczos basis for k eigenpairs fits a network of n nodes."""
     return n > max(16, 4 * k)
 
 
-def slow_modes(net: Network, v0: np.ndarray, k: int, loops: float = 0.0):
+def slow_modes(net: Network, v0: np.ndarray, loops: float = 0.0):
     """The k largest-magnitude Ritz pairs S' V ~ V diag(theta) of
     S' = deflated_walk_operator(net, 1, loops) from one Lanczos solve from v0,
-    as (theta, V, resid, rho) for remainder_bound; None when the basis does
-    not fit (lanczos_fits), the solve does not converge within TAIL_RESTARTS
+    as (theta, V, resid, rho) for remainder_bound, with k = max(1, K - 1): one
+    per community mode, a block model's slow modes. None when the basis does not
+    fit (_lanczos_fits), the solve does not converge within TAIL_RESTARTS
     restarts, or rho >= 1, where the other modes need not decay.
     """
-    if not lanczos_fits(net.n, k):
+    k = max(1, len(net.community_sizes) - 1)
+    if not _lanczos_fits(net.n, k):
         return None
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 

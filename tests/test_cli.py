@@ -303,15 +303,19 @@ GADGET_MODEL = ["--sizes", "10,10", "--p-in", "0.9", "--p-out", "0.3"]
 @pytest.mark.parametrize("form", ["flag", "config"])
 @pytest.mark.parametrize("key, value, message", [
     ("dataset", "blobs:400:x:2.0", "bad blobs spec 'blobs:400:x:2.0'; want blobs:N:D:MARGIN[:SEED]"),
-    ("learning_rounds", "abc", "learning_rounds: 'abc' is not an integer or none"),
+    ("learning_rounds", "abc", "learning_rounds: 'abc' is not an integer"),
     ("dataset", "blobs:400:-1:2.0", "bad blobs spec 'blobs:400:-1:2.0'; want blobs:N:D:MARGIN[:SEED]"),
     ("dataset", "blobs:-4:2:2.0", "bad blobs spec 'blobs:-4:2:2.0'; want blobs:N:D:MARGIN[:SEED]"),
-    ("learning_rounds", "-5", "learning_rounds must be None or >= 0, got -5"),
+    ("learning_rounds", "-5", "learning_rounds must be >= 0, got -5"),
     ("steps_per_round", "0", "steps_per_round must be >= 1, got 0"),
     ("max_rounds", "-5", "max_rounds must be >= 0, got -5"),
     ("epsilon", "inf", "epsilon must be > 0 and finite, got inf"),
+    ("dataset", "blobs:400:2:2.0:-4", "bad blobs spec 'blobs:400:2:2.0:-4'; want blobs:N:D:MARGIN[:SEED]"),
+    ("dataset", "blobs:400:2:nan", "bad blobs spec 'blobs:400:2:nan'; want blobs:N:D:MARGIN[:SEED]"),
+    ("dataset", "blobs:400:2:inf", "bad blobs spec 'blobs:400:2:inf'; want blobs:N:D:MARGIN[:SEED]"),
 ], ids=["dataset", "learning_rounds", "blobs-negative-d", "blobs-negative-n", "learning_rounds-negative",
-        "steps_per_round-zero", "max_rounds-negative", "epsilon-infinite"])
+        "steps_per_round-zero", "max_rounds-negative", "epsilon-infinite", "blobs-negative-seed", "blobs-nan-margin",
+        "blobs-infinite-margin"])
 def test_malformed_gadget_settings_named(tmp_path, capsys, form, key, value, message):
     settings = {"dataset": "blobs:400:2:2.0", key: value}
     if form == "flag":
@@ -408,8 +412,22 @@ def test_config_numbers_read_as_their_flags_read_them(tmp_path, capsys, command,
     cfg = tmp_path / "c.cfg"
     cfg.write_text(json.dumps(settings))
     assert cli([command, "--config", str(cfg), *flags, "--out", str(tmp_path / "o")]) == 1
-    suffix = " or none" if key == "learning_rounds" else ""
-    assert f"error: {key}: {value!r} is not {kind}{suffix}" in capsys.readouterr().err
+    assert f"error: {key}: {value!r} is not {kind}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("command", ["sample", "consensus", "gadget", "sweep"])
+def test_negative_seed_named(tmp_path, capsys, command, form):
+    # numpy would reject it later as "expected non-negative integer", naming neither the setting nor the value
+    settings = dict(NUMERIC_SETTINGS.get(command, (MODEL_SETTINGS,))[0])
+    flags = ["--seed", "-1"] if form == "flag" else []
+    if form == "config":
+        settings["seed"] = -1
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(json.dumps(settings))
+    assert cli([command, "--config", str(cfg), *flags, "--out", str(tmp_path / "o")]) == 1
+    value = "'-1'" if form == "flag" else "-1"
+    assert f"error: seed: {value} is not an integer >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, key, output", [("sample", "connected", "network.txt"),
@@ -544,11 +562,11 @@ def _same_run_from_config_and_flags(tmp_path, command, settings, flags, output):
 def test_gadget_config_and_flags_give_same_run(tmp_path):
     settings = {"sizes": "8,8", "p_in": 0.9, "p_out": 0.5, "seed": 5, "dataset": "blobs:200:4:2.0:7",
                 "nu": 0.2, "epsilon": 1e-5, "max_rounds": 3000, "steps_per_round": 2,
-                "learning_rounds": "none"}
+                "learning_rounds": 3000}
     by_config, by_flags = _same_run_from_config_and_flags(
         tmp_path, "gadget", settings, settings, "gadget.json")
     assert by_config == by_flags
-    assert json.loads(by_config)["config"]["learning_rounds"] is None
+    assert json.loads(by_config)["config"]["learning_rounds"] == 3000
 
 
 def test_sweep_config_and_flags_give_same_run(tmp_path):

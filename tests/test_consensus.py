@@ -83,13 +83,13 @@ def long_double_errors(net, x0, rounds):
 
 
 def loop_only(monkeypatch):
-    """Never weigh the switch: no round is a multiple of an infinite window."""
-    monkeypatch.setattr(spectra, "SWITCH_WINDOW", math.inf)
+    """Never weigh the switch: no round is the infinite switch round."""
+    monkeypatch.setattr(spectra, "SWITCH_ROUND", math.inf)
 
 
 def force_switch_at(monkeypatch, round_):
-    """Weigh the switch first at round_ (even); it is taken there if the error is still above epsilon."""
-    monkeypatch.setattr(spectra, "SWITCH_WINDOW", round_ // 2)
+    """Weigh the switch at round_; it is taken there if the error is still above epsilon."""
+    monkeypatch.setattr(spectra, "SWITCH_ROUND", round_)
 
 
 class TestStationary:
@@ -148,6 +148,14 @@ class TestRun:
         assert result.censored
         assert result.tau_eps is None
         assert np.abs(result.error_trace - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_initial_state_rejected(self, bad):
+        # a NaN error is never below epsilon, so the run would go on to a censored max_rounds with x_star nan
+        x0 = consensus.random_initial_state(10, 0)
+        x0[3] = bad
+        with pytest.raises(ValueError, match=f"^x0 must be finite, got {bad} at node 3$"):
+            consensus.run(complete_graph(10), x0, epsilon=1e-10)
 
     def test_error_trace_starts_at_one(self):
         net = sample_connected([20, 20], 0.5, 0.2, seed=1)
@@ -378,10 +386,13 @@ class TestTail:
 
         # a block of columns on push-sum's operator, as the mixing tail bounds
         # it: one bound per column, whose root sum of squares bounds the
-        # Frobenius norm of the block's remainder
+        # Frobenius norm of the block's remainder; slow_modes keeps one mode
+        # per community mode, so modes + 1 communities
+        net = sample_connected([40, 30, 30][: modes + 1], 0.5, 0.02, seed=3)
         block = np.random.default_rng(modes).standard_normal((net.n, 20))
-        solve = spectra.slow_modes(net, block.sum(axis=1), modes, loops=1.0)
+        solve = spectra.slow_modes(net, block.sum(axis=1), loops=1.0)
         theta, vecs = solve[:2]
+        assert theta.size == modes
         op = spectra.deflated_walk_operator(net, shift=1.0, loops=1.0)
         coef = vecs.T @ block
         bound = spectra.remainder_bound(solve, block)(s)
@@ -401,18 +412,29 @@ class TestTail:
         net = sample_connected([30, 30], 0.9, 0.5, seed=2)
         monkeypatch.setattr(consensus, "_tail", no_tail)
         result = consensus.run(net, consensus.random_initial_state(net.n, 2), EPS)
-        assert result.error_trace[2 * spectra.SWITCH_WINDOW] <= EPS
+        assert result.error_trace[spectra.SWITCH_ROUND] <= EPS
         assert result.tail_from is None
         assert not result.censored
 
     def test_tiny_network_stays_on_loop(self, monkeypatch):
-        def no_tail(*args):
-            raise AssertionError("tail on a tiny network")
+        import scipy.sparse.linalg
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolve on a tiny network")
+
+        tail, tried = consensus._tail, []
+
+        def spy(*args):
+            tried.append(args[2])
+            return tail(*args)
 
         force_switch_at(monkeypatch, 4)
-        monkeypatch.setattr(consensus, "_tail", no_tail)
+        monkeypatch.setattr(consensus, "_tail", spy)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_solve)
         net = sample_connected([8, 8], 0.8, 0.05, seed=2)
         result = consensus.run(net, consensus.random_initial_state(16, 2), EPS)
+        # the switch is weighed, but the Lanczos basis does not fit 16 nodes
+        assert tried == [4]
         assert result.tail_from is None
         assert not result.censored
 
@@ -449,18 +471,19 @@ def test_tau_within_spectral_bound_property(case):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(connected_two_community_graphs(log_p_out=True), st.floats(2.0, 12.0))
 def test_switch_rule_against_loop_trace(case, digits):
-    """The run tries the tail at the first weighing round whose loop error is
-    above epsilon, and at no other round; it never tries it when there is no
-    such round or the network is tiny. tail_from is that round, or None after a
-    fallback, and either way tau, rounds and censoring are the loop's."""
+    """The run tries the tail at round SWITCH_ROUND exactly when the loop's
+    error there is above epsilon, and at no other round; on a tiny network
+    there are no slow modes to run on and it stays on its loop. tail_from is
+    that round, or None after a fallback, and either way tau, rounds and
+    censoring are the loop's."""
     net, seed = case
     epsilon = 10.0**-digits
     x0 = consensus.random_initial_state(net.n, seed)
     tail, tried = consensus._tail, []
 
-    def spy(net, e, modes, t0, *args):
+    def spy(net, e, t0, *args):
         tried.append(t0)
-        return tail(net, e, modes, t0, *args)
+        return tail(net, e, t0, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         loop_only(patch)
@@ -468,11 +491,11 @@ def test_switch_rule_against_loop_trace(case, digits):
         patch.undo()
         patch.setattr(consensus, "_tail", spy)
         result = consensus.run(net, x0, epsilon, max_rounds=3000)
-    window = spectra.SWITCH_WINDOW
-    above = [t for t in range(2 * window, loop.rounds + 1, window) if loop.error_trace[t] > epsilon]
-    tiny = net.n <= 16  # max(16, 4 * modes), with one tail mode for two communities
-    assert tried == ([] if tiny else above[:1])
+    at = spectra.SWITCH_ROUND
+    assert tried == ([at] if loop.rounds >= at and loop.error_trace[at] > epsilon else [])
     assert result.tail_from in (None, *tried)
+    if net.n <= 16:  # max(16, 4 * modes), with one tail mode for two communities
+        assert result.tail_from is None
     if result.tail_from is None:
         assert np.array_equal(result.error_trace, loop.error_trace)
     else:

@@ -253,7 +253,8 @@ class TestRunGadget:
                 gossip.GadgetConfig(**{name: value})
         # a zero budget is legal: a capped replay of the learning phase uses max_rounds = 0
         gossip.GadgetConfig(max_rounds=0, learning_rounds=0)
-        gossip.GadgetConfig(learning_rounds=None)
+        # a learning budget beyond max_rounds learns on every round
+        gossip.GadgetConfig(max_rounds=10, learning_rounds=20)
 
     def test_deterministic_given_seeds(self):
         ds = data.make_blobs(200, 4, margin=2.0, seed=1)
@@ -296,7 +297,7 @@ def test_run_gadget_matches_per_node_oracle(sizes, dense, steps, trace, rounds, 
     assert len(run.max_pairwise_gap_trace) == (rounds if trace else 0)
 
 
-# run_gadget outputs with learning on every round (learning_rounds=None),
+# run_gadget outputs with learning on every round (learning_rounds = max_rounds),
 # written in as literals from the implementation that drew one example per
 # node per step: the PER_NODE_RUNS (10, 15) model at epsilon 1e-2,
 # (steps_per_round, rounds, final_weights)
@@ -307,10 +308,12 @@ LEARNING_EVERY_ROUND = {
 
 
 def per_node_model_run(steps, learning, trace, epsilon):
+    """A run on the PER_NODE_RUNS (10, 15) model; learning None learns on every round."""
     ds = data.make_blobs(300, 4, margin=2.0, seed=5)
     model = sbm.make_two_level_model([10, 15], sbm.TwoLevelProbs(0.8, 0.3), 2)
-    cfg = gossip.GadgetConfig(nu=0.1, epsilon=epsilon, max_rounds=20_000, learning_rounds=learning,
-                              steps_per_round=steps)
+    max_rounds = 20_000
+    cfg = gossip.GadgetConfig(nu=0.1, epsilon=epsilon, max_rounds=max_rounds,
+                              learning_rounds=max_rounds if learning is None else learning, steps_per_round=steps)
     return gossip.run_gadget(sbm.sample_connected(model)[0], ds, cfg, seed=4, record_trace=trace)
 
 
@@ -488,13 +491,13 @@ def test_push_sum_conserves_mass_property(case, rounds):
 
 
 def loop_only(monkeypatch):
-    """Never weigh the switch: no round is the learning rounds plus an infinite window."""
-    monkeypatch.setattr(spectra, "SWITCH_WINDOW", math.inf)
+    """Never weigh the switch: no round is the learning rounds plus an infinite switch round."""
+    monkeypatch.setattr(spectra, "SWITCH_ROUND", math.inf)
 
 
 def switch_round(learning):
     """The round at which an untraced run weighs the switch to the tail."""
-    return learning + 2 * spectra.SWITCH_WINDOW
+    return learning + spectra.SWITCH_ROUND
 
 
 def loop_and_tail(net, ds, cfg, seed=0):
@@ -625,8 +628,8 @@ def test_forced_early_switch_gives_the_loop_rounds(monkeypatch):
         cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-10, max_rounds=20_000, learning_rounds=10)
         loop_only(monkeypatch)
         loop = gossip.run_gadget(net, ds, cfg, seed=seed, record_trace=False)
-        for window in (1, 2, 4):
-            monkeypatch.setattr(spectra, "SWITCH_WINDOW", window)
+        for after in (2, 4, 8):
+            monkeypatch.setattr(spectra, "SWITCH_ROUND", after)
             fast = gossip.run_gadget(net, ds, cfg, seed=seed, record_trace=False)
             assert fast.tail_from in (switch_round(10), None)
             assert_same_run(fast, loop)
@@ -667,6 +670,43 @@ def test_traced_and_always_learning_runs_stay_on_the_loop(monkeypatch, learning,
     run = per_node_model_run(1, learning, trace, 1e-9 if learning else 1e-2)
     assert run.tail_from is None
     assert run.rounds_to_consensus == (52 if learning else LEARNING_EVERY_ROUND[1][0])
+
+
+def test_tail_node_bound_covers_the_psw_remainder(monkeypatch):
+    # dev lies on the slow mode, so only psw's part off the slow modes, 1e-6
+    # of psw, separates the tail's estimated weights dev / psw from the loop's:
+    # the node bounds, and with them each round's slack, must carry psw's
+    # remainder bound weighted by the weights
+    from scipy.sparse.linalg import eigsh
+
+    net, _ = sbm.sample_connected(sbm.make_two_level_model([20, 25], sbm.TwoLevelProbs(0.6, 0.05), 1))
+    dp = net.degrees + 1.0
+    _, vec = eigsh(spectra.deflated_walk_operator(net, 1.0, loops=1.0), k=1, which="LM",
+                   v0=np.ones(net.n), tol=0)
+    dev = np.outer(np.sqrt(dp) * vec[:, 0], [1.0, -2.0])
+    # psw near M's fixed point, which is proportional to d' = d + 1
+    psw = dp / dp.mean() * (1.0 + 1e-6 * np.random.default_rng(1).standard_normal(net.n))
+    brackets = []
+    bracket = gossip._bracket
+
+    def spy(radius, epsilon, slack):
+        brackets.append((radius, slack))
+        return bracket(radius, epsilon, slack)
+
+    monkeypatch.setattr(gossip, "_bracket", spy)
+    rounds = 40
+    # an epsilon no gap reaches: the tail runs every round on its estimates
+    assert gossip._mixing_tail(net, dev, psw, 1e-300, rounds) == (rounds, False)
+    (radius, slack), = brackets
+    mix = gossip.mixing_matrix(net).toarray().astype(np.longdouble)
+    x, w, exact = dev.astype(np.longdouble), psw.astype(np.longdouble), []
+    for _ in range(rounds):
+        x, w = mix @ x, mix @ w
+        spread = x / w[:, None]
+        exact.append(np.sqrt(((spread - spread[0]) ** 2).sum(axis=1).max()))
+    miss = np.abs(np.asarray(exact, dtype=float) - radius)
+    assert miss[0] > 1e-9 * radius[0]
+    assert np.all(miss <= slack)
 
 
 def test_censored_tail_reports_the_last_round():

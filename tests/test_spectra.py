@@ -117,11 +117,23 @@ def test_self_loop_operator_is_the_symmetrized_mixing_matrix():
     assert matrix == pytest.approx(mix * sqrt_dp[None, :] / sqrt_dp[:, None], abs=1e-15)
 
 
-def test_lanczos_basis_fits_above_sixteen_and_four_per_mode():
-    assert [spectra.lanczos_fits(n, 1) for n in (16, 17)] == [False, True]
-    assert [spectra.lanczos_fits(n, 5) for n in (20, 21)] == [False, True]
-    net = sample_two_level([8, 8], 0.9, 0.2, seed=1)
-    assert spectra.slow_modes(net, np.ones(16), 1) is None
+def test_lanczos_basis_fits_above_sixteen_and_four_per_mode(monkeypatch):
+    # slow_modes keeps k = K - 1 modes, at least 1, and solves only when n > max(16, 4k)
+    import scipy.sparse.linalg
+
+    eigsh, solved = scipy.sparse.linalg.eigsh, []
+
+    def counted(op, **kwargs):
+        solved.append((op.shape[0], kwargs["k"]))
+        return eigsh(op, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    for sizes in ([16], [8, 8], [9, 8], [4, 4, 3, 3, 3, 3], [4, 4, 4, 3, 3, 3]):
+        n = sum(sizes)
+        net = sbm.Network(sizes, np.array(list(itertools.combinations(range(n), 2))))
+        solve = spectra.slow_modes(net, np.random.default_rng(n).standard_normal(n))
+        assert (solve is None) == (n in (16, 20))
+    assert solved == [(17, 1), (21, 5)]
 
 
 class TestLambda2Fast:
