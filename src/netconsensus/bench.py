@@ -59,7 +59,7 @@ class SweepConfig:
     seeds_per_point: int = 5
     run: gossip.GadgetConfig = field(default_factory=gossip.GadgetConfig)
     mode: str = "scalar"
-    base_seed: int = 0
+    seed: int = 0
     workers: int = 1
     dataset_ref: str | None = None
 
@@ -74,6 +74,8 @@ class SweepConfig:
             raise ValueError("seeds_per_point must be >= 1")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.p_out_list:
             raise ValueError("p_out_list is empty: a sweep needs at least one point")
         for p in self.p_out_list:
@@ -115,9 +117,9 @@ def log_spaced(lo: float, hi: float, num: int):
     return tuple(np.logspace(math.log10(lo), math.log10(hi), num).tolist())
 
 
-def _point_seeds(base_seed: int, num_points: int, seeds_per_point: int):
+def _point_seeds(seed: int, num_points: int, seeds_per_point: int):
     """Seed table derived once so results are independent of worker count."""
-    root = np.random.SeedSequence(base_seed)
+    root = np.random.SeedSequence(seed)
     points = root.spawn(num_points)
     return [[int(s.generate_state(1)[0]) for s in p.spawn(seeds_per_point + 1)] for p in points]
 
@@ -171,7 +173,7 @@ def sweep(cfg: SweepConfig, dataset: LabeledDataset | None = None, row_callback=
     """
     if cfg.mode == "gadget" and dataset is None:
         raise ValueError("gadget mode requires a dataset")
-    seeds_table = _point_seeds(cfg.base_seed, len(cfg.p_out_list), cfg.seeds_per_point)
+    seeds_table = _point_seeds(cfg.seed, len(cfg.p_out_list), cfg.seeds_per_point)
     simulate = _scalar_run if cfg.mode == "scalar" else functools.partial(_gadget_run, dataset=dataset)
 
     def job(idx_pout):

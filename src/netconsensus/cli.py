@@ -99,7 +99,7 @@ _HELP = {
     "config": "flat key/value JSON config file",
     "out": "output directory (default: out)",
     "sizes": "community sizes, e.g. 700,300",
-    "seed": "RNG seed (of a sweep: its base seed)",
+    "seed": "RNG seed (of a sweep: the root of its per-point and per-run seeds)",
     "mode": "scalar or gadget",
     "connected": "resample until connected",
     "net": "edge list to load (as written by sample) in place of a model",
@@ -144,12 +144,9 @@ def _resolve_dataset(ref, seed=0):
             raise bad
         try:
             n, d, margin = int(parts[1]), int(parts[2]), float(parts[3])
-            blob_seed = int(parts[4]) if len(parts) == 5 else seed
+            return data.make_blobs(n, d, margin, seed=int(parts[4]) if len(parts) == 5 else seed)
         except ValueError:
             raise bad from None
-        if n < 0 or d < 0 or not math.isfinite(margin) or blob_seed < 0:
-            raise bad
-        return data.make_blobs(n, d, margin, seed=blob_seed)
     return data.load_sparse_text(ref)
 
 
@@ -278,11 +275,10 @@ def _cmd_sweep(settings, out):
         grid = (_setting(settings, k, required=True) for k in ("p_out_lo", "p_out_hi", "p_out_num"))
         p_out_list = bench.log_spaced(*grid)
     cfg = _config(bench.SweepConfig, settings, p_out_list=p_out_list, run=_config(gossip.GadgetConfig, settings),
-                  base_seed=_setting(settings, "seed", default=0),
                   dataset_ref=_setting(settings, "dataset"))
     if cfg.mode == "gadget" and cfg.dataset_ref is None:
         raise ValueError("gadget sweep requires a dataset setting")
-    dataset = None if cfg.dataset_ref is None else _resolve_dataset(cfg.dataset_ref, seed=cfg.base_seed)
+    dataset = None if cfg.dataset_ref is None else _resolve_dataset(cfg.dataset_ref, seed=cfg.seed)
 
     with (out / "rows.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)

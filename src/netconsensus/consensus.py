@@ -87,6 +87,8 @@ def run(net: Network, x0, epsilon: float, max_rounds: int = GadgetConfig.max_rou
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be > 0 and finite, got {epsilon}")
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
     if not net.connected:
         raise ValueError("consensus requires a connected network")
     x0 = np.asarray(x0, dtype=float)

@@ -134,12 +134,17 @@ def make_blobs(n_examples: int, d: int, margin: float, seed: int) -> LabeledData
 
     Class centers sit at +/- margin along a random unit normal with
     isotropic standard normal noise; separability is guaranteed whenever the
-    margin exceeds the largest noise projection onto the normal.
+    margin exceeds the largest noise projection onto the normal. A negative
+    n_examples, d or seed, or a margin not > 0 and finite, raises ValueError
+    naming it.
     """
     from scipy import sparse
 
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    for name, value in (("n_examples", n_examples), ("d", d), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    if not 0 < margin < np.inf:
+        raise ValueError(f"margin must be > 0 and finite, got {margin}")
     rng = np.random.default_rng(seed)
     normal = rng.normal(size=d)
     normal /= np.linalg.norm(normal)

@@ -7,18 +7,18 @@ draws its examples from its shard with its own seeded generator;
 ``draw_picks`` draws them for a whole block of steps in one call per node,
 and the block's feature rows are gathered in one index of the training
 matrix. A block of m draws continues each stream exactly as m single draws
-would, so the block size changes no output. The
-weights then enter the mass-conserving push-sum protocol: every node splits
-its (sum, weight) pair equally over itself and its neighbors, so the mixing
-matrix is column-stochastic and the totals are invariants; ``push_sum_round``
-is that exchange, one sparse product of the stacked pair. A run stops once
-all pairwise weight-vector distances fall below the threshold. The decision
-is exact, but the full pairwise distances are only computed when the cheap
-bracket dev <= gap <= 2 dev, dev = max_i ||w_i - w_0||, cannot settle it.
+would, so the block size changes no output. The weights then enter the
+mass-conserving push-sum protocol (``mixing_matrix``). A run holds each
+node's (sum, weight) pair as a row of one (n, d + 1) block [sums | psw] from
+the first round to the tail, so an exchange is one sparse product of that
+block. A run stops once all pairwise weight-vector distances fall below the
+threshold. The decision is exact, but the full pairwise distances are only
+computed when the cheap bracket dev <= gap <= 2 dev,
+dev = max_i ||w_i - w_0||, cannot settle it.
 
 A run is push-sum rounds, then a certified slow-mode tail. Once learning
-ends, the rounds iterate the mass-free deviation sums - psw w_inf from the
-conserved mean w_inf, so w_inf enters no difference of the gap. An untraced
+ends, the block's sums become the mass-free deviation sums - psw w_inf from
+the conserved mean w_inf, so w_inf enters no difference of the gap. An untraced
 run still mixing spectra.SWITCH_ROUND rounds later switches, once, to the
 tail (_mixing_tail), which falls back to the loop from the switch state where
 it cannot certify a round. The loop stays for traced runs, for the learning
@@ -44,7 +44,6 @@ __all__ = [
     "GadgetRun",
     "draw_picks",
     "pegasos_step",
-    "push_sum_round",
     "mixing_matrix",
     "run_gadget",
     "hinge_objective",
@@ -149,25 +148,16 @@ def pegasos_step(weights: np.ndarray, rows: np.ndarray, labels: np.ndarray, nu: 
 
 
 def mixing_matrix(net: Network) -> sparse.csr_matrix:
-    """Column-stochastic push-sum matrix: equal split over self and neighbors."""
+    """Column-stochastic push-sum matrix: in one exchange, pair = mix @ pair,
+    every node splits its (sum, weight) pair equally over itself and its
+    neighbors and keeps the shares it receives, so the column totals of the
+    pair are conserved up to round-off."""
     from scipy import sparse
 
     # both terms have sorted indices, so their sum does too; column j is scaled by its share
     mix = net.adjacency + sparse.identity(net.n, format="csr")
     mix.data *= (1.0 / (net.degrees.astype(float) + 1.0))[mix.indices]
     return mix
-
-
-def push_sum_round(mix: sparse.csr_matrix, sums: np.ndarray, psw: np.ndarray):
-    """One synchronous push-sum exchange; returns (mix @ sums, mix @ psw).
-
-    Every node splits its (sum, weight) pair into equal shares over itself
-    and its neighbors and keeps the shares it receives, so the totals of
-    sums and psw are conserved up to round-off. Both parts go through one
-    sparse product of the stacked [sums | psw].
-    """
-    mixed = mix @ np.column_stack([sums, psw])
-    return mixed[:, :-1], mixed[:, -1]
 
 
 def hinge_objective(w: np.ndarray, X, y, nu: float, n_nodes: int) -> float:
@@ -222,14 +212,15 @@ def _gap_below(weights: np.ndarray, epsilon: float) -> bool:
     return max_pairwise_gap(weights) < epsilon
 
 
-def _mixing_tail(net: Network, dev: np.ndarray, psw: np.ndarray, epsilon: float, rounds: int):
-    """Up to rounds mixing-only rounds of the loop from the deviation dev and
-    psw, from the mixing matrix's slow modes: (rounds run, whether the last
-    one's gap is below epsilon), or None.
+def _mixing_tail(net: Network, pair: np.ndarray, epsilon: float, rounds: int):
+    """Up to rounds mixing-only rounds of the loop from the block
+    pair = [dev | psw] of the deviation and the weights, from the mixing
+    matrix's slow modes: (rounds run, whether the last one's gap is below
+    epsilon), or None.
 
     M = (A + I) D'^-1 with D' = D + I is similar to the symmetric S, so round
     s of the loop is M^s X = D'^1/2 S^s D'^-1/2 X. Of the start block
-    Y = D'^-1/2 [dev | psw], only psw has a part along S's top eigenvector u,
+    Y = D'^-1/2 pair, only psw has a part along S's top eigenvector u,
     which every round keeps; the rest follows S - u u^T, whose Ritz pairs
     (spectra.slow_modes) give each block of rounds as one small product.
     With b_psw psw's remainder_bound and b_dev the root sum of squares of
@@ -242,7 +233,7 @@ def _mixing_tail(net: Network, dev: np.ndarray, psw: np.ndarray, epsilon: float,
     """
     sqrt_dp = np.sqrt(net.degrees + 1.0)
     u = sqrt_dp / np.linalg.norm(sqrt_dp)
-    start = np.column_stack([dev, psw]) / sqrt_dp[:, None]
+    start = pair / sqrt_dp[:, None]
     settled = sqrt_dp * u * (u @ start[:, -1])  # psw's part along u, at every round
     start -= np.outer(u, u @ start)
     solve = spectra.slow_modes(net, start.sum(axis=1), loops=1.0)
@@ -286,7 +277,7 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
 
     Each round: steps_per_round Pegasos steps on every node (while the
     learning budget lasts), then the working weights enter the push-sum pair,
-    one mixing exchange runs, and nodes adopt s/psw as their new weights.
+    one mixing exchange runs, and nodes adopt sums/psw as their new weights.
     Once learning ends, the rounds mix the deviation from the conserved mean
     w_inf instead. Stops when the max pairwise weight gap drops below epsilon,
     or reports a censored run at max_rounds. seed fixes the data split and the
@@ -312,7 +303,7 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
     rngs = [np.random.default_rng(stream) for stream in node_root.spawn(n)]
 
     weights = np.zeros((n, train.d))
-    sums, psw = weights.copy(), np.ones(n)
+    pair = np.hstack([weights, np.ones((n, 1))])  # [sums | psw], one node a row
     mix = mixing_matrix(net)
     X_train, y_train = train.X, train.y
     X_test, y_test = test.X, test.y
@@ -340,20 +331,21 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
                     labels = y_train[picks]
                 t += 1
                 pegasos_step(weights, rows[j], labels[j], cfg.nu, t)
-            sums, psw = push_sum_round(mix, weights * psw[:, None], psw)
-            spread = weights = sums / psw[:, None]
+            pair[:, :-1] = weights * pair[:, -1:]
+            pair = mix @ pair
+            spread = weights = pair[:, :-1] / pair[:, -1:]
         else:
             if w_inf is None:
                 # mixing conserves the mass: iterate its deviation from the mean w_inf
-                w_inf = sums.sum(axis=0) / psw.sum()
-                dev = sums - psw[:, None] * w_inf
-            dev, psw = push_sum_round(mix, dev, psw)
-            spread = dev / psw[:, None]  # the weights less w_inf: the same gap
+                w_inf = pair[:, :-1].sum(axis=0) / pair[:, -1].sum()
+                pair[:, :-1] -= pair[:, -1:] * w_inf
+            pair = mix @ pair
+            spread = pair[:, :-1] / pair[:, -1:]  # the weights less w_inf: the same gap
         if record_trace:
             gap = max_pairwise_gap(spread)
             gap_trace.append(gap)
             if learning or not obj_trace:
-                w_avg = sums.sum(axis=0) / psw.sum() if learning else w_inf
+                w_avg = pair[:, :-1].sum(axis=0) / pair[:, -1].sum() if learning else w_inf
                 objective = hinge_objective(w_avg, X_train, y_train, cfg.nu, n)
                 acc = accuracy(w_avg, X_test, y_test)
             obj_trace.append(objective)
@@ -365,7 +357,7 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
             rounds_done = t_round
             break
         if t_round == switch:
-            tail = _mixing_tail(net, dev, psw, cfg.epsilon, cfg.max_rounds - t_round)
+            tail = _mixing_tail(net, pair, cfg.epsilon, cfg.max_rounds - t_round)
             if tail is not None:
                 ran, below = tail
                 rounds_done = t_round + ran if below else None
@@ -373,7 +365,7 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
                 break
 
     if w_inf is None:  # the run ended while learning
-        w_inf = sums.sum(axis=0) / psw.sum()
+        w_inf = pair[:, :-1].sum(axis=0) / pair[:, -1].sum()
     return GadgetRun(
         rounds_to_consensus=rounds_done,
         max_pairwise_gap_trace=np.asarray(gap_trace),

@@ -75,6 +75,8 @@ class SbmModel:
             raise ValueError("edge_probs must be symmetric")
         if probs.min() < 0.0 or probs.max() > 1.0:
             raise ValueError("edge_probs entries must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         probs.flags.writeable = False
         object.__setattr__(self, "community_sizes", sizes)
         object.__setattr__(self, "edge_probs", probs)
@@ -132,13 +134,13 @@ class Network:
         self.n = n
         self.edges = edges
         self.edges.flags.writeable = False
-        self.degrees = np.bincount(edges.ravel(), minlength=n) if edges.size else np.zeros(n, dtype=np.int64)
-        self.degrees.flags.writeable = False
         self.community_sizes = community_sizes
         # the edges are the upper triangle already in CSR order: row i holds the j of its pairs (i, j)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(edges[:, 0], minlength=n))])
         upper = sparse.csr_matrix((np.ones(len(edges)), edges[:, 1], indptr), shape=(n, n))
         self.adjacency = upper + upper.T
+        self.degrees = np.diff(self.adjacency.indptr).astype(np.int64)
+        self.degrees.flags.writeable = False
         # the matrix is symmetric, so a directed search finds the undirected component
         self.connected = len(breadth_first_order(self.adjacency, 0, return_predecessors=False)) == n
 

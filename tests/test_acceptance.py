@@ -100,7 +100,7 @@ def test_04_reciprocal_law_sparse_sweep():
             seeds_per_point=5,
             run=gossip.GadgetConfig(epsilon=1e-10, max_rounds=60_000),
             mode="scalar",
-            base_seed=404,
+            seed=404,
         )
         rows = bench.sweep(cfg)
         assert all(r.error is None for r in rows)
@@ -178,13 +178,14 @@ def test_07_push_sum_frozen_correctness():
         net, _ = sbm.sample_connected(model)
         rng = np.random.default_rng(0)
         init = rng.random((net.n, 8))
-        sums, psw = init, np.ones(net.n)
+        pair = np.column_stack([init, np.ones(net.n)])  # [sums | psw]
         mix = gossip.mixing_matrix(net)
         target = init.mean(axis=0)
         total = init.sum(axis=0)
         converged_at = None
         for rounds in range(1, 5001):
-            sums, psw = gossip.push_sum_round(mix, sums, psw)
+            pair = mix @ pair
+            sums, psw = pair[:, :-1], pair[:, -1]
             mass_s = sums.sum(axis=0)
             mass_w = psw.sum()
             assert np.abs(mass_s - total).max() <= 1e-10 * np.abs(total).max()
@@ -206,7 +207,7 @@ def test_08_gadget_reciprocal_shape():
             seeds_per_point=3,
             run=gossip.GadgetConfig(nu=0.1, epsilon=1e-10, max_rounds=200_000, steps_per_round=1, learning_rounds=200),
             mode="gadget",
-            base_seed=808,
+            seed=808,
         )
         rows = bench.sweep(cfg, dataset=dataset)
         assert all(r.error is None for r in rows)

@@ -68,7 +68,7 @@ class TestSweep:
     def make_config(self, **overrides):
         base = dict(
             sizes=(25, 25), p_in=0.5, p_out_list=(0.2,), seeds_per_point=1,
-            run=gossip.GadgetConfig(epsilon=1e-8, max_rounds=20_000), mode="scalar", base_seed=3,
+            run=gossip.GadgetConfig(epsilon=1e-8, max_rounds=20_000), mode="scalar", seed=3,
         )
         base.update(overrides)
         return bench.SweepConfig(**base)
@@ -157,6 +157,10 @@ class TestSweep:
     def test_p_out_range_validation(self):
         with pytest.raises(ValueError):
             self.make_config(p_out_list=(0.9,))
+
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            self.make_config(seed=-1)
 
     def test_gadget_requires_dataset(self):
         with pytest.raises(ValueError):

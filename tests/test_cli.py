@@ -184,7 +184,7 @@ def test_sweep_rows_csv_matches_sweep_rows(tmp_path):
     run = gossip.GadgetConfig(epsilon=SWEEP_SETTINGS["epsilon"], max_rounds=SWEEP_SETTINGS["max_rounds"])
     rows = bench.sweep(bench.SweepConfig(sizes=SWEEP_SETTINGS["sizes"], p_in=SWEEP_SETTINGS["p_in"],
                                          p_out_list=SWEEP_SETTINGS["p_out_list"], seeds_per_point=1,
-                                         run=run, base_seed=SWEEP_SETTINGS["seed"]))
+                                         run=run, seed=SWEEP_SETTINGS["seed"]))
     back = read_rows_csv(out / "rows.csv")
     assert len(back) == len(rows) == 2
     for got, want in zip(back, rows):
@@ -313,9 +313,10 @@ GADGET_MODEL = ["--sizes", "10,10", "--p-in", "0.9", "--p-out", "0.3"]
     ("dataset", "blobs:400:2:2.0:-4", "bad blobs spec 'blobs:400:2:2.0:-4'; want blobs:N:D:MARGIN[:SEED]"),
     ("dataset", "blobs:400:2:nan", "bad blobs spec 'blobs:400:2:nan'; want blobs:N:D:MARGIN[:SEED]"),
     ("dataset", "blobs:400:2:inf", "bad blobs spec 'blobs:400:2:inf'; want blobs:N:D:MARGIN[:SEED]"),
+    ("dataset", "blobs:400:2:0", "bad blobs spec 'blobs:400:2:0'; want blobs:N:D:MARGIN[:SEED]"),
 ], ids=["dataset", "learning_rounds", "blobs-negative-d", "blobs-negative-n", "learning_rounds-negative",
         "steps_per_round-zero", "max_rounds-negative", "epsilon-infinite", "blobs-negative-seed", "blobs-nan-margin",
-        "blobs-infinite-margin"])
+        "blobs-infinite-margin", "blobs-zero-margin"])
 def test_malformed_gadget_settings_named(tmp_path, capsys, form, key, value, message):
     settings = {"dataset": "blobs:400:2:2.0", key: value}
     if form == "flag":

@@ -231,6 +231,12 @@ class TestRun:
         with pytest.raises(ValueError, match="^epsilon must be > 0 and finite"):
             consensus.run(net, np.arange(net.n, dtype=float), epsilon)
 
+    def test_negative_max_rounds_rejected(self):
+        # it would otherwise come back censored with rounds == -5
+        net = sample_connected([8, 8], 0.8, 0.1, seed=2)
+        with pytest.raises(ValueError, match=r"^max_rounds must be >= 0, got -5$"):
+            consensus.run(net, np.arange(net.n, dtype=float), 1e-10, max_rounds=-5)
+
 
 class TestTauBound:
     def test_powers_of_ten(self):

@@ -159,6 +159,18 @@ class TestMakeBlobs:
         with pytest.raises(ValueError):
             data.make_blobs(10, 2, margin=0.0, seed=0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((-4, 2, 2.0, 0), "n_examples must be >= 0, got -4"),
+        ((400, -1, 2.0, 0), "d must be >= 0, got -1"),
+        ((400, 2, float("nan"), 0), "margin must be > 0 and finite, got nan"),
+        ((400, 2, float("inf"), 0), "margin must be > 0 and finite, got inf"),
+        ((400, 2, -2.0, 0), "margin must be > 0 and finite, got -2.0"),
+        ((400, 2, 2.0, -4), "seed must be >= 0, got -4"),
+    ], ids=["negative-n", "negative-d", "nan-margin", "infinite-margin", "negative-margin", "negative-seed"])
+    def test_bad_argument_named(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            data.make_blobs(*args)
+
     def test_labels_are_pm_one(self):
         ds = data.make_blobs(30, 3, margin=1.0, seed=1)
         assert set(np.unique(ds.y)) <= {-1, 1}

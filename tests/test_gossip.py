@@ -107,39 +107,45 @@ def test_draw_picks_continues_each_stream_as_scalar_draws(case):
         assert rngs[i].bit_generator.state == oracle.bit_generator.state
 
 
-def estimates(sums, psw):
-    return sums / psw[:, None]
+def stacked(sums, psw):
+    """The push-sum block [sums | psw] that one exchange, mix @ pair, mixes."""
+    return np.column_stack([sums, psw])
+
+
+def estimates(pair):
+    return pair[:, :-1] / pair[:, -1:]
 
 
 class TestPushSum:
     def test_single_node_estimate_is_own_weight(self):
         net = sbm.Network([1], np.empty((0, 2)))
-        sums, psw = gossip.push_sum_round(gossip.mixing_matrix(net), np.array([[3.0, -1.0]]), np.ones(1))
-        assert estimates(sums, psw)[0] == pytest.approx([3.0, -1.0])
-        assert psw[0] == pytest.approx(1.0)
+        pair = gossip.mixing_matrix(net) @ stacked([[3.0, -1.0]], np.ones(1))
+        assert estimates(pair)[0] == pytest.approx([3.0, -1.0])
+        assert pair[0, -1] == pytest.approx(1.0)
 
     def test_two_node_hand_simulation(self):
         net = sbm.Network([2], np.array([[0, 1]]))
-        sums, psw = gossip.push_sum_round(gossip.mixing_matrix(net), np.array([[0.0], [1.0]]), np.ones(2))
+        pair = gossip.mixing_matrix(net) @ stacked([[0.0], [1.0]], np.ones(2))
+        sums, psw = pair[:, :-1], pair[:, -1]
         assert sums[0] == pytest.approx([0.5])
         assert sums[1] == pytest.approx([0.5])
         assert psw[0] == pytest.approx(1.0)
         assert psw[1] == pytest.approx(1.0)
-        assert estimates(sums, psw)[0] == pytest.approx([0.5])
-        assert estimates(sums, psw)[1] == pytest.approx([0.5])
+        assert estimates(pair)[0] == pytest.approx([0.5])
+        assert estimates(pair)[1] == pytest.approx([0.5])
 
     def test_mass_conserved_every_round(self):
         model = sbm.make_two_level_model([20, 30], sbm.TwoLevelProbs(0.5, 0.1), 3)
         net, _ = sbm.sample_connected(model)
         rng = np.random.default_rng(0)
         init = rng.normal(size=(net.n, 3))
-        sums, psw = init, np.ones(net.n)
+        pair = stacked(init, np.ones(net.n))
         total_s = init.sum(axis=0)
         mix = gossip.mixing_matrix(net)
         for _ in range(100):
-            sums, psw = gossip.push_sum_round(mix, sums, psw)
-            s_now = sums.sum(axis=0)
-            w_now = psw.sum()
+            pair = mix @ pair
+            s_now = pair[:, :-1].sum(axis=0)
+            w_now = pair[:, -1].sum()
             assert np.abs(s_now - total_s).max() < 1e-10 * np.abs(total_s).max()
             assert w_now == pytest.approx(net.n, rel=1e-10)
 
@@ -148,14 +154,14 @@ class TestPushSum:
         net, _ = sbm.sample_connected(model)
         rng = np.random.default_rng(5)
         init = rng.random((net.n, 2))
-        sums, psw = init, np.ones(net.n)
+        pair = stacked(init, np.ones(net.n))
         mix = gossip.mixing_matrix(net)
         target = init.mean(axis=0)
         mu = np.sort(np.abs(np.linalg.eigvals(mix.toarray())))[-2]
         errors = []
         for _ in range(160):
-            sums, psw = gossip.push_sum_round(mix, sums, psw)
-            errors.append(np.abs(estimates(sums, psw) - target).max())
+            pair = mix @ pair
+            errors.append(np.abs(estimates(pair) - target).max())
         errors = np.array(errors)
         assert errors[-1] < 1e-10
         usable = errors[(errors > 1e-11) & (errors < 1e-2)]
@@ -175,14 +181,14 @@ class TestRunGadget:
         ds = data.make_blobs(12, 3, margin=2.0, seed=1)
         X, y = ds.X.toarray(), ds.y
         n = 5
-        weights, psw = np.zeros((n, 3)), np.ones(n)
+        weights = np.zeros((n, 3))
         shards = [np.arange(12)] * n
         rngs = [np.random.default_rng(99) for _ in range(n)]
         mix = gossip.mixing_matrix(complete_graph(n))
         picks = gossip.draw_picks(shards, rngs, 1)
         gossip.pegasos_step(weights, *gather(X, y, picks[0]), 0.1, 1)
-        sums, psw = gossip.push_sum_round(mix, weights * psw[:, None], psw)
-        assert gossip.max_pairwise_gap(estimates(sums, psw)) == 0.0
+        pair = mix @ stacked(weights, np.ones(n))
+        assert gossip.max_pairwise_gap(estimates(pair)) == 0.0
 
     def test_stopping_soundness_exact_recheck(self, monkeypatch):
         # a traced run takes each round's gap of the weights less w_inf: keep the last round's
@@ -397,13 +403,13 @@ def test_traced_run_matches_every_round_evaluation():
 
 
 
-def long_double_gaps(net, sums, psw, rounds):
-    """The gaps of rounds mixing-only rounds from the pair (sums, psw), in long
-    double with the dense mixing matrix. The weights' gap is that of
+def long_double_gaps(net, pair, rounds):
+    """The gaps of rounds mixing-only rounds from the block pair = [sums | psw],
+    in long double with the dense mixing matrix. The weights' gap is that of
     (sums - psw c) / psw for any row c, so the pair is centred on its own
     mean first and no round takes a difference of two near-equal weights."""
     mix = gossip.mixing_matrix(net).toarray().astype(np.longdouble)
-    sums, psw = sums.astype(np.longdouble), psw.astype(np.longdouble)
+    sums, psw = pair[:, :-1].astype(np.longdouble), pair[:, -1].astype(np.longdouble)
     dev = sums - psw[:, None] * (sums.sum(axis=0) / psw.sum())
     gaps = []
     for _ in range(rounds):
@@ -413,18 +419,27 @@ def long_double_gaps(net, sums, psw, rounds):
     return np.array(gaps)
 
 
+class RecordedMix:
+    """A mixing matrix whose exchanges, pair = mix @ pair, keep a copy of each
+    product (the run goes on to update its pair in place)."""
+
+    def __init__(self, mix, pairs):
+        self.mix, self.pairs = mix, pairs
+
+    def __matmul__(self, pair):
+        mixed = self.mix @ pair
+        self.pairs.append(mixed.copy())
+        return mixed
+
+
 def test_traced_mixing_gaps_match_a_long_double_oracle(monkeypatch):
     pairs = []
-    push_sum_round = gossip.push_sum_round
-
-    def recorded(mix, sums, psw):
-        pairs.append(push_sum_round(mix, sums, psw))
-        return pairs[-1]
-
-    monkeypatch.setattr(gossip, "push_sum_round", recorded)
+    mixing_matrix = gossip.mixing_matrix
+    monkeypatch.setattr(gossip, "mixing_matrix", lambda net: RecordedMix(mixing_matrix(net), pairs))
     net, run = traced_run()
+    monkeypatch.undo()
     # the oracle starts from the pair the 8 learning rounds left
-    want = long_double_gaps(net, *pairs[7], len(TRACED_GAPS) - 8)
+    want = long_double_gaps(net, pairs[7], len(TRACED_GAPS) - 8)
     got = run.max_pairwise_gap_trace[8:]
     assert np.all(np.abs(got - want) <= 1e-13 * want)
 
@@ -482,8 +497,10 @@ def test_push_sum_conserves_mass_property(case, rounds):
     total_s, total_w = sums.sum(axis=0), psw.sum()
     scale_s = np.abs(sums).sum(axis=0)
     mix = gossip.mixing_matrix(net)
+    pair = stacked(sums, psw)
     for _ in range(rounds):
-        sums, psw = gossip.push_sum_round(mix, sums, psw)
+        pair = mix @ pair
+    sums, psw = pair[:, :-1], pair[:, -1]
     tol = 1e-13 * rounds * net.n
     assert np.all(np.abs(sums.sum(axis=0) - total_s) <= tol * scale_s)
     assert abs(psw.sum() - total_w) <= tol * total_w
@@ -696,7 +713,7 @@ def test_tail_node_bound_covers_the_psw_remainder(monkeypatch):
     monkeypatch.setattr(gossip, "_bracket", spy)
     rounds = 40
     # an epsilon no gap reaches: the tail runs every round on its estimates
-    assert gossip._mixing_tail(net, dev, psw, 1e-300, rounds) == (rounds, False)
+    assert gossip._mixing_tail(net, stacked(dev, psw), 1e-300, rounds) == (rounds, False)
     (radius, slack), = brackets
     mix = gossip.mixing_matrix(net).toarray().astype(np.longdouble)
     x, w, exact = dev.astype(np.longdouble), psw.astype(np.longdouble), []

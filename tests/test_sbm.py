@@ -57,6 +57,13 @@ class TestModel:
         with pytest.raises(ValueError, match="finite"):
             sbm.SbmModel((2, 2), np.array([[0.5, np.nan], [np.nan, 0.5]]), 0)
 
+    def test_negative_seed_rejected_by_name(self):
+        # sample and sample_connected would fail inside numpy without naming it
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            two_level([5, 5], 0.5, 0.1, seed=-1)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            two_level([5, 5], 0.5, 0.1).with_seed(-1)
+
 
 class TestSampling:
     def test_probability_one_gives_complete_graph(self):
@@ -219,6 +226,9 @@ def assert_matches_oracles(net):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
     assert adj.has_sorted_indices
     assert net.connected is components_connected(net)
+    # each edge counts once at each endpoint
+    assert np.array_equal(net.degrees, np.bincount(net.edges.ravel(), minlength=net.n))
+    assert net.degrees.dtype == np.int64 and not net.degrees.flags.writeable
 
 
 def reordered_edge_list(net, path, seed):
