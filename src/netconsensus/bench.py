@@ -76,6 +76,10 @@ class SweepConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not self.sizes or min(self.sizes) < 1:
+            raise ValueError(f"sizes must be a nonempty list of sizes >= 1, got {list(self.sizes)}")
+        if not 0.0 < self.p_in <= 1.0:
+            raise ValueError(f"p_in must be in (0, 1], got {self.p_in}")
         if not self.p_out_list:
             raise ValueError("p_out_list is empty: a sweep needs at least one point")
         for p in self.p_out_list:

@@ -135,20 +135,17 @@ def _tail(net: Network, e, t0: int, epsilon: float, denom: float, max_rounds: in
 
     In y = D^{1/2} e the loop is y <- S' y with S' = D^{-1/2} A D^{-1/2} - u u^T
     (the re-centring removes the top eigenvector u). The Ritz pairs
-    S' V ~ V diag(theta) of spectra.slow_modes give round t0 + s of the loop
-    as D^{-1/2} V diag(theta^s) c with c = V^T y0, up to spectra.remainder_bound.
-    Returns None, and the loop carries on from round t0, if there are no such
-    pairs or any round's error lies within that bound + MARGIN * epsilon of
-    epsilon.
+    S' V ~ V diag(theta) that spectra.slow_modes gives for y0 = D^{1/2} e, with
+    c = V^T y0, give round t0 + s of the loop as D^{-1/2} V diag(theta^s) c, up
+    to the remainder bound of the same call. Returns None, and the loop carries
+    on from round t0, if there are no such pairs or any round's error lies
+    within that bound + MARGIN * epsilon of epsilon.
     """
     sqrt_d = np.sqrt(net.degrees.astype(float))
-    y0 = sqrt_d * e
-    solve = spectra.slow_modes(net, y0)
+    solve = spectra.slow_modes(net, sqrt_d * e)
     if solve is None:
         return None
-    theta, vecs = solve[:2]
-    coef = vecs.T @ y0
-    remainder = spectra.remainder_bound(solve, y0)
+    theta, vecs, coef, remainder = solve
     basis = vecs / sqrt_d[:, None]
     # a y-space 2-norm bounds each |e_i| * sqrt(d_i), so max_i d_i^{-1/2} turns it into relative sup-norm error
     to_error = 1.0 / (float(sqrt_d.min()) * denom)

@@ -1,10 +1,10 @@
 """Gossip-based decentralized SVM: local Pegasos steps + push-sum mixing.
 
 The n nodes' weight vectors are the rows of one (n, d) matrix. A learning
-step is one ``pegasos_step`` for every node at once: one masked update
+step is one ``_pegasos_step`` for every node at once: one masked update
 applies the hinge subgradient to the rows whose margin is below 1. Each node
 draws its examples from its shard with its own seeded generator;
-``draw_picks`` draws them for a whole block of steps in one call per node,
+``_draw_picks`` draws them for a whole block of steps in one call per node,
 and the block's feature rows are gathered in one index of the training
 matrix. A block of m draws continues each stream exactly as m single draws
 would, so the block size changes no output. The weights then enter the
@@ -42,8 +42,6 @@ if TYPE_CHECKING:
 __all__ = [
     "GadgetConfig",
     "GadgetRun",
-    "draw_picks",
-    "pegasos_step",
     "mixing_matrix",
     "run_gadget",
     "hinge_objective",
@@ -118,7 +116,7 @@ class GadgetRun:
         return self.rounds_to_consensus is None
 
 
-def draw_picks(shards, rngs, steps: int) -> np.ndarray:
+def _draw_picks(shards, rngs, steps: int) -> np.ndarray:
     """(steps, n) example indices: column i holds node i's next steps picks.
 
     Node i draws uniformly from shards[i] with rngs[i], continuing its stream
@@ -132,7 +130,7 @@ def draw_picks(shards, rngs, steps: int) -> np.ndarray:
     return picks
 
 
-def pegasos_step(weights: np.ndarray, rows: np.ndarray, labels: np.ndarray, nu: float, t: int) -> None:
+def _pegasos_step(weights: np.ndarray, rows: np.ndarray, labels: np.ndarray, nu: float, t: int) -> None:
     """One stochastic subgradient step for every node, in place.
 
     Row i of the (n, d) weights is node i's vector, and rows[i], labels[i]
@@ -222,9 +220,10 @@ def _mixing_tail(net: Network, pair: np.ndarray, epsilon: float, rounds: int):
     s of the loop is M^s X = D'^1/2 S^s D'^-1/2 X. Of the start block
     Y = D'^-1/2 pair, only psw has a part along S's top eigenvector u,
     which every round keeps; the rest follows S - u u^T, whose Ritz pairs
-    (spectra.slow_modes) give each block of rounds as one small product.
-    With b_psw psw's remainder_bound and b_dev the root sum of squares of
-    those of dev's columns, which bounds their Frobenius norm, node i's
+    and the block's coefficients on them (one spectra.slow_modes call) give
+    each block of rounds as one small product. With b_psw psw's remainder
+    bound from that call and b_dev the root sum of squares of those of dev's
+    columns, which bounds their Frobenius norm, node i's
     dev_i / psw_i lies within
     sqrt(d'_i) (b_dev + |w_i| b_psw) / (psw_i - sqrt(d'_i) b_psw) of its
     estimate w_i. Returns None if a round's psw is not bounded away from 0
@@ -236,12 +235,10 @@ def _mixing_tail(net: Network, pair: np.ndarray, epsilon: float, rounds: int):
     start = pair / sqrt_dp[:, None]
     settled = sqrt_dp * u * (u @ start[:, -1])  # psw's part along u, at every round
     start -= np.outer(u, u @ start)
-    solve = spectra.slow_modes(net, start.sum(axis=1), loops=1.0)
+    solve = spectra.slow_modes(net, start, loops=1.0)
     if solve is None:
         return None
-    theta, vecs = solve[:2]
-    coef = vecs.T @ start
-    remainder = spectra.remainder_bound(solve, start)
+    theta, vecs, coef, remainder = solve
     basis = sqrt_dp[:, None] * vecs
     # F = R^T of C_dev^T = QR: x^T F is as long as x^T C_dev, in at most one coordinate per mode
     factor = np.linalg.qr(coef[:, :-1].T, mode="r").T
@@ -324,13 +321,13 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
             for _ in range(steps):
                 j = t % block
                 if j == 0:
-                    picks = draw_picks(shards, rngs, min(block, total_steps - t))
+                    picks = _draw_picks(shards, rngs, min(block, total_steps - t))
                     rows = X_train[picks.ravel()]
                     rows = rows.toarray() if hasattr(rows, "toarray") else np.asarray(rows, dtype=float)
                     rows = rows.reshape(*picks.shape, train.d)
                     labels = y_train[picks]
                 t += 1
-                pegasos_step(weights, rows[j], labels[j], cfg.nu, t)
+                _pegasos_step(weights, rows[j], labels[j], cfg.nu, t)
             pair[:, :-1] = weights * pair[:, -1:]
             pair = mix @ pair
             spread = weights = pair[:, :-1] / pair[:, -1:]

@@ -4,9 +4,9 @@ All spectral work happens on the symmetric normalized Laplacian
 L = I - D^{-1/2} A D^{-1/2}; the random-walk matrix P = D^{-1} A is reached
 through the exact mapping mu = 1 - lambda, never diagonalized directly.
 Consensus's P and push-sum's (A + I) (D + I)^{-1} are similar to symmetric
-operators (deflated_walk_operator); at SWITCH_ROUND, slow_modes gives both
-simulators' tails their certified slow modes from one Lanczos solve, and
-remainder_bound bounds what those miss.
+operators (deflated_walk_operator); at SWITCH_ROUND, one slow_modes call gives
+each simulator's tail the certified slow modes of its start from one Lanczos
+solve, the start's coefficients on them, and a bound on what they miss.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "lambda2_only",
     "deflated_walk_operator",
     "slow_modes",
-    "remainder_bound",
 ]
 
 
@@ -85,16 +84,12 @@ def normalized_laplacian_spectrum(net: Network) -> SpectrumEmpirical:
     np.subtract(0.0, lap, out=lap)
     lap.flat[:: net.n + 1] += 1.0
     vals = np.linalg.eigvalsh(lap)
-    lam2 = float(vals[1]) if net.n >= 2 else 0.0
-    if net.n >= 2:
-        low = 1.0 - vals[1]
-        high = 1.0 - vals[-1]
-        mu2 = float(max(abs(low), abs(high)))
-        positive = bool(abs(low) >= abs(high))
-    else:
-        mu2, positive = 0.0, True
+    # _check_degrees leaves n >= 2: a node with an edge has a neighbour
+    low = 1.0 - vals[1]
+    high = 1.0 - vals[-1]
     return SpectrumEmpirical(
-        eigenvalues=vals, lambda2=lam2, mu2_abs=mu2, second_mode_positive=positive
+        eigenvalues=vals, lambda2=float(vals[1]), mu2_abs=float(max(abs(low), abs(high))),
+        second_mode_positive=bool(abs(low) >= abs(high)),
     )
 
 
@@ -160,12 +155,27 @@ def _lanczos_fits(n: int, k: int) -> bool:
     return n > max(16, 4 * k)
 
 
-def slow_modes(net: Network, v0: np.ndarray, loops: float = 0.0):
-    """The k largest-magnitude Ritz pairs S' V ~ V diag(theta) of
-    S' = deflated_walk_operator(net, 1, loops) from one Lanczos solve from v0,
-    as (theta, V, resid, rho) for remainder_bound, with k = max(1, K - 1): one
-    per community mode, a block model's slow modes. None when the basis does not
-    fit (_lanczos_fits), the solve does not converge within TAIL_RESTARTS
+def slow_modes(net: Network, start: np.ndarray, loops: float = 0.0):
+    """The slow modes of a tail's start y0, a vector (n,) or a block (n, c) in
+    the walk's symmetric coordinates, and their bound: (theta, V, c, bound), or
+    None.
+
+    S' V ~ V diag(theta) are the k largest-magnitude Ritz pairs of
+    S' = deflated_walk_operator(net, 1, loops) from one Lanczos solve from y0
+    summed over its columns, with k = max(1, K - 1): one per community mode, a
+    block model's slow modes. c = V^T y0, so V diag(theta^s) c estimates
+    S'^s y0, and bound(s), over the rounds s >= 1, bounds
+    |S'^s y - V diag(theta^s) V^T y| from above: one row over s for a vector
+    y0, one row per column y of a block y0.
+
+    Split y(s) = V a(s) + q(s) with q orthogonal to V. With
+    R = S'V - V diag(theta) and r = |R| <= resid,
+        a(s+1) = theta a(s) + R^T q(s),   q(s+1) = R a(s) + Q S' Q q(s),
+    where Q S' Q, S' compressed to the complement of V, has norm at most
+    rho = min |theta| + 2 resid as long as the solve found the
+    largest-magnitude eigenvalues. |S'| <= 1 bounds |a|, |q| by |y0|; the bound's sums follow
+    from unrolling both recurrences. None when the basis does not fit
+    (_lanczos_fits), the solve does not converge within TAIL_RESTARTS
     restarts, or rho >= 1, where the other modes need not decay.
     """
     k = max(1, len(net.community_sizes) - 1)
@@ -174,44 +184,28 @@ def slow_modes(net: Network, v0: np.ndarray, loops: float = 0.0):
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     op = deflated_walk_operator(net, shift=1.0, loops=loops)
+    block = start.reshape(len(start), -1)
     try:
-        theta, vecs = eigsh(op, k=k, which="LM", v0=v0, tol=0, maxiter=TAIL_RESTARTS)
+        theta, vecs = eigsh(op, k=k, which="LM", v0=block.sum(axis=1), tol=0, maxiter=TAIL_RESTARTS)
     except ArpackNoConvergence:
         return None
     resid = float(np.linalg.norm([op.matvec(v) - lam * v for lam, v in zip(theta, vecs.T)]))
     rho = float(np.abs(theta).min()) + 2.0 * resid
     if rho >= 1.0:
         return None
-    return theta, vecs, resid, rho
-
-
-def remainder_bound(modes, y0):
-    """The function of the rounds s >= 1 that bounds |S'^s y - V diag(theta^s) V^T y|
-    from above, with modes = (theta, V, resid, rho) from slow_modes: one row
-    over s for a vector y0, one row per column y of a block y0.
-
-    Split y(s) = V a(s) + q(s) with q orthogonal to the Ritz vectors V. With
-    R = S'V - V diag(theta) and r = |R| <= resid,
-        a(s+1) = theta a(s) + R^T q(s),   q(s+1) = R a(s) + Q S' Q q(s),
-    where Q S' Q, S' compressed to the complement of V, has norm at most
-    rho = min |theta| + 2 resid as long as the Lanczos solve found the
-    largest-magnitude eigenvalues. |S'| <= 1 bounds |a|, |q| by |y0|; the
-    sums below follow from unrolling both recurrences.
-    """
-    theta, vecs, resid, rho = modes
-    block = y0.reshape(len(y0), -1)
-    coef = vecs.T @ block
-    dropped = np.linalg.norm(block - vecs @ coef, axis=0)[:, None]
-    size = np.abs(coef)
+    coef = vecs.T @ start
+    cols = coef.reshape(k, -1)
+    dropped = np.linalg.norm(block - vecs @ cols, axis=0)[:, None]
+    size = np.abs(cols)
     y0_norm = np.linalg.norm(block, axis=0)[:, None]
     abs_theta = np.abs(theta)[:, None]
     gap = abs_theta - rho
 
     def bound(s):
         # sum_{j<s} rho^(s-1-j) |theta_i|^j, bounded two ways
-        above = np.divide(abs_theta**s, gap, out=np.full((abs_theta.size, s.size), np.inf), where=gap > 0)
+        above = np.divide(abs_theta**s, gap, out=np.full((k, s.size), np.inf), where=gap > 0)
         leak = np.minimum(s * np.maximum(abs_theta, rho) ** (s - 1), above)
         second = resid * (dropped + resid * s * (size.sum(axis=0)[:, None] + y0_norm * (1.0 + resid * s))) / (1.0 - rho)
-        return (rho**s * dropped + resid * (size.T @ leak) + second).reshape(y0.shape[1:] + s.shape)
+        return (rho**s * dropped + resid * (size.T @ leak) + second).reshape(start.shape[1:] + s.shape)
 
-    return bound
+    return theta, vecs, coef, bound

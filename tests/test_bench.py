@@ -162,6 +162,16 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             self.make_config(seed=-1)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"p_in": 1.5}, r"p_in must be in \(0, 1\], got 1.5"),
+        ({"p_in": 0.0}, r"p_in must be in \(0, 1\], got 0.0"),
+        ({"sizes": (0, 10)}, r"sizes must be a nonempty list of sizes >= 1, got \[0, 10\]"),
+        ({"sizes": ()}, r"sizes must be a nonempty list of sizes >= 1, got \[\]"),
+    ], ids=["p_in-above-1", "p_in-zero", "size-zero", "no-sizes"])
+    def test_bad_model_rejected_by_name(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.make_config(**overrides)
+
     def test_gadget_requires_dataset(self):
         with pytest.raises(ValueError):
             bench.sweep(self.make_config(mode="gadget"))

@@ -471,6 +471,22 @@ def test_sweep_rejects_bad_settings(tmp_path, capsys, extra, message):
     assert not (tmp_path / "o" / "rows.csv").exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"sizes": [10, 10], "p_in": 1.5, "p_out_list": [0.5]}, "p_in must be in (0, 1], got 1.5"),
+    ({"sizes": [0, 10], "p_in": 0.5, "p_out_list": [0.5]}, "sizes must be a nonempty list of sizes >= 1, got [0, 10]"),
+], ids=["p_in-above-1", "size-zero"])
+def test_sweep_rejects_bad_model_before_any_point(tmp_path, capsys, monkeypatch, extra, message):
+    def no_point(*args):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(bench, "_point", no_point)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(json.dumps({**SWEEP_SETTINGS, **extra}))
+    assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "rows.csv").exists()
+
+
 def test_sweep_mode_flag_checked_by_sweep_config(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(json.dumps(SWEEP_SETTINGS))

@@ -371,37 +371,29 @@ class TestTail:
 
     @pytest.mark.parametrize("modes", [1, 2])
     def test_remainder_bound_covers_unsettled_state(self, modes):
-        from scipy.sparse.linalg import eigsh
-
-        net = sample_connected([40, 30], 0.5, 0.02, seed=3)
+        # slow_modes keeps one mode per community mode, so modes + 1 communities
+        net = sample_connected([40, 30, 30][: modes + 1], 0.5, 0.02, seed=3)
         op = spectra.deflated_walk_operator(net, shift=1.0)
         y0 = np.sqrt(net.degrees) * (consensus.random_initial_state(net.n, 3) - 0.5)
-        theta, vecs = eigsh(op, k=modes, which="LM", v0=y0, tol=0)
-        coef = vecs.T @ y0
-        dropped = np.linalg.norm(y0 - vecs @ coef)
-        resid = np.linalg.norm([op.matvec(v) - lam * v for lam, v in zip(theta, vecs.T)])
-        rho = np.abs(theta).min() + 2 * resid
+        theta, vecs, coef, bound = spectra.slow_modes(net, y0)
+        assert theta.size == modes
+        assert np.array_equal(coef, vecs.T @ y0)
         s = np.arange(1, 301)
-        bound = spectra.remainder_bound((theta, vecs, resid, rho), y0)(s)
         y, gaps = y0, []
         for step in s:
             y = op.matvec(y)
             gaps.append(np.linalg.norm(y - vecs @ (coef * theta**step)))
-        assert dropped > 0.1 * np.linalg.norm(y0)
-        assert np.all(np.asarray(gaps) <= bound)
+        assert np.linalg.norm(y0 - vecs @ coef) > 0.1 * np.linalg.norm(y0)
+        assert np.all(np.asarray(gaps) <= bound(s))
 
         # a block of columns on push-sum's operator, as the mixing tail bounds
         # it: one bound per column, whose root sum of squares bounds the
-        # Frobenius norm of the block's remainder; slow_modes keeps one mode
-        # per community mode, so modes + 1 communities
-        net = sample_connected([40, 30, 30][: modes + 1], 0.5, 0.02, seed=3)
+        # Frobenius norm of the block's remainder
         block = np.random.default_rng(modes).standard_normal((net.n, 20))
-        solve = spectra.slow_modes(net, block.sum(axis=1), loops=1.0)
-        theta, vecs = solve[:2]
+        theta, vecs, coef, bound = spectra.slow_modes(net, block, loops=1.0)
         assert theta.size == modes
         op = spectra.deflated_walk_operator(net, shift=1.0, loops=1.0)
-        coef = vecs.T @ block
-        bound = spectra.remainder_bound(solve, block)(s)
+        bound = bound(s)
         assert bound.shape == (20, s.size)
         y, gaps = block, []
         for step in s:
@@ -410,6 +402,32 @@ class TestTail:
         assert np.linalg.norm(block - vecs @ coef) > 0.1 * np.linalg.norm(block)
         assert np.all(np.asarray(gaps).T <= bound)
         assert np.all(np.linalg.norm(gaps, axis=1) <= np.sqrt((bound**2).sum(axis=0)))
+
+    def test_vector_start_solves_as_one_column(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        eigsh, starts = scipy.sparse.linalg.eigsh, []
+
+        def recorded(op, **kwargs):
+            starts.append(kwargs["v0"])
+            return eigsh(op, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
+        net = sample_connected([40, 30], 0.5, 0.02, seed=3)
+        y0 = np.sqrt(net.degrees) * (consensus.random_initial_state(net.n, 3) - 0.5)
+        theta, _, coef, bound = spectra.slow_modes(net, y0)
+        col_theta, _, col_coef, col_bound = spectra.slow_modes(net, y0[:, None])
+        block = np.column_stack([y0, -2.0 * y0, y0**2])
+        spectra.slow_modes(net, block)
+        # each solve starts from its start summed over the columns
+        assert np.array_equal(starts[0], y0) and np.array_equal(starts[1], y0)
+        assert np.array_equal(starts[2], block.sum(axis=1))
+        s = np.arange(1, 301)
+        assert np.array_equal(theta, col_theta)
+        assert coef.shape == (1,) and col_coef.shape == (1, 1)
+        assert bound(s).shape == s.shape and col_bound(s).shape == (1, s.size)
+        # the vector's V^T y0 and the column's may differ in their last bits
+        assert bound(s) == pytest.approx(col_bound(s)[0], rel=1e-12)
 
     def test_converged_by_first_weighing_never_switches(self, monkeypatch):
         def no_tail(*args):

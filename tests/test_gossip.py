@@ -21,11 +21,11 @@ def gather(X, y, picks):
 
 
 def one_node_step(w, X, y, nu, t):
-    """One pegasos_step on a single node that holds every example; returns
+    """One _pegasos_step on a single node that holds every example; returns
     the node's weight vector."""
     weights = np.asarray(w, dtype=float)[None, :].copy()
-    picks = gossip.draw_picks([np.arange(len(y))], [np.random.default_rng(0)], 1)
-    gossip.pegasos_step(weights, *gather(X, y, picks[0]), nu, t)
+    picks = gossip._draw_picks([np.arange(len(y))], [np.random.default_rng(0)], 1)
+    gossip._pegasos_step(weights, *gather(X, y, picks[0]), nu, t)
     return weights[0]
 
 
@@ -47,15 +47,15 @@ class TestPegasosStep:
         ds = data.make_blobs(20, 2, margin=6.0, seed=7)
         X, y = ds.X.toarray(), ds.y
         weights = np.zeros((1, 2))
-        picks = gossip.draw_picks([np.arange(20)], [np.random.default_rng(1)], 1000)
+        picks = gossip._draw_picks([np.arange(20)], [np.random.default_rng(1)], 1000)
         for t in range(1, 1001):
-            gossip.pegasos_step(weights, *gather(X, y, picks[t - 1]), 0.1, t)
+            gossip._pegasos_step(weights, *gather(X, y, picks[t - 1]), 0.1, t)
         assert gossip.accuracy(weights[0], X, y) == 1.0
 
     def test_empty_shard_rejected(self):
         rngs = [np.random.default_rng(0), np.random.default_rng(1)]
         with pytest.raises(ValueError, match="node 1 has an empty shard"):
-            gossip.draw_picks([np.arange(3), np.arange(0)], rngs, 1)
+            gossip._draw_picks([np.arange(3), np.arange(0)], rngs, 1)
 
     def test_step_counter_advances(self):
         # the step index t sets the rate 1/(nu t): two steps at t = 1, 2 on
@@ -66,8 +66,8 @@ class TestPegasosStep:
         weights = np.zeros((3, 2))
         rngs = [np.random.default_rng(i) for i in range(3)]
         for t in (1, 2):
-            picks = gossip.draw_picks(shards, rngs, 1)
-            gossip.pegasos_step(weights, *gather(ds.X, y, picks[0]), 0.1, t)
+            picks = gossip._draw_picks(shards, rngs, 1)
+            gossip._pegasos_step(weights, *gather(ds.X, y, picks[0]), 0.1, t)
         for i, shard in enumerate(shards):
             rng, w = np.random.default_rng(i), np.zeros(2)
             for t in (1, 2):
@@ -79,7 +79,7 @@ class TestPegasosStep:
                     w += eta * y[k] * X[k]
             assert weights[i] == pytest.approx(w, rel=1e-12)
         with pytest.raises(ValueError, match="t must be >= 1"):
-            gossip.pegasos_step(weights, *gather(X, y, picks[0]), 0.1, 0)
+            gossip._pegasos_step(weights, *gather(X, y, picks[0]), 0.1, 0)
 
 
 @st.composite
@@ -98,7 +98,7 @@ def test_draw_picks_continues_each_stream_as_scalar_draws(case):
     shards = [np.arange(size) * 3 + 1 for size in sizes]
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
     rngs = [np.random.default_rng(s) for s in streams]
-    picks = np.vstack([gossip.draw_picks(shards, rngs, m) for m in blocks])
+    picks = np.vstack([gossip._draw_picks(shards, rngs, m) for m in blocks])
     assert picks.shape == (sum(blocks), len(sizes))
     for i, (shard, stream) in enumerate(zip(shards, streams)):
         oracle = np.random.default_rng(stream)
@@ -185,8 +185,8 @@ class TestRunGadget:
         shards = [np.arange(12)] * n
         rngs = [np.random.default_rng(99) for _ in range(n)]
         mix = gossip.mixing_matrix(complete_graph(n))
-        picks = gossip.draw_picks(shards, rngs, 1)
-        gossip.pegasos_step(weights, *gather(X, y, picks[0]), 0.1, 1)
+        picks = gossip._draw_picks(shards, rngs, 1)
+        gossip._pegasos_step(weights, *gather(X, y, picks[0]), 0.1, 1)
         pair = mix @ stacked(weights, np.ones(n))
         assert gossip.max_pairwise_gap(estimates(pair)) == 0.0
 
@@ -350,13 +350,13 @@ def test_examples_drawn_once_per_block(monkeypatch):
     # n = 100 nodes, d = 20 features: a block is 131072 // 2000 = 65 steps, so
     # 200 learning rounds draw their examples in 4 calls, not 200
     calls = []
-    draw_picks = gossip.draw_picks
+    draw_picks = gossip._draw_picks
 
     def counted(shards, rngs, steps):
         calls.append(steps)
         return draw_picks(shards, rngs, steps)
 
-    monkeypatch.setattr(gossip, "draw_picks", counted)
+    monkeypatch.setattr(gossip, "_draw_picks", counted)
     ds = data.make_blobs(400, 20, margin=2.0, seed=0)
     net, _ = sbm.sample_connected(sbm.make_two_level_model([50, 50], sbm.TwoLevelProbs(0.3, 0.1), 0))
     cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-12, max_rounds=200, learning_rounds=200)

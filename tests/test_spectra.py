@@ -75,6 +75,11 @@ class TestFullSpectrum:
         with pytest.raises(ValueError, match="isolated"):
             spectra.normalized_laplacian_spectrum(net)
 
+    def test_single_node_rejected_as_isolated(self):
+        # so every network the spectrum takes has n >= 2, and a second eigenvalue
+        with pytest.raises(ValueError, match="^isolated node 0: "):
+            spectra.normalized_laplacian_spectrum(sbm.Network([1], []))
+
 
 def sparse_laplacian_eigenvalues(net):
     """Oracle: eigenvalues of L = I - D^-1/2 A D^-1/2 built as sparse products, then densified."""
