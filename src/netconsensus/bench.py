@@ -71,7 +71,7 @@ class SweepConfig:
         if self.mode == "scalar" and self.dataset_ref is not None:
             raise ValueError(f"a scalar sweep uses no dataset, got dataset {self.dataset_ref!r}")
         if self.seeds_per_point < 1:
-            raise ValueError("seeds_per_point must be >= 1")
+            raise ValueError(f"seeds_per_point must be >= 1, got {self.seeds_per_point}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.seed < 0:
@@ -130,26 +130,44 @@ def _point_seeds(seed: int, num_points: int, seeds_per_point: int):
 
 def _scalar_run(cfg: SweepConfig, net, run_seed: int):
     x0 = consensus.random_initial_state(net.n, run_seed)
-    return consensus.run(net, x0, cfg.run.epsilon, max_rounds=cfg.run.max_rounds).tau_eps, None
+    result = consensus.run(net, x0, cfg.run.epsilon, max_rounds=cfg.run.max_rounds)
+    return result.tau_eps, None, result.ritz_values
 
 
 def _gadget_run(cfg: SweepConfig, net, run_seed: int, dataset: LabeledDataset):
     result = gossip.run_gadget(net, dataset, cfg.run, seed=run_seed, record_trace=False)
-    return result.rounds_to_consensus, result.test_accuracy
+    return result.rounds_to_consensus, result.test_accuracy, None
+
+
+def _lambda2_emp(net, theta) -> float:
+    """lambda2 of a sampled network, from the Ritz values theta of its
+    consensus tail's solve (None when no tail certified).
+
+    theta holds the largest-magnitude eigenvalues of the deflated walk
+    operator, so a positive one means the largest algebraic value,
+    1 - lambda2, is among them. Otherwise (no certified tail, a negative
+    leading mode, a gadget run, whose push-sum operator is not the walk's)
+    spectra.lambda2_only solves for it.
+    """
+    top = -math.inf if theta is None else float(theta.max())
+    return 1.0 - top if top > 0 else spectra.lambda2_only(net)
 
 
 def _point(cfg: SweepConfig, p_out: float, seeds, simulate) -> SweepRow:
     """One sweep point: the prediction, then simulate(cfg, net, run_seed) on
     one connected sample per run seed, which returns (rounds or None when
-    censored, test accuracy or None)."""
+    censored, test accuracy or None, the Ritz values of the run's consensus
+    tail or None). _lambda2_emp reads each network's lambda2 from those Ritz
+    values where they hold it, so a scalar run whose tail certifies makes one
+    Lanczos solve."""
     probs = TwoLevelProbs(cfg.p_in, p_out)
     model = make_two_level_model(cfg.sizes, probs, seeds[0])
     pred = rmt.predict(model, with_density=False)
     taus, lam2s, accs = [], [], []
     for run_seed in seeds[1:]:
         net, _ = sample_connected(model.with_seed(run_seed))
-        lam2s.append(spectra.lambda2_only(net))
-        tau, acc = simulate(cfg, net, run_seed)
+        tau, acc, theta = simulate(cfg, net, run_seed)
+        lam2s.append(_lambda2_emp(net, theta))
         if tau is not None:
             taus.append(tau)
         if acc is not None:

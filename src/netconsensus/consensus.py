@@ -12,9 +12,12 @@ a few rounds only the walk's slow modes are left. At round
 spectra.SWITCH_ROUND, if its error is still above epsilon, the run switches
 to the tail (_tail): each block of rounds is one small product over the slow
 modes' Ritz pairs, and a bound on what they miss certifies each round's side
-of epsilon. Where there are no such pairs (a tiny network) or it cannot
-certify a round, the loop continues from the switch state; it stays the
-fallback and the oracle.
+of epsilon. With one slow mode (two communities) the product is one row: the
+node of largest |mode| holds the sup-norm peak of every round. Where there are
+no such pairs (a tiny network) or it cannot certify a round, the loop continues
+from the switch state; it stays the fallback and the oracle. A run whose tail
+certified reports the Ritz values of its solve, so a caller reads lambda2 from
+them instead of solving the same operator again.
 """
 
 from __future__ import annotations
@@ -57,6 +60,9 @@ class ConsensusRun:
     error_trace[t] is the relative sup-norm error after t rounds; after
     tail_from, the round at which the run switched to the slow-mode tail
     (None when every round ran on the loop), it holds the tail's estimates.
+    ritz_values are the eigenvalues theta of the deflated walk operator that
+    the tail's Lanczos solve found (spectra.slow_modes), None when no tail
+    certified; 1 - max(theta) is lambda2 when max(theta) > 0.
     """
 
     x_star: float
@@ -64,6 +70,7 @@ class ConsensusRun:
     error_trace: np.ndarray
     rounds: int
     tail_from: int | None = None
+    ritz_values: np.ndarray | None = None
 
     @property
     def censored(self) -> bool:
@@ -124,22 +131,25 @@ def run(net: Network, x0, epsilon: float, max_rounds: int = GadgetConfig.max_rou
             if t == spectra.SWITCH_ROUND:
                 tail = _tail(net, e, t, epsilon, denom, max_rounds)
                 if tail is not None:
-                    tau, rounds, tail_errors = tail
+                    tau, rounds, tail_errors, theta = tail
                     return ConsensusRun(x_star=x_star, tau_eps=tau, error_trace=np.asarray(errors + tail_errors),
-                                        rounds=rounds, tail_from=t)
+                                        rounds=rounds, tail_from=t, ritz_values=theta)
     return ConsensusRun(x_star=x_star, tau_eps=None, error_trace=np.asarray(errors), rounds=max_rounds)
 
 
 def _tail(net: Network, e, t0: int, epsilon: float, denom: float, max_rounds: int):
-    """Rounds t0+1.. of a run from the walk's slow modes: (tau or None, rounds, errors).
+    """Rounds t0+1.. of a run from the walk's slow modes: (tau or None, rounds, errors, theta).
 
     In y = D^{1/2} e the loop is y <- S' y with S' = D^{-1/2} A D^{-1/2} - u u^T
     (the re-centring removes the top eigenvector u). The Ritz pairs
     S' V ~ V diag(theta) that spectra.slow_modes gives for y0 = D^{1/2} e, with
-    c = V^T y0, give round t0 + s of the loop as D^{-1/2} V diag(theta^s) c, up
-    to the remainder bound of the same call. Returns None, and the loop carries
-    on from round t0, if there are no such pairs or any round's error lies
-    within that bound + MARGIN * epsilon of epsilon.
+    c = V^T y0, give round t0 + s of the loop as B a_s, B = D^{-1/2} V and
+    a_s = diag(theta^s) c, up to the remainder bound of the same call. With one
+    mode each entry of B a_s is one rounded product B_i a_s, and rounding is
+    monotone, so the row of largest |B_i| gives max_i |B_i a_s| exactly in
+    every round and the product keeps only that row. Returns None, and the loop
+    carries on from round t0, if there are no such pairs or any round's error
+    lies within that bound + MARGIN * epsilon of epsilon.
     """
     sqrt_d = np.sqrt(net.degrees.astype(float))
     solve = spectra.slow_modes(net, sqrt_d * e)
@@ -147,6 +157,8 @@ def _tail(net: Network, e, t0: int, epsilon: float, denom: float, max_rounds: in
         return None
     theta, vecs, coef, remainder = solve
     basis = vecs / sqrt_d[:, None]
+    if theta.size == 1:
+        basis = basis[[np.abs(basis).argmax()]]
     # a y-space 2-norm bounds each |e_i| * sqrt(d_i), so max_i d_i^{-1/2} turns it into relative sup-norm error
     to_error = 1.0 / (float(sqrt_d.min()) * denom)
     errors: list[float] = []
@@ -164,8 +176,8 @@ def _tail(net: Network, e, t0: int, epsilon: float, denom: float, max_rounds: in
             if err > epsilon:
                 above = t
             elif t - above > CONFIRM_WINDOW:
-                return above + 1, t, errors
-    return None, max_rounds, errors
+                return above + 1, t, errors, theta
+    return None, max_rounds, errors, theta
 
 
 def tau_bound(mu2_abs: float, epsilon: float):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netconsensus import bench, cli, consensus, data, gossip, sbm
+from netconsensus import bench, cli, consensus, data, gossip, sbm, spectra
 
 
 class TestFitReciprocal:
@@ -62,6 +62,18 @@ class TestLogSpaced:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             bench.log_spaced(0.0, 0.1, 5)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call; returns the record."""
+    calls, func = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestSweep:
@@ -167,10 +179,58 @@ class TestSweep:
         ({"p_in": 0.0}, r"p_in must be in \(0, 1\], got 0.0"),
         ({"sizes": (0, 10)}, r"sizes must be a nonempty list of sizes >= 1, got \[0, 10\]"),
         ({"sizes": ()}, r"sizes must be a nonempty list of sizes >= 1, got \[\]"),
-    ], ids=["p_in-above-1", "p_in-zero", "size-zero", "no-sizes"])
+        ({"seeds_per_point": 0}, r"seeds_per_point must be >= 1, got 0"),
+    ], ids=["p_in-above-1", "p_in-zero", "size-zero", "no-sizes", "no-seeds"])
     def test_bad_model_rejected_by_name(self, overrides, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             self.make_config(**overrides)
+
+    def sampled_networks(self, cfg):
+        """The networks of the sweep's first point, sampled again from its seed table."""
+        model_seed, *run_seeds = bench._point_seeds(cfg.seed, 1, cfg.seeds_per_point)[0]
+        model = sbm.make_two_level_model(cfg.sizes, sbm.TwoLevelProbs(cfg.p_in, cfg.p_out_list[0]), model_seed)
+        return [sbm.sample_connected(model.with_seed(s))[0] for s in run_seeds]
+
+    @pytest.mark.parametrize("sizes, p_in, p_out", [
+        ((700, 300), 0.1, 0.01),
+        ((700, 300), 0.9, 0.002),
+        ((300, 300, 300), 0.3, 0.01),
+    ], ids=["fig3", "fig4", "three-communities"])
+    def test_lambda2_from_the_tail_solve(self, monkeypatch, sizes, p_in, p_out):
+        import scipy.sparse.linalg
+
+        cfg = self.make_config(sizes=sizes, p_in=p_in, p_out_list=(p_out,), seeds_per_point=3,
+                               run=gossip.GadgetConfig(epsilon=1e-10, max_rounds=60_000))
+        expected = np.mean([spectra.lambda2_only(net) for net in self.sampled_networks(cfg)])
+        solves = count_calls(monkeypatch, scipy.sparse.linalg, "eigsh")
+        solved = count_calls(monkeypatch, spectra, "lambda2_only")
+        row, = bench.sweep(cfg)
+        assert row.error is None and row.censored == 0
+        # one Lanczos solve per run: the consensus tail's
+        assert (len(solves), len(solved)) == (3, 0)
+        assert row.lambda2_emp == pytest.approx(expected, rel=1e-12)
+
+    def test_negative_leading_mode_solves_for_lambda2(self, monkeypatch):
+        # near-bipartite: the tail's one mode is the walk's most negative eigenvalue
+        model = sbm.SbmModel((40, 40), np.array([[0.02, 0.5], [0.5, 0.02]]), 3)
+        net, _ = sbm.sample_connected(model)
+        result = consensus.run(net, consensus.random_initial_state(net.n, 3), 1e-10)
+        assert result.tail_from is not None and result.ritz_values.max() < 0
+        expected = spectra.lambda2_only(net)
+        solved = count_calls(monkeypatch, spectra, "lambda2_only")
+        assert bench._lambda2_emp(net, result.ritz_values) == expected
+        assert len(solved) == 1
+
+    def test_fallen_back_tail_solves_for_lambda2(self, monkeypatch):
+        cfg = self.make_config(sizes=(700, 300), p_in=0.1, p_out_list=(0.01,), seeds_per_point=2,
+                               run=gossip.GadgetConfig(epsilon=1e-10, max_rounds=60_000))
+        expected = np.mean([spectra.lambda2_only(net) for net in self.sampled_networks(cfg)])
+        # a margin of a whole epsilon leaves every tail uncertified
+        monkeypatch.setattr(consensus, "MARGIN", 1.0)
+        solved = count_calls(monkeypatch, spectra, "lambda2_only")
+        row, = bench.sweep(cfg)
+        assert len(solved) == 2
+        assert row.lambda2_emp == expected
 
     def test_gadget_requires_dataset(self):
         with pytest.raises(ValueError):

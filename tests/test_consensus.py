@@ -429,6 +429,36 @@ class TestTail:
         # the vector's V^T y0 and the column's may differ in their last bits
         assert bound(s) == pytest.approx(col_bound(s)[0], rel=1e-12)
 
+    @pytest.mark.parametrize("sizes, p_in, p_out, seed", [
+        ([700, 300], 0.1, 0.01, 1),  # the fig3 model: one slow mode
+        ([700, 300], 0.9, 0.002, 5),  # the fig4 model: one slow mode
+        ([300, 300, 300], 0.3, 0.01, 7),  # two slow modes
+    ], ids=["fig3", "fig4", "three-communities"])
+    def test_estimates_equal_the_full_product(self, monkeypatch, sizes, p_in, p_out, seed):
+        # oracle: every round's sup norm over all nodes of D^{-1/2} V diag(theta^s) c,
+        # from the tail's own solve, in the tail's blocks of rounds
+        slow_modes, solves = spectra.slow_modes, []
+
+        def recorded(net, start, **kwargs):
+            solves.append(slow_modes(net, start, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(spectra, "slow_modes", recorded)
+        net = sample_connected(sizes, p_in, p_out, seed=seed)
+        x0 = consensus.random_initial_state(net.n, seed)
+        result = consensus.run(net, x0, EPS)
+        assert result.tail_from == spectra.SWITCH_ROUND and not result.censored
+        theta, vecs, coef, _ = solves[0]
+        assert theta.size == len(sizes) - 1
+        assert np.array_equal(result.ritz_values, theta)
+        basis = vecs / np.sqrt(net.degrees.astype(float))[:, None]
+        pi = net.degrees / net.degrees.sum()
+        denom = float(np.abs(x0 - float(pi @ x0)).max())
+        s = np.arange(1, result.rounds - result.tail_from + 1)
+        full = np.concatenate([np.abs(basis @ (coef[:, None] * theta[:, None] ** block)).max(axis=0) / denom
+                               for block in np.split(s, np.arange(spectra.TAIL_BLOCK, s.size, spectra.TAIL_BLOCK))])
+        assert result.error_trace[result.tail_from + 1:].tobytes() == full.tobytes()
+
     def test_converged_by_first_weighing_never_switches(self, monkeypatch):
         def no_tail(*args):
             raise AssertionError("tail after the error fell below epsilon")

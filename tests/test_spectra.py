@@ -175,3 +175,71 @@ class TestLambda2Fast:
         with pytest.raises(spectra.EigensolverError, match="iterations"):
             spectra.lambda2_only(net)
 
+
+def three_cliques(m, bridges):
+    """Three m-cliques, bridges[(a, b)] edges between cliques a and b, labelled as
+    two communities so that slow_modes keeps one mode of their two slow ones."""
+    edges = [(c * m + i, c * m + j) for c in range(3) for i, j in itertools.combinations(range(m), 2)]
+    edges += [(a * m + i, b * m + i) for (a, b), count in bridges.items() for i in range(count)]
+    return sbm.Network([m, 2 * m], np.array(edges))
+
+
+def iterated_gaps(op, y0, vecs, coef, theta, s):
+    """|S'^s y0 - V diag(theta^s) c| for each round s, by repeated matvecs."""
+    y, gaps = y0, []
+    for step in s:
+        y = op.matvec(y)
+        gaps.append(np.linalg.norm(y - vecs @ (coef * theta**step)))
+    return np.asarray(gaps)
+
+
+def clique_modes():
+    """A three-clique network, its deflated walk operator and that operator's
+    dense eigenpairs in descending magnitude: 0.948, 0.929 (the two slow
+    modes), then a bulk near -0.2."""
+    net = three_cliques(10, {(0, 1): 2, (1, 2): 2, (0, 2): 3})
+    op = spectra.deflated_walk_operator(net, shift=1.0)
+    vals, vecs = np.linalg.eigh(np.column_stack([op.matvec(col) for col in np.eye(net.n)]))
+    order = np.argsort(-np.abs(vals))
+    return net, op, vals[order], vecs[:, order]
+
+
+class TestSlowModesBoundIsTight:
+    """The remainder bound against starts whose remainder comes close to it, so
+    that each of its terms is needed: a weaker bound fails these checks."""
+
+    s = np.arange(1, 301)
+
+    def test_dropped_part_on_the_next_slow_mode(self):
+        # the part the kept mode misses decays at 0.929 against the kept 0.948,
+        # so the bound's rho^s * dropped term is within 2% per round of it
+        net, op, vals, modes = clique_modes()
+        y0 = modes[:, 0] + 3.0 * modes[:, 1]
+        theta, vecs, coef, bound = spectra.slow_modes(net, y0)
+        assert theta == pytest.approx(vals[:1], rel=1e-12)
+        gaps = iterated_gaps(op, y0, vecs, coef, theta, self.s)
+        bound = bound(self.s)
+        assert np.all(gaps <= bound)
+        assert np.all(gaps[:5] >= 0.9 * bound[:5])
+
+    def test_loosely_converged_ritz_pair(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        # the top eigenvector tilted towards the bulk's largest: its residual
+        # resid is ~1e-3, and from itself the remainder after one round is exactly resid
+        net, op, vals, modes = clique_modes()
+        tilted = modes[:, 0] + 1e-3 * modes[:, 2]
+        tilted /= np.linalg.norm(tilted)
+
+        def loose(op, **kwargs):
+            return np.array([tilted @ op.matvec(tilted)]), tilted[:, None]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", loose)
+        theta, vecs, coef, bound = spectra.slow_modes(net, tilted)
+        resid = np.linalg.norm(op.matvec(tilted) - theta[0] * tilted)
+        assert resid > 5e-4
+        gaps = iterated_gaps(op, tilted, vecs, coef, theta, self.s)
+        bound = bound(self.s)
+        assert gaps[0] == pytest.approx(resid, rel=1e-9)
+        assert np.all(gaps <= bound)
+        assert gaps[0] >= 0.9 * bound[0]
