@@ -10,7 +10,6 @@ sample cannot skew a point.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -116,8 +115,10 @@ class ReciprocalFit:
 
 def log_spaced(lo: float, hi: float, num: int):
     """Log-spaced grid, inclusive of both endpoints."""
-    if not 0 < lo <= hi:
-        raise ValueError("need 0 < lo <= hi")
+    if not 0 < lo <= hi < math.inf:
+        raise ValueError(f"need 0 < lo <= hi < inf, got lo={lo}, hi={hi}")
+    if num < 0:
+        raise ValueError(f"need num >= 0, got num={num}")
     return tuple(np.logspace(math.log10(lo), math.log10(hi), num).tolist())
 
 
@@ -128,50 +129,29 @@ def _point_seeds(seed: int, num_points: int, seeds_per_point: int):
     return [[int(s.generate_state(1)[0]) for s in p.spawn(seeds_per_point + 1)] for p in points]
 
 
-def _scalar_run(cfg: SweepConfig, net, run_seed: int):
-    x0 = consensus.random_initial_state(net.n, run_seed)
-    result = consensus.run(net, x0, cfg.run.epsilon, max_rounds=cfg.run.max_rounds)
-    return result.tau_eps, None, result.ritz_values
-
-
-def _gadget_run(cfg: SweepConfig, net, run_seed: int, dataset: LabeledDataset):
-    result = gossip.run_gadget(net, dataset, cfg.run, seed=run_seed, record_trace=False)
-    return result.rounds_to_consensus, result.test_accuracy, None
-
-
-def _lambda2_emp(net, theta) -> float:
-    """lambda2 of a sampled network, from the Ritz values theta of its
-    consensus tail's solve (None when no tail certified).
-
-    theta holds the largest-magnitude eigenvalues of the deflated walk
-    operator, so a positive one means the largest algebraic value,
-    1 - lambda2, is among them. Otherwise (no certified tail, a negative
-    leading mode, a gadget run, whose push-sum operator is not the walk's)
-    spectra.lambda2_only solves for it.
-    """
-    top = -math.inf if theta is None else float(theta.max())
-    return 1.0 - top if top > 0 else spectra.lambda2_only(net)
-
-
-def _point(cfg: SweepConfig, p_out: float, seeds, simulate) -> SweepRow:
-    """One sweep point: the prediction, then simulate(cfg, net, run_seed) on
-    one connected sample per run seed, which returns (rounds or None when
-    censored, test accuracy or None, the Ritz values of the run's consensus
-    tail or None). _lambda2_emp reads each network's lambda2 from those Ritz
-    values where they hold it, so a scalar run whose tail certifies makes one
-    Lanczos solve."""
+def _point(cfg: SweepConfig, p_out: float, seeds, dataset: LabeledDataset | None) -> SweepRow:
+    """One sweep point: the prediction, then one simulation per run seed on a
+    connected sample. A scalar run gives its rounds and, where its consensus
+    tail certified, lambda2 (ConsensusRun.lambda2), so it makes one Lanczos
+    solve; a gadget run gives its rounds and test accuracy. Where a run gives
+    no lambda2, spectra.lambda2_only solves for it."""
     probs = TwoLevelProbs(cfg.p_in, p_out)
     model = make_two_level_model(cfg.sizes, probs, seeds[0])
     pred = rmt.predict(model, with_density=False)
     taus, lam2s, accs = [], [], []
     for run_seed in seeds[1:]:
         net, _ = sample_connected(model.with_seed(run_seed))
-        tau, acc, theta = simulate(cfg, net, run_seed)
-        lam2s.append(_lambda2_emp(net, theta))
+        if cfg.mode == "scalar":
+            x0 = consensus.random_initial_state(net.n, run_seed)
+            result = consensus.run(net, x0, cfg.run.epsilon, max_rounds=cfg.run.max_rounds)
+            tau, lam2 = result.tau_eps, result.lambda2
+        else:
+            result = gossip.run_gadget(net, dataset, cfg.run, seed=run_seed, record_trace=False)
+            tau, lam2 = result.rounds_to_consensus, None
+            accs.append(result.test_accuracy)
+        lam2s.append(spectra.lambda2_only(net) if lam2 is None else lam2)
         if tau is not None:
             taus.append(tau)
-        if acc is not None:
-            accs.append(acc)
     return SweepRow(
         delta=probs.delta,
         p_out=probs.p_out,
@@ -196,12 +176,11 @@ def sweep(cfg: SweepConfig, dataset: LabeledDataset | None = None, row_callback=
     if cfg.mode == "gadget" and dataset is None:
         raise ValueError("gadget mode requires a dataset")
     seeds_table = _point_seeds(cfg.seed, len(cfg.p_out_list), cfg.seeds_per_point)
-    simulate = _scalar_run if cfg.mode == "scalar" else functools.partial(_gadget_run, dataset=dataset)
 
     def job(idx_pout):
         idx, p_out = idx_pout
         try:
-            return _point(cfg, p_out, seeds_table[idx], simulate)
+            return _point(cfg, p_out, seeds_table[idx], dataset)
         except Exception as exc:  # per-point isolation
             return SweepRow(
                 delta=cfg.p_in - p_out, p_out=p_out, tau_median=None, tau_iqr=None,
@@ -279,10 +258,14 @@ def detect_bifurcation(sizes, p_in: float, delta_grid) -> float:
     one regime raises BifurcationRangeError.
     """
     grid = np.asarray(delta_grid, dtype=float)
-    if grid.size < 1 or np.any(np.diff(grid) <= 0):
+    if grid.size < 1:
+        raise ValueError("delta_grid is empty: a search needs at least one delta")
+    if not np.isfinite(grid).all():
+        raise ValueError(f"delta_grid values must be finite, got {grid[~np.isfinite(grid)][0]}")
+    if np.any(np.diff(grid) <= 0):
         raise ValueError("delta_grid must be strictly ascending")
     if grid.min() < 0 or grid.max() >= p_in:
-        raise ValueError("delta values must lie in [0, p_in)")
+        raise ValueError(f"delta_grid values must lie in [0, p_in={p_in}), got {grid.min()} to {grid.max()}")
 
     def merged(delta: float) -> bool:
         model = make_two_level_model(sizes, TwoLevelProbs(p_in, p_in - delta), seed=0)

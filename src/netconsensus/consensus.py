@@ -16,8 +16,8 @@ of epsilon. With one slow mode (two communities) the product is one row: the
 node of largest |mode| holds the sup-norm peak of every round. Where there are
 no such pairs (a tiny network) or it cannot certify a round, the loop continues
 from the switch state; it stays the fallback and the oracle. A run whose tail
-certified reports the Ritz values of its solve, so a caller reads lambda2 from
-them instead of solving the same operator again.
+certified reads lambda2 from that solve where it holds it (ConsensusRun), so a
+caller need not solve the same operator again.
 """
 
 from __future__ import annotations
@@ -60,9 +60,11 @@ class ConsensusRun:
     error_trace[t] is the relative sup-norm error after t rounds; after
     tail_from, the round at which the run switched to the slow-mode tail
     (None when every round ran on the loop), it holds the tail's estimates.
-    ritz_values are the eigenvalues theta of the deflated walk operator that
-    the tail's Lanczos solve found (spectra.slow_modes), None when no tail
-    certified; 1 - max(theta) is lambda2 when max(theta) > 0.
+    lambda2 is 1 - max(theta) over the Ritz values theta of the deflated walk
+    operator that the tail's Lanczos solve found (spectra.slow_modes). That
+    solve finds the largest-magnitude values, so a positive maximum is the
+    largest algebraic value, 1 - lambda2. It is None when no tail certified
+    or max(theta) <= 0 (a negative leading mode).
     """
 
     x_star: float
@@ -70,7 +72,7 @@ class ConsensusRun:
     error_trace: np.ndarray
     rounds: int
     tail_from: int | None = None
-    ritz_values: np.ndarray | None = None
+    lambda2: float | None = None
 
     @property
     def censored(self) -> bool:
@@ -131,14 +133,14 @@ def run(net: Network, x0, epsilon: float, max_rounds: int = GadgetConfig.max_rou
             if t == spectra.SWITCH_ROUND:
                 tail = _tail(net, e, t, epsilon, denom, max_rounds)
                 if tail is not None:
-                    tau, rounds, tail_errors, theta = tail
+                    tau, rounds, tail_errors, top = tail
                     return ConsensusRun(x_star=x_star, tau_eps=tau, error_trace=np.asarray(errors + tail_errors),
-                                        rounds=rounds, tail_from=t, ritz_values=theta)
+                                        rounds=rounds, tail_from=t, lambda2=1.0 - top if top > 0 else None)
     return ConsensusRun(x_star=x_star, tau_eps=None, error_trace=np.asarray(errors), rounds=max_rounds)
 
 
 def _tail(net: Network, e, t0: int, epsilon: float, denom: float, max_rounds: int):
-    """Rounds t0+1.. of a run from the walk's slow modes: (tau or None, rounds, errors, theta).
+    """Rounds t0+1.. of a run from the walk's slow modes: (tau or None, rounds, errors, max theta).
 
     In y = D^{1/2} e the loop is y <- S' y with S' = D^{-1/2} A D^{-1/2} - u u^T
     (the re-centring removes the top eigenvector u). The Ritz pairs
@@ -156,6 +158,7 @@ def _tail(net: Network, e, t0: int, epsilon: float, denom: float, max_rounds: in
     if solve is None:
         return None
     theta, vecs, coef, remainder = solve
+    top = float(theta.max())
     basis = vecs / sqrt_d[:, None]
     if theta.size == 1:
         basis = basis[[np.abs(basis).argmax()]]
@@ -176,8 +179,8 @@ def _tail(net: Network, e, t0: int, epsilon: float, denom: float, max_rounds: in
             if err > epsilon:
                 above = t
             elif t - above > CONFIRM_WINDOW:
-                return above + 1, t, errors, theta
-    return None, max_rounds, errors, theta
+                return above + 1, t, errors, top
+    return None, max_rounds, errors, top
 
 
 def tau_bound(mu2_abs: float, epsilon: float):

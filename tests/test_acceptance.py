@@ -4,14 +4,20 @@ Run with `pytest tests/test_acceptance.py -v -s`. Budgets are wall-clock
 upper bounds; every tolerance is pinned in the assertions below.
 """
 
+import csv
+import json
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 from netconsensus import bench, consensus, data, gossip, rmt, sbm, spectra
+from netconsensus.cli import cli
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @contextmanager
@@ -274,3 +280,26 @@ def test_09_property_suites():
         ds = data.make_blobs(1000, 4, margin=1.0, seed=7)
         joined = np.concatenate(data.partition_equal(ds, 37, seed=8))
         assert len(joined) == 1000 and len(np.unique(joined)) == 1000
+
+
+def test_10_reciprocal_law_dense_sweep(tmp_path):
+    with criterion(10, "fig4 config: reciprocal fit with pole at p_in, lambda2 tracked", budget_s=900):
+        assert cli(["sweep", "--config", str(CONFIGS / "fig4.cfg"), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "sweep.json").read_text())["failures"] == []
+        with (tmp_path / "rows.csv").open(newline="") as fh:
+            rows = [{k: float(v) for k, v in rec.items()} for rec in csv.DictReader(fh)]
+        assert len(rows) == 12
+        assert all(r["censored"] == 0 for r in rows)
+
+        deltas = [r["delta"] for r in rows]
+        taus = [r["tau_median"] for r in rows]
+        fit = bench.fit_reciprocal(deltas, taus, fix_pole=0.9)
+        assert fit.r2 >= 0.9
+        rho, _ = spearmanr(deltas, taus)
+        assert rho >= 0.9
+
+        # predicted lambda2 tracks the sampled mean within 10% on average
+        pred, emp = np.array([[r["lambda2_pred"], r["lambda2_emp"]] for r in rows]).T
+        rho, _ = spearmanr(pred, emp)
+        assert rho >= 0.9
+        assert float(np.mean(np.abs(pred - emp) / emp)) <= 0.10

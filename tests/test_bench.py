@@ -60,8 +60,17 @@ class TestLogSpaced:
         assert len(grid) == 12
 
     def test_invalid_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need 0 < lo <= hi < inf, got lo=0.0, hi=0.1$"):
             bench.log_spaced(0.0, 0.1, 5)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.2, 0.1, 5), r"need 0 < lo <= hi < inf, got lo=0.2, hi=0.1"),
+        ((0.01, math.inf, 3), r"need 0 < lo <= hi < inf, got lo=0.01, hi=inf"),
+        ((0.01, 0.1, -2), r"need num >= 0, got num=-2"),
+    ], ids=["lo-above-hi", "infinite-hi", "negative-num"])
+    def test_bad_grid_named_with_its_values(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bench.log_spaced(*args)
 
 
 def count_calls(monkeypatch, module, name):
@@ -115,9 +124,9 @@ class TestSweep:
         events = []
         point = bench._point
 
-        def traced_point(cfg, p_out, seeds, simulate):
+        def traced_point(cfg, p_out, seeds, dataset):
             events.append(("start", p_out))
-            return point(cfg, p_out, seeds, simulate)
+            return point(cfg, p_out, seeds, dataset)
 
         monkeypatch.setattr(bench, "_point", traced_point)
         grid = (0.15, 0.3, 0.5)
@@ -215,10 +224,15 @@ class TestSweep:
         model = sbm.SbmModel((40, 40), np.array([[0.02, 0.5], [0.5, 0.02]]), 3)
         net, _ = sbm.sample_connected(model)
         result = consensus.run(net, consensus.random_initial_state(net.n, 3), 1e-10)
-        assert result.tail_from is not None and result.ritz_values.max() < 0
+        assert result.tail_from is not None and result.lambda2 is None
         expected = spectra.lambda2_only(net)
+        # a sweep point on that model, whose one run is the run above
+        monkeypatch.setattr(bench, "make_two_level_model", lambda sizes, probs, seed: model)
         solved = count_calls(monkeypatch, spectra, "lambda2_only")
-        assert bench._lambda2_emp(net, result.ritz_values) == expected
+        cfg = self.make_config(sizes=(40, 40), p_out_list=(0.5,), run=gossip.GadgetConfig(epsilon=1e-10))
+        row = bench._point(cfg, 0.5, [0, 3], None)
+        assert row.tau_median == result.tau_eps
+        assert row.lambda2_emp == expected
         assert len(solved) == 1
 
     def test_fallen_back_tail_solves_for_lambda2(self, monkeypatch):

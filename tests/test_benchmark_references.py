@@ -1,6 +1,7 @@
-"""The benchmark's scalar sweep workloads, run at their default seeds through
-the CLI, give the outputs recorded in perfbench/reference/: tau and the
-censored count exactly, and the sampled lambda2 to 1e-12 relative. The
+"""The benchmark's sweep workloads, scalar and gadget, run at their default
+seeds through the CLI, give the outputs recorded in perfbench/reference/: tau,
+the censored count and the gadget's test accuracy exactly, and the sampled
+lambda2 to 1e-12 relative. The
 benchmark itself allows lambda2 1e-6 (perfbench/checks.py), so a drift in
 where lambda2 comes from shows here first.
 
@@ -22,7 +23,7 @@ import checks  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["sweep-sparse", "sweep-dense"])
+@pytest.mark.parametrize("name", ["sweep-sparse", "sweep-dense", "gadget"])
 def test_default_seed_sweep_matches_reference(tmp_path, name):
     workload = WORKLOADS[name]
     reference = json.loads((BENCH_DIR / "reference" / f"{name}.json").read_text())
@@ -32,8 +33,9 @@ def test_default_seed_sweep_matches_reference(tmp_path, name):
     path.write_text(json.dumps(config))
     argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", str(workload.seed_for(None))]
     assert cli(argv) == 0
-    rows, _ = checks.read_sweep(tmp_path / "out")
+    rows, side = checks.read_sweep(tmp_path / "out")
     want = reference["commands"]["sweep"]["rows"]
+    assert side["accuracy_mean"] == reference["commands"]["sweep"]["accuracy_mean"]
     assert len(rows) == len(want)
     for got, ref in zip(rows, want):
         exact = ("tau_median", "tau_iqr", "censored")

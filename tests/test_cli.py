@@ -464,7 +464,9 @@ def test_list_setting_entries_named(tmp_path, capsys, command, key, settings):
     ({"workers": -3}, "workers must be >= 1, got -3"),
     ({"p_in": 1.5}, "p_in must be in (0, 1], got 1.5"),
     ({"sizes": [0, 10]}, "sizes must be a nonempty list of sizes >= 1, got [0, 10]"),
-], ids=["scalar-with-dataset", "negative-workers", "p_in-above-1", "size-zero"])
+    ({"p_out_list": None, "p_out_lo": 0.1, "p_out_hi": 0.5, "p_out_num": -2}, "need num >= 0, got num=-2"),
+    ({"p_out_list": None, "p_out_lo": 0.2, "p_out_hi": 0.1, "p_out_num": 3}, "need 0 < lo <= hi < inf, got lo=0.2, hi=0.1"),
+], ids=["scalar-with-dataset", "negative-workers", "p_in-above-1", "size-zero", "negative-num", "lo-above-hi"])
 def test_sweep_rejects_bad_settings(tmp_path, capsys, extra, message):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(json.dumps({**SWEEP_SETTINGS, **extra}))
@@ -506,11 +508,19 @@ def test_bifurcation_out_of_range_is_runtime_error(tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize("spec", ["0.01:0.09", "0.01:x:5", "0.01:0.09:2.5"])
-def test_bifurcation_rejects_malformed_grid(tmp_path, capsys, spec):
+MALFORMED_GRIDS = [
+    *((spec, f"delta_grid {spec!r} is not lo:hi:num") for spec in ("0.01:0.09", "0.01:x:5", "0.01:0.09:2.5")),
+    ("0.01:0.09:0", "delta_grid is empty: a search needs at least one delta"),
+    ("nan:0.09:4", "delta_grid values must be finite, got nan"),
+    ("0.01:0.2:3", "delta_grid values must lie in [0, p_in=0.1), got 0.01 to 0.2"),
+]
+
+
+@pytest.mark.parametrize("spec, message", MALFORMED_GRIDS, ids=[spec for spec, _ in MALFORMED_GRIDS])
+def test_bifurcation_rejects_malformed_grid(tmp_path, capsys, spec, message):
     rc = cli(["bifurcation", "--sizes", "700,300", "--p-in", "0.1", "--delta-grid", spec, "--out", str(tmp_path)])
     assert rc == 1
-    assert f"error: delta_grid {spec!r} is not lo:hi:num" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_missing_required_setting_is_runtime_error(tmp_path):

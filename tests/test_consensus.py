@@ -450,7 +450,7 @@ class TestTail:
         assert result.tail_from == spectra.SWITCH_ROUND and not result.censored
         theta, vecs, coef, _ = solves[0]
         assert theta.size == len(sizes) - 1
-        assert np.array_equal(result.ritz_values, theta)
+        assert result.lambda2 == 1.0 - theta.max()
         basis = vecs / np.sqrt(net.degrees.astype(float))[:, None]
         pi = net.degrees / net.degrees.sum()
         denom = float(np.abs(x0 - float(pi @ x0)).max())
@@ -469,6 +469,7 @@ class TestTail:
         assert result.error_trace[spectra.SWITCH_ROUND] <= EPS
         assert result.tail_from is None
         assert not result.censored
+        assert result.lambda2 is None
 
     def test_tiny_network_stays_on_loop(self, monkeypatch):
         import scipy.sparse.linalg
@@ -491,6 +492,7 @@ class TestTail:
         assert tried == [4]
         assert result.tail_from is None
         assert not result.censored
+        assert result.lambda2 is None
 
 
 @st.composite
