@@ -76,9 +76,12 @@ def _delta_grid(key, val):
         return _listed(_NUMBER)(key, val)
     try:
         lo, hi, num = str(val).split(":")
-        return tuple(np.linspace(float(lo), float(hi), int(num)).tolist())
+        lo, hi, num = float(lo), float(hi), _natural(num)
     except ValueError:
         raise ValueError(f"{key} {val!r} is not lo:hi:num (two numbers and a point count)") from None
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(f"{key} values must be finite, got {hi if np.isfinite(lo) else lo}")
+    return tuple(np.linspace(lo, hi, num).tolist())
 
 
 # every setting, by flag (--p-in sets p_in) or config key, and the one reader of its value

@@ -2,8 +2,8 @@
 
 A block model is specified by community sizes, a symmetric edge-probability
 matrix, and an RNG seed. Sampling draws every unordered node pair once as an
-independent Bernoulli variable and returns an immutable undirected simple
-graph with nodes grouped contiguously by community.
+independent Bernoulli variable and returns an undirected simple graph held as
+its CSR adjacency, with nodes grouped contiguously by community.
 """
 
 from __future__ import annotations
@@ -95,18 +95,18 @@ class SbmModel:
 
 
 class Network:
-    """Undirected simple graph, built whole by its constructor and immutable after.
+    """Undirected simple graph, built whole by its constructor and not changed after.
 
-    A network is its community sizes and its edges. Nodes are 0..n-1 with
+    A network is its community sizes and its adjacency. Nodes are 0..n-1 with
     n = sum(community_sizes), grouped contiguously by community in size
-    order. Edges are stored as an (m, 2) array of pairs with i < j sorted by
-    (i, j); self-edges, out-of-range endpoints and duplicate pairs are
-    rejected. adjacency is the symmetric CSR matrix with 0/1 float entries
-    and sorted indices; connected is True iff one breadth-first search from
-    node 0 reaches all n nodes.
+    order. The constructor takes node pairs in any order and orientation and
+    rejects self-edges, out-of-range endpoints and duplicates. adjacency is
+    the symmetric CSR matrix with 0/1 float entries and sorted indices; edges
+    reads from it a fresh (i, j)-sorted (m, 2) int64 array of pairs i < j;
+    connected is True iff one breadth-first search from node 0 reaches all n nodes.
     """
 
-    __slots__ = ("n", "edges", "degrees", "community_sizes", "adjacency", "connected")
+    __slots__ = ("n", "degrees", "community_sizes", "adjacency", "connected")
 
     def __init__(self, community_sizes, edges):
         # scipy loads with the first network, so commands that build none do not pay for it
@@ -118,26 +118,18 @@ class Network:
             raise ValueError(f"community sizes must be a nonempty list of sizes >= 1, got {community_sizes}")
         n = sum(community_sizes)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if edges.size:
-            lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
-            if (lo == hi).any():
-                raise ValueError("self-edges are not allowed")
-            if lo.min() < 0 or hi.max() >= n:
-                raise ValueError("edge endpoint out of range")
-            key = lo * n + hi
-            order = np.argsort(key, kind="stable")
-            if (np.diff(key[order]) == 0).any():
-                raise ValueError("duplicate edges are not allowed")
-            edges = np.stack([lo[order], hi[order]], axis=1)
-            # free the sort's temporaries before the adjacency is built (peak memory)
-            del lo, hi, key, order
+        lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
+        if (lo == hi).any():
+            raise ValueError("self-edges are not allowed")
+        if (lo < 0).any() or (hi >= n).any():
+            raise ValueError("edge endpoint out of range")
+        # the COO-to-CSR conversion orders each row and merges a repeated pair into one entry
+        upper = sparse.csr_matrix((np.ones(len(edges)), (lo, hi)), shape=(n, n))
+        if upper.nnz < len(edges):
+            raise ValueError("duplicate edges are not allowed")
+        del lo, hi  # freed before the symmetric sum, the constructor's peak memory
         self.n = n
-        self.edges = edges
-        self.edges.flags.writeable = False
         self.community_sizes = community_sizes
-        # the edges are the upper triangle already in CSR order: row i holds the j of its pairs (i, j)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(edges[:, 0], minlength=n))])
-        upper = sparse.csr_matrix((np.ones(len(edges)), edges[:, 1], indptr), shape=(n, n))
         self.adjacency = upper + upper.T
         self.degrees = np.diff(self.adjacency.indptr).astype(np.int64)
         self.degrees.flags.writeable = False
@@ -145,8 +137,13 @@ class Network:
         self.connected = len(breadth_first_order(self.adjacency, 0, return_predecessors=False)) == n
 
     @property
+    def edges(self) -> np.ndarray:
+        adj = self.adjacency.tocoo()
+        return np.stack([adj.row, adj.col], axis=1)[adj.row < adj.col].astype(np.int64)
+
+    @property
     def num_edges(self) -> int:
-        return self.edges.shape[0]
+        return self.adjacency.nnz // 2
 
 
 @dataclass(frozen=True, eq=False)

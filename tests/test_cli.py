@@ -512,6 +512,7 @@ MALFORMED_GRIDS = [
     *((spec, f"delta_grid {spec!r} is not lo:hi:num") for spec in ("0.01:0.09", "0.01:x:5", "0.01:0.09:2.5")),
     ("0.01:0.09:0", "delta_grid is empty: a search needs at least one delta"),
     ("nan:0.09:4", "delta_grid values must be finite, got nan"),
+    ("0.01:inf:4", "delta_grid values must be finite, got inf"),
     ("0.01:0.2:3", "delta_grid values must lie in [0, p_in=0.1), got 0.01 to 0.2"),
 ]
 

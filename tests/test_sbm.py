@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -196,70 +197,95 @@ class TestConnectivity:
         assert net.connected
 
 
-def coo_adjacency(net):
-    """The COO-to-CSR adjacency build the constructor's direct CSR build replaced, kept as its oracle."""
+def coo_adjacency(n, pairs):
+    """Symmetric CSR adjacency of the given pairs built by scipy's COO-to-CSR conversion, the constructor's oracle."""
     from scipy import sparse
 
-    rows = np.concatenate([net.edges[:, 0], net.edges[:, 1]])
-    cols = np.concatenate([net.edges[:, 1], net.edges[:, 0]])
-    adj = sparse.csr_matrix((np.ones(2 * net.num_edges), (rows, cols)), shape=(net.n, net.n))
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    adj = sparse.csr_matrix((np.ones(2 * len(pairs)), (rows, cols)), shape=(n, n))
     adj.sort_indices()
     return adj
 
 
-def components_connected(net):
+def components_connected(n, pairs):
     """The connected_components test the constructor's breadth-first search replaced, kept as its oracle."""
     from scipy.sparse.csgraph import connected_components
 
-    if net.n <= 1:
+    if n <= 1:
         return True
-    if net.num_edges == 0:
+    if len(pairs) == 0:
         return False
-    return connected_components(coo_adjacency(net), directed=False)[0] == 1
+    return connected_components(coo_adjacency(n, pairs), directed=False)[0] == 1
 
 
-def assert_matches_oracles(net):
-    adj, oracle = net.adjacency, coo_adjacency(net)
+def assert_matches_oracles(net, pairs):
+    """net against oracles computed from the pairs it was built from, never from its own output."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    adj, oracle = net.adjacency, coo_adjacency(net.n, pairs)
     assert type(adj) is type(oracle)
     for field in ("indptr", "indices", "data"):
         got, want = getattr(adj, field), getattr(oracle, field)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
     assert adj.has_sorted_indices
-    assert net.connected is components_connected(net)
+    assert net.connected is components_connected(net.n, pairs)
     # each edge counts once at each endpoint
-    assert np.array_equal(net.degrees, np.bincount(net.edges.ravel(), minlength=net.n))
+    assert np.array_equal(net.degrees, np.bincount(pairs.ravel(), minlength=net.n))
     assert net.degrees.dtype == np.int64 and not net.degrees.flags.writeable
+    edges = net.edges
+    assert edges.dtype == np.int64 and edges.shape == (len(pairs), 2) and net.num_edges == len(edges)
+    assert np.array_equal(edges, np.unique(np.sort(pairs, axis=1), axis=0))
+
+
+def adjacency_digest(net):
+    adj = net.adjacency
+    return hashlib.sha256(adj.indptr.tobytes() + adj.indices.tobytes() + adj.data.tobytes()).hexdigest()
 
 
 def reordered_edge_list(net, path, seed):
-    """net's edge list written with its pairs shuffled and about half of them reversed."""
+    """Write net's edge list to path with its pairs shuffled and about half of them reversed; return those pairs."""
     rng = np.random.default_rng(seed)
     edges = net.edges[rng.permutation(net.num_edges)]
     flip = rng.random(net.num_edges) < 0.5
     edges[flip] = edges[flip, ::-1]
     sizes = " ".join(map(str, net.community_sizes))
     path.write_text(f"{net.n} {len(net.community_sizes)} {sizes}\n" + "".join(f"{i} {j}\n" for i, j in edges))
-    return path
+    return edges
 
 
 class TestConstructionOracles:
-    @pytest.mark.parametrize("sizes, p_in, p_out, seed, connected", [
-        ([30, 70], 0.9, 0.01, 1, True), ([700, 300], 0.1, 0.001, 2, True), ([40, 25, 35], 0.3, 0.02, 5, True),
-        ([60], 0.03, 0.03, 3, False), ([10, 10], 1.0, 0.0, 4, False),
+    # each digest is sha256 of the adjacency's indptr, indices and data bytes, pinned from the
+    # sort-and-indptr constructor that preceded the COO build
+    @pytest.mark.parametrize("sizes, p_in, p_out, seed, connected, digest", [
+        ([30, 70], 0.9, 0.01, 1, True, "429cb3a2f2bb93e46300f2566fb73c762b4ebc2e356f77169cdc740ca56f17cd"),
+        ([700, 300], 0.1, 0.001, 2, True, "af2fd15e9045f1c1a3b0fc1f2aa6f21234440fc1608e4d2904fc231c0fdc5f5e"),
+        ([40, 25, 35], 0.3, 0.02, 5, True, "6d34d6310badbdd92f1d5b9ac16e69939279d9463dd813007ecf8dcbac73916e"),
+        ([60], 0.03, 0.03, 3, False, "fa08f7f4383e3e75703d7ba647e04b62b76db20abc5b280773bced62c4dfc399"),
+        ([10, 10], 1.0, 0.0, 4, False, "8ba95847b6ca19cbcb294d1e5fa2ebc94c42d263ea40dd7d6ee383f8a60f54b8"),
     ], ids=["fig5-like", "fig3-sparse", "three-blocks", "sparse-er-disconnected", "two-blocks-disconnected"])
-    def test_sampled_and_reloaded_networks(self, tmp_path, sizes, p_in, p_out, seed, connected):
+    def test_sampled_and_reloaded_networks(self, tmp_path, sizes, p_in, p_out, seed, connected, digest):
         net = sbm.sample(two_level(sizes, p_in, p_out, seed=seed))
         assert net.connected is connected
-        assert_matches_oracles(net)
-        back = sbm.load_edge_list(reordered_edge_list(net, tmp_path / "net.txt", seed))
+        assert adjacency_digest(net) == digest
+        pairs = reordered_edge_list(net, tmp_path / "net.txt", seed)
+        assert_matches_oracles(net, pairs)
+        back = sbm.load_edge_list(tmp_path / "net.txt")
         assert np.array_equal(back.edges, net.edges)
-        assert_matches_oracles(back)
+        assert_matches_oracles(back, pairs)
 
     @pytest.mark.parametrize("sizes, connected", [([1], True), ([3, 2], False)], ids=["n=1", "no-edges"])
     def test_networks_without_edges(self, sizes, connected):
         net = sbm.Network(sizes, [])
         assert net.connected is connected
-        assert_matches_oracles(net)
+        assert_matches_oracles(net, [])
+
+    def test_edges_is_a_fresh_array(self):
+        net = sbm.Network([4], [[2, 3], [1, 0], [0, 2]])
+        before = net.adjacency.copy()
+        edges = net.edges
+        edges[:] = 0
+        assert (net.adjacency != before).nnz == 0
+        assert net.edges.tolist() == [[0, 1], [0, 2], [2, 3]]
 
 
 class TestNetworkValidation:
@@ -272,6 +298,10 @@ class TestNetworkValidation:
             sbm.Network([3], np.array([[0, 1], [1, 0]]))
         with pytest.raises(ValueError, match="duplicate"):
             sbm.Network([3], np.array([[2, 0], [1, 2], [0, 2]]))
+        with pytest.raises(ValueError, match="duplicate"):
+            sbm.Network([3], np.array([[0, 1], [0, 1], [0, 1]]))
+        with pytest.raises(ValueError, match="duplicate"):
+            sbm.Network([5], np.array([[4, 1], [0, 2], [3, 4], [1, 4]]))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -320,14 +350,15 @@ class TestSerialization:
 
 @st.composite
 def small_networks(draw):
-    """A random simple graph on 1..12 nodes in 1..3 communities, with its
-    edges listed in random order and orientation."""
+    """A random simple graph on 1..12 nodes in 1..3 communities and the pairs
+    it was built from, listed in random order and orientation."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     n = sum(sizes)
     pairs = list(itertools.combinations(range(n), 2))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     edges = [(j, i) if draw(st.booleans()) else (i, j) for i, j in chosen]
-    return sbm.Network(sizes, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return sbm.Network(sizes, pairs), pairs
 
 
 def assert_same_network(back, net):
@@ -339,7 +370,8 @@ def assert_same_network(back, net):
 
 @settings(max_examples=60)
 @given(small_networks())
-def test_edge_list_roundtrip_property(tmp_path_factory, net):
+def test_edge_list_roundtrip_property(tmp_path_factory, built):
+    net, _ = built
     path = tmp_path_factory.mktemp("edges") / "net.txt"
     sbm.save_edge_list(net, path)
     assert_same_network(sbm.load_edge_list(path), net)
@@ -347,5 +379,5 @@ def test_edge_list_roundtrip_property(tmp_path_factory, net):
 
 @settings(max_examples=60, deadline=None)
 @given(small_networks())
-def test_construction_matches_oracles_property(net):
-    assert_matches_oracles(net)
+def test_construction_matches_oracles_property(built):
+    assert_matches_oracles(*built)
