@@ -14,7 +14,8 @@ gossip.GadgetConfig and bench.SweepConfig hold the defaults and checks of their
 fields. Outputs are JSON/CSV files under --out (default out/), all written here;
 CSV floats are written at full precision, and spectrum's eigenvalues.csv holds
 one plain float per line. Exit codes: 0 success, 1 runtime failure or malformed
-setting, 2 unknown subcommand or flag, or no arguments.
+setting, 2 unknown subcommand or flag, or no arguments. A value that starts
+with '-' may follow its flag as the next argument (--delta-grid -0.01:0.09:4).
 """
 
 from __future__ import annotations
@@ -378,11 +379,27 @@ def _build_parser():
     return parser
 
 
+# the flags that take a value: --config and every setting but connected
+_VALUE_FLAGS = {"--config", *("--" + key.replace("_", "-") for key in _SETTINGS if key != "connected")}
+
+
+def _attach_dashed_values(argv):
+    """argv with each value that starts with one '-' joined to its flag: argparse reads
+    --delta-grid -0.01:0.09:4 as a flag without its value, and --delta-grid=-0.01:0.09:4 as meant."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in _VALUE_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def cli(argv=None) -> int:
     """Run one CLI invocation; returns the process exit status."""
     parser = _build_parser()
     try:
-        flags = vars(parser.parse_args(argv))
+        flags = vars(parser.parse_args(_attach_dashed_values(sys.argv[1:] if argv is None else argv)))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     func = flags.pop("func")

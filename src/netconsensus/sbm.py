@@ -3,7 +3,9 @@
 A block model is specified by community sizes, a symmetric edge-probability
 matrix, and an RNG seed. Sampling draws every unordered node pair once as an
 independent Bernoulli variable and returns an undirected simple graph held as
-its CSR adjacency, with nodes grouped contiguously by community.
+its CSR adjacency, with nodes grouped contiguously by community. The sampler
+builds that adjacency straight from its draws; node pairs are checked only
+where a network is built from an edge list (Network, load_edge_list).
 """
 
 from __future__ import annotations
@@ -95,13 +97,14 @@ class SbmModel:
 
 
 class Network:
-    """Undirected simple graph, built whole by its constructor and not changed after.
+    """Undirected simple graph, built whole and not changed after.
 
     A network is its community sizes and its adjacency. Nodes are 0..n-1 with
     n = sum(community_sizes), grouped contiguously by community in size
     order. The constructor takes node pairs in any order and orientation and
-    rejects self-edges, out-of-range endpoints and duplicates. adjacency is
-    the symmetric CSR matrix with 0/1 float entries and sorted indices; edges
+    rejects self-edges, out-of-range endpoints and duplicates; sample builds
+    its networks from the draws and skips those checks. adjacency is the
+    symmetric CSR matrix with 0/1 float entries and sorted indices; edges
     reads from it a fresh (i, j)-sorted (m, 2) int64 array of pairs i < j;
     connected is True iff one breadth-first search from node 0 reaches all n nodes.
     """
@@ -111,7 +114,6 @@ class Network:
     def __init__(self, community_sizes, edges):
         # scipy loads with the first network, so commands that build none do not pay for it
         from scipy import sparse
-        from scipy.sparse.csgraph import breadth_first_order
 
         community_sizes = tuple(int(c) for c in community_sizes)
         if not community_sizes or min(community_sizes) < 1:
@@ -128,13 +130,19 @@ class Network:
         if upper.nnz < len(edges):
             raise ValueError("duplicate edges are not allowed")
         del lo, hi  # freed before the symmetric sum, the constructor's peak memory
-        self.n = n
+        self._hold(community_sizes, upper + upper.T)
+
+    def _hold(self, community_sizes, adjacency) -> None:
+        """Set every field from the sizes and the symmetric adjacency; both ways of building a network end here."""
+        from scipy.sparse.csgraph import breadth_first_order
+
+        self.n = adjacency.shape[0]
         self.community_sizes = community_sizes
-        self.adjacency = upper + upper.T
-        self.degrees = np.diff(self.adjacency.indptr).astype(np.int64)
+        self.adjacency = adjacency
+        self.degrees = np.diff(adjacency.indptr).astype(np.int64)
         self.degrees.flags.writeable = False
         # the matrix is symmetric, so a directed search finds the undirected component
-        self.connected = len(breadth_first_order(self.adjacency, 0, return_predecessors=False)) == n
+        self.connected = len(breadth_first_order(adjacency, 0, return_predecessors=False)) == self.n
 
     @property
     def edges(self) -> np.ndarray:
@@ -175,45 +183,65 @@ def sample(model: SbmModel) -> Network:
     """Draw one network from the model, deterministically per (model, seed).
 
     Each unordered pair (i, j), i != j, is an independent Bernoulli variable
-    with probability Pi[c_i, c_j]. No self-edges.
+    with probability Pi[c_i, c_j]. No self-edges. The draws of block (r, s),
+    s >= r, are kept as a boolean array D_rs (strictly upper-triangular for
+    s == r). The rows of community r are then [D_sr.T for s < r | D_rr | D_rr.T |
+    D_rs for s > r], and their nonzeros, read row by row, are the CSR indices
+    in sorted order. A block is freed once both of its row communities are read.
     """
-    rng = np.random.default_rng(model.seed)
-    sizes = np.asarray(model.community_sizes, dtype=np.int64)
-    k = len(sizes)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    probs = model.edge_probs
+    from scipy import sparse
 
-    rows_out = []
-    cols_out = []
+    rng = np.random.default_rng(model.seed)
+    sizes = model.community_sizes
+    k = len(sizes)
+    offsets = np.cumsum((0, *sizes)).tolist()
+    n = offsets[-1]
+    blocks = {}  # (r, s) -> D_rs; a block at probability 0 has no entry
+    cols, degrees = [], []
     for r in range(k):
-        nr = int(sizes[r])
-        base_r = int(offsets[r])
+        nr = sizes[r]
         for s in range(r, k):
-            p = float(probs[r, s])
+            p = float(model.edge_probs[r, s])
             if p == 0.0:
                 continue
-            ns = int(sizes[s])
-            base_s = int(offsets[s])
-            chunk = max(1, _CHUNK_DRAWS // max(ns, 1))
+            ns = sizes[s]
+            blocks[r, s] = np.empty((nr, ns), dtype=bool)
+            chunk = max(1, _CHUNK_DRAWS // ns)
             for i0 in range(0, nr, chunk):
-                m = min(chunk, nr - i0)
-                draws = rng.random((m, ns)) < p
+                draws = blocks[r, s][i0:i0 + chunk]
+                np.less(rng.random(draws.shape), p, out=draws)
                 if r == s:
                     # keep strictly upper-triangular pairs only
-                    local_rows = (i0 + np.arange(m))[:, None]
-                    draws &= np.arange(ns)[None, :] > local_rows
-                ii, jj = np.nonzero(draws)
-                if ii.size:
-                    rows_out.append(base_r + i0 + ii)
-                    cols_out.append(base_s + jj)
-
-    if rows_out:
-        edges = np.stack([np.concatenate(rows_out), np.concatenate(cols_out)], axis=1)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    # free the per-chunk pieces before the network builds its adjacency (peak memory)
-    del rows_out, cols_out
-    return Network(model.community_sizes, edges)
+                    draws &= np.arange(ns)[None, :] > (i0 + np.arange(len(draws)))[:, None]
+        chunk = max(1, _CHUNK_DRAWS // n)
+        for i0 in range(0, nr, chunk):
+            i1 = min(i0 + chunk, nr)
+            rows = np.zeros((i1 - i0, n), dtype=bool)
+            for s in range(k):
+                part = rows[:, offsets[s]:offsets[s + 1]]
+                if s < r and (s, r) in blocks:
+                    part[...] = blocks[s, r][:, i0:i1].T
+                elif s == r and (r, r) in blocks:
+                    np.logical_or(blocks[r, r][i0:i1], blocks[r, r][:, i0:i1].T, out=part)
+                elif s > r and (r, s) in blocks:
+                    part[...] = blocks[r, s][i0:i1]
+            # entry (i, j) of rows is flat index i * n + j; subtracting i * n in int32 is cheaper than % n
+            counts = np.count_nonzero(rows, axis=1)
+            row_cols = np.flatnonzero(rows).astype(np.int32)
+            row_cols -= np.repeat(np.arange(0, len(rows) * n, n, dtype=np.int32), counts)
+            cols.append(row_cols)
+            degrees.append(counts)
+        for s in range(r + 1):
+            blocks.pop((s, r), None)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(degrees), out=indptr[1:])
+    indices = np.concatenate(cols)
+    del cols  # freed before the entries are allocated (peak memory)
+    # scipy stores indptr as int32 when it fits, as it does for the constructor's sum
+    adjacency = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    net = Network.__new__(Network)  # the draws need none of the constructor's pair checks
+    net._hold(sizes, adjacency)
+    return net
 
 
 def sample_connected(model: SbmModel):
@@ -258,8 +286,11 @@ def save_edge_list(net: Network, path) -> None:
     with path.open("w") as fh:
         sizes = " ".join(str(s) for s in net.community_sizes)
         fh.write(f"{net.n} {len(net.community_sizes)} {sizes}\n")
-        for i, j in net.edges:
-            fh.write(f"{i} {j}\n")
+        edges, step = net.edges, 1 << 14
+        # Python ints format faster than numpy scalars; a slice at a time, since all of
+        # fig2's 1.2M pairs as Python lists would take ~150 MB
+        for start in range(0, len(edges), step):
+            fh.writelines(f"{i} {j}\n" for i, j in edges[start:start + step].tolist())
 
 
 def load_edge_list(path) -> Network:

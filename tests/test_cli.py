@@ -514,14 +514,18 @@ MALFORMED_GRIDS = [
     ("nan:0.09:4", "delta_grid values must be finite, got nan"),
     ("0.01:inf:4", "delta_grid values must be finite, got inf"),
     ("0.01:0.2:3", "delta_grid values must lie in [0, p_in=0.1), got 0.01 to 0.2"),
+    # argparse alone reads a value that starts with '-' as an unknown flag and exits 2
+    ("-0.01:0.09:4", "delta_grid values must lie in [0, p_in=0.1), got -0.01 to 0.09"),
 ]
 
 
 @pytest.mark.parametrize("spec, message", MALFORMED_GRIDS, ids=[spec for spec, _ in MALFORMED_GRIDS])
 def test_bifurcation_rejects_malformed_grid(tmp_path, capsys, spec, message):
-    rc = cli(["bifurcation", "--sizes", "700,300", "--p-in", "0.1", "--delta-grid", spec, "--out", str(tmp_path)])
-    assert rc == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    # the grid as the flag's next argument and joined to it with '='
+    for grid in (["--delta-grid", spec], [f"--delta-grid={spec}"]):
+        rc = cli(["bifurcation", "--sizes", "700,300", "--p-in", "0.1", *grid, "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_missing_required_setting_is_runtime_error(tmp_path):

@@ -136,6 +136,22 @@ class TestSampling:
         # chi-square with 3 dof: 27.4 is the 1e-5 quantile neighborhood
         assert chi2 < 27.4
 
+    def test_peak_memory_of_a_dense_draw(self):
+        # tracemalloc peak of one sweep-dense draw over its adjacency's bytes: 2.79 when the
+        # sampler gathered (i, j) pairs for the constructor, 1.12 when built from the draws
+        import tracemalloc
+
+        model = two_level([700, 300], 0.9, 0.002, seed=6)
+        sbm.sample(model.with_seed(7))  # keeps scipy's first-call imports out of the reading
+        tracemalloc.start()
+        try:
+            net = sbm.sample(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        adj = net.adjacency
+        assert peak < 1.5 * (adj.indptr.nbytes + adj.indices.nbytes + adj.data.nbytes)
+
     def test_sample_connected_resamples(self):
         net, attempts = sbm.sample_connected(two_level([30, 30], 0.3, 0.02, seed=5))
         assert net.connected
@@ -253,25 +269,51 @@ def reordered_edge_list(net, path, seed):
     return edges
 
 
+# each digest is sha256 of the adjacency's indptr, indices and data bytes: the first five were
+# pinned from the sort-and-indptr constructor that preceded the COO build, the last two from the
+# COO constructor that preceded building sampled networks from their draws
+SAMPLED_MODELS = [
+    (two_level([30, 70], 0.9, 0.01, seed=1), True,
+     "429cb3a2f2bb93e46300f2566fb73c762b4ebc2e356f77169cdc740ca56f17cd"),
+    (two_level([700, 300], 0.1, 0.001, seed=2), True,
+     "af2fd15e9045f1c1a3b0fc1f2aa6f21234440fc1608e4d2904fc231c0fdc5f5e"),
+    (two_level([40, 25, 35], 0.3, 0.02, seed=5), True,
+     "6d34d6310badbdd92f1d5b9ac16e69939279d9463dd813007ecf8dcbac73916e"),
+    (two_level([60], 0.03, 0.03, seed=3), False,
+     "fa08f7f4383e3e75703d7ba647e04b62b76db20abc5b280773bced62c4dfc399"),
+    (two_level([10, 10], 1.0, 0.0, seed=4), False,
+     "8ba95847b6ca19cbcb294d1e5fa2ebc94c42d263ea40dd7d6ee383f8a60f54b8"),
+    (two_level([700, 300], 0.9, 0.002, seed=6), True,
+     "0c59104ee3cd2db3ef004cef92c886dcd01d5a89a9e67fe96716d6967f404a60"),
+    # blocks (0, 1) and (1, 0) at probability 0 draw nothing
+    (sbm.SbmModel((40, 25, 35), np.array([[0.3, 0.0, 0.05], [0.0, 0.4, 0.05], [0.05, 0.05, 0.5]]), 7), True,
+     "7c0f4c1aa89affbcc1e2b91c022bf3ab1398d034a257012b6e3a289d5e474185"),
+]
+SAMPLED_IDS = ["fig5-like", "fig3-sparse", "three-blocks", "sparse-er-disconnected", "two-blocks-disconnected",
+               "sweep-dense-like", "three-blocks-empty-block"]
+
+
 class TestConstructionOracles:
-    # each digest is sha256 of the adjacency's indptr, indices and data bytes, pinned from the
-    # sort-and-indptr constructor that preceded the COO build
-    @pytest.mark.parametrize("sizes, p_in, p_out, seed, connected, digest", [
-        ([30, 70], 0.9, 0.01, 1, True, "429cb3a2f2bb93e46300f2566fb73c762b4ebc2e356f77169cdc740ca56f17cd"),
-        ([700, 300], 0.1, 0.001, 2, True, "af2fd15e9045f1c1a3b0fc1f2aa6f21234440fc1608e4d2904fc231c0fdc5f5e"),
-        ([40, 25, 35], 0.3, 0.02, 5, True, "6d34d6310badbdd92f1d5b9ac16e69939279d9463dd813007ecf8dcbac73916e"),
-        ([60], 0.03, 0.03, 3, False, "fa08f7f4383e3e75703d7ba647e04b62b76db20abc5b280773bced62c4dfc399"),
-        ([10, 10], 1.0, 0.0, 4, False, "8ba95847b6ca19cbcb294d1e5fa2ebc94c42d263ea40dd7d6ee383f8a60f54b8"),
-    ], ids=["fig5-like", "fig3-sparse", "three-blocks", "sparse-er-disconnected", "two-blocks-disconnected"])
-    def test_sampled_and_reloaded_networks(self, tmp_path, sizes, p_in, p_out, seed, connected, digest):
-        net = sbm.sample(two_level(sizes, p_in, p_out, seed=seed))
+    @pytest.mark.parametrize("model, connected, digest", SAMPLED_MODELS, ids=SAMPLED_IDS)
+    def test_sampled_and_reloaded_networks(self, tmp_path, model, connected, digest):
+        net = sbm.sample(model)
         assert net.connected is connected
         assert adjacency_digest(net) == digest
-        pairs = reordered_edge_list(net, tmp_path / "net.txt", seed)
+        pairs = reordered_edge_list(net, tmp_path / "net.txt", model.seed)
         assert_matches_oracles(net, pairs)
         back = sbm.load_edge_list(tmp_path / "net.txt")
         assert np.array_equal(back.edges, net.edges)
         assert_matches_oracles(back, pairs)
+
+    @pytest.mark.parametrize("model, connected, digest", SAMPLED_MODELS, ids=SAMPLED_IDS)
+    def test_chunked_sampling(self, monkeypatch, model, connected, digest):
+        # 37 draws at a time: every model here draws each block, and reads each row
+        # community, in several chunks of rows
+        monkeypatch.setattr(sbm, "_CHUNK_DRAWS", 37)
+        net = sbm.sample(model)
+        assert net.connected is connected
+        assert adjacency_digest(net) == digest
+        assert_matches_oracles(net, net.edges)
 
     @pytest.mark.parametrize("sizes, connected", [([1], True), ([3, 2], False)], ids=["n=1", "no-edges"])
     def test_networks_without_edges(self, sizes, connected):
