@@ -226,7 +226,6 @@ def _cmd_consensus(settings, out):
     model = _model_from_settings(settings)
     run = _config(gossip.GadgetConfig, settings)
     net, _ = sbm.sample_connected(model)
-    spec = spectra.normalized_laplacian_spectrum(net)
     x0 = consensus.random_initial_state(net.n, model.seed)
     result = consensus.run(net, x0, run.epsilon, max_rounds=run.max_rounds)
     p_in = float(model.edge_probs[0, 0])
@@ -241,8 +240,8 @@ def _cmd_consensus(settings, out):
         "tau_eps": result.tau_eps,
         "censored": result.censored,
         "tail_from": result.tail_from,
-        "lambda2_empirical": spec.lambda2,
-        "mu2_abs": spec.mu2_abs,
+        "lambda2_empirical": spectra.lambda2_only(net) if result.lambda2 is None else result.lambda2,
+        "mu2_abs": spectra.mu2_abs_only(net),
     })
     if _setting(settings, "trace", default=True):
         _write_csv(out / "consensus_trace.csv", ["round", "error"], enumerate(result.error_trace))

@@ -7,7 +7,9 @@ the simulator only tracks the sup-norm error and the round at which it
 permanently drops below the threshold.
 
 A run first iterates the pi-centred deviation e = x - x_star, re-centred
-every round, so the shrinking error carries no round-off of x itself. After
+every round, so the shrinking error carries no round-off of x itself; each
+round's A e is one Network.product, which walks a dense block's non-edges
+instead of its edges. After
 a few rounds only the walk's slow modes are left. At round
 spectra.SWITCH_ROUND, if its error is still above epsilon, the run switches
 to the tail (_tail): each block of rounds is one small product over the slow
@@ -115,13 +117,12 @@ def run(net: Network, x0, epsilon: float, max_rounds: int = GadgetConfig.max_rou
     if denom == 0.0:
         return ConsensusRun(x_star=x_star, tau_eps=0, error_trace=np.zeros(1), rounds=0)
 
-    adj = net.adjacency
     inv_deg = 1.0 / deg
     errors = [1.0]
     # the stop state, here and in _tail: the last round above epsilon; tau is the round after it
     above = 0
     for t in range(1, max_rounds + 1):
-        e = inv_deg * (adj @ e)
+        e = inv_deg * net.product(e)
         e -= pi @ e
         err = float(np.abs(e).max()) / denom
         errors.append(err)

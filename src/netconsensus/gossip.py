@@ -4,17 +4,17 @@ The n nodes' weight vectors are the rows of one (n, d) matrix. A learning
 step is one ``_pegasos_step`` for every node at once: one masked update
 applies the hinge subgradient to the rows whose margin is below 1. Each node
 draws its examples from its shard with its own seeded generator;
-``_draw_picks`` draws them for a whole block of steps in one call per node,
-and the block's feature rows are gathered in one index of the training
-matrix. A block of m draws continues each stream exactly as m single draws
-would, so the block size changes no output. The weights then enter the
-mass-conserving push-sum protocol (``mixing_matrix``). A run holds each
-node's (sum, weight) pair as a row of one (n, d + 1) block [sums | psw] from
-the first round to the tail, so an exchange is one sparse product of that
-block. A run stops once all pairwise weight-vector distances fall below the
-threshold. The decision is exact, but the full pairwise distances are only
-computed when the cheap bracket dev <= gap <= 2 dev,
-dev = max_i ||w_i - w_0||, cannot settle it.
+``_draw_picks`` draws all of a run's learning steps in one call per node, and
+the feature rows of each block of steps are gathered in one index of the
+training matrix. A block of m draws continues each stream exactly as m single
+draws would, so neither the draw nor the block size changes an output. The
+weights then enter the mass-conserving push-sum protocol (``_exchange``). A
+run holds each node's (sum, weight) pair as a row of one (n, d + 1) block
+[sums | psw] from the first round to the tail, so an exchange is one
+Network.product of that block. A run stops once all pairwise weight-vector
+distances fall below the threshold. The decision is exact, but the full
+pairwise distances are only computed when the cheap bracket
+dev <= gap <= 2 dev, dev = max_i ||w_i - w_0||, cannot settle it.
 
 A run is push-sum rounds, then a certified slow-mode tail. Once learning
 ends, the block's sums become the mass-free deviation sums - psw w_inf from
@@ -28,21 +28,15 @@ rounds and as the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from . import spectra
 from .data import LabeledDataset, partition_equal, train_test_split
 from .sbm import Network
 
-if TYPE_CHECKING:
-    from scipy import sparse
-
 __all__ = [
     "GadgetConfig",
     "GadgetRun",
-    "mixing_matrix",
     "run_gadget",
     "hinge_objective",
     "accuracy",
@@ -117,12 +111,12 @@ class GadgetRun:
 
 
 def _draw_picks(shards, rngs, steps: int) -> np.ndarray:
-    """(steps, n) example indices: column i holds node i's next steps picks.
+    """(steps, n) int32 example indices: column i holds node i's next steps picks.
 
     Node i draws uniformly from shards[i] with rngs[i], continuing its stream
     exactly as steps single draws would. An empty shard raises ValueError.
     """
-    picks = np.empty((steps, len(shards)), dtype=np.int64)
+    picks = np.empty((steps, len(shards)), dtype=np.int32)  # a run's picks are held whole: half the bytes of int64
     for i, (shard, rng) in enumerate(zip(shards, rngs)):
         if shard.size == 0:
             raise ValueError(f"node {i} has an empty shard")
@@ -145,17 +139,15 @@ def _pegasos_step(weights: np.ndarray, rows: np.ndarray, labels: np.ndarray, nu:
     weights[hit] += (eta * labels[hit])[:, None] * rows[hit]
 
 
-def mixing_matrix(net: Network) -> sparse.csr_matrix:
-    """Column-stochastic push-sum matrix: in one exchange, pair = mix @ pair,
-    every node splits its (sum, weight) pair equally over itself and its
-    neighbors and keeps the shares it receives, so the column totals of the
-    pair are conserved up to round-off."""
-    from scipy import sparse
-
-    # both terms have sorted indices, so their sum does too; column j is scaled by its share
-    mix = net.adjacency + sparse.identity(net.n, format="csr")
-    mix.data *= (1.0 / (net.degrees.astype(float) + 1.0))[mix.indices]
-    return mix
+def _exchange(net: Network, share: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """One push-sum exchange of the block pair, (A + I) D'^-1 pair = A z + z with
+    z = share * pair, share = 1 / (d + 1) per node: every node splits its (sum,
+    weight) pair equally over itself and its neighbors and keeps the shares it
+    receives, so the column totals of the pair are conserved up to round-off."""
+    z = pair * share[:, None]
+    mixed = net.product(z)
+    mixed += z
+    return mixed
 
 
 def hinge_objective(w: np.ndarray, X, y, nu: float, n_nodes: int) -> float:
@@ -301,7 +293,7 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
 
     weights = np.zeros((n, train.d))
     pair = np.hstack([weights, np.ones((n, 1))])  # [sums | psw], one node a row
-    mix = mixing_matrix(net)
+    share = 1.0 / (net.degrees + 1.0)
     X_train, y_train = train.X, train.y
     X_test, y_test = test.X, test.y
 
@@ -309,7 +301,7 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
     rounds_done = None
     steps = cfg.steps_per_round
     learning_rounds = min(cfg.learning_rounds, cfg.max_rounds)
-    total_steps = learning_rounds * steps
+    picks = _draw_picks(shards, rngs, learning_rounds * steps)
     block = max(1, _BLOCK_VALUES // (n * train.d))
     # the one round at which an untraced run weighs the switch to the tail
     switch = None if record_trace else learning_rounds + spectra.SWITCH_ROUND
@@ -321,22 +313,22 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
             for _ in range(steps):
                 j = t % block
                 if j == 0:
-                    picks = _draw_picks(shards, rngs, min(block, total_steps - t))
-                    rows = X_train[picks.ravel()]
+                    at = picks[t:t + block]
+                    rows = X_train[at.ravel()]
                     rows = rows.toarray() if hasattr(rows, "toarray") else np.asarray(rows, dtype=float)
-                    rows = rows.reshape(*picks.shape, train.d)
-                    labels = y_train[picks]
+                    rows = rows.reshape(*at.shape, train.d)
+                    labels = y_train[at]
                 t += 1
                 _pegasos_step(weights, rows[j], labels[j], cfg.nu, t)
             pair[:, :-1] = weights * pair[:, -1:]
-            pair = mix @ pair
+            pair = _exchange(net, share, pair)
             spread = weights = pair[:, :-1] / pair[:, -1:]
         else:
             if w_inf is None:
                 # mixing conserves the mass: iterate its deviation from the mean w_inf
                 w_inf = pair[:, :-1].sum(axis=0) / pair[:, -1].sum()
                 pair[:, :-1] -= pair[:, -1:] * w_inf
-            pair = mix @ pair
+            pair = _exchange(net, share, pair)
             spread = pair[:, :-1] / pair[:, -1:]  # the weights less w_inf: the same gap
         if record_trace:
             gap = max_pairwise_gap(spread)

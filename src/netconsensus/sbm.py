@@ -5,7 +5,10 @@ matrix, and an RNG seed. Sampling draws every unordered node pair once as an
 independent Bernoulli variable and returns an undirected simple graph held as
 its CSR adjacency, with nodes grouped contiguously by community. The sampler
 builds that adjacency straight from its draws; node pairs are checked only
-where a network is built from an edge list (Network, load_edge_list).
+where a network is built from an edge list (Network, load_edge_list). From
+the same draws it builds the split A = M + R that Network.product multiplies
+with: each block drawn with more edges than non-edges is stored as its
+complement, so a product walks the fewer of the two.
 """
 
 from __future__ import annotations
@@ -107,9 +110,17 @@ class Network:
     symmetric CSR matrix with 0/1 float entries and sorted indices; edges
     reads from it a fresh (i, j)-sorted (m, 2) int64 array of pairs i < j;
     connected is True iff one breadth-first search from node 0 reaches all n nodes.
+
+    product(x) is adjacency @ x from the split A = M + R, which stores a dense
+    block as its complement. dense_blocks[r, s] marks the blocks that sample
+    drew with more edges than non-edges. split is M: +1 at the edges of the
+    other blocks and -1 at the non-edges of the dense ones, the diagonal of a
+    dense diagonal block included. R is block-constant,
+    (R x)_r = sum over dense (r, s) of 1^T x_s. A network without a dense
+    block, every network built from pairs among them, has split = adjacency.
     """
 
-    __slots__ = ("n", "degrees", "community_sizes", "adjacency", "connected")
+    __slots__ = ("n", "degrees", "community_sizes", "adjacency", "connected", "split", "dense_blocks", "_starts")
 
     def __init__(self, community_sizes, edges):
         # scipy loads with the first network, so commands that build none do not pay for it
@@ -132,8 +143,9 @@ class Network:
         del lo, hi  # freed before the symmetric sum, the constructor's peak memory
         self._hold(community_sizes, upper + upper.T)
 
-    def _hold(self, community_sizes, adjacency) -> None:
-        """Set every field from the sizes and the symmetric adjacency; both ways of building a network end here."""
+    def _hold(self, community_sizes, adjacency, split=None, dense_blocks=None) -> None:
+        """Set every field from the sizes, the symmetric adjacency and its split (none: no dense
+        block); both ways of building a network end here."""
         from scipy.sparse.csgraph import breadth_first_order
 
         self.n = adjacency.shape[0]
@@ -141,13 +153,35 @@ class Network:
         self.adjacency = adjacency
         self.degrees = np.diff(adjacency.indptr).astype(np.int64)
         self.degrees.flags.writeable = False
+        k = len(community_sizes)
+        self.dense_blocks = np.zeros((k, k), dtype=bool) if split is None else dense_blocks
+        self.dense_blocks.flags.writeable = False
+        self.split = adjacency if split is None else split
+        self._starts = None if split is None else np.cumsum((0, *community_sizes[:-1]))
         # the matrix is symmetric, so a directed search finds the undirected component
         self.connected = len(breadth_first_order(adjacency, 0, return_predecessors=False)) == self.n
 
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """adjacency @ x for a vector (n,) or a block (n, c), as M x + R x."""
+        y = self.split @ x
+        if self._starts is not None:
+            y += np.repeat(self.dense_blocks @ np.add.reduceat(x, self._starts, axis=0), self.community_sizes, axis=0)
+        return y
+
     @property
     def edges(self) -> np.ndarray:
-        adj = self.adjacency.tocoo()
-        return np.stack([adj.row, adj.col], axis=1)[adj.row < adj.col].astype(np.int64)
+        adj, n = self.adjacency, self.n
+        # no temporary is larger than half the pairs: the peak is 1.25 times their bytes
+        rows = np.repeat(np.arange(n, dtype=np.int32), self.degrees)
+        upper = adj.indices[adj.indices > rows]  # the j of each pair i < j, in (i, j) order
+        del rows
+        # by symmetry, node j is the j of as many pairs as it has neighbours below it
+        below = np.bincount(upper, minlength=n)
+        pairs = np.empty((len(upper), 2), dtype=np.int64)
+        pairs[:, 1] = upper
+        del upper
+        pairs[:, 0] = np.repeat(np.arange(n, dtype=np.int32), self.degrees - below)
+        return pairs
 
     @property
     def num_edges(self) -> int:
@@ -185,19 +219,21 @@ def sample(model: SbmModel) -> Network:
     Each unordered pair (i, j), i != j, is an independent Bernoulli variable
     with probability Pi[c_i, c_j]. No self-edges. The draws of block (r, s),
     s >= r, are kept as a boolean array D_rs (strictly upper-triangular for
-    s == r). The rows of community r are then [D_sr.T for s < r | D_rr | D_rr.T |
+    s == r), and the block is dense when it drew more edges than non-edges.
+    The rows of community r are then [D_sr.T for s < r | D_rr | D_rr.T |
     D_rs for s > r], and their nonzeros, read row by row, are the CSR indices
-    in sorted order. A block is freed once both of its row communities are read.
+    in sorted order. The same rows with their dense columns flipped give the
+    split's M (Network), whose flipped entries are -1. A block is freed once
+    both of its row communities are read.
     """
-    from scipy import sparse
-
     rng = np.random.default_rng(model.seed)
     sizes = model.community_sizes
     k = len(sizes)
     offsets = np.cumsum((0, *sizes)).tolist()
     n = offsets[-1]
     blocks = {}  # (r, s) -> D_rs; a block at probability 0 has no entry
-    cols, degrees = [], []
+    dense = np.zeros((k, k), dtype=bool)
+    adj_parts, split_parts = [], []  # (row counts, column indices) per chunk of rows
     for r in range(k):
         nr = sizes[r]
         for s in range(r, k):
@@ -213,6 +249,9 @@ def sample(model: SbmModel) -> Network:
                 if r == s:
                     # keep strictly upper-triangular pairs only
                     draws &= np.arange(ns)[None, :] > (i0 + np.arange(len(draws)))[:, None]
+            pairs = nr * (nr - 1) // 2 if r == s else nr * ns
+            dense[r, s] = dense[s, r] = 2 * np.count_nonzero(blocks[r, s]) > pairs
+        flip = np.repeat(dense[r], sizes) if dense[r].any() else None  # the dense columns of rows r
         chunk = max(1, _CHUNK_DRAWS // n)
         for i0 in range(0, nr, chunk):
             i1 = min(i0 + chunk, nr)
@@ -225,23 +264,51 @@ def sample(model: SbmModel) -> Network:
                     np.logical_or(blocks[r, r][i0:i1], blocks[r, r][:, i0:i1].T, out=part)
                 elif s > r and (r, s) in blocks:
                     part[...] = blocks[r, s][i0:i1]
-            # entry (i, j) of rows is flat index i * n + j; subtracting i * n in int32 is cheaper than % n
-            counts = np.count_nonzero(rows, axis=1)
-            row_cols = np.flatnonzero(rows).astype(np.int32)
-            row_cols -= np.repeat(np.arange(0, len(rows) * n, n, dtype=np.int32), counts)
-            cols.append(row_cols)
-            degrees.append(counts)
+            adj_parts.append(_row_nonzeros(rows))
+            if flip is not None:
+                rows ^= flip  # a dense block's non-edges, its diagonal included
+            split_parts.append(adj_parts[-1] if flip is None else _row_nonzeros(rows))
         for s in range(r + 1):
             blocks.pop((s, r), None)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(degrees), out=indptr[1:])
-    indices = np.concatenate(cols)
-    del cols  # freed before the entries are allocated (peak memory)
-    # scipy stores indptr as int32 when it fits, as it does for the constructor's sum
-    adjacency = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    split = None
+    if dense.any():
+        split = _csr(n, split_parts)
+        # M's entries in the dense blocks are their non-edges: -1
+        for r in range(k):
+            rows = slice(split.indptr[offsets[r]], split.indptr[offsets[r + 1]])
+            split.data[rows][np.repeat(dense[r], sizes)[split.indices[rows]]] = -1.0
+    adjacency = _csr(n, adj_parts)
     net = Network.__new__(Network)  # the draws need none of the constructor's pair checks
-    net._hold(sizes, adjacency)
+    net._hold(sizes, adjacency, split, dense)
     return net
+
+
+def _row_nonzeros(rows):
+    """(row counts, int32 column indices) of the nonzeros of a boolean (m, n) array, read row by row."""
+    m, n = rows.shape
+    # entry (i, j) is flat index i * n + j; subtracting i * n in int32 is cheaper than % n, and
+    # finding where each row starts among the sorted flat indices cheaper than counting its entries
+    flat = np.flatnonzero(rows)
+    counts = np.diff(np.searchsorted(flat, np.arange(0, (m + 1) * n, n)))
+    cols = flat.astype(np.int32)
+    del flat
+    cols -= np.repeat(np.arange(0, m * n, n, dtype=np.int32), counts)
+    return counts, cols
+
+
+def _csr(n, parts):
+    """The (n, n) CSR matrix of 1s from a list of chunks of rows, each (row counts, column indices).
+
+    Empties parts once its indices are joined, so the chunks are freed before the entries are allocated.
+    """
+    from scipy import sparse
+
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([counts for counts, _ in parts]), out=indptr[1:])
+    indices = np.concatenate([cols for _, cols in parts])
+    parts.clear()
+    # scipy stores indptr as int32 when it fits, as it does for the constructor's sum
+    return sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
 
 def sample_connected(model: SbmModel):

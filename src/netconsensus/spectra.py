@@ -4,7 +4,9 @@ All spectral work happens on the symmetric normalized Laplacian
 L = I - D^{-1/2} A D^{-1/2}; the random-walk matrix P = D^{-1} A is reached
 through the exact mapping mu = 1 - lambda, never diagonalized directly.
 Consensus's P and push-sum's (A + I) (D + I)^{-1} are similar to symmetric
-operators (deflated_walk_operator); at SWITCH_ROUND, one slow_modes call gives
+operators (deflated_walk_operator), applied with the network's split product
+(Network.product); lambda2_only and mu2_abs_only solve the walk operator for
+one extreme value each, and at SWITCH_ROUND, one slow_modes call gives
 each simulator's tail the certified slow modes of its start from one Lanczos
 solve, the start's coefficients on them, and a bound on what they miss.
 """
@@ -40,6 +42,7 @@ __all__ = [
     "EigensolverError",
     "normalized_laplacian_spectrum",
     "lambda2_only",
+    "mu2_abs_only",
     "deflated_walk_operator",
     "slow_modes",
 ]
@@ -103,48 +106,64 @@ def lambda2_only(net: Network) -> float:
     dense path for tiny graphs where the Lanczos basis cannot fit.
     """
     _check_degrees(net)
-    n = net.n
-    if not _lanczos_fits(n, 1):
+    if not _lanczos_fits(net.n, 1):
         return normalized_laplacian_spectrum(net).lambda2
+    # the known top eigenpair (value 1) shifted down to -1
+    return 1.0 - _deflated_extreme(net, 2.0, "LA", "lambda2")
 
+
+def mu2_abs_only(net: Network) -> float:
+    """|mu2| of SpectrumEmpirical, the second-largest modulus of the walk's
+    eigenvalues, from one largest-magnitude iteration on D^{-1/2} A D^{-1/2}
+    with its top eigenvalue 1 deflated to 0. Falls back to the dense path for
+    tiny graphs, as lambda2_only does.
+    """
+    _check_degrees(net)
+    if not _lanczos_fits(net.n, 1):
+        return normalized_laplacian_spectrum(net).mu2_abs
+    return abs(_deflated_extreme(net, 1.0, "LM", "mu2"))
+
+
+def _deflated_extreme(net: Network, shift: float, which: str, name: str) -> float:
+    """The one eigenvalue of deflated_walk_operator(net, shift) that ARPACK's
+    which selects, to LAMBDA2_TOL; name goes into the EigensolverError."""
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-    # the known top eigenpair (value 1) shifted down to -1
-    op = deflated_walk_operator(net, shift=2.0)
+    n = net.n
     budget = LAMBDA2_ITERS_PER_NODE * n
     # deterministic generic start; ARPACK's default random v0 breaks
     # run-to-run reproducibility of sweep outputs
     v0 = np.random.default_rng(0x5EED).standard_normal(n)
     try:
-        vals = eigsh(op, k=1, which="LA", tol=LAMBDA2_TOL, maxiter=budget, v0=v0, return_eigenvectors=False)
+        vals = eigsh(deflated_walk_operator(net, shift), k=1, which=which, tol=LAMBDA2_TOL, maxiter=budget, v0=v0,
+                     return_eigenvectors=False)
     except ArpackNoConvergence as exc:
-        raise EigensolverError(
-            f"lambda2 iteration did not converge within {budget} iterations (n={n})"
-        ) from exc
-    return float(1.0 - vals[0])
+        raise EigensolverError(f"{name} iteration did not converge within {budget} iterations (n={n})") from exc
+    return float(vals[0])
 
 
 def deflated_walk_operator(net: Network, shift: float, loops: float = 0.0) -> LinearOperator:
     """S - shift * u u^T as a LinearOperator, with S = D'^{-1/2} (A + loops I) D'^{-1/2}.
 
     D' = D + loops I: loops 0 gives the walk's D^{-1/2} A D^{-1/2}, loops 1
-    the symmetric form of push-sum's mixing matrix (A + I) D'^{-1}.
+    the symmetric form of push-sum's mixing matrix (A + I) D'^{-1}. A is
+    applied as Network.product, the loops as loops times the vector.
     u = sqrt(d') / |sqrt(d')| is S's eigenvector of eigenvalue 1, which the
     shift moves to 1 - shift; every other eigenpair of S is kept.
     """
-    from scipy import sparse
     from scipy.sparse.linalg import LinearOperator
 
     _check_degrees(net)
     sqrt_d = np.sqrt(net.degrees + float(loops))
     u = sqrt_d / np.linalg.norm(sqrt_d)
     inv_sqrt_d = 1.0 / sqrt_d
-    adj = net.adjacency
-    if loops:
-        adj = adj + loops * sparse.identity(net.n, format="csr")
 
     def matvec(x):
-        y = inv_sqrt_d * (adj @ (inv_sqrt_d * x))
+        z = inv_sqrt_d * x
+        y = net.product(z)
+        if loops:
+            y += loops * z
+        y *= inv_sqrt_d
         return y - shift * u * (u @ x)
 
     return LinearOperator((net.n, net.n), matvec=matvec, dtype=float)

@@ -185,12 +185,12 @@ def test_07_push_sum_frozen_correctness():
         rng = np.random.default_rng(0)
         init = rng.random((net.n, 8))
         pair = np.column_stack([init, np.ones(net.n)])  # [sums | psw]
-        mix = gossip.mixing_matrix(net)
+        share = 1.0 / (net.degrees + 1.0)
         target = init.mean(axis=0)
         total = init.sum(axis=0)
         converged_at = None
         for rounds in range(1, 5001):
-            pair = mix @ pair
+            pair = gossip._exchange(net, share, pair)
             sums, psw = pair[:, :-1], pair[:, -1]
             mass_s = sums.sum(axis=0)
             mass_w = psw.sum()

@@ -108,8 +108,23 @@ def test_draw_picks_continues_each_stream_as_scalar_draws(case):
 
 
 def stacked(sums, psw):
-    """The push-sum block [sums | psw] that one exchange, mix @ pair, mixes."""
+    """The push-sum block [sums | psw] that one exchange mixes."""
     return np.column_stack([sums, psw])
+
+
+def mixing_matrix(net):
+    """The push-sum matrix (A + I) D'^-1, D' = D + I, built from the adjacency:
+    the oracle of one exchange."""
+    from scipy import sparse
+
+    mix = net.adjacency + sparse.identity(net.n, format="csr")
+    mix.data *= (1.0 / (net.degrees + 1.0))[mix.indices]
+    return mix
+
+
+def exchange(net, pair):
+    """One push-sum exchange of a run."""
+    return gossip._exchange(net, 1.0 / (net.degrees + 1.0), pair)
 
 
 def estimates(pair):
@@ -119,13 +134,13 @@ def estimates(pair):
 class TestPushSum:
     def test_single_node_estimate_is_own_weight(self):
         net = sbm.Network([1], np.empty((0, 2)))
-        pair = gossip.mixing_matrix(net) @ stacked([[3.0, -1.0]], np.ones(1))
+        pair = exchange(net, stacked([[3.0, -1.0]], np.ones(1)))
         assert estimates(pair)[0] == pytest.approx([3.0, -1.0])
         assert pair[0, -1] == pytest.approx(1.0)
 
     def test_two_node_hand_simulation(self):
         net = sbm.Network([2], np.array([[0, 1]]))
-        pair = gossip.mixing_matrix(net) @ stacked([[0.0], [1.0]], np.ones(2))
+        pair = exchange(net, stacked([[0.0], [1.0]], np.ones(2)))
         sums, psw = pair[:, :-1], pair[:, -1]
         assert sums[0] == pytest.approx([0.5])
         assert sums[1] == pytest.approx([0.5])
@@ -141,9 +156,8 @@ class TestPushSum:
         init = rng.normal(size=(net.n, 3))
         pair = stacked(init, np.ones(net.n))
         total_s = init.sum(axis=0)
-        mix = gossip.mixing_matrix(net)
         for _ in range(100):
-            pair = mix @ pair
+            pair = exchange(net, pair)
             s_now = pair[:, :-1].sum(axis=0)
             w_now = pair[:, -1].sum()
             assert np.abs(s_now - total_s).max() < 1e-10 * np.abs(total_s).max()
@@ -155,12 +169,11 @@ class TestPushSum:
         rng = np.random.default_rng(5)
         init = rng.random((net.n, 2))
         pair = stacked(init, np.ones(net.n))
-        mix = gossip.mixing_matrix(net)
         target = init.mean(axis=0)
-        mu = np.sort(np.abs(np.linalg.eigvals(mix.toarray())))[-2]
+        mu = np.sort(np.abs(np.linalg.eigvals(mixing_matrix(net).toarray())))[-2]
         errors = []
         for _ in range(160):
-            pair = mix @ pair
+            pair = exchange(net, pair)
             errors.append(np.abs(estimates(pair) - target).max())
         errors = np.array(errors)
         assert errors[-1] < 1e-10
@@ -171,8 +184,31 @@ class TestPushSum:
 
     def test_mixing_matrix_column_stochastic(self):
         net, _ = sbm.sample_connected(sbm.make_two_level_model([10, 10], sbm.TwoLevelProbs(0.6, 0.2), 4))
-        mix = gossip.mixing_matrix(net)
+        mix = mixing_matrix(net)
         assert np.abs(np.asarray(mix.sum(axis=0)).ravel() - 1.0).max() < 1e-12
+
+
+def test_a_round_of_a_run_is_one_mixing_matrix_product(monkeypatch):
+    # the split product a run mixes with, on a network with dense blocks, against the
+    # push-sum matrix built from the adjacency: one learning round, then one mixing round
+    exchanged = []
+    exchange = gossip._exchange
+
+    def recorded(net, share, pair):
+        mixed = exchange(net, share, pair)
+        exchanged.append((pair.copy(), mixed.copy()))
+        return mixed
+
+    monkeypatch.setattr(gossip, "_exchange", recorded)
+    ds = data.make_blobs(400, 20, margin=2.0, seed=0)
+    net, _ = sbm.sample_connected(sbm.make_two_level_model([30, 70], sbm.TwoLevelProbs(0.9, 0.003), 0))
+    assert net.dense_blocks.any()
+    gossip.run_gadget(net, ds, gossip.GadgetConfig(max_rounds=2, learning_rounds=1), seed=0)
+    assert len(exchanged) == 2
+    mix = mixing_matrix(net)
+    for pair, mixed in exchanged:
+        want = mix @ pair
+        assert np.all(np.abs(mixed - want) <= 1e-14 * np.abs(want).max(axis=0))
 
 
 class TestRunGadget:
@@ -184,10 +220,9 @@ class TestRunGadget:
         weights = np.zeros((n, 3))
         shards = [np.arange(12)] * n
         rngs = [np.random.default_rng(99) for _ in range(n)]
-        mix = gossip.mixing_matrix(complete_graph(n))
         picks = gossip._draw_picks(shards, rngs, 1)
         gossip._pegasos_step(weights, *gather(X, y, picks[0]), 0.1, 1)
-        pair = mix @ stacked(weights, np.ones(n))
+        pair = exchange(complete_graph(n), stacked(weights, np.ones(n)))
         assert gossip.max_pairwise_gap(estimates(pair)) == 0.0
 
     def test_stopping_soundness_exact_recheck(self, monkeypatch):
@@ -303,13 +338,15 @@ def test_run_gadget_matches_per_node_oracle(sizes, dense, steps, trace, rounds, 
     assert len(run.max_pairwise_gap_trace) == (rounds if trace else 0)
 
 
-# run_gadget outputs with learning on every round (learning_rounds = max_rounds),
-# written in as literals from the implementation that drew one example per
-# node per step: the PER_NODE_RUNS (10, 15) model at epsilon 1e-2,
-# (steps_per_round, rounds, final_weights)
+# run_gadget outputs with learning on every round (learning_rounds = max_rounds)
+# on the PER_NODE_RUNS (10, 15) model at epsilon 1e-2, (steps_per_round,
+# rounds, final_weights). The rounds were written in as literals from the
+# implementation that drew one example per node per step. The final weights
+# were pinned again when push-sum moved from the mixing matrix to the split
+# product; they are within 9e-16 relative of that implementation's
 LEARNING_EVERY_ROUND = {
-    1: (196, [-0.5095048302196536, -0.7819889383484402, -0.10135101117927643, 0.2371995564007045]),
-    3: (158, [-0.4490987160771706, -0.7668673298279818, -0.12962991074670877, 0.23428278436159647]),
+    1: (196, [-0.5095048302196538, -0.78198893834844, -0.10135101117927658, 0.2371995564007046]),
+    3: (158, [-0.449098716077171, -0.7668673298279824, -0.1296299107467088, 0.2342827843615966]),
 }
 
 
@@ -346,9 +383,9 @@ def test_block_size_changes_no_output(monkeypatch, learning, steps, trace):
         assert np.frombuffer(outputs[0][1]).tolist() == final
 
 
-def test_examples_drawn_once_per_block(monkeypatch):
-    # n = 100 nodes, d = 20 features: a block is 131072 // 2000 = 65 steps, so
-    # 200 learning rounds draw their examples in 4 calls, not 200
+def test_examples_drawn_once_per_run(monkeypatch):
+    # 200 learning rounds draw their examples in one call, not one per round
+    # or per block of steps
     calls = []
     draw_picks = gossip._draw_picks
 
@@ -361,21 +398,21 @@ def test_examples_drawn_once_per_block(monkeypatch):
     net, _ = sbm.sample_connected(sbm.make_two_level_model([50, 50], sbm.TwoLevelProbs(0.3, 0.1), 0))
     cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-12, max_rounds=200, learning_rounds=200)
     gossip.run_gadget(net, ds, cfg, seed=0, record_trace=False)
-    block = gossip._BLOCK_VALUES // (100 * 20)
-    assert len(calls) == math.ceil(200 / block) == 4
-    assert sum(calls) == 200
+    assert calls == [200]
 
 
 # a traced run of the implementation that evaluated the objective and the
 # accuracy every round, written in as literals; the 13 mixing-round gaps come
 # from the loop on the deviation from the conserved mean, each within 1e-13
-# relative of the long-double oracle of the next test
+# relative of the long-double oracle of the next test. The gaps were pinned
+# again when push-sum moved from the mixing matrix to the split product; they
+# are within 1.1e-15 relative of that implementation's
 TRACED_GAPS = [
-    11.88089085952928, 3.1900076315657273, 2.081697363118811, 2.0314575227755265, 1.933301945851119,
-    0.8713964257279678, 1.1802480512721893, 0.9830006600637393, 0.32343284669572536, 0.11682874011778162,
-    0.04937407343691208, 0.020689780843077293, 0.0087463783494758, 0.0037082177910117984,
-    0.001575289302585109, 0.0006704113008997033, 0.00028549776794378827, 0.00012167612243958357,
-    5.187049979909186e-05, 2.2119453919565438e-05, 9.433577724312499e-06,
+    11.880890859529279, 3.1900076315657264, 2.081697363118811, 2.0314575227755265, 1.9333019458511185,
+    0.8713964257279678, 1.180248051272189, 0.9830006600637397, 0.3234328466957254, 0.11682874011778166,
+    0.0493740734369121, 0.020689780843077297, 0.008746378349475802, 0.0037082177910117997,
+    0.0015752893025851094, 0.0006704113008997036, 0.0002854977679437885, 0.00012167612243958364,
+    5.187049979909191e-05, 2.2119453919565455e-05, 9.43357772431251e-06,
 ]
 TRACED_OBJECTIVES = [
     17.64747685718411, 8.533241963864947, 7.409817767009358, 8.192171681197355, 7.536705712730227,
@@ -408,7 +445,7 @@ def long_double_gaps(net, pair, rounds):
     in long double with the dense mixing matrix. The weights' gap is that of
     (sums - psw c) / psw for any row c, so the pair is centred on its own
     mean first and no round takes a difference of two near-equal weights."""
-    mix = gossip.mixing_matrix(net).toarray().astype(np.longdouble)
+    mix = mixing_matrix(net).toarray().astype(np.longdouble)
     sums, psw = pair[:, :-1].astype(np.longdouble), pair[:, -1].astype(np.longdouble)
     dev = sums - psw[:, None] * (sums.sum(axis=0) / psw.sum())
     gaps = []
@@ -419,23 +456,17 @@ def long_double_gaps(net, pair, rounds):
     return np.array(gaps)
 
 
-class RecordedMix:
-    """A mixing matrix whose exchanges, pair = mix @ pair, keep a copy of each
-    product (the run goes on to update its pair in place)."""
+def test_traced_mixing_gaps_match_a_long_double_oracle(monkeypatch):
+    # each exchange's product, kept as a copy: the run goes on to update its pair in place
+    pairs = []
+    exchange = gossip._exchange
 
-    def __init__(self, mix, pairs):
-        self.mix, self.pairs = mix, pairs
-
-    def __matmul__(self, pair):
-        mixed = self.mix @ pair
-        self.pairs.append(mixed.copy())
+    def recorded(net, share, pair):
+        mixed = exchange(net, share, pair)
+        pairs.append(mixed.copy())
         return mixed
 
-
-def test_traced_mixing_gaps_match_a_long_double_oracle(monkeypatch):
-    pairs = []
-    mixing_matrix = gossip.mixing_matrix
-    monkeypatch.setattr(gossip, "mixing_matrix", lambda net: RecordedMix(mixing_matrix(net), pairs))
+    monkeypatch.setattr(gossip, "_exchange", recorded)
     net, run = traced_run()
     monkeypatch.undo()
     # the oracle starts from the pair the 8 learning rounds left
@@ -496,10 +527,9 @@ def test_push_sum_conserves_mass_property(case, rounds):
     psw = rng.uniform(0.1, 2.0, size=net.n)
     total_s, total_w = sums.sum(axis=0), psw.sum()
     scale_s = np.abs(sums).sum(axis=0)
-    mix = gossip.mixing_matrix(net)
     pair = stacked(sums, psw)
     for _ in range(rounds):
-        pair = mix @ pair
+        pair = exchange(net, pair)
     sums, psw = pair[:, :-1], pair[:, -1]
     tol = 1e-13 * rounds * net.n
     assert np.all(np.abs(sums.sum(axis=0) - total_s) <= tol * scale_s)
@@ -715,7 +745,7 @@ def test_tail_node_bound_covers_the_psw_remainder(monkeypatch):
     # an epsilon no gap reaches: the tail runs every round on its estimates
     assert gossip._mixing_tail(net, stacked(dev, psw), 1e-300, rounds) == (rounds, False)
     (radius, slack), = brackets
-    mix = gossip.mixing_matrix(net).toarray().astype(np.longdouble)
+    mix = mixing_matrix(net).toarray().astype(np.longdouble)
     x, w, exact = dev.astype(np.longdouble), psw.astype(np.longdouble), []
     for _ in range(rounds):
         x, w = mix @ x, mix @ w

@@ -152,6 +152,21 @@ class TestSampling:
         adj = net.adjacency
         assert peak < 1.5 * (adj.indptr.nbytes + adj.indices.nbytes + adj.data.nbytes)
 
+    def test_peak_memory_of_the_edge_list(self):
+        # tracemalloc peak of reading a fig4-sized network's pairs over the array returned:
+        # 2.6 when they came from a COO copy of the whole adjacency
+        import tracemalloc
+
+        net = sbm.sample(two_level([700, 300], 0.9, 0.002, seed=6))
+        tracemalloc.start()
+        try:
+            edges = net.edges
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert edges.shape == (net.num_edges, 2)
+        assert peak <= 1.5 * edges.nbytes
+
     def test_sample_connected_resamples(self):
         net, attempts = sbm.sample_connected(two_level([30, 30], 0.3, 0.02, seed=5))
         assert net.connected
@@ -328,6 +343,89 @@ class TestConstructionOracles:
         edges[:] = 0
         assert (net.adjacency != before).nnz == 0
         assert net.edges.tolist() == [[0, 1], [0, 2], [2, 3]]
+
+
+# (sampled network, its dense blocks) for the split product's oracles
+SPLIT_CASES = [
+    (lambda: sbm.sample(two_level([700, 300], 0.9, 0.002, seed=6)), [[True, False], [False, True]]),
+    (lambda: sbm.sample(two_level([700, 300], 0.9, 0.9, seed=6)), [[True, True], [True, True]]),
+    (lambda: sbm.sample(two_level([30, 70], 0.9, 0.003, seed=1)), [[True, False], [False, True]]),
+    # block (0, 1) at probability 0 and diagonal block (1, 1) at probability 0 draw nothing
+    (lambda: sbm.sample(sbm.SbmModel(
+        (40, 25, 35), np.array([[0.8, 0.0, 0.6], [0.0, 0.0, 0.7], [0.6, 0.7, 0.9]]), 7)),
+     [[True, False, True], [False, False, True], [True, True, True]]),
+    (lambda: sbm.sample(sbm.SbmModel((30, 40), np.array([[0.1, 0.9], [0.9, 0.2]]), 3)),
+     [[False, True], [True, False]]),
+    # one pair, drawn: its diagonal block is dense, so M holds only the -1s of its diagonal
+    (lambda: sbm.sample(two_level([2], 1.0, 1.0)), [[True]]),
+    (lambda: sbm.sample(two_level([1], 1.0, 1.0)), [[False]]),
+    (lambda: sbm.sample(two_level([3, 2], 0.0, 0.0)), [[False, False], [False, False]]),
+]
+SPLIT_IDS = ["sweep-dense", "all-dense", "fig5", "three-blocks-empty-and-zero-diagonal", "dense-off-diagonal-only",
+             "one-pair", "one-node", "no-edges"]
+
+
+def complete_from_pairs():
+    return sbm.Network([6], list(itertools.combinations(range(6), 2)))
+
+
+def block_counts(net):
+    """(edges, pairs) per block (r, s) of net, read from its adjacency."""
+    cuts = np.cumsum((0, *net.community_sizes))
+    sizes = np.diff(cuts)
+    adj = net.adjacency.toarray()
+    edges = np.add.reduceat(np.add.reduceat(adj, cuts[:-1], axis=0), cuts[:-1], axis=1)
+    pairs = np.outer(sizes, sizes)
+    np.fill_diagonal(edges, edges.diagonal() / 2)
+    np.fill_diagonal(pairs, sizes * (sizes - 1) // 2)
+    return edges, pairs
+
+
+class TestSplitProduct:
+    @pytest.mark.parametrize("build", [build for build, _ in SPLIT_CASES] + [complete_from_pairs],
+                             ids=SPLIT_IDS + ["from-pairs"])
+    def test_product_matches_the_adjacency(self, build):
+        net = build()
+        rng = np.random.default_rng(net.n)
+        for x in (rng.standard_normal(net.n), rng.standard_normal((net.n, 3))):
+            want = net.adjacency @ x
+            got = net.product(x)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("build, dense", SPLIT_CASES, ids=SPLIT_IDS)
+    def test_dense_blocks_and_their_complement(self, build, dense):
+        net = build()
+        edges, pairs = block_counts(net)
+        assert net.dense_blocks.tolist() == dense == (2 * edges > pairs).tolist()
+        if not np.any(dense):
+            assert net.split is net.adjacency
+            return
+        # M + R is the adjacency, entry by entry, with R = 1 on the dense blocks
+        member = np.repeat(np.arange(len(net.community_sizes)), net.community_sizes)
+        block_constant = net.dense_blocks[member[:, None], member[None, :]].astype(float)
+        assert np.array_equal(net.split.toarray() + block_constant, net.adjacency.toarray())
+        assert net.split.has_sorted_indices
+        # an entry per edge of a sparse block and per non-edge of a dense one, each pair of a
+        # diagonal block stored twice, and the diagonal of a dense diagonal block
+        stored = np.where(dense, pairs - edges, edges)
+        diagonal = sum(size for size, d in zip(net.community_sizes, np.diag(dense)) if d)
+        assert net.split.nnz == stored.sum() + np.trace(stored) + diagonal
+
+    def test_networks_from_pairs_keep_one_matrix(self):
+        # no block of a network built from pairs is stored as its complement, however full
+        net = complete_from_pairs()
+        assert net.dense_blocks.tolist() == [[False]]
+        assert net.split is net.adjacency
+
+    @pytest.mark.parametrize("build, dense", SPLIT_CASES[:5], ids=SPLIT_IDS[:5])
+    def test_chunked_sampling_gives_the_same_split(self, monkeypatch, build, dense):
+        whole = build()
+        monkeypatch.setattr(sbm, "_CHUNK_DRAWS", 37)
+        chunked = build()
+        assert np.array_equal(chunked.dense_blocks, whole.dense_blocks)
+        for field in ("indptr", "indices", "data"):
+            assert getattr(chunked.split, field).tobytes() == getattr(whole.split, field).tobytes(), field
 
 
 class TestNetworkValidation:

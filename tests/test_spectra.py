@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from netconsensus import sbm, spectra
+from netconsensus import consensus, sbm, spectra
 
 
 def complete_graph(n):
@@ -112,14 +112,26 @@ def test_deflated_walk_operator_moves_only_the_top_eigenvalue(shift):
 
 def test_self_loop_operator_is_the_symmetrized_mixing_matrix():
     # push-sum's M = (A + I) D'^-1 is D'^1/2 S D'^-1/2 with S the loops = 1 operator at shift 0
-    from netconsensus import gossip
+    from test_gossip import mixing_matrix
 
     net = sample_two_level([20, 20], 0.5, 0.1, seed=3)
     op = spectra.deflated_walk_operator(net, 0.0, loops=1.0)
     matrix = np.column_stack([op.matvec(col) for col in np.eye(net.n)])
     sqrt_dp = np.sqrt(net.degrees + 1.0)
-    mix = gossip.mixing_matrix(net).toarray()
+    mix = mixing_matrix(net).toarray()
     assert matrix == pytest.approx(mix * sqrt_dp[None, :] / sqrt_dp[:, None], abs=1e-15)
+
+
+@pytest.mark.parametrize("loops", [0.0, 1.0])
+def test_walk_operator_of_a_network_with_dense_blocks(loops):
+    # the operator applies A through the split product: compare with D'^-1/2 (A + loops I) D'^-1/2 built densely
+    net = sample_two_level([20, 20], 0.9, 0.1, seed=3)
+    assert net.dense_blocks.tolist() == [[True, False], [False, True]]
+    op = spectra.deflated_walk_operator(net, 0.0, loops=loops)
+    matrix = np.column_stack([op.matvec(col) for col in np.eye(net.n)])
+    inv_sqrt_dp = 1.0 / np.sqrt(net.degrees + loops)
+    want = (net.adjacency.toarray() + loops * np.eye(net.n)) * inv_sqrt_dp[:, None] * inv_sqrt_dp[None, :]
+    assert matrix == pytest.approx(want, abs=1e-15)
 
 
 def test_lanczos_basis_fits_above_sixteen_and_four_per_mode(monkeypatch):
@@ -174,6 +186,36 @@ class TestLambda2Fast:
         net = sample_two_level([100, 100], 0.2, 0.05, seed=9)
         with pytest.raises(spectra.EigensolverError, match="iterations"):
             spectra.lambda2_only(net)
+
+
+# (model, second_mode_positive): the two-block slow mode, the fast modes of an all-dense
+# network, and the negative end of a near-bipartite one
+WALK_MODELS = [
+    (sbm.make_two_level_model([60, 40], sbm.TwoLevelProbs(0.8, 0.02), 1), True),
+    (sbm.make_two_level_model([60, 40], sbm.TwoLevelProbs(0.9, 0.9), 2), False),
+    (sbm.SbmModel((60, 40), np.array([[0.01, 0.3], [0.3, 0.01]]), 3), False),
+]
+
+
+@pytest.mark.parametrize("model, positive", WALK_MODELS, ids=["two-block", "all-dense", "near-bipartite"])
+def test_consensus_run_values_match_the_dense_spectrum(model, positive):
+    # what cli consensus reports: lambda2 from the run's tail where it has it, else
+    # lambda2_only, and |mu2| from one largest-magnitude solve
+    net, _ = sbm.sample_connected(model)
+    dense = spectra.normalized_laplacian_spectrum(net)
+    assert dense.second_mode_positive is positive
+    assert spectra.mu2_abs_only(net) == pytest.approx(dense.mu2_abs, abs=1e-8)
+    run = consensus.run(net, consensus.random_initial_state(net.n, model.seed), 1e-10)
+    # only the two-block run keeps a certified tail with a positive leading mode
+    assert (run.lambda2 is not None) is (model is WALK_MODELS[0][0])
+    lambda2 = spectra.lambda2_only(net) if run.lambda2 is None else run.lambda2
+    assert lambda2 == pytest.approx(dense.lambda2, abs=1e-8)
+
+
+def test_mu2_abs_of_a_tiny_network_is_the_dense_value():
+    # K4's walk eigenvalues are 1 and -1/3 three times; no Lanczos basis fits four nodes
+    net = complete_graph(4)
+    assert spectra.mu2_abs_only(net) == spectra.normalized_laplacian_spectrum(net).mu2_abs == pytest.approx(1 / 3)
 
 
 def three_cliques(m, bridges):
