@@ -403,9 +403,12 @@ def cli(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     func = flags.pop("func")
     try:
-        settings = json.loads(Path(flags["config"]).read_text()) if flags["config"] else {}
-        if not isinstance(settings, dict):
-            raise ValueError(f"{flags['config']}: config must be a flat JSON object")
+        try:
+            settings = json.loads(Path(flags["config"]).read_text()) if flags["config"] else {}
+            if not isinstance(settings, dict):
+                raise ValueError("config must be a flat JSON object")
+        except ValueError as exc:  # not JSON, or not an object
+            raise ValueError(f"{flags['config']}: {exc}") from None
         unknown = [key for key in settings if key not in _SETTINGS]
         if unknown:
             raise ValueError(f"{flags['config']}: unknown setting(s) {', '.join(map(repr, unknown))}")

@@ -2,13 +2,12 @@
 
 A block model is specified by community sizes, a symmetric edge-probability
 matrix, and an RNG seed. Sampling draws every unordered node pair once as an
-independent Bernoulli variable and returns an undirected simple graph held as
-its CSR adjacency, with nodes grouped contiguously by community. The sampler
-builds that adjacency straight from its draws; node pairs are checked only
-where a network is built from an edge list (Network, load_edge_list). From
-the same draws it builds the split A = M + R that Network.product multiplies
-with: each block drawn with more edges than non-edges is stored as its
-complement, so a product walks the fewer of the two.
+independent Bernoulli variable. A network, sampled or read from an edge list,
+is built one way: from the boolean upper triangle of its edges one builder
+reads its CSR adjacency, nodes grouped contiguously by community, and the
+split A = M + R that Network.product multiplies with, which stores each block
+with more edges than non-edges as its complement, so a product walks the
+fewer of the two.
 """
 
 from __future__ import annotations
@@ -99,67 +98,99 @@ class SbmModel:
         return SbmModel(self.community_sizes, self.edge_probs, int(seed))
 
 
+class _PairError(ValueError):
+    """A node pair that Network rejects, named by its index among the pairs and its values."""
+
+    def __init__(self, edges, index, why):
+        super().__init__(f"pair {index} ({edges[index, 0]}, {edges[index, 1]}): {why}")
+        self.index = index
+
+
 class Network:
     """Undirected simple graph, built whole and not changed after.
 
-    A network is its community sizes and its adjacency. Nodes are 0..n-1 with
-    n = sum(community_sizes), grouped contiguously by community in size
-    order. The constructor takes node pairs in any order and orientation and
-    rejects self-edges, out-of-range endpoints and duplicates; sample builds
-    its networks from the draws and skips those checks. adjacency is the
-    symmetric CSR matrix with 0/1 float entries and sorted indices; edges
-    reads from it a fresh (i, j)-sorted (m, 2) int64 array of pairs i < j;
-    connected is True iff one breadth-first search from node 0 reaches all n nodes.
+    Nodes are 0..n-1, n = sum(community_sizes), grouped contiguously by
+    community in size order. The constructor takes node pairs in any order and
+    orientation and rejects the first self-edge, out-of-range endpoint or
+    repeated pair. adjacency is the symmetric CSR matrix with 0/1 float entries
+    and sorted indices; edges reads from it a fresh (i, j)-sorted (m, 2) int64
+    array of pairs i < j; connected is True iff one breadth-first search from
+    node 0 reaches all n nodes.
 
-    product(x) is adjacency @ x from the split A = M + R, which stores a dense
-    block as its complement. dense_blocks[r, s] marks the blocks that sample
-    drew with more edges than non-edges. split is M: +1 at the edges of the
-    other blocks and -1 at the non-edges of the dense ones, the diagonal of a
-    dense diagonal block included. R is block-constant,
-    (R x)_r = sum over dense (r, s) of 1^T x_s. A network without a dense
-    block, every network built from pairs among them, has split = adjacency.
+    product(x) is adjacency @ x from A = M + R, which stores each dense block,
+    one with more edges than non-edges (dense_blocks[r, s]), as its complement.
+    split is M: +1 at the edges of the other blocks, -1 at the non-edges of the
+    dense ones and on the diagonal of a dense diagonal block; without a dense
+    block it is adjacency. R is block-constant, (R x)_r = sum over dense (r, s)
+    of 1^T x_s.
     """
 
     __slots__ = ("n", "degrees", "community_sizes", "adjacency", "connected", "split", "dense_blocks", "_starts")
 
     def __init__(self, community_sizes, edges):
-        # scipy loads with the first network, so commands that build none do not pay for it
-        from scipy import sparse
-
         community_sizes = tuple(int(c) for c in community_sizes)
         if not community_sizes or min(community_sizes) < 1:
             raise ValueError(f"community sizes must be a nonempty list of sizes >= 1, got {community_sizes}")
         n = sum(community_sizes)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
-        if (lo == hi).any():
-            raise ValueError("self-edges are not allowed")
-        if (lo < 0).any() or (hi >= n).any():
-            raise ValueError("edge endpoint out of range")
-        # the COO-to-CSR conversion orders each row and merges a repeated pair into one entry
-        upper = sparse.csr_matrix((np.ones(len(edges)), (lo, hi)), shape=(n, n))
-        if upper.nnz < len(edges):
-            raise ValueError("duplicate edges are not allowed")
-        del lo, hi  # freed before the symmetric sum, the constructor's peak memory
-        self._hold(community_sizes, upper + upper.T)
+        for bad, why in ((lo == hi, "self-edges are not allowed"),
+                         ((lo < 0) | (hi >= n), f"edge endpoint out of range 0..{n - 1}")):
+            if bad.any():
+                raise _PairError(edges, np.argmax(bad), why)
+        self._hold(community_sizes, lambda upper: np.put(upper, lo * n + hi, True))
+        if self.num_edges < len(edges):  # a repeated pair sets no new entry
+            first = np.unique(lo * n + hi, return_index=True)[1]  # where each pair first appears
+            raise _PairError(edges, np.setdiff1d(np.arange(len(edges)), first)[0], "duplicate edges are not allowed")
 
-    def _hold(self, community_sizes, adjacency, split=None, dense_blocks=None) -> None:
-        """Set every field from the sizes, the symmetric adjacency and its split (none: no dense
-        block); both ways of building a network end here."""
+    def _hold(self, community_sizes, fill) -> None:
+        """Set every field from the sizes and the strictly upper-triangular boolean (n, n) array of
+        the edges, set by fill(upper); both ways of building a network end here. The array is filled
+        in place to the symmetric adjacency, read in chunks of rows, and freed before the join."""
         from scipy.sparse.csgraph import breadth_first_order
 
-        self.n = adjacency.shape[0]
+        n, k = sum(community_sizes), len(community_sizes)
+        upper = np.zeros((n, n), dtype=bool)
+        fill(upper)
+        offsets = np.cumsum((0, *community_sizes)).tolist()
+        dense = np.zeros((k, k), dtype=bool)
+        adj_parts, split_parts = [], []  # (row counts, column indices) per chunk of rows
+        chunk = max(1, _CHUNK_DRAWS // n)
+        for r, nr in enumerate(community_sizes):
+            # the blocks (r, s >= r), as filled; a block (r, s < r) was counted at row community s
+            for s in range(r, k):
+                edges = np.count_nonzero(upper[offsets[r]:offsets[r + 1], offsets[s]:offsets[s + 1]])
+                pairs = nr * (nr - 1) // 2 if r == s else nr * community_sizes[s]
+                dense[r, s] = dense[s, r] = 2 * edges > pairs
+            flip = np.repeat(dense[r], community_sizes) if dense[r].any() else None  # the dense columns of rows r
+            for i0 in range(offsets[r], offsets[r + 1], chunk):
+                i1 = min(i0 + chunk, offsets[r + 1])
+                rows = upper[i0:i1]
+                # the columns above the chunk (upper is zero below), copied compact: ~7x faster at n = 7000
+                rows[:, :i1] |= np.ascontiguousarray(upper[:i1, i0:i1]).T
+                adj_parts.append(_row_nonzeros(rows))
+                # a dense block's non-edges, its diagonal included
+                split_parts.append(adj_parts[-1] if flip is None else _row_nonzeros(rows ^ flip))
+        del upper, rows  # the final join is a dense network's peak memory
+        split = None
+        if dense.any():
+            split = _csr(n, split_parts)
+            # M's entries in the dense blocks are their non-edges: -1
+            for r in range(k):
+                entries = slice(split.indptr[offsets[r]], split.indptr[offsets[r + 1]])
+                split.data[entries][np.repeat(dense[r], community_sizes)[split.indices[entries]]] = -1.0
+        adjacency = _csr(n, adj_parts)
+        self.n = n
         self.community_sizes = community_sizes
         self.adjacency = adjacency
         self.degrees = np.diff(adjacency.indptr).astype(np.int64)
         self.degrees.flags.writeable = False
-        k = len(community_sizes)
-        self.dense_blocks = np.zeros((k, k), dtype=bool) if split is None else dense_blocks
+        self.dense_blocks = dense
         self.dense_blocks.flags.writeable = False
         self.split = adjacency if split is None else split
         self._starts = None if split is None else np.cumsum((0, *community_sizes[:-1]))
         # the matrix is symmetric, so a directed search finds the undirected component
-        self.connected = len(breadth_first_order(adjacency, 0, return_predecessors=False)) == self.n
+        self.connected = len(breadth_first_order(adjacency, 0, return_predecessors=False)) == n
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """adjacency @ x for a vector (n,) or a block (n, c), as M x + R x."""
@@ -217,69 +248,29 @@ def sample(model: SbmModel) -> Network:
     """Draw one network from the model, deterministically per (model, seed).
 
     Each unordered pair (i, j), i != j, is an independent Bernoulli variable
-    with probability Pi[c_i, c_j]. No self-edges. The draws of block (r, s),
-    s >= r, are kept as a boolean array D_rs (strictly upper-triangular for
-    s == r), and the block is dense when it drew more edges than non-edges.
-    The rows of community r are then [D_sr.T for s < r | D_rr | D_rr.T |
-    D_rs for s > r], and their nonzeros, read row by row, are the CSR indices
-    in sorted order. The same rows with their dense columns flipped give the
-    split's M (Network), whose flipped entries are -1. A block is freed once
-    both of its row communities are read.
+    with probability Pi[c_i, c_j]. No self-edges. The draws of each block
+    (r, s), s >= r, fill its part of the upper triangle Network builds from.
     """
     rng = np.random.default_rng(model.seed)
     sizes = model.community_sizes
-    k = len(sizes)
     offsets = np.cumsum((0, *sizes)).tolist()
-    n = offsets[-1]
-    blocks = {}  # (r, s) -> D_rs; a block at probability 0 has no entry
-    dense = np.zeros((k, k), dtype=bool)
-    adj_parts, split_parts = [], []  # (row counts, column indices) per chunk of rows
-    for r in range(k):
-        nr = sizes[r]
-        for s in range(r, k):
-            p = float(model.edge_probs[r, s])
-            if p == 0.0:
-                continue
-            ns = sizes[s]
-            blocks[r, s] = np.empty((nr, ns), dtype=bool)
-            chunk = max(1, _CHUNK_DRAWS // ns)
-            for i0 in range(0, nr, chunk):
-                draws = blocks[r, s][i0:i0 + chunk]
-                np.less(rng.random(draws.shape), p, out=draws)
-                if r == s:
-                    # keep strictly upper-triangular pairs only
-                    draws &= np.arange(ns)[None, :] > (i0 + np.arange(len(draws)))[:, None]
-            pairs = nr * (nr - 1) // 2 if r == s else nr * ns
-            dense[r, s] = dense[s, r] = 2 * np.count_nonzero(blocks[r, s]) > pairs
-        flip = np.repeat(dense[r], sizes) if dense[r].any() else None  # the dense columns of rows r
-        chunk = max(1, _CHUNK_DRAWS // n)
-        for i0 in range(0, nr, chunk):
-            i1 = min(i0 + chunk, nr)
-            rows = np.zeros((i1 - i0, n), dtype=bool)
-            for s in range(k):
-                part = rows[:, offsets[s]:offsets[s + 1]]
-                if s < r and (s, r) in blocks:
-                    part[...] = blocks[s, r][:, i0:i1].T
-                elif s == r and (r, r) in blocks:
-                    np.logical_or(blocks[r, r][i0:i1], blocks[r, r][:, i0:i1].T, out=part)
-                elif s > r and (r, s) in blocks:
-                    part[...] = blocks[r, s][i0:i1]
-            adj_parts.append(_row_nonzeros(rows))
-            if flip is not None:
-                rows ^= flip  # a dense block's non-edges, its diagonal included
-            split_parts.append(adj_parts[-1] if flip is None else _row_nonzeros(rows))
-        for s in range(r + 1):
-            blocks.pop((s, r), None)
-    split = None
-    if dense.any():
-        split = _csr(n, split_parts)
-        # M's entries in the dense blocks are their non-edges: -1
-        for r in range(k):
-            rows = slice(split.indptr[offsets[r]], split.indptr[offsets[r + 1]])
-            split.data[rows][np.repeat(dense[r], sizes)[split.indices[rows]]] = -1.0
-    adjacency = _csr(n, adj_parts)
+
+    def draw(upper):
+        for r in range(len(sizes)):
+            for s in range(r, len(sizes)):
+                p = float(model.edge_probs[r, s])
+                if p == 0.0:
+                    continue
+                block = upper[offsets[r]:offsets[r + 1], offsets[s]:offsets[s + 1]]
+                chunk = max(1, _CHUNK_DRAWS // sizes[s])
+                for i0 in range(0, sizes[r], chunk):
+                    draws = block[i0:i0 + chunk]
+                    np.less(rng.random(draws.shape), p, out=draws)
+                    if r == s:  # strictly upper-triangular pairs only
+                        draws &= np.arange(sizes[s])[None, :] > (i0 + np.arange(len(draws)))[:, None]
+
     net = Network.__new__(Network)  # the draws need none of the constructor's pair checks
-    net._hold(sizes, adjacency, split, dense)
+    net._hold(sizes, draw)
     return net
 
 
@@ -307,7 +298,7 @@ def _csr(n, parts):
     np.cumsum(np.concatenate([counts for counts, _ in parts]), out=indptr[1:])
     indices = np.concatenate([cols for _, cols in parts])
     parts.clear()
-    # scipy stores indptr as int32 when it fits, as it does for the constructor's sum
+    # scipy stores indptr as int32 when it fits
     return sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
 
@@ -380,12 +371,16 @@ def load_edge_list(path) -> Network:
         n, k, *sizes = ints(header, 1)
         if len(sizes) != k or sum(sizes) != n:
             raise ValueError(f"{path}:1: header sizes inconsistent with n={n}, K={k}")
-        pairs = []
+        pairs = []  # i, j and the line of each pair, flat
         for lineno, line in enumerate(fh, start=2):
             toks = line.split()
             if not toks:
                 continue
             if len(toks) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'i j', got {line!r}")
-            pairs.append(ints(toks, lineno))
-    return Network(sizes, pairs)
+            pairs += [*ints(toks, lineno), lineno]
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 3)  # the list, ~5x its bytes, is freed before the build
+    try:
+        return Network(sizes, pairs[:, :2])
+    except ValueError as exc:  # a pair's line, else the header's community sizes
+        raise ValueError(f"{path}:{pairs[exc.index, 2] if isinstance(exc, _PairError) else 1}: {exc}") from None

@@ -82,6 +82,19 @@ def test_spectrum_net_rejects_json_naming_the_file(tmp_path, capsys):
     assert f"{path}:1:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, where", [
+    ("3 1 3\n0 1\n1 5\n", "3: pair 1 (1, 5): edge endpoint out of range 0..2"),
+    ("3 1 3\n1 1\n", "2: pair 0 (1, 1): self-edges are not allowed"),
+    ("3 1 3\n0 1\n\n1 0\n", "4: pair 1 (1, 0): duplicate edges are not allowed"),
+    ("3 2 0 3\n1 2\n", "1: community sizes must be a nonempty list of sizes >= 1, got (0, 3)"),
+], ids=["out-of-range", "self-edge", "duplicate", "empty-community"])
+def test_spectrum_net_names_the_rejected_line(tmp_path, capsys, text, where):
+    path = tmp_path / "net.txt"
+    path.write_text(text)
+    assert cli(["spectrum", "--net", str(path), "--out", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{where}\n"
+
+
 def test_predict_with_config_file(tmp_path):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(json.dumps({"sizes": [40, 40], "p_in": 0.5, "p_out": 0.1, "seed": 2}))
@@ -363,6 +376,19 @@ def test_config_rejects_unknown_setting(tmp_path, capsys):
     cfg.write_text(json.dumps({"max_round": 3, "colour": "red"}))
     assert cli(["consensus", *GADGET_MODEL, "--config", str(cfg), "--max-rounds", "3", "--out", str(tmp_path / "o")]) == 1
     assert f"error: {cfg}: unknown setting(s) 'max_round', 'colour'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "Expecting value: line 1 column 1 (char 0)"),
+    ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("[1]", "config must be a flat JSON object"),
+], ids=["empty", "unclosed", "list"])
+def test_config_that_is_not_a_json_object_names_the_file(tmp_path, capsys, text, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
     assert not (tmp_path / "o").exists()
 
 

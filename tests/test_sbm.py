@@ -330,6 +330,22 @@ class TestConstructionOracles:
         assert adjacency_digest(net) == digest
         assert_matches_oracles(net, net.edges)
 
+    @pytest.mark.parametrize("chunk", [sbm._CHUNK_DRAWS, 37], ids=["whole", "chunked"])
+    @pytest.mark.parametrize("model, connected, digest", SAMPLED_MODELS, ids=SAMPLED_IDS)
+    def test_reloaded_network_is_the_sampled_one(self, tmp_path, monkeypatch, model, connected, digest, chunk):
+        # sample and the edge list's pairs fill one builder, so they give the same network, split included
+        monkeypatch.setattr(sbm, "_CHUNK_DRAWS", chunk)
+        net = sbm.sample(model)
+        reordered_edge_list(net, tmp_path / "net.txt", model.seed)
+        back = sbm.load_edge_list(tmp_path / "net.txt")
+        for name in ("adjacency", "split"):
+            for field in ("indptr", "indices", "data"):
+                got, want = getattr(getattr(back, name), field), getattr(getattr(net, name), field)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, field)
+        assert back.dense_blocks.tolist() == net.dense_blocks.tolist()
+        assert np.array_equal(back.degrees, net.degrees)
+        assert back.connected is net.connected is connected
+
     @pytest.mark.parametrize("sizes, connected", [([1], True), ([3, 2], False)], ids=["n=1", "no-edges"])
     def test_networks_without_edges(self, sizes, connected):
         net = sbm.Network(sizes, [])
@@ -345,7 +361,11 @@ class TestConstructionOracles:
         assert net.edges.tolist() == [[0, 1], [0, 2], [2, 3]]
 
 
-# (sampled network, its dense blocks) for the split product's oracles
+def complete_from_pairs():
+    return sbm.Network([6], list(itertools.combinations(range(6), 2)))
+
+
+# (network, its dense blocks) for the split product's oracles
 SPLIT_CASES = [
     (lambda: sbm.sample(two_level([700, 300], 0.9, 0.002, seed=6)), [[True, False], [False, True]]),
     (lambda: sbm.sample(two_level([700, 300], 0.9, 0.9, seed=6)), [[True, True], [True, True]]),
@@ -360,13 +380,11 @@ SPLIT_CASES = [
     (lambda: sbm.sample(two_level([2], 1.0, 1.0)), [[True]]),
     (lambda: sbm.sample(two_level([1], 1.0, 1.0)), [[False]]),
     (lambda: sbm.sample(two_level([3, 2], 0.0, 0.0)), [[False, False], [False, False]]),
+    # built from pairs, as an edge list is: its full block is stored as its complement too
+    (complete_from_pairs, [[True]]),
 ]
 SPLIT_IDS = ["sweep-dense", "all-dense", "fig5", "three-blocks-empty-and-zero-diagonal", "dense-off-diagonal-only",
-             "one-pair", "one-node", "no-edges"]
-
-
-def complete_from_pairs():
-    return sbm.Network([6], list(itertools.combinations(range(6), 2)))
+             "one-pair", "one-node", "no-edges", "from-pairs"]
 
 
 def block_counts(net):
@@ -382,8 +400,7 @@ def block_counts(net):
 
 
 class TestSplitProduct:
-    @pytest.mark.parametrize("build", [build for build, _ in SPLIT_CASES] + [complete_from_pairs],
-                             ids=SPLIT_IDS + ["from-pairs"])
+    @pytest.mark.parametrize("build", [build for build, _ in SPLIT_CASES], ids=SPLIT_IDS)
     def test_product_matches_the_adjacency(self, build):
         net = build()
         rng = np.random.default_rng(net.n)
@@ -412,12 +429,6 @@ class TestSplitProduct:
         diagonal = sum(size for size, d in zip(net.community_sizes, np.diag(dense)) if d)
         assert net.split.nnz == stored.sum() + np.trace(stored) + diagonal
 
-    def test_networks_from_pairs_keep_one_matrix(self):
-        # no block of a network built from pairs is stored as its complement, however full
-        net = complete_from_pairs()
-        assert net.dense_blocks.tolist() == [[False]]
-        assert net.split is net.adjacency
-
     @pytest.mark.parametrize("build, dense", SPLIT_CASES[:5], ids=SPLIT_IDS[:5])
     def test_chunked_sampling_gives_the_same_split(self, monkeypatch, build, dense):
         whole = build()
@@ -430,22 +441,25 @@ class TestSplitProduct:
 
 class TestNetworkValidation:
     def test_self_edge_rejected(self):
-        with pytest.raises(ValueError):
-            sbm.Network([3], np.array([[1, 1]]))
+        with pytest.raises(ValueError, match=r"^pair 1 \(1, 1\): self-edges"):
+            sbm.Network([3], np.array([[0, 1], [1, 1]]))
 
     def test_duplicate_edge_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
+        # the message names the first pair that repeats an earlier one
+        with pytest.raises(ValueError, match=r"^pair 1 \(1, 0\): duplicate"):
             sbm.Network([3], np.array([[0, 1], [1, 0]]))
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match=r"^pair 2 \(0, 2\): duplicate"):
             sbm.Network([3], np.array([[2, 0], [1, 2], [0, 2]]))
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match=r"^pair 1 \(0, 1\): duplicate"):
             sbm.Network([3], np.array([[0, 1], [0, 1], [0, 1]]))
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match=r"^pair 3 \(1, 4\): duplicate"):
             sbm.Network([5], np.array([[4, 1], [0, 2], [3, 4], [1, 4]]))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^pair 0 \(0, 5\): edge endpoint out of range 0..2"):
             sbm.Network([3], np.array([[0, 5]]))
+        with pytest.raises(ValueError, match=r"^pair 1 \(-1, 2\): edge endpoint out of range"):
+            sbm.Network([3], np.array([[0, 1], [-1, 2]]))
 
     def test_sizes_not_summing_to_n_rejected(self, tmp_path):
         path = tmp_path / "net.txt"
