@@ -24,6 +24,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import sys
@@ -259,6 +260,7 @@ def _cmd_gadget(settings, out):
         "config": {**dataclasses.asdict(cfg), "seed": model.seed, "dataset": dataset_ref},
         "rounds_to_consensus": result.rounds_to_consensus,
         "censored": result.censored,
+        "tail_from": result.tail_from,
         "final_accuracy": result.test_accuracy,
         "final_objective": result.final_objective,
     })
@@ -361,8 +363,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
-    """argparse registers the flag names only; every value is read by _setting."""
+    """argparse registers the flag names only; every value is read by _setting. Built once per process."""
     parser = argparse.ArgumentParser(
         prog="netconsensus",
         description="Spectral prediction and consensus/gossip simulation over block-model networks.",
@@ -416,7 +419,8 @@ def cli(argv=None) -> int:
         out = Path(_setting(settings, "out", default="out"))
         out.mkdir(parents=True, exist_ok=True)
         return func(settings, out)
-    except (ValueError, FileNotFoundError, bench.FitError, bench.BifurcationRangeError) as exc:
+    except (ValueError, FileNotFoundError, bench.BifurcationRangeError, rmt.SupportNotFoundError,
+            spectra.EigensolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - unexpected failure path

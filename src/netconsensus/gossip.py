@@ -18,11 +18,11 @@ dev <= gap <= 2 dev, dev = max_i ||w_i - w_0||, cannot settle it.
 
 A run is push-sum rounds, then a certified slow-mode tail. Once learning
 ends, the block's sums become the mass-free deviation sums - psw w_inf from
-the conserved mean w_inf, so w_inf enters no difference of the gap. An untraced
-run still mixing spectra.SWITCH_ROUND rounds later switches, once, to the
-tail (_mixing_tail), which falls back to the loop from the switch state where
-it cannot certify a round. The loop stays for traced runs, for the learning
-rounds and as the oracle.
+the conserved mean w_inf, so w_inf enters no difference of the gap. A run,
+traced or not, still mixing spectra.SWITCH_ROUND rounds later switches, once,
+to the tail (_mixing_tail), which falls back to the loop from the switch state
+where it cannot certify a round. The loop stays for the learning rounds and as
+the oracle; a trace holds the tail's estimated gaps after tail_from.
 """
 
 from __future__ import annotations
@@ -202,11 +202,12 @@ def _gap_below(weights: np.ndarray, epsilon: float) -> bool:
     return max_pairwise_gap(weights) < epsilon
 
 
-def _mixing_tail(net: Network, pair: np.ndarray, epsilon: float, rounds: int):
+def _mixing_tail(net: Network, pair: np.ndarray, epsilon: float, rounds: int, record_trace: bool):
     """Up to rounds mixing-only rounds of the loop from the block
     pair = [dev | psw] of the deviation and the weights, from the mixing
     matrix's slow modes: (rounds run, whether the last one's gap is below
-    epsilon), or None.
+    epsilon, the estimated gap of each round run if record_trace else []),
+    or None.
 
     M = (A + I) D'^-1 with D' = D + I is similar to the symmetric S, so round
     s of the loop is M^s X = D'^1/2 S^s D'^-1/2 X. Of the start block
@@ -234,6 +235,7 @@ def _mixing_tail(net: Network, pair: np.ndarray, epsilon: float, rounds: int):
     basis = sqrt_dp[:, None] * vecs
     # F = R^T of C_dev^T = QR: x^T F is as long as x^T C_dev, in at most one coordinate per mode
     factor = np.linalg.qr(coef[:, :-1].T, mode="r").T
+    gaps = []
     for done in range(0, rounds, spectra.TAIL_BLOCK):
         s = np.arange(done + 1, min(done + spectra.TAIL_BLOCK, rounds) + 1)
         power = theta[:, None] ** s
@@ -249,6 +251,8 @@ def _mixing_tail(net: Network, pair: np.ndarray, epsilon: float, rounds: int):
         slack = 2.0 * node.max(axis=0) + epsilon * _BRACKET_MARGIN
         radius = np.linalg.norm(spread - spread[0], axis=2).max(axis=0)
         below, above = _bracket(radius, epsilon, slack)
+        if record_trace:  # spread's coordinates keep every pairwise distance
+            gaps += [max_pairwise_gap(spread[:, j]) for j in range(s.size)]
         for j in np.flatnonzero(~above):
             if not below[j]:
                 gap = max_pairwise_gap(spread[:, j])
@@ -256,8 +260,8 @@ def _mixing_tail(net: Network, pair: np.ndarray, epsilon: float, rounds: int):
                     return None
                 if gap >= epsilon:
                     continue
-            return int(s[j]), True
-    return rounds, False
+            return int(s[j]), True, gaps[:s[j]]
+    return rounds, False, gaps
 
 
 def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: int = 0,
@@ -270,9 +274,9 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
     Once learning ends, the rounds mix the deviation from the conserved mean
     w_inf instead. Stops when the max pairwise weight gap drops below epsilon,
     or reports a censored run at max_rounds. seed fixes the data split and the
-    example streams; record_trace keeps the per-round traces, and without it
-    the mixing rounds from learning_rounds + spectra.SWITCH_ROUND on may run
-    on the slow-mode tail, on a network of any size (module docstring). A
+    example streams. record_trace only keeps the per-round traces: the mixing
+    rounds from learning_rounds + spectra.SWITCH_ROUND on may run on the
+    slow-mode tail either way, on a network of any size (module docstring). A
     disconnected network or a dataset without features raises ValueError.
     """
     if not net.connected:
@@ -303,8 +307,8 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
     learning_rounds = min(cfg.learning_rounds, cfg.max_rounds)
     picks = _draw_picks(shards, rngs, learning_rounds * steps)
     block = max(1, _BLOCK_VALUES // (n * train.d))
-    # the one round at which an untraced run weighs the switch to the tail
-    switch = None if record_trace else learning_rounds + spectra.SWITCH_ROUND
+    # the one round at which a run weighs the switch to the tail
+    switch = learning_rounds + spectra.SWITCH_ROUND
     tail_from = w_inf = None
     t = 0  # learning steps taken
     for t_round in range(1, cfg.max_rounds + 1):
@@ -331,35 +335,31 @@ def run_gadget(net: Network, dataset: LabeledDataset, cfg: GadgetConfig, seed: i
             pair = _exchange(net, share, pair)
             spread = pair[:, :-1] / pair[:, -1:]  # the weights less w_inf: the same gap
         if record_trace:
-            gap = max_pairwise_gap(spread)
-            gap_trace.append(gap)
-            if learning or not obj_trace:
+            gap_trace.append(max_pairwise_gap(spread))
+            if learning or not obj_trace:  # a mixing round's values are w_inf's: padded at the end
                 w_avg = pair[:, :-1].sum(axis=0) / pair[:, -1].sum() if learning else w_inf
-                objective = hinge_objective(w_avg, X_train, y_train, cfg.nu, n)
-                acc = accuracy(w_avg, X_test, y_test)
-            obj_trace.append(objective)
-            acc_trace.append(acc)
-            done = gap < cfg.epsilon
-        else:
-            done = _gap_below(spread, cfg.epsilon)
-        if done:
+                obj_trace.append(hinge_objective(w_avg, X_train, y_train, cfg.nu, n))
+                acc_trace.append(accuracy(w_avg, X_test, y_test))
+        if _gap_below(spread, cfg.epsilon):
             rounds_done = t_round
             break
         if t_round == switch:
-            tail = _mixing_tail(net, pair, cfg.epsilon, cfg.max_rounds - t_round)
+            tail = _mixing_tail(net, pair, cfg.epsilon, cfg.max_rounds - t_round, record_trace)
             if tail is not None:
-                ran, below = tail
+                ran, below, tail_gaps = tail
                 rounds_done = t_round + ran if below else None
                 tail_from = t_round
+                gap_trace += tail_gaps
                 break
 
     if w_inf is None:  # the run ended while learning
         w_inf = pair[:, :-1].sum(axis=0) / pair[:, -1].sum()
+    pad = len(gap_trace) - len(obj_trace)
     return GadgetRun(
         rounds_to_consensus=rounds_done,
         max_pairwise_gap_trace=np.asarray(gap_trace),
-        objective_trace=np.asarray(obj_trace),
-        accuracy_trace=np.asarray(acc_trace),
+        objective_trace=np.asarray(obj_trace + obj_trace[-1:] * pad),
+        accuracy_trace=np.asarray(acc_trace + acc_trace[-1:] * pad),
         test_accuracy=accuracy(w_inf, X_test, y_test),
         final_objective=hinge_objective(w_inf, X_train, y_train, cfg.nu, n),
         final_weights=w_inf,

@@ -305,15 +305,15 @@ def _csr(n, parts):
 def sample_connected(model: SbmModel):
     """Resample with derived seeds until the network is connected.
 
-    Returns (network, attempts). Raises RuntimeError when CONNECT_TRIES
-    consecutive samples are disconnected.
+    Returns (network, attempts). Raises ValueError, as for any bad model
+    setting, when CONNECT_TRIES consecutive samples are disconnected.
     """
     seeds = np.random.SeedSequence(model.seed).generate_state(CONNECT_TRIES, dtype=np.uint64)
     for attempt, s in enumerate(seeds, start=1):
         net = sample(model.with_seed(int(s)))
         if net.connected:
             return net, attempt
-    raise RuntimeError(f"no connected sample in {CONNECT_TRIES} tries (model seed {model.seed})")
+    raise ValueError(f"no connected sample in {CONNECT_TRIES} tries (model seed {model.seed})")
 
 
 def block_matrices(model: SbmModel) -> BlockMatrices:

@@ -303,3 +303,43 @@ def test_10_reciprocal_law_dense_sweep(tmp_path):
         rho, _ = spearmanr(pred, emp)
         assert rho >= 0.9
         assert float(np.mean(np.abs(pred - emp) / emp)) <= 0.10
+
+
+def test_11_first_critical_point_on_simulated_tau(tmp_path):
+    # "there exists a critical level of community structure at which tau_eps
+    # reaches a lower bound and is no longer limited by the presence of
+    # communities": on the fig3 model, a linear delta grid straddling delta1*
+    with criterion(11, "fig3 model: tau flat below delta1*, rising above", budget_s=120):
+        settings = json.loads((CONFIGS / "fig3.cfg").read_text())
+        sizes, p_in = settings["sizes"], settings["p_in"]
+        delta1 = bench.detect_bifurcation(sizes, p_in, np.linspace(0.01, 0.09, 8).tolist())
+        grid = np.linspace(0.0, 0.07, 9)
+        assert grid[2] < delta1 < grid[-3]
+        for key in ("p_out_lo", "p_out_hi", "p_out_num"):
+            del settings[key]
+        cfg = tmp_path / "fig3-linear.cfg"
+        cfg.write_text(json.dumps({**settings, "p_out_list": (p_in - grid).tolist()}))
+        assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        with (tmp_path / "rows.csv").open(newline="") as fh:
+            rows = [{k: float(v) for k, v in rec.items()} for rec in csv.DictReader(fh)]
+        assert all(r["censored"] == 0 for r in rows)
+        below = [r for r in rows if r["delta"] < delta1]
+        above = [r for r in rows if r["delta"] > delta1]
+        taus_below = [r["tau_median"] for r in below]
+        taus_above = [r["tau_median"] for r in above]
+
+        # flat: below delta1* tau does not depend on delta, to the one-round
+        # resolution of a round count
+        assert max(taus_below) - min(taus_below) <= 1
+        # "lambda_2 generally increases (i.e., tau_eps decreases) as one
+        # decreases the extent of community structure": above delta1* tau
+        # rises with delta (test_04's rank bound) and leaves the flat band
+        rho, _ = spearmanr([r["delta"] for r in above], taus_above)
+        assert rho >= 0.9
+        assert taus_above[-1] > max(taus_below) + 1
+        # below delta1* lambda2 is pinned at the bulk edge: the predictor puts
+        # it there, and the sampled mean lies within the 10% by which
+        # test_04 and test_10 track the predicted lambda2
+        for r in below:
+            assert r["lambda2_pred"] == r["lambdaL"]
+            assert abs(r["lambda2_emp"] - r["lambdaL"]) <= 0.10 * r["lambdaL"]

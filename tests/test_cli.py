@@ -161,6 +161,20 @@ def test_gadget_run_and_trace(tmp_path):
     assert header == "round,max_pairwise_gap,objective,accuracy"
 
 
+def test_gadget_reports_the_switch_to_the_tail(tmp_path):
+    # 50 learning rounds: the run weighs the switch at round 82, takes the tail
+    # and stops at round 256, and its trace has a row for every round
+    out = tmp_path / "o"
+    assert cli(["gadget", "--sizes", "40,20", "--p-in", "0.5", "--p-out", "0.02", "--seed", "3",
+                "--dataset", "blobs:400:6:1.0:1", "--epsilon", "1e-10", "--learning-rounds", "50",
+                "--out", str(out)]) == 0
+    doc = json.loads((out / "gadget.json").read_text())
+    assert (doc["tail_from"], doc["rounds_to_consensus"]) == (50 + spectra.SWITCH_ROUND, 256)
+    trace = _csv_records(out / "gadget_trace.csv", ["round", "max_pairwise_gap", "objective", "accuracy"])
+    assert [r[0] for r in trace] == list(range(1, 257))
+    assert trace[-1][1] < 1e-10 <= trace[-2][1]
+
+
 def test_sweep_then_fit_pipeline(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(json.dumps({
@@ -526,6 +540,63 @@ def test_sweep_rejects_empty_grid(tmp_path, capsys, grid):
     assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "p_out_list is empty" in capsys.readouterr().err
     assert not (tmp_path / "o" / "rows.csv").exists()
+
+
+# settings the package cannot compute, and what the CLI says of them: no bulk
+# support, and a model no connected sample is drawn from
+MODEL_FAILURES = [
+    (["predict", "--sizes", "20,20", "--p-in", "0.01", "--p-out", "0.01"], "error: bulk support ["),
+    (["sample", "--sizes", "5,5", "--p-in", "0", "--p-out", "0", "--connected"],
+     "error: no connected sample in 100 tries"),
+    (["consensus", "--sizes", "5,5", "--p-in", "0", "--p-out", "0"], "error: no connected sample in 100 tries"),
+]
+
+
+@pytest.mark.parametrize("argv, message", MODEL_FAILURES, ids=["no-support", "sample", "consensus"])
+def test_model_failures_are_errors(tmp_path, capsys, argv, message):
+    assert cli([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "internal error" not in err
+
+
+def test_eigensolver_failure_is_an_error(tmp_path, capsys, monkeypatch):
+    import scipy.sparse.linalg
+
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def starved(*args, **kwargs):
+        return eigsh(*args, **{**kwargs, "tol": 1e-14, "maxiter": 1})
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", starved)
+    # tau is a few rounds on this model, so no tail solve runs: lambda2_only's solve fails
+    rc = cli(["consensus", "--sizes", "100,100", "--p-in", "0.2", "--p-out", "0.05", "--seed", "9",
+              "--epsilon", "1e-3", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_two_calls_build_one_parser(monkeypatch, capsys):
+    import argparse
+
+    from netconsensus import cli as cli_module
+
+    # a parser's build adds its subcommands once
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        builds.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    cli_module._build_parser.cache_clear()
+    try:
+        assert cli(["--version"]) == 0
+        assert cli(["frobnicate"]) == 2
+    finally:
+        cli_module._build_parser.cache_clear()
+    assert builds == ["netconsensus"]
 
 
 def test_bifurcation_out_of_range_is_runtime_error(tmp_path):

@@ -226,15 +226,16 @@ class TestRunGadget:
         assert gossip.max_pairwise_gap(estimates(pair)) == 0.0
 
     def test_stopping_soundness_exact_recheck(self, monkeypatch):
-        # a traced run takes each round's gap of the weights less w_inf: keep the last round's
+        # a run on the loop stop-tests each round's weights less w_inf: keep the last round's
         spreads = []
-        max_pairwise_gap = gossip.max_pairwise_gap
+        gap_below = gossip._gap_below
 
-        def recorded(weights):
+        def recorded(weights, epsilon):
             spreads.append(weights.copy())
-            return max_pairwise_gap(weights)
+            return gap_below(weights, epsilon)
 
-        monkeypatch.setattr(gossip, "max_pairwise_gap", recorded)
+        monkeypatch.setattr(gossip, "_gap_below", recorded)
+        monkeypatch.setattr(gossip, "_mixing_tail", lambda *args: None)
         model = sbm.make_two_level_model([10, 15], sbm.TwoLevelProbs(0.8, 0.3), 2)
         ds = data.make_blobs(400, 6, margin=2.0, seed=3)
         cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-10, max_rounds=20_000, learning_rounds=50)
@@ -708,8 +709,10 @@ def test_uncertified_round_falls_back_to_the_loop(monkeypatch):
     assert run_outputs(fallback) == run_outputs(loop)
 
 
-@pytest.mark.parametrize("learning, trace", [(30, True), (None, False), (None, True)])
-def test_traced_and_always_learning_runs_stay_on_the_loop(monkeypatch, learning, trace):
+@pytest.mark.parametrize("learning, trace", [(30, True), (30, False), (None, False), (None, True)])
+def test_runs_that_end_before_the_switch_stay_on_the_loop(monkeypatch, learning, trace):
+    # a run of 30 learning rounds stops at round 52, before the switch at 62; a
+    # run that learns on every round never reaches the switch
     def refuse(*args):
         raise AssertionError("entered the tail")
 
@@ -717,6 +720,41 @@ def test_traced_and_always_learning_runs_stay_on_the_loop(monkeypatch, learning,
     run = per_node_model_run(1, learning, trace, 1e-9 if learning else 1e-2)
     assert run.tail_from is None
     assert run.rounds_to_consensus == (52 if learning else LEARNING_EVERY_ROUND[1][0])
+
+
+def test_traced_run_past_the_switch_records_the_tail():
+    # TWO_COMMUNITY_RUNS's sparse model: 256 rounds, 174 of them on the tail
+    net, _ = sbm.sample_connected(sbm.make_two_level_model([40, 20], sbm.TwoLevelProbs(0.5, 0.02), 3))
+    ds = data.make_blobs(400, 6, 1.0, seed=1)
+    cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-10, learning_rounds=50)
+    untraced = gossip.run_gadget(net, ds, cfg, seed=3, record_trace=False)
+    slacks = []
+    bracket = gossip._bracket
+
+    def spy(dev, epsilon, slack):
+        if np.ndim(slack):  # a block of the tail's rounds; the loop's stop test passes one float
+            slacks.extend(slack)
+        return bracket(dev, epsilon, slack)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gossip, "_bracket", spy)
+        traced = gossip.run_gadget(net, ds, cfg, seed=3)
+    with pytest.MonkeyPatch.context() as mp:
+        loop_only(mp)
+        loop = gossip.run_gadget(net, ds, cfg, seed=3)
+    start = switch_round(50)
+    assert traced.tail_from == untraced.tail_from == start and loop.tail_from is None
+    assert traced.rounds_to_consensus == untraced.rounds_to_consensus == loop.rounds_to_consensus == 256
+    assert traced.final_weights.tobytes() == untraced.final_weights.tobytes()
+    assert (traced.test_accuracy, traced.final_objective) == (untraced.test_accuracy, untraced.final_objective)
+    for got, want in ((traced.objective_trace, loop.objective_trace), (traced.accuracy_trace, loop.accuracy_trace)):
+        assert got.tobytes() == want.tobytes()
+    gaps, exact = traced.max_pairwise_gap_trace, loop.max_pairwise_gap_trace
+    assert len(gaps) == len(exact) == 256
+    assert gaps[:start].tobytes() == exact[:start].tobytes()
+    slack = np.array(slacks[:256 - start])
+    assert np.all(np.abs(gaps[start:] - exact[start:]) <= slack)
+    assert not np.array_equal(gaps[start:], exact[start:])
 
 
 def test_tail_node_bound_covers_the_psw_remainder(monkeypatch):
@@ -743,17 +781,21 @@ def test_tail_node_bound_covers_the_psw_remainder(monkeypatch):
     monkeypatch.setattr(gossip, "_bracket", spy)
     rounds = 40
     # an epsilon no gap reaches: the tail runs every round on its estimates
-    assert gossip._mixing_tail(net, stacked(dev, psw), 1e-300, rounds) == (rounds, False)
+    ran, below, gaps = gossip._mixing_tail(net, stacked(dev, psw), 1e-300, rounds, True)
+    assert (ran, below, len(gaps)) == (rounds, False, rounds)
     (radius, slack), = brackets
     mix = mixing_matrix(net).toarray().astype(np.longdouble)
-    x, w, exact = dev.astype(np.longdouble), psw.astype(np.longdouble), []
+    x, w, exact, exact_gaps = dev.astype(np.longdouble), psw.astype(np.longdouble), [], []
     for _ in range(rounds):
         x, w = mix @ x, mix @ w
         spread = x / w[:, None]
         exact.append(np.sqrt(((spread - spread[0]) ** 2).sum(axis=1).max()))
-    miss = np.abs(np.asarray(exact, dtype=float) - radius)
-    assert miss[0] > 1e-9 * radius[0]
-    assert np.all(miss <= slack)
+        exact_gaps.append(np.sqrt(((spread[:, None] - spread[None]) ** 2).sum(axis=-1).max()))
+    # the largest distance to node 0, and the largest pairwise one, of the estimates
+    for estimate, want in ((radius, exact), (np.array(gaps), exact_gaps)):
+        miss = np.abs(np.asarray(want, dtype=float) - estimate)
+        assert miss[0] > 1e-9 * estimate[0]
+        assert np.all(miss <= slack)
 
 
 def test_censored_tail_reports_the_last_round():
