@@ -17,7 +17,9 @@ modes' Ritz pairs, and a bound on what they miss certifies each round's side
 of epsilon. With one slow mode (two communities) the product is one row: the
 node of largest |mode| holds the sup-norm peak of every round. Where there are
 no such pairs (a tiny network) or it cannot certify a round, the loop continues
-from the switch state; it stays the fallback and the oracle. A run whose tail
+from the switch state; it stays the fallback and the oracle, unless the network
+is bipartite and its start's part on the walk's eigenvalue -1 keeps every round
+above epsilon, which ends the run censored at the switch round. A run whose tail
 certified reads lambda2 from that solve where it holds it (ConsensusRun), so a
 caller need not solve the same operator again.
 """
@@ -58,10 +60,13 @@ class ConsensusRun:
     """Trajectory summary of one consensus run.
 
     x_star is the common value of the attracting fixed point (the pi-weighted
-    mean of x0). tau_eps is None when the run was censored at max_rounds.
-    error_trace[t] is the relative sup-norm error after t rounds; after
-    tail_from, the round at which the run switched to the slow-mode tail
-    (None when every round ran on the loop), it holds the tail's estimates.
+    mean of x0). tau_eps is None when the run was censored at max_rounds, or
+    at the switch round on a bipartite network whose eigenvalue -1 keeps the
+    error above epsilon for ever (_stuck); rounds is then that round, where
+    the run stopped. error_trace[t], t = 0..rounds, is the relative sup-norm
+    error after t rounds; after tail_from, the round at which the run switched
+    to the slow-mode tail (None when every round ran on the loop), it holds the
+    tail's estimates.
     lambda2 is 1 - max(theta) over the Ritz values theta of the deflated walk
     operator that the tail's Lanczos solve found (spectra.slow_modes). That
     solve finds the largest-magnitude values, so a positive maximum is the
@@ -137,6 +142,8 @@ def run(net: Network, x0, epsilon: float, max_rounds: int = GadgetConfig.max_rou
                     tau, rounds, tail_errors, top = tail
                     return ConsensusRun(x_star=x_star, tau_eps=tau, error_trace=np.asarray(errors + tail_errors),
                                         rounds=rounds, tail_from=t, lambda2=1.0 - top if top > 0 else None)
+                if _stuck(net, pi, e) / denom - epsilon > MARGIN * epsilon:
+                    return ConsensusRun(x_star=x_star, tau_eps=None, error_trace=np.asarray(errors), rounds=t)
     return ConsensusRun(x_star=x_star, tau_eps=None, error_trace=np.asarray(errors), rounds=max_rounds)
 
 
@@ -182,6 +189,22 @@ def _tail(net: Network, e, t0: int, epsilon: float, denom: float, max_rounds: in
             elif t - above > CONFIRM_WINDOW:
                 return above + 1, t, errors, top
     return None, max_rounds, errors, top
+
+
+def _stuck(net: Network, pi, e) -> float:
+    """A floor under max |e_i| in every later round: 0 unless net is bipartite, else |(pi c)^T e|.
+
+    c = +-1 alternates over the levels of a search from node 0, and net is bipartite iff A c = -D c, exact
+    in floats. Then pi c is a left eigenvector of P with eigenvalue -1, so (pi c)^T e only changes sign
+    from round to round, and it bounds every round's max |e_i| from below, since the pi_i sum to 1.
+    """
+    colour = (np.arange(net.n) == 0).astype(float)
+    frontier = colour != 0
+    while frontier.any():
+        sign = -colour[frontier][0]
+        frontier = (net.product(frontier.astype(float)) > 0) & (colour == 0)
+        colour[frontier] = sign
+    return abs(float((pi * colour) @ e)) if np.array_equal(net.product(colour), -net.degrees * colour) else 0.0
 
 
 def tau_bound(mu2_abs: float, epsilon: float):

@@ -3,11 +3,12 @@
 A block model is specified by community sizes, a symmetric edge-probability
 matrix, and an RNG seed. Sampling draws every unordered node pair once as an
 independent Bernoulli variable. A network, sampled or read from an edge list,
-is built one way: from the boolean upper triangle of its edges one builder
-reads its CSR adjacency, nodes grouped contiguously by community, and the
-split A = M + R that Network.product multiplies with, which stores each block
-with more edges than non-edges as its complement, so a product walks the
-fewer of the two.
+is built one way: one builder reads the boolean upper triangle of its edges,
+nodes grouped contiguously by community, once into the split A = M + R that
+Network.product multiplies with, which stores each block with more edges than
+non-edges as its complement, so a product walks the fewer of the two. Degrees
+and connectivity come from the same edge bits; the CSR adjacency is built only
+when asked for.
 """
 
 from __future__ import annotations
@@ -45,9 +46,7 @@ class TwoLevelProbs:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.p_out <= self.p_in <= 1.0):
-            raise ValueError(
-                f"require 0 <= p_out <= p_in <= 1, got p_in={self.p_in}, p_out={self.p_out}"
-            )
+            raise ValueError(f"require 0 <= p_out <= p_in <= 1, got p_in={self.p_in}, p_out={self.p_out}")
 
     @property
     def delta(self) -> float:
@@ -65,10 +64,8 @@ class SbmModel:
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.community_sizes)
-        if len(sizes) == 0:
-            raise ValueError("community_sizes must be nonempty")
-        if any(s < 1 for s in sizes):
-            raise ValueError(f"all community sizes must be >= 1, got {sizes}")
+        if not sizes or min(sizes) < 1:
+            raise ValueError(f"community sizes must be a nonempty list of sizes >= 1, got {sizes}")
         probs = np.array(self.edge_probs, dtype=float)
         k = len(sizes)
         if probs.shape != (k, k):
@@ -109,23 +106,20 @@ class _PairError(ValueError):
 class Network:
     """Undirected simple graph, built whole and not changed after.
 
-    Nodes are 0..n-1, n = sum(community_sizes), grouped contiguously by
-    community in size order. The constructor takes node pairs in any order and
-    orientation and rejects the first self-edge, out-of-range endpoint or
-    repeated pair. adjacency is the symmetric CSR matrix with 0/1 float entries
-    and sorted indices; edges reads from it a fresh (i, j)-sorted (m, 2) int64
-    array of pairs i < j; connected is True iff one breadth-first search from
-    node 0 reaches all n nodes.
+    Nodes are 0..n-1, n = sum(community_sizes), grouped contiguously by community in size order.
+    The constructor takes node pairs in any order and orientation and rejects the first self-edge,
+    out-of-range endpoint or repeated pair. connected is True iff a search from node 0 reaches all n nodes.
 
-    product(x) is adjacency @ x from A = M + R, which stores each dense block,
-    one with more edges than non-edges (dense_blocks[r, s]), as its complement.
-    split is M: +1 at the edges of the other blocks, -1 at the non-edges of the
-    dense ones and on the diagonal of a dense diagonal block; without a dense
-    block it is adjacency. R is block-constant, (R x)_r = sum over dense (r, s)
-    of 1^T x_s.
+    A network holds A = M + R, which stores each dense block (dense_blocks[r, s]: more edges than
+    non-edges) as its complement. split is M: +1 at the edges of the other blocks, -1 at the non-edges
+    of the dense ones and on the diagonal of a dense diagonal block. R is block-constant, (R x)_r = sum
+    over dense (r, s) of 1^T x_s. product(x) is A x as M x + R x. adjacency, A as CSR with 0/1 float
+    entries and sorted indices, is M without a dense block, else read from M when first asked for.
+    edges reads from M a fresh (i, j)-sorted (m, 2) int64 array of pairs i < j.
     """
 
-    __slots__ = ("n", "degrees", "community_sizes", "adjacency", "connected", "split", "dense_blocks", "_starts")
+    __slots__ = ("n", "degrees", "num_edges", "community_sizes", "_adjacency", "connected", "split", "dense_blocks",
+                 "_starts")
 
     def __init__(self, community_sizes, edges):
         community_sizes = tuple(int(c) for c in community_sizes)
@@ -144,17 +138,14 @@ class Network:
             raise _PairError(edges, np.setdiff1d(np.arange(len(edges)), first)[0], "duplicate edges are not allowed")
 
     def _hold(self, community_sizes, fill) -> None:
-        """Set every field from the sizes and the strictly upper-triangular boolean (n, n) array of
-        the edges, set by fill(upper); both ways of building a network end here. The array is filled
-        in place to the symmetric adjacency, read in chunks of rows, and freed before the join."""
-        from scipy.sparse.csgraph import breadth_first_order
-
+        """Set every field from the sizes and the strictly upper-triangular boolean (n, n) array of the edges,
+        set by fill(upper): filled in place to the symmetric adjacency, read once by chunks of rows, then searched."""
         n, k = sum(community_sizes), len(community_sizes)
         upper = np.zeros((n, n), dtype=bool)
         fill(upper)
         offsets = np.cumsum((0, *community_sizes)).tolist()
         dense = np.zeros((k, k), dtype=bool)
-        adj_parts, split_parts = [], []  # (row counts, column indices) per chunk of rows
+        parts, degrees = [], []  # (row counts, column indices) of M, and the degrees, per chunk of rows
         chunk = max(1, _CHUNK_DRAWS // n)
         for r, nr in enumerate(community_sizes):
             # the blocks (r, s >= r), as filled; a block (r, s < r) was counted at row community s
@@ -168,29 +159,41 @@ class Network:
                 rows = upper[i0:i1]
                 # the columns above the chunk (upper is zero below), copied compact: ~7x faster at n = 7000
                 rows[:, :i1] |= np.ascontiguousarray(upper[:i1, i0:i1]).T
-                adj_parts.append(_row_nonzeros(rows))
                 # a dense block's non-edges, its diagonal included
-                split_parts.append(adj_parts[-1] if flip is None else _row_nonzeros(rows ^ flip))
+                parts.append(_row_nonzeros(rows if flip is None else rows ^ flip))
+                degrees.append(parts[-1][0] if flip is None else np.count_nonzero(rows, axis=1))
+        self.connected = _connected(upper)
         del upper, rows  # the final join is a dense network's peak memory
-        split = None
-        if dense.any():
-            split = _csr(n, split_parts)
-            # M's entries in the dense blocks are their non-edges: -1
-            for r in range(k):
-                entries = slice(split.indptr[offsets[r]], split.indptr[offsets[r + 1]])
-                split.data[entries][np.repeat(dense[r], community_sizes)[split.indices[entries]]] = -1.0
-        adjacency = _csr(n, adj_parts)
-        self.n = n
-        self.community_sizes = community_sizes
-        self.adjacency = adjacency
-        self.degrees = np.diff(adjacency.indptr).astype(np.int64)
-        self.degrees.flags.writeable = False
-        self.dense_blocks = dense
-        self.dense_blocks.flags.writeable = False
-        self.split = adjacency if split is None else split
-        self._starts = None if split is None else np.cumsum((0, *community_sizes[:-1]))
-        # the matrix is symmetric, so a directed search finds the undirected component
-        self.connected = len(breadth_first_order(adjacency, 0, return_predecessors=False)) == n
+        self.split = _csr(n, parts)
+        # M's entries in the dense blocks are their non-edges: -1
+        for r in np.flatnonzero(dense.any(axis=1)):
+            entries = slice(self.split.indptr[offsets[r]], self.split.indptr[offsets[r + 1]])
+            self.split.data[entries][np.repeat(dense[r], community_sizes)[self.split.indices[entries]]] = -1.0
+        self.n, self.community_sizes, self.dense_blocks = n, community_sizes, dense
+        self.degrees = np.concatenate(degrees).astype(np.int64)
+        self.num_edges = int(self.degrees.sum()) // 2
+        self.degrees.flags.writeable = self.dense_blocks.flags.writeable = False
+        self._adjacency = None if dense.any() else self.split
+        self._starts = np.cumsum((0, *community_sizes[:-1])) if dense.any() else None
+
+    @property
+    def adjacency(self):
+        if self._adjacency is None:
+            self._adjacency = _csr(self.n, [part for _, *part in self._rows(max(1, _CHUNK_DRAWS // self.n))])
+        return self._adjacency
+
+    def _rows(self, chunk):
+        """(first row, row counts, column indices) of A per run of at most chunk rows of a community, from M."""
+        indptr, indices, offsets = self.split.indptr, self.split.indices, np.cumsum((0, *self.community_sizes))
+        for r, flip in enumerate(np.repeat(self.dense_blocks, self.community_sizes, axis=1)):
+            for i0 in range(offsets[r], offsets[r + 1], chunk):
+                i1 = min(i0 + chunk, offsets[r + 1])
+                counts, cols = np.diff(indptr[i0:i1 + 1]), indices[indptr[i0]:indptr[i1]]
+                if flip.any():  # A's rows are M's nonzeros XOR the dense columns
+                    rows = np.zeros((i1 - i0, self.n), dtype=bool)
+                    rows[np.repeat(np.arange(i1 - i0), counts), cols] = True
+                    counts, cols = _row_nonzeros(rows ^ flip)
+                yield i0, counts, cols
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """adjacency @ x for a vector (n,) or a block (n, c), as M x + R x."""
@@ -201,22 +204,14 @@ class Network:
 
     @property
     def edges(self) -> np.ndarray:
-        adj, n = self.adjacency, self.n
-        # no temporary is larger than half the pairs: the peak is 1.25 times their bytes
-        rows = np.repeat(np.arange(n, dtype=np.int32), self.degrees)
-        upper = adj.indices[adj.indices > rows]  # the j of each pair i < j, in (i, j) order
-        del rows
-        # by symmetry, node j is the j of as many pairs as it has neighbours below it
-        below = np.bincount(upper, minlength=n)
-        pairs = np.empty((len(upper), 2), dtype=np.int64)
-        pairs[:, 1] = upper
-        del upper
-        pairs[:, 0] = np.repeat(np.arange(n, dtype=np.int32), self.degrees - below)
+        pairs, at = np.empty((self.num_edges, 2), dtype=np.int64), 0
+        # a sixteenth of the rows at a time: no temporary is larger than half the pairs
+        for i0, counts, cols in self._rows(max(1, self.n // 16)):
+            rows = np.repeat(np.arange(i0, i0 + len(counts)), counts)
+            upper = cols > rows  # the j > i of each row i, in (i, j) order
+            pairs[at:at + np.count_nonzero(upper)] = np.column_stack((rows[upper], cols[upper]))
+            at += np.count_nonzero(upper)
         return pairs
-
-    @property
-    def num_edges(self) -> int:
-        return self.adjacency.nnz // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,8 +231,6 @@ class BlockMatrices:
 def make_two_level_model(sizes, probs: TwoLevelProbs, seed: int) -> SbmModel:
     """Build a model with p_in on the diagonal and p_out everywhere else."""
     sizes = tuple(int(s) for s in sizes)
-    if len(sizes) == 0:
-        raise ValueError("sizes must be nonempty")
     k = len(sizes)
     pi = np.full((k, k), probs.p_out, dtype=float)
     np.fill_diagonal(pi, probs.p_in)
@@ -274,6 +267,15 @@ def sample(model: SbmModel) -> Network:
     return net
 
 
+def _connected(adjacency):
+    """Whether a search from node 0 of the symmetric boolean (n, n) adjacency reaches all nodes: O(n^2)."""
+    frontier = seen = np.arange(len(adjacency)) == 0
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
 def _row_nonzeros(rows):
     """(row counts, int32 column indices) of the nonzeros of a boolean (m, n) array, read row by row."""
     m, n = rows.shape
@@ -288,10 +290,8 @@ def _row_nonzeros(rows):
 
 
 def _csr(n, parts):
-    """The (n, n) CSR matrix of 1s from a list of chunks of rows, each (row counts, column indices).
-
-    Empties parts once its indices are joined, so the chunks are freed before the entries are allocated.
-    """
+    """The (n, n) CSR matrix of 1s from a list of chunks of rows, each (row counts, column indices). Empties
+    parts once its indices are joined, so the chunks are freed before the entries are allocated."""
     from scipy import sparse
 
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -322,9 +322,8 @@ def block_matrices(model: SbmModel) -> BlockMatrices:
     Rejects models whose expected degree vanishes in any block, since the
     normalized Laplacian is undefined there.
     """
-    sizes = np.asarray(model.community_sizes, dtype=float)
     pi = model.edge_probs
-    dhat = pi @ sizes
+    dhat = pi @ np.asarray(model.community_sizes, dtype=float)
     if (dhat <= 0.0).any():
         raise ValueError(f"expected degree must be positive in every block, got {dhat}")
     scale = 1.0 / np.sqrt(dhat)
@@ -340,8 +339,7 @@ def block_matrices(model: SbmModel) -> BlockMatrices:
 
 def save_edge_list(net: Network, path) -> None:
     """Plain-text export: header ``n K sizes...`` then one ``i j`` pair per line."""
-    path = Path(path)
-    with path.open("w") as fh:
+    with Path(path).open("w") as fh:
         sizes = " ".join(str(s) for s in net.community_sizes)
         fh.write(f"{net.n} {len(net.community_sizes)} {sizes}\n")
         edges, step = net.edges, 1 << 14

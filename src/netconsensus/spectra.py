@@ -79,9 +79,10 @@ def _check_degrees(net: Network) -> None:
 def normalized_laplacian_spectrum(net: Network) -> SpectrumEmpirical:
     """Full symmetric eigendecomposition (values only), ascending order."""
     _check_degrees(net)
-    # dense L = I - D^{-1/2} A D^{-1/2}, built in place; 0 - 0 keeps the zeros positive
+    # dense L = I - D^{-1/2} A D^{-1/2}, built in place from A = M + R; 0 - 0 keeps the zeros positive
     inv_sqrt_d = 1.0 / np.sqrt(net.degrees.astype(float))
-    lap = net.adjacency.toarray()
+    lap = net.split.toarray()
+    lap += np.repeat(np.repeat(net.dense_blocks, net.community_sizes, 0), net.community_sizes, 1)
     lap *= inv_sqrt_d[:, None]
     lap *= inv_sqrt_d
     np.subtract(0.0, lap, out=lap)

@@ -138,10 +138,8 @@ class TestSweep:
         assert emitted == list(grid)
 
     def test_connectivity_computed_once_per_sampled_network(self, monkeypatch):
-        import scipy.sparse.csgraph
-
         counts = {"sample": 0, "search": 0}
-        sample, search = sbm.sample, scipy.sparse.csgraph.breadth_first_order
+        sample, search = sbm.sample, sbm._connected
 
         def counted_sample(*args, **kwargs):
             counts["sample"] += 1
@@ -152,7 +150,7 @@ class TestSweep:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(sbm, "sample", counted_sample)
-        monkeypatch.setattr(scipy.sparse.csgraph, "breadth_first_order", counted_search)
+        monkeypatch.setattr(sbm, "_connected", counted_search)
         rows = bench.sweep(self.make_config(seeds_per_point=2))
         assert rows[0].error is None and rows[0].censored == 0 and rows[0].tau_median is not None
         assert counts["sample"] >= 2

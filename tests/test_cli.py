@@ -149,6 +149,18 @@ def test_consensus_summary_schema(tmp_path):
     assert trace[0] == "round,error"
 
 
+def test_consensus_on_a_bipartite_sample_stops_at_the_switch_round(tmp_path):
+    # this model's connected sample is bipartite: the run used to iterate all 200,000 default rounds
+    out = tmp_path / "o"
+    assert cli(["consensus", "--sizes", "10,10", "--p-in", "0.25", "--p-out", "0.1", "--seed", "280",
+                "--out", str(out)]) == 0
+    doc = json.loads((out / "consensus.json").read_text())
+    assert (doc["censored"], doc["tau_eps"], doc["tail_from"], doc["mu2_abs"]) == (True, None, None, 1.0)
+    trace = (out / "consensus_trace.csv").read_text().splitlines()
+    assert trace[0] == "round,error" and len(trace) == spectra.SWITCH_ROUND + 2
+    assert trace[-1].startswith(f"{spectra.SWITCH_ROUND},")
+
+
 def test_gadget_run_and_trace(tmp_path):
     out = tmp_path / "o"
     rc = cli(["gadget", "--sizes", "8,8", "--p-in", "0.9", "--p-out", "0.5",

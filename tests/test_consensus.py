@@ -495,6 +495,65 @@ class TestTail:
         assert result.lambda2 is None
 
 
+class TestBipartite:
+    """On a connected bipartite network the walk has eigenvalue -1: pi c, for the +-1 two-colouring c, is a
+    left eigenvector, so |(pi c)^T e| stays the same every round and bounds the error from below."""
+
+    def bipartite_sample(self):
+        # the connected sample of this model is bipartite: 1 of ~300 of its connected samples is
+        net, _ = sbm.sample_connected(sbm.make_two_level_model([10, 10], sbm.TwoLevelProbs(0.25, 0.1), 280))
+        assert spectra.normalized_laplacian_spectrum(net).eigenvalues[-1] == pytest.approx(2.0, abs=1e-12)
+        return net
+
+    def test_stuck_run_ends_censored_at_the_switch_round(self):
+        net = self.bipartite_sample()
+        x0 = consensus.random_initial_state(net.n, 280)
+        result = consensus.run(net, x0, EPS)
+        at = spectra.SWITCH_ROUND
+        assert result.censored and result.tail_from is None and result.lambda2 is None
+        # rounds is the switch round, where the run stopped, and the error trace ends there
+        assert result.rounds == at and len(result.error_trace) == at + 1
+        with pytest.MonkeyPatch.context() as patch:
+            loop_only(patch)
+            loop = consensus.run(net, x0, EPS, max_rounds=3000)
+        assert loop.censored and loop.rounds == 3000
+        assert np.array_equal(result.error_trace, loop.error_trace[: at + 1])
+        # the loop's error settles on the bound that stopped the run, far above epsilon
+        deg = net.degrees.astype(float)
+        e = dense_trajectory(net, x0, at)[at] - loop.x_star
+        stuck = consensus._stuck(net, deg / deg.sum(), e) / np.abs(x0 - loop.x_star).max()
+        assert stuck > 1e-3
+        assert loop.error_trace.min() >= stuck * (1 - 1e-9)
+        assert loop.error_trace[-1] == pytest.approx(stuck, rel=1e-9)
+
+    def test_balanced_start_converges_on_the_loop(self):
+        # the even ring is bipartite; x0 = e_0 + e_1 has no part on its -1 mode, so the run converges
+        net = ring(6)
+        x0 = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        result = consensus.run(net, x0, 1e-14)
+        with pytest.MonkeyPatch.context() as patch:
+            loop_only(patch)
+            loop = consensus.run(net, x0, 1e-14)
+        assert result.error_trace[spectra.SWITCH_ROUND] > 1e-14  # the switch was weighed
+        assert not result.censored
+        assert (result.tau_eps, result.rounds) == (loop.tau_eps, loop.rounds)
+        assert np.array_equal(result.error_trace, loop.error_trace)
+
+    def test_stuck_is_zero_iff_bipartite(self):
+        # walk eigenvalue -1, normalized-Laplacian eigenvalue 2, is the oracle
+        kinds = set()
+        for seed in range(30):
+            net = sample_connected([5, 6], 0.3, 0.1, seed=seed)
+            bipartite = bool(spectra.normalized_laplacian_spectrum(net).eigenvalues[-1] > 2.0 - 1e-9)
+            deg = net.degrees.astype(float)
+            pi = deg / deg.sum()
+            e = consensus.random_initial_state(net.n, seed)
+            e -= pi @ e
+            assert (consensus._stuck(net, pi, e) > 0) is bipartite
+            kinds.add(bipartite)
+        assert kinds == {True, False}
+
+
 @st.composite
 def connected_two_community_graphs(draw, log_p_out=False):
     """log_p_out draws p_out log-uniformly, so that slow-mixing graphs with few bridges are common."""

@@ -1,5 +1,9 @@
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,6 +363,68 @@ class TestConstructionOracles:
         edges[:] = 0
         assert (net.adjacency != before).nnz == 0
         assert net.edges.tolist() == [[0, 1], [0, 2], [2, 3]]
+
+
+class TestConnected:
+    """connected, from the search on the edge bits, against the connected_components oracle."""
+
+    def test_sampled_near_the_connectivity_threshold(self):
+        seen = set()
+        for seed in range(40):
+            net = sbm.sample(two_level([15, 10], 0.2, 0.02, seed=seed))
+            assert net.connected is components_connected(net.n, net.edges)
+            seen.add(net.connected)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("sizes, pairs, connected", [
+        ([4], [[0, 1], [1, 2]], False),  # node 3 isolated
+        ([3], [[1, 2]], False),  # the search's start isolated
+        ([2, 2], [[0, 1], [2, 3]], False),  # one component per community
+        ([3, 3], [[0, 1], [1, 2], [3, 4], [4, 5]], False),
+        ([6], [[5, 4], [4, 3], [3, 2], [2, 1], [1, 0]], True),  # a path: one round of the search per node
+        ([2, 2], [[0, 2], [2, 1], [1, 3]], True),
+    ], ids=["isolated-node", "isolated-start", "two-components", "two-paths", "path", "across-blocks"])
+    def test_built_from_pairs(self, sizes, pairs, connected):
+        net = sbm.Network(sizes, pairs)
+        assert net.connected is connected is components_connected(net.n, np.asarray(pairs).reshape(-1, 2))
+
+    def test_sampled_single_node(self):
+        assert sbm.sample(two_level([1], 0.5, 0.5)).connected
+
+
+SWEEP_PATH_PROBE = """
+import sys
+from netconsensus import consensus, sbm, spectra
+net = sbm.sample(sbm.make_two_level_model([700, 300], sbm.TwoLevelProbs(0.9, 0.002), 6))
+assert net.dense_blocks.any()
+consensus.run(net, consensus.random_initial_state(net.n, 6), 1e-10)
+spectra.lambda2_only(net)
+print(net._adjacency is None, "scipy.sparse.csgraph" in sys.modules)
+"""
+
+
+class TestAdjacencyOnDemand:
+    def test_sweep_path_never_builds_the_adjacency(self):
+        # a fresh interpreter, so that no other test's import of csgraph shows
+        src = str(Path(sbm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", SWEEP_PATH_PROBE], capture_output=True, text=True, env=env,
+                              timeout=120, check=True)
+        assert proc.stdout.split() == ["True", "False"]
+
+    @pytest.mark.parametrize("model, connected, digest", SAMPLED_MODELS, ids=SAMPLED_IDS)
+    def test_built_from_the_split_in_small_chunks(self, monkeypatch, model, connected, digest):
+        net = sbm.sample(model)
+        split = {field: getattr(net.split, field).copy() for field in ("indptr", "indices", "data")}
+        monkeypatch.setattr(sbm, "_CHUNK_DRAWS", 37)  # one row at a time
+        assert adjacency_digest(net) == digest
+        oracle = coo_adjacency(net.n, net.edges)
+        for field in ("indptr", "indices", "data"):
+            assert getattr(net.adjacency, field).dtype == getattr(oracle, field).dtype, field
+            got, want = getattr(net.split, field), split[field]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+        assert net.adjacency is net.adjacency  # built once
+        assert (net.adjacency is net.split) == (not net.dense_blocks.any())
 
 
 def complete_from_pairs():

@@ -70,6 +70,21 @@ class TestFullSpectrum:
             abs(1 - spec.eigenvalues[1]) >= abs(1 - spec.eigenvalues[-1])
         )
 
+    @pytest.mark.parametrize("sizes, p_in, p_out", [([150, 100], 0.9, 0.01), ([60, 40], 0.9, 0.9),
+                                                    ([30, 70], 0.3, 0.05)], ids=["dense-diagonal", "all-dense", "sparse"])
+    def test_built_from_the_split_as_from_the_adjacency(self, sizes, p_in, p_out):
+        # the parent's construction from the CSR adjacency is the oracle, to the byte
+        net = sample_two_level(sizes, p_in, p_out, seed=4)
+        assert net.dense_blocks.any() == (p_in > 0.5)
+        spec = spectra.normalized_laplacian_spectrum(net)
+        inv_sqrt_d = 1.0 / np.sqrt(net.degrees.astype(float))
+        lap = net.adjacency.toarray()
+        lap *= inv_sqrt_d[:, None]
+        lap *= inv_sqrt_d
+        np.subtract(0.0, lap, out=lap)
+        lap.flat[:: net.n + 1] += 1.0
+        assert spec.eigenvalues.tobytes() == np.linalg.eigvalsh(lap).tobytes()
+
     def test_isolated_node_rejected(self):
         net = sbm.Network([3], np.array([[0, 1]]))
         with pytest.raises(ValueError, match="isolated"):
