@@ -5,12 +5,13 @@ The bulk density comes from the K-dimensional resolvent fixed point
     t_r(z) = 1 / (z - 1 - sum_s M_rs t_s(z)),   M_rs = n_s V_rs,
 
 where V is the blockwise entry variance and the constant 1 reflects the unit
-diagonal of the normalized Laplacian. All grid points are solved at once:
-damped updates, which converge to the physical branch (Helton, Far and
-Speicher, IMRN 2007), then Newton steps, one batched K x K solve over the
-grid each. The bulk is symmetric about 1, and its edges 1 -/+ c are where the
-stability operator I - diag(t^2) M degenerates (Ajanki, Erdos and Kruger,
-arXiv:1506.05095):
+diagonal of the normalized Laplacian. All grid points are solved at once, on
+a descending ladder of imaginary parts ending at eta: Newton steps, one
+batched K x K solve each, kept on the physical branch Im t <= 0 and taken
+where they lower the residual, else damped updates, which converge to that
+branch (Helton, Far and Speicher, IMRN 2007). The bulk is symmetric about 1,
+and its edges 1 -/+ c are where the stability operator I - diag(t^2) M
+degenerates (Ajanki, Erdos and Kruger, arXiv:1506.05095):
 
     c = max over the simplex of 2 sum_s sqrt(v_s (M^T v)_s)
       = min over t > 0 of max_r (1/t_r + (M t)_r),
@@ -45,8 +46,9 @@ DEFAULT_TOL = 1e-12
 # near-limit imaginary offset for reported densities; larger values broaden
 # the support edges beyond the tolerances the predictions are held to
 DEFAULT_ETA = 1e-9
-# resolvent residual below which damped updates give way to Newton steps
-_NEWTON_START = 1e-3
+# imaginary parts above eta that bulk_density solves first, as warm starts
+# held to a loose tolerance and iteration cap
+_LADDER, _LADDER_TOL, _LADDER_MAX_ITERS = (1e-2, 1e-5), 1e-8, 100
 _SINGULAR_FLOOR = 1e-14
 # isolated values 1 - eig(E N) closer than this to the support count as bulk
 EDGE_MARGIN = 2e-3
@@ -111,45 +113,61 @@ def _kernel(model: SbmModel) -> _Kernel:
 
 
 def _solve(kern, z, t0, max_iters, tol):
-    """Resolvent fixed points at a stack of points: z has shape (G,), t0 (G, K).
+    """Resolvent fixed points at a stack of points: z has shape (G,), t0 (G, K)
+    (overwritten when complex).
 
-    Each open row evaluates f = 1/(z - 1 - M t). While its residual |f - t|
-    is at least _NEWTON_START it takes the damped update t += (f - t) / 2,
-    below that a Newton step on t - f with Jacobian I - diag(f^2) M (one
-    batched solve for all such rows). A row closes when the residual drops
-    below tol, converged if Im t <= 0 on every component (the physical
-    branch), or when a denominator falls below _SINGULAR_FLOOR.
+    Each open row holds f = 1/(z - 1 - M t) and its residual |f - t|. It takes
+    the Newton step on t - f, Jacobian I - diag(f^2) M (one batched solve),
+    with Im t clipped to <= 0 (the physical branch), where that lowers the
+    residual, else the damped update t += (f - t) / 2. Near an edge the
+    Newton step overshoots a nearly real root, and a point left to damped
+    updates there takes thousands of them. A row closes when the residual
+    drops below tol, converged if Im t <= 0 on every component, or when a
+    denominator falls below _SINGULAR_FLOOR.
 
     Returns (t, residual, iterations, converged) per row; a singular row is
     not converged, and its t of 1 gives it zero density.
     """
-    shift, mix, eye = z - 1.0, kern.mix, np.eye(kern.k)
-    t = np.array(t0)
+    # a complex M: casting ufuncs buffer more than the arrays they cast
+    shift, mix = z - 1.0, kern.mix.astype(complex)
+
+    def image(at, trial):
+        den = shift[at, None] - trial @ mix.T
+        small = np.abs(den).min(axis=1) < _SINGULAR_FLOOR
+        den[small] = 1.0
+        f = 1.0 / den
+        return f, np.abs(f - trial).max(axis=1), small
+
+    t = np.asarray(t0, dtype=complex)
     res = np.full(z.shape, np.inf)
     iters = np.full(z.shape, max_iters)
     singular = np.zeros(z.shape, dtype=bool)
     rows, work = np.arange(z.size), t
+    f, r, small = image(rows, work)
     for it in range(1, max_iters + 1):
-        den = shift[rows, None] - work @ mix.T
-        small = np.abs(den).min(axis=1) < _SINGULAR_FLOOR
-        den[small] = 1.0
-        f = 1.0 / den
-        r = np.abs(f - work).max(axis=1)
         close = small | (r < tol)
         if close.any():
             out = rows[close]
             t[out] = f[close]
             res[out], iters[out], singular[out] = r[close], it, small[close]
-            rows, work, f, r = rows[~close], work[~close], f[~close], r[~close]
-            if not rows.size:
-                break
+            rows, work, f, r, small = (a[~close] for a in (rows, work, f, r, small))
+        if not rows.size:
+            break
         diff = f - work
-        step = 0.5 * diff
-        near = r < _NEWTON_START
-        if near.any():
-            jac = eye - (f[near] ** 2)[:, :, None] * mix
-            step[near] = np.linalg.solve(jac, diff[near, :, None])[:, :, 0]
-        work = work + step
+        # the Jacobians set the memory peak of predict: built in place (a
+        # broadcast ufunc buffers a multiple of them) and freed before image
+        jac = np.einsum("gr,rs->grs", f**2, -mix)
+        for s in range(kern.k):
+            jac[:, s, s] += 1.0
+        trial = work + np.linalg.solve(jac, diff[:, :, None])[:, :, 0]
+        del jac
+        np.minimum(trial.imag, 0.0, out=trial.imag)
+        f, r_trial, small = image(rows, trial)
+        damp = small | ~(r_trial < r)
+        if damp.any():
+            trial[damp] = work[damp] + 0.5 * diff[damp]
+            f[damp], r_trial[damp], small[damp] = image(rows[damp], trial[damp])
+        work, r = trial, r_trial
     t[rows], res[rows] = work, r
     converged = ~singular & (res < tol) & (t.imag <= 0.0).all(axis=1)
     return t, res, iters, converged
@@ -173,15 +191,26 @@ def _check_eta(eta: float) -> None:
 def bulk_density(model: SbmModel, grid, eta: float = DEFAULT_ETA):
     """Bulk spectral density on a real grid, evaluated at z = lambda + i*eta.
 
-    Returns (density, diagnostics); a point that does not converge is
-    flagged in diagnostics["failed_points"] with a best-effort density.
+    The grid is solved at the _LADDER values above eta, then at eta, each
+    level warm-started from the last: from a cold start, the degenerate
+    points beside the edges need hundreds of damped updates. Only the last
+    level is held to DEFAULT_TOL and DEFAULT_MAX_ITERS, and flags a point that
+    does not converge in diagnostics["failed_points"] with a best-effort
+    density. diagnostics also holds each level's iterations and the largest
+    residual.
     """
     _check_eta(eta)
     kern = _kernel(model)
-    z = np.asarray(grid, dtype=float) + 1j * eta
-    t, _res, _iters, ok = _solve(kern, z, _default_t0(kern, z), DEFAULT_MAX_ITERS, DEFAULT_TOL)
+    lam = np.asarray(grid, dtype=float)
+    levels = [e for e in _LADDER if e > eta] + [eta]
+    t, iterations = _default_t0(kern, lam + 1j * levels[0]), []
+    for level in levels:
+        cap, tol = (DEFAULT_MAX_ITERS, DEFAULT_TOL) if level == eta else (_LADDER_MAX_ITERS, _LADDER_TOL)
+        t, res, iters, ok = _solve(kern, lam + 1j * level, t, cap, tol)
+        iterations.append(int(iters.max(initial=0)))
     density = np.maximum(0.0, -(t.imag @ kern.sizes) / (np.pi * kern.n))
-    return density, {"eta": eta, "failed_points": np.flatnonzero(~ok).tolist()}
+    return density, {"eta": eta, "failed_points": np.flatnonzero(~ok).tolist(),
+                     "ladder_iterations": iterations, "max_residual": float(res.max(initial=0.0))}
 
 
 class Support(tuple):

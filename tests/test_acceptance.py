@@ -37,6 +37,28 @@ def two_level(sizes, p_in, p_out, seed=0):
     return sbm.make_two_level_model(sizes, sbm.TwoLevelProbs(p_in, p_out), seed)
 
 
+def sweep_rows(out):
+    """rows.csv of a cli sweep as dicts of floats, None for an empty field."""
+    with (out / "rows.csv").open(newline="") as fh:
+        return [{k: None if v == "" else float(v) for k, v in rec.items()} for rec in csv.DictReader(fh)]
+
+
+def config_sweep(name, out):
+    """Settings and rows of `cli sweep` on a shipped config, which must not fail."""
+    assert cli(["sweep", "--config", str(CONFIGS / name), "--out", str(out)]) == 0
+    assert json.loads((out / "sweep.json").read_text())["failures"] == []
+    return json.loads((CONFIGS / name).read_text()), sweep_rows(out)
+
+
+# "tau_eps ~ O(lambda2^-1)", and lambda2 falls to 0 as the communities
+# disconnect at p_out = 0: the second critical point delta2* = p_in is the pole
+# of the reciprocal law tau ~ a / (delta2* - delta). A log-spaced sweep comes
+# within p_out_lo of it, so a free fit must put the pole within p_out_lo of p_in.
+def assert_free_pole_at_p_in(deltas, taus, settings):
+    fit = bench.fit_reciprocal(deltas, taus)
+    assert abs(fit.c - settings["p_in"]) <= settings["p_out_lo"]
+
+
 def test_01_k1_closed_form():
     with criterion(1, "K=1 closed form", budget_s=10):
         n, p = 1000, 0.1
@@ -97,47 +119,38 @@ def test_03_consensus_bound_holds():
         assert checked == 20
 
 
-def test_04_reciprocal_law_sparse_sweep():
-    with criterion(4, "reciprocal fit with pole at p_in", budget_s=900):
-        cfg = bench.SweepConfig(
-            sizes=(700, 300),
-            p_in=0.1,
-            p_out_list=bench.log_spaced(1e-3, 0.1, 12),
-            seeds_per_point=5,
-            run=gossip.GadgetConfig(epsilon=1e-10, max_rounds=60_000),
-            mode="scalar",
-            seed=404,
-        )
-        rows = bench.sweep(cfg)
-        assert all(r.error is None for r in rows)
-        usable = [r for r in rows if r.tau_median is not None]
+def test_04_reciprocal_law_sparse_sweep(tmp_path):
+    with criterion(4, "fig3 config: reciprocal fit with pole at p_in", budget_s=900):
+        settings, rows = config_sweep("fig3.cfg", tmp_path)
+        usable = [r for r in rows if r["tau_median"] is not None]
         assert len(usable) >= 10
 
-        deltas = [r.delta for r in usable]
-        taus = [r.tau_median for r in usable]
-        fit = bench.fit_reciprocal(deltas, taus, fix_pole=0.1)
+        deltas = [r["delta"] for r in usable]
+        taus = [r["tau_median"] for r in usable]
+        fit = bench.fit_reciprocal(deltas, taus, fix_pole=settings["p_in"])
         assert fit.r2 >= 0.9
+        assert_free_pole_at_p_in(deltas, taus, settings)
 
         rho, _ = spearmanr(deltas, taus)
         assert rho >= 0.9
 
         # strong-community slowdown: > 5x between delta ~ 0.048 and the top
-        by_delta = sorted(usable, key=lambda r: r.delta)
-        mid = min(by_delta, key=lambda r: abs(r.delta - 0.048))
-        assert by_delta[-1].tau_median / mid.tau_median > 5
+        by_delta = sorted(usable, key=lambda r: r["delta"])
+        mid = min(by_delta, key=lambda r: abs(r["delta"] - 0.048))
+        assert by_delta[-1]["tau_median"] / mid["tau_median"] > 5
 
         # predicted lambda2 tracks the sampled mean within 10% on average,
         # excluding the two rows closest to the merged/isolated flip where
         # the isolated value sits at the bulk edge and fluctuations dominate
         flip = next(
             (i for i in range(len(by_delta) - 1)
-             if (by_delta[i].lambda2_pred >= by_delta[i].lambdaL - 1e-9)
-             != (by_delta[i + 1].lambda2_pred >= by_delta[i + 1].lambdaL - 1e-9)),
+             if (by_delta[i]["lambda2_pred"] >= by_delta[i]["lambdaL"] - 1e-9)
+             != (by_delta[i + 1]["lambda2_pred"] >= by_delta[i + 1]["lambdaL"] - 1e-9)),
             None,
         )
         excluded = {flip, flip + 1} if flip is not None else set()
         rel_errors = [
-            abs(r.lambda2_pred - r.lambda2_emp) / r.lambda2_emp
+            abs(r["lambda2_pred"] - r["lambda2_emp"]) / r["lambda2_emp"]
             for i, r in enumerate(by_delta)
             if i not in excluded
         ]
@@ -284,17 +297,15 @@ def test_09_property_suites():
 
 def test_10_reciprocal_law_dense_sweep(tmp_path):
     with criterion(10, "fig4 config: reciprocal fit with pole at p_in, lambda2 tracked", budget_s=900):
-        assert cli(["sweep", "--config", str(CONFIGS / "fig4.cfg"), "--out", str(tmp_path)]) == 0
-        assert json.loads((tmp_path / "sweep.json").read_text())["failures"] == []
-        with (tmp_path / "rows.csv").open(newline="") as fh:
-            rows = [{k: float(v) for k, v in rec.items()} for rec in csv.DictReader(fh)]
+        settings, rows = config_sweep("fig4.cfg", tmp_path)
         assert len(rows) == 12
         assert all(r["censored"] == 0 for r in rows)
 
         deltas = [r["delta"] for r in rows]
         taus = [r["tau_median"] for r in rows]
-        fit = bench.fit_reciprocal(deltas, taus, fix_pole=0.9)
+        fit = bench.fit_reciprocal(deltas, taus, fix_pole=settings["p_in"])
         assert fit.r2 >= 0.9
+        assert_free_pole_at_p_in(deltas, taus, settings)
         rho, _ = spearmanr(deltas, taus)
         assert rho >= 0.9
 
@@ -320,8 +331,7 @@ def test_11_first_critical_point_on_simulated_tau(tmp_path):
         cfg = tmp_path / "fig3-linear.cfg"
         cfg.write_text(json.dumps({**settings, "p_out_list": (p_in - grid).tolist()}))
         assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        with (tmp_path / "rows.csv").open(newline="") as fh:
-            rows = [{k: float(v) for k, v in rec.items()} for rec in csv.DictReader(fh)]
+        rows = sweep_rows(tmp_path)
         assert all(r["censored"] == 0 for r in rows)
         below = [r for r in rows if r["delta"] < delta1]
         above = [r for r in rows if r["delta"] > delta1]

@@ -140,6 +140,41 @@ class TestBulkDensity:
         assert np.isfinite(res) and res > 0
         assert iters == 50
 
+    def test_ladder_converges_at_a_zero_variance_spike(self):
+        # The first block is complete, so its eigenvalues pile up at exactly 1:
+        # |t(1)| is ~5e4 on the 1e-5 level and ~5e8 at eta, where an absolute
+        # 1e-12 is finer than the float spacing of t. The ladder still
+        # converges at every point, in 4 + 42 + 88 iterations; one solve at
+        # eta from the default start takes 2081.
+        model = sbm.SbmModel([5526, 2549], np.array([[1.0, 0.586], [0.586, 0.180]]), 0)
+        grid = rmt.predict(model, with_density=False).grid.copy()
+        grid[grid.size // 2] = 1.0
+        density, diag = rmt.bulk_density(model, grid)
+        assert diag["failed_points"] == []
+        assert diag["max_residual"] < rmt.DEFAULT_TOL
+        assert len(diag["ladder_iterations"]) == 3
+        assert sum(diag["ladder_iterations"]) <= 300
+        assert density[grid.size // 2] == density.max()
+
+    def test_newton_step_kept_near_a_block_edge(self):
+        # Five disconnected blocks, each with its own bulk: one grid point lies
+        # 1.7e-7 outside a block's edge, where the Newton step crosses to
+        # Im t > 0. Clipped to Im t <= 0 it converges in 8 iterations at eta
+        # 1e-12; rejected, it left that point 2098 damped updates.
+        model = sbm.SbmModel([4793, 5275, 1464, 2688, 4611], 0.05 * np.eye(5), 0)
+        pred = rmt.predict(model, eta=1e-12)
+        assert pred.diagnostics["failed_points"] == []
+        assert pred.diagnostics["ladder_iterations"][-1] <= 20
+
+    def test_empty_grid_takes_no_step(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a Newton step on an empty grid")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        density, diag = rmt.bulk_density(two_level([700, 300], 0.1, 0.02), [])
+        assert density.shape == (0,)
+        assert diag["failed_points"] == [] and diag["ladder_iterations"] == [0, 0, 0]
+
     def test_rejects_nonpositive_eta(self):
         for eta in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="^eta must be positive and finite"):
@@ -257,8 +292,8 @@ def _expected_laplacian_spectrum(sizes, pi):
 
 
 @st.composite
-def small_models(draw):
-    k = draw(st.integers(1, 4))
+def small_models(draw, max_k=4):
+    k = draw(st.integers(1, max_k))
     sizes = tuple(draw(st.lists(st.integers(30, 100), min_size=k, max_size=k)))
     pi = np.zeros((k, k))
     for r in range(k):
@@ -328,6 +363,21 @@ def test_batched_density_matches_warm_started_loop(model):
     density, failed = warm_started_density(model, pred.grid)
     assert pred.diagnostics["failed_points"] == failed == []
     assert np.abs(pred.density - density).max() <= 1e-9 * density.max()
+
+
+# 121 points put grid[10] and grid[110] on the support edges. The density is
+# ill-conditioned there: at eta 1e-12 the loop flags both as failed, and the
+# batched solve and the loop disagree there by up to ~1e-6 relative. The
+# batched solve must converge on every point; the two are compared off the edges.
+@settings(max_examples=20)
+@given(small_models(max_k=6), st.sampled_from([1e-12, 1e-4, 0.2]))
+def test_batched_density_matches_warm_started_loop_wider(model, eta):
+    pred = rmt.predict(model, grid_spec=121, eta=eta)
+    assert pred.diagnostics["failed_points"] == []
+    off_edge = np.abs(pred.grid[:, None] - np.array(pred.support)).min(axis=1) > 1e-12
+    density, failed = warm_started_density(model, pred.grid[off_edge], eta=eta)
+    assert failed == []
+    assert np.abs(pred.density[off_edge] - density).max() <= 1e-9 * density.max()
 
 
 def test_fixed_point_equals_batched_row():
