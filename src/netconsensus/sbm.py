@@ -7,8 +7,8 @@ is built one way: one builder reads the boolean upper triangle of its edges,
 nodes grouped contiguously by community, once into the split A = M + R that
 Network.product multiplies with, which stores each block with more edges than
 non-edges as its complement, so a product walks the fewer of the two. Degrees
-and connectivity come from the same edge bits; the CSR adjacency is built only
-when asked for.
+and connectivity come from the same edge bits. The split is private to this
+module: outside it, a network's adjacency is read through product or edges.
 """
 
 from __future__ import annotations
@@ -86,10 +86,6 @@ class SbmModel:
     def num_communities(self) -> int:
         return len(self.community_sizes)
 
-    @property
-    def n(self) -> int:
-        return int(sum(self.community_sizes))
-
     def with_seed(self, seed: int) -> "SbmModel":
         """Same model, different sampling seed."""
         return SbmModel(self.community_sizes, self.edge_probs, int(seed))
@@ -110,16 +106,15 @@ class Network:
     The constructor takes node pairs in any order and orientation and rejects the first self-edge,
     out-of-range endpoint or repeated pair. connected is True iff a search from node 0 reaches all n nodes.
 
-    A network holds A = M + R, which stores each dense block (dense_blocks[r, s]: more edges than
-    non-edges) as its complement. split is M: +1 at the edges of the other blocks, -1 at the non-edges
-    of the dense ones and on the diagonal of a dense diagonal block. R is block-constant, (R x)_r = sum
-    over dense (r, s) of 1^T x_s. product(x) is A x as M x + R x. adjacency, A as CSR with 0/1 float
-    entries and sorted indices, is M without a dense block, else read from M when first asked for.
-    edges reads from M a fresh (i, j)-sorted (m, 2) int64 array of pairs i < j.
+    Outside this module a network is n, community_sizes, degrees, num_edges, connected, product and
+    edges. product(x) is A x; edges is a fresh (i, j)-sorted (m, 2) int64 array of the pairs i < j.
+    Both read the private split A = M + R, which stores each dense block (_dense[r, s]: more edges
+    than non-edges) as its complement. _split is M: +1 at the edges of the other blocks, -1 at the
+    non-edges of the dense ones and on the diagonal of a dense diagonal block. R is block-constant,
+    (R x)_r = sum over dense (r, s) of 1^T x_s.
     """
 
-    __slots__ = ("n", "degrees", "num_edges", "community_sizes", "_adjacency", "connected", "split", "dense_blocks",
-                 "_starts")
+    __slots__ = ("n", "degrees", "num_edges", "community_sizes", "connected", "_split", "_dense", "_starts")
 
     def __init__(self, community_sizes, edges):
         community_sizes = tuple(int(c) for c in community_sizes)
@@ -164,53 +159,41 @@ class Network:
                 degrees.append(parts[-1][0] if flip is None else np.count_nonzero(rows, axis=1))
         self.connected = _connected(upper)
         del upper, rows  # the final join is a dense network's peak memory
-        self.split = _csr(n, parts)
+        self._split = split = _csr(n, parts)
         # M's entries in the dense blocks are their non-edges: -1
         for r in np.flatnonzero(dense.any(axis=1)):
-            entries = slice(self.split.indptr[offsets[r]], self.split.indptr[offsets[r + 1]])
-            self.split.data[entries][np.repeat(dense[r], community_sizes)[self.split.indices[entries]]] = -1.0
-        self.n, self.community_sizes, self.dense_blocks = n, community_sizes, dense
+            entries = slice(split.indptr[offsets[r]], split.indptr[offsets[r + 1]])
+            split.data[entries][np.repeat(dense[r], community_sizes)[split.indices[entries]]] = -1.0
+        self.n, self.community_sizes, self._dense = n, community_sizes, dense
         self.degrees = np.concatenate(degrees).astype(np.int64)
         self.num_edges = int(self.degrees.sum()) // 2
-        self.degrees.flags.writeable = self.dense_blocks.flags.writeable = False
-        self._adjacency = None if dense.any() else self.split
+        self.degrees.flags.writeable = dense.flags.writeable = False
         self._starts = np.cumsum((0, *community_sizes[:-1])) if dense.any() else None
 
-    @property
-    def adjacency(self):
-        if self._adjacency is None:
-            self._adjacency = _csr(self.n, [part for _, *part in self._rows(max(1, _CHUNK_DRAWS // self.n))])
-        return self._adjacency
-
-    def _rows(self, chunk):
-        """(first row, row counts, column indices) of A per run of at most chunk rows of a community, from M."""
-        indptr, indices, offsets = self.split.indptr, self.split.indices, np.cumsum((0, *self.community_sizes))
-        for r, flip in enumerate(np.repeat(self.dense_blocks, self.community_sizes, axis=1)):
-            for i0 in range(offsets[r], offsets[r + 1], chunk):
-                i1 = min(i0 + chunk, offsets[r + 1])
-                counts, cols = np.diff(indptr[i0:i1 + 1]), indices[indptr[i0]:indptr[i1]]
-                if flip.any():  # A's rows are M's nonzeros XOR the dense columns
-                    rows = np.zeros((i1 - i0, self.n), dtype=bool)
-                    rows[np.repeat(np.arange(i1 - i0), counts), cols] = True
-                    counts, cols = _row_nonzeros(rows ^ flip)
-                yield i0, counts, cols
-
     def product(self, x: np.ndarray) -> np.ndarray:
-        """adjacency @ x for a vector (n,) or a block (n, c), as M x + R x."""
-        y = self.split @ x
+        """A x for a vector (n,) or a block (n, c), as M x + R x."""
+        y = self._split @ x
         if self._starts is not None:
-            y += np.repeat(self.dense_blocks @ np.add.reduceat(x, self._starts, axis=0), self.community_sizes, axis=0)
+            y += np.repeat(self._dense @ np.add.reduceat(x, self._starts, axis=0), self.community_sizes, axis=0)
         return y
 
     @property
     def edges(self) -> np.ndarray:
         pairs, at = np.empty((self.num_edges, 2), dtype=np.int64), 0
-        # a sixteenth of the rows at a time: no temporary is larger than half the pairs
-        for i0, counts, cols in self._rows(max(1, self.n // 16)):
-            rows = np.repeat(np.arange(i0, i0 + len(counts)), counts)
-            upper = cols > rows  # the j > i of each row i, in (i, j) order
-            pairs[at:at + np.count_nonzero(upper)] = np.column_stack((rows[upper], cols[upper]))
-            at += np.count_nonzero(upper)
+        indptr, indices, offsets = self._split.indptr, self._split.indices, np.cumsum((0, *self.community_sizes))
+        chunk = max(1, self.n // 16)  # a sixteenth of the rows at a time: no temporary is larger than half the pairs
+        for r, flip in enumerate(np.repeat(self._dense, self.community_sizes, axis=1)):
+            for i0 in range(offsets[r], offsets[r + 1], chunk):
+                i1 = min(i0 + chunk, offsets[r + 1])
+                counts, cols = np.diff(indptr[i0:i1 + 1]), indices[indptr[i0]:indptr[i1]]
+                if flip.any():  # A's rows are M's nonzeros XOR the dense columns
+                    bits = np.zeros((i1 - i0, self.n), dtype=bool)
+                    bits[np.repeat(np.arange(i1 - i0), counts), cols] = True
+                    counts, cols = _row_nonzeros(bits ^ flip)
+                rows = np.repeat(np.arange(i0, i1), counts)
+                upper = cols > rows  # the j > i of each row i, in (i, j) order
+                pairs[at:at + np.count_nonzero(upper)] = np.column_stack((rows[upper], cols[upper]))
+                at += np.count_nonzero(upper)
         return pairs
 
 

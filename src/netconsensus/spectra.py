@@ -3,8 +3,9 @@
 All spectral work happens on the symmetric normalized Laplacian
 L = I - D^{-1/2} A D^{-1/2}; the random-walk matrix P = D^{-1} A is reached
 through the exact mapping mu = 1 - lambda, never diagonalized directly.
+The dense spectrum reads A from the network's edge list (Network.edges).
 Consensus's P and push-sum's (A + I) (D + I)^{-1} are similar to symmetric
-operators (deflated_walk_operator), applied with the network's split product
+operators (deflated_walk_operator), applied with the network's product
 (Network.product); lambda2_only and mu2_abs_only solve the walk operator for
 one extreme value each, and at SWITCH_ROUND, one slow_modes call gives
 each simulator's tail the certified slow modes of its start from one Lanczos
@@ -79,10 +80,11 @@ def _check_degrees(net: Network) -> None:
 def normalized_laplacian_spectrum(net: Network) -> SpectrumEmpirical:
     """Full symmetric eigendecomposition (values only), ascending order."""
     _check_degrees(net)
-    # dense L = I - D^{-1/2} A D^{-1/2}, built in place from A = M + R; 0 - 0 keeps the zeros positive
+    # dense L = I - D^{-1/2} A D^{-1/2}, built in place from A's edges; 0 - 0 keeps the zeros positive
     inv_sqrt_d = 1.0 / np.sqrt(net.degrees.astype(float))
-    lap = net.split.toarray()
-    lap += np.repeat(np.repeat(net.dense_blocks, net.community_sizes, 0), net.community_sizes, 1)
+    i, j = net.edges.T
+    lap = np.zeros((net.n, net.n))
+    lap[i, j] = lap[j, i] = 1.0
     lap *= inv_sqrt_d[:, None]
     lap *= inv_sqrt_d
     np.subtract(0.0, lap, out=lap)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from conftest import adjacency
 from netconsensus import bench, consensus, data, gossip, rmt, sbm, spectra
 from netconsensus.cli import cli
 
@@ -216,25 +217,15 @@ def test_07_push_sum_frozen_correctness():
         assert converged_at is not None
 
 
-def test_08_gadget_reciprocal_shape():
-    with criterion(8, "decentralized SVM sweep shape", budget_s=1800):
-        dataset = data.make_blobs(10_000, 20, margin=2.0, seed=88)
-        cfg = bench.SweepConfig(
-            sizes=(30, 70),
-            p_in=0.9,
-            p_out_list=bench.log_spaced(1e-3, 0.9, 10),
-            seeds_per_point=3,
-            run=gossip.GadgetConfig(nu=0.1, epsilon=1e-10, max_rounds=200_000, steps_per_round=1, learning_rounds=200),
-            mode="gadget",
-            seed=808,
-        )
-        rows = bench.sweep(cfg, dataset=dataset)
-        assert all(r.error is None for r in rows)
-        usable = [r for r in rows if r.tau_median is not None]
+def test_08_gadget_reciprocal_shape(tmp_path):
+    with criterion(8, "fig5 config: decentralized SVM sweep shape", budget_s=1800):
+        _, rows = config_sweep("fig5.cfg", tmp_path)
+        accuracy = json.loads((tmp_path / "sweep.json").read_text())["accuracy_mean"]
+        usable = [i for i, r in enumerate(rows) if r["tau_median"] is not None]
         assert len(usable) >= 8
 
-        deltas = [r.delta for r in usable]
-        taus = [r.tau_median for r in usable]
+        deltas = [rows[i]["delta"] for i in usable]
+        taus = [rows[i]["tau_median"] for i in usable]
         rho, _ = spearmanr(deltas, taus)
         assert rho >= 0.8
 
@@ -242,7 +233,7 @@ def test_08_gadget_reciprocal_shape():
         assert fit.r2 >= 0.85
         assert fit.c > max(deltas)
 
-        accuracies = [r.accuracy_mean for r in usable]
+        accuracies = [accuracy[i] for i in usable]
         assert max(accuracies) - min(accuracies) < 0.03
 
 
@@ -265,7 +256,7 @@ def test_09_property_suites():
         pi = small_net.degrees / small_net.degrees.sum()
         x0 = consensus.random_initial_state(small_net.n, 2)
         run = consensus.run(small_net, x0, 1e-10)
-        adj = small_net.adjacency.toarray()
+        adj = adjacency(small_net).toarray()
         walk = adj / adj.sum(axis=1)[:, None]
         states = [x0]
         for _ in range(run.rounds):

@@ -15,3 +15,10 @@ def test_all_names_the_public_functions_and_classes(mod):
         and val.__module__ == mod.__name__
     }
     assert set(mod.__all__) == defined
+
+
+def test_network_public_names():
+    # the split A = M + R is private to sbm: outside it a network's adjacency is read only
+    # through product and edges, so neither the adjacency nor the split format comes back unnoticed
+    public = {name for name in dir(sbm.Network) if not name.startswith("_")}
+    assert public == {"n", "community_sizes", "degrees", "num_edges", "connected", "product", "edges"}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import adjacency
 from netconsensus import consensus, sbm, spectra
 
 EPS = 1e-10
@@ -34,7 +35,7 @@ def fixed_point_weights(net):
 
 def dense_trajectory(net, x0, rounds):
     """Oracle: x(t) = P^t x0 for t = 0..rounds with a dense P = D^-1 A."""
-    adj = net.adjacency.toarray()
+    adj = adjacency(net).toarray()
     walk = adj / adj.sum(axis=1)[:, None]
     states = [np.asarray(x0, dtype=float)]
     for _ in range(rounds):
@@ -52,7 +53,7 @@ def parent_loop(net, x0, epsilon, max_rounds=100_000):
     x0 = np.asarray(x0, dtype=float)
     x_star = float(pi @ x0)
     denom = float(np.abs(x0 - x_star).max())
-    adj, inv_deg = net.adjacency, 1.0 / deg
+    adj, inv_deg = adjacency(net), 1.0 / deg
     x, errors, candidate = x0.copy(), [1.0], None
     for t in range(1, max_rounds + 1):
         x = inv_deg * (adj @ x)
@@ -70,7 +71,7 @@ def parent_loop(net, x0, epsilon, max_rounds=100_000):
 def long_double_errors(net, x0, rounds):
     """Oracle: relative sup-norm errors of x(t) = P^t x0 for t = 0..rounds in
     long double, each neighbour sum taken by np.add.reduceat over the CSR rows."""
-    adj = net.adjacency
+    adj = adjacency(net)
     deg = net.degrees.astype(np.longdouble)
     x = np.asarray(x0, dtype=np.longdouble)
     x_star = (deg * x).sum() / deg.sum()
@@ -112,7 +113,7 @@ class TestStationary:
     def test_left_eigenvector_property(self):
         net = sample_connected([30, 20], 0.4, 0.1, seed=2)
         pi = fixed_point_weights(net)
-        adj = net.adjacency
+        adj = adjacency(net)
         walk_applied = (adj.T @ (pi / net.degrees)).ravel()  # pi^T P
         assert np.abs(walk_applied - pi).max() < 1e-10
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)

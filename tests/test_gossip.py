@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import adjacency
 from netconsensus import data, gossip, sbm, spectra
 
 
@@ -117,7 +118,7 @@ def mixing_matrix(net):
     the oracle of one exchange."""
     from scipy import sparse
 
-    mix = net.adjacency + sparse.identity(net.n, format="csr")
+    mix = adjacency(net) + sparse.identity(net.n, format="csr")
     mix.data *= (1.0 / (net.degrees + 1.0))[mix.indices]
     return mix
 
@@ -202,7 +203,7 @@ def test_a_round_of_a_run_is_one_mixing_matrix_product(monkeypatch):
     monkeypatch.setattr(gossip, "_exchange", recorded)
     ds = data.make_blobs(400, 20, margin=2.0, seed=0)
     net, _ = sbm.sample_connected(sbm.make_two_level_model([30, 70], sbm.TwoLevelProbs(0.9, 0.003), 0))
-    assert net.dense_blocks.any()
+    assert net._dense.any()
     gossip.run_gadget(net, ds, gossip.GadgetConfig(max_rounds=2, learning_rounds=1), seed=0)
     assert len(exchanged) == 2
     mix = mixing_matrix(net)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import adjacency
 from netconsensus import sbm
 
 
@@ -36,7 +37,7 @@ class TestModel:
     def test_paper_two_community(self):
         model = two_level([700, 300], 0.1, 0.02)
         assert model.edge_probs.tolist() == [[0.1, 0.02], [0.02, 0.1]]
-        assert model.n == 1000
+        assert sum(model.community_sizes) == 1000
 
     def test_delta_zero_constant_matrix(self):
         model = two_level([30, 70], 0.9, 0.9)
@@ -153,7 +154,7 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        adj = net.adjacency
+        adj = adjacency(net)
         assert peak < 1.5 * (adj.indptr.nbytes + adj.indices.nbytes + adj.data.nbytes)
 
     def test_peak_memory_of_the_edge_list(self):
@@ -232,37 +233,23 @@ class TestConnectivity:
         assert net.connected
 
 
-def coo_adjacency(n, pairs):
-    """Symmetric CSR adjacency of the given pairs built by scipy's COO-to-CSR conversion, the constructor's oracle."""
-    from scipy import sparse
-
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    adj = sparse.csr_matrix((np.ones(2 * len(pairs)), (rows, cols)), shape=(n, n))
-    adj.sort_indices()
-    return adj
-
-
 def components_connected(n, pairs):
     """The connected_components test the constructor's breadth-first search replaced, kept as its oracle."""
+    from scipy import sparse
     from scipy.sparse.csgraph import connected_components
 
     if n <= 1:
         return True
     if len(pairs) == 0:
         return False
-    return connected_components(coo_adjacency(n, pairs), directed=False)[0] == 1
+    # one entry per pair: the undirected search follows an entry either way
+    graph = sparse.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    return connected_components(graph, directed=False)[0] == 1
 
 
 def assert_matches_oracles(net, pairs):
     """net against oracles computed from the pairs it was built from, never from its own output."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    adj, oracle = net.adjacency, coo_adjacency(net.n, pairs)
-    assert type(adj) is type(oracle)
-    for field in ("indptr", "indices", "data"):
-        got, want = getattr(adj, field), getattr(oracle, field)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
-    assert adj.has_sorted_indices
     assert net.connected is components_connected(net.n, pairs)
     # each edge counts once at each endpoint
     assert np.array_equal(net.degrees, np.bincount(pairs.ravel(), minlength=net.n))
@@ -273,7 +260,7 @@ def assert_matches_oracles(net, pairs):
 
 
 def adjacency_digest(net):
-    adj = net.adjacency
+    adj = adjacency(net)
     return hashlib.sha256(adj.indptr.tobytes() + adj.indices.tobytes() + adj.data.tobytes()).hexdigest()
 
 
@@ -288,7 +275,7 @@ def reordered_edge_list(net, path, seed):
     return edges
 
 
-# each digest is sha256 of the adjacency's indptr, indices and data bytes: the first five were
+# each digest is sha256 of adjacency(net)'s indptr, indices and data bytes: the first five were
 # pinned from the sort-and-indptr constructor that preceded the COO build, the last two from the
 # COO constructor that preceded building sampled networks from their draws
 SAMPLED_MODELS = [
@@ -342,11 +329,11 @@ class TestConstructionOracles:
         net = sbm.sample(model)
         reordered_edge_list(net, tmp_path / "net.txt", model.seed)
         back = sbm.load_edge_list(tmp_path / "net.txt")
-        for name in ("adjacency", "split"):
-            for field in ("indptr", "indices", "data"):
-                got, want = getattr(getattr(back, name), field), getattr(getattr(net, name), field)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, field)
-        assert back.dense_blocks.tolist() == net.dense_blocks.tolist()
+        for field in ("indptr", "indices", "data"):
+            got, want = getattr(back._split, field), getattr(net._split, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+        assert back.edges.tobytes() == net.edges.tobytes()
+        assert back._dense.tolist() == net._dense.tolist()
         assert np.array_equal(back.degrees, net.degrees)
         assert back.connected is net.connected is connected
 
@@ -358,10 +345,10 @@ class TestConstructionOracles:
 
     def test_edges_is_a_fresh_array(self):
         net = sbm.Network([4], [[2, 3], [1, 0], [0, 2]])
-        before = net.adjacency.copy()
+        before = adjacency(net)
         edges = net.edges
         edges[:] = 0
-        assert (net.adjacency != before).nnz == 0
+        assert (adjacency(net) != before).nnz == 0
         assert net.edges.tolist() == [[0, 1], [0, 2], [2, 3]]
 
 
@@ -395,11 +382,13 @@ class TestConnected:
 SWEEP_PATH_PROBE = """
 import sys
 from netconsensus import consensus, sbm, spectra
+reads, edges = [], sbm.Network.edges
+sbm.Network.edges = property(lambda net: reads.append(net) or edges.fget(net))
 net = sbm.sample(sbm.make_two_level_model([700, 300], sbm.TwoLevelProbs(0.9, 0.002), 6))
-assert net.dense_blocks.any()
+assert net._dense.any()
 consensus.run(net, consensus.random_initial_state(net.n, 6), 1e-10)
 spectra.lambda2_only(net)
-print(net._adjacency is None, "scipy.sparse.csgraph" in sys.modules)
+print(len(reads), "scipy.sparse.csgraph" in sys.modules)
 """
 
 
@@ -410,21 +399,17 @@ class TestAdjacencyOnDemand:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run([sys.executable, "-c", SWEEP_PATH_PROBE], capture_output=True, text=True, env=env,
                               timeout=120, check=True)
-        assert proc.stdout.split() == ["True", "False"]
+        assert proc.stdout.split() == ["0", "False"]
 
     @pytest.mark.parametrize("model, connected, digest", SAMPLED_MODELS, ids=SAMPLED_IDS)
-    def test_built_from_the_split_in_small_chunks(self, monkeypatch, model, connected, digest):
+    def test_built_from_the_split_in_small_chunks(self, model, connected, digest):
+        # edges reads M's rows a sixteenth of them at a time: several chunks per community here
         net = sbm.sample(model)
-        split = {field: getattr(net.split, field).copy() for field in ("indptr", "indices", "data")}
-        monkeypatch.setattr(sbm, "_CHUNK_DRAWS", 37)  # one row at a time
+        split = {field: getattr(net._split, field).copy() for field in ("indptr", "indices", "data")}
         assert adjacency_digest(net) == digest
-        oracle = coo_adjacency(net.n, net.edges)
         for field in ("indptr", "indices", "data"):
-            assert getattr(net.adjacency, field).dtype == getattr(oracle, field).dtype, field
-            got, want = getattr(net.split, field), split[field]
+            got, want = getattr(net._split, field), split[field]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
-        assert net.adjacency is net.adjacency  # built once
-        assert (net.adjacency is net.split) == (not net.dense_blocks.any())
 
 
 def complete_from_pairs():
@@ -457,7 +442,7 @@ def block_counts(net):
     """(edges, pairs) per block (r, s) of net, read from its adjacency."""
     cuts = np.cumsum((0, *net.community_sizes))
     sizes = np.diff(cuts)
-    adj = net.adjacency.toarray()
+    adj = adjacency(net).toarray()
     edges = np.add.reduceat(np.add.reduceat(adj, cuts[:-1], axis=0), cuts[:-1], axis=1)
     pairs = np.outer(sizes, sizes)
     np.fill_diagonal(edges, edges.diagonal() / 2)
@@ -471,7 +456,7 @@ class TestSplitProduct:
         net = build()
         rng = np.random.default_rng(net.n)
         for x in (rng.standard_normal(net.n), rng.standard_normal((net.n, 3))):
-            want = net.adjacency @ x
+            want = adjacency(net) @ x
             got = net.product(x)
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -480,29 +465,26 @@ class TestSplitProduct:
     def test_dense_blocks_and_their_complement(self, build, dense):
         net = build()
         edges, pairs = block_counts(net)
-        assert net.dense_blocks.tolist() == dense == (2 * edges > pairs).tolist()
-        if not np.any(dense):
-            assert net.split is net.adjacency
-            return
-        # M + R is the adjacency, entry by entry, with R = 1 on the dense blocks
+        assert net._dense.tolist() == dense == (2 * edges > pairs).tolist()
+        # M + R is the adjacency, entry by entry, with R = 1 on the dense blocks (M is A without one)
         member = np.repeat(np.arange(len(net.community_sizes)), net.community_sizes)
-        block_constant = net.dense_blocks[member[:, None], member[None, :]].astype(float)
-        assert np.array_equal(net.split.toarray() + block_constant, net.adjacency.toarray())
-        assert net.split.has_sorted_indices
+        block_constant = net._dense[member[:, None], member[None, :]].astype(float)
+        assert np.array_equal(net._split.toarray() + block_constant, adjacency(net).toarray())
+        assert net._split.has_sorted_indices
         # an entry per edge of a sparse block and per non-edge of a dense one, each pair of a
         # diagonal block stored twice, and the diagonal of a dense diagonal block
         stored = np.where(dense, pairs - edges, edges)
         diagonal = sum(size for size, d in zip(net.community_sizes, np.diag(dense)) if d)
-        assert net.split.nnz == stored.sum() + np.trace(stored) + diagonal
+        assert net._split.nnz == stored.sum() + np.trace(stored) + diagonal
 
     @pytest.mark.parametrize("build, dense", SPLIT_CASES[:5], ids=SPLIT_IDS[:5])
     def test_chunked_sampling_gives_the_same_split(self, monkeypatch, build, dense):
         whole = build()
         monkeypatch.setattr(sbm, "_CHUNK_DRAWS", 37)
         chunked = build()
-        assert np.array_equal(chunked.dense_blocks, whole.dense_blocks)
+        assert np.array_equal(chunked._dense, whole._dense)
         for field in ("indptr", "indices", "data"):
-            assert getattr(chunked.split, field).tobytes() == getattr(whole.split, field).tobytes(), field
+            assert getattr(chunked._split, field).tobytes() == getattr(whole._split, field).tobytes(), field
 
 
 class TestNetworkValidation:

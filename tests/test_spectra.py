@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import adjacency
 from netconsensus import consensus, sbm, spectra
 
 
@@ -50,7 +51,7 @@ class TestFullSpectrum:
         # 1 - lambda_j must reproduce the spectrum of D^{-1} A
         net = sample_two_level([20, 25], 0.4, 0.15, seed=11)
         spec = spectra.normalized_laplacian_spectrum(net)
-        adj = net.adjacency.toarray()
+        adj = adjacency(net).toarray()
         walk = adj / net.degrees[:, None]
         mu = np.sort(np.linalg.eigvals(walk).real)
         assert np.allclose(np.sort(1.0 - spec.eigenvalues), mu, atol=1e-8)
@@ -75,10 +76,10 @@ class TestFullSpectrum:
     def test_built_from_the_split_as_from_the_adjacency(self, sizes, p_in, p_out):
         # the parent's construction from the CSR adjacency is the oracle, to the byte
         net = sample_two_level(sizes, p_in, p_out, seed=4)
-        assert net.dense_blocks.any() == (p_in > 0.5)
+        assert net._dense.any() == (p_in > 0.5)
         spec = spectra.normalized_laplacian_spectrum(net)
         inv_sqrt_d = 1.0 / np.sqrt(net.degrees.astype(float))
-        lap = net.adjacency.toarray()
+        lap = adjacency(net).toarray()
         lap *= inv_sqrt_d[:, None]
         lap *= inv_sqrt_d
         np.subtract(0.0, lap, out=lap)
@@ -101,7 +102,7 @@ def sparse_laplacian_eigenvalues(net):
     from scipy import sparse
 
     inv_sqrt_d = sparse.diags(1.0 / np.sqrt(net.degrees.astype(float)))
-    lap = sparse.identity(net.n, format="csr") - inv_sqrt_d @ net.adjacency @ inv_sqrt_d
+    lap = sparse.identity(net.n, format="csr") - inv_sqrt_d @ adjacency(net) @ inv_sqrt_d
     return np.linalg.eigvalsh(lap.toarray())
 
 
@@ -141,11 +142,11 @@ def test_self_loop_operator_is_the_symmetrized_mixing_matrix():
 def test_walk_operator_of_a_network_with_dense_blocks(loops):
     # the operator applies A through the split product: compare with D'^-1/2 (A + loops I) D'^-1/2 built densely
     net = sample_two_level([20, 20], 0.9, 0.1, seed=3)
-    assert net.dense_blocks.tolist() == [[True, False], [False, True]]
+    assert net._dense.tolist() == [[True, False], [False, True]]
     op = spectra.deflated_walk_operator(net, 0.0, loops=loops)
     matrix = np.column_stack([op.matvec(col) for col in np.eye(net.n)])
     inv_sqrt_dp = 1.0 / np.sqrt(net.degrees + loops)
-    want = (net.adjacency.toarray() + loops * np.eye(net.n)) * inv_sqrt_dp[:, None] * inv_sqrt_dp[None, :]
+    want = (adjacency(net).toarray() + loops * np.eye(net.n)) * inv_sqrt_dp[:, None] * inv_sqrt_dp[None, :]
     assert matrix == pytest.approx(want, abs=1e-15)
 
 
