@@ -16,11 +16,12 @@ degenerates (Ajanki, Erdos and Kruger, arXiv:1506.05095):
     c = max over the simplex of 2 sum_s sqrt(v_s (M^T v)_s)
       = min over t > 0 of max_r (1/t_r + (M t)_r),
 
-one small convex problem instead of a scan. The isolated eigenvalues are the
-roots of det(I + T(z) E N) on the noise-free resolvent T = 1/(z - 1), with E
-the positive expectation kernel of block_matrices (the Laplacian's
-off-diagonal expectation is negative, hence the sign). Those roots are
-exactly 1 - eig(E N), the low-rank eigenvalues of the expected Laplacian.
+one small convex problem instead of a scan, solved by guarded Newton steps
+on the dual. The isolated eigenvalues are the roots of det(I + T(z) E N) on
+the noise-free resolvent T = 1/(z - 1), with E the positive expectation
+kernel of block_matrices (the Laplacian's off-diagonal expectation is
+negative, hence the sign). Those roots are exactly 1 - eig(E N), the low-rank
+eigenvalues of the expected Laplacian.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ _LADDER, _LADDER_TOL, _LADDER_MAX_ITERS = (1e-2, 1e-5), 1e-8, 100
 _SINGULAR_FLOOR = 1e-14
 # isolated values 1 - eig(E N) closer than this to the support count as bulk
 EDGE_MARGIN = 2e-3
-# relative gap between the edge solve's two bounds on c; the slowest of 300
-# random K <= 5 models needed 2671 updates
+# relative gap between the edge solve's two bounds on c; the slowest of 4500
+# random K <= 8 models, couplings down to 1e-12, needed 30 updates
 _EDGE_TOL = 1e-12
-_EDGE_MAX_ITERS = 50_000
+_EDGE_MAX_ITERS = 1_000
 _EDGE_RHO_TOL = 1e-6
 
 
@@ -215,33 +216,61 @@ def bulk_density(model: SbmModel, grid, eta: float = DEFAULT_ETA):
 
 class Support(tuple):
     """Bulk support edges ``(left, right)``; ``iterations`` counts the updates
-    of the edge solve (0 for a model without bulk)."""
+    of the edge solve and ``gap`` is the relative width of its final bracket
+    on c (both 0 for a model without bulk)."""
 
-    def __new__(cls, left, right, iterations=0):
+    def __new__(cls, left, right, iterations=0, gap=0.0):
         self = super().__new__(cls, (float(left), float(right)))
-        self.iterations = int(iterations)
+        self.iterations, self.gap = int(iterations), float(gap)
         return self
 
 
+def _edge_terms(mix, v):
+    """w = M^T v, the inner minimizer t = sqrt(v / w), and the gradient g = 1/t + M t."""
+    w = mix.T @ v
+    t = np.sqrt(v / w)
+    return w, t, 1.0 / t + mix @ t
+
+
 def _edge_radius(kern):
-    """Half-width c of the bulk and the number of updates that found it.
+    """Half-width c of the bulk, the relative width of its final bracket, and
+    the number of updates that found it.
 
     The right edge 1 + c is the smallest z with a positive real fixed point,
-    c = min over t > 0 of max_r (1/t_r + (M t)_r). Its convex dual is
-    c = max over the simplex of 2 sum_s sqrt(v_s (M^T v)_s), where the inner
-    minimum over t is t = sqrt(v / M^T v). The multiplicative update
-    v <- v * (1/t + M t) climbs the dual; the dual value v @ (1/t + M t) and
-    the primal max_r (1/t + M t)_r bracket c, so their gap is the stopping
-    rule. At the optimum v / t^2 is a nonnegative left eigenvector of
-    diag(t^2) M with eigenvalue 1, which is checked. Blocks without variance
-    carry no bulk and are dropped.
+    c = min over t > 0 of max_r (1/t_r + (M t)_r). Its concave dual is
+    c = max over the simplex of phi(v) = v @ g, with g = 1/t + M t at the
+    inner minimizer t = sqrt(v / w), w = M^T v; phi(v) and max_r g_r bracket
+    c. The dual separates over the groups of blocks that M joins, each with an
+    interior optimum (Perron-Frobenius), so each group is solved alone and c
+    is the largest value. Blocks without variance carry no bulk and are dropped.
     """
-    live = kern.mix.any(axis=1)
-    mix = kern.mix[np.ix_(live, live)]
-    v = np.full(mix.shape[0], 1.0 / mix.shape[0])
+    reach = (kern.mix > 0.0) | np.eye(kern.k, dtype=bool)
+    for _ in range(kern.k.bit_length()):
+        reach = reach @ reach
+    # one row per group of blocks with variance: the row of its first block
+    firsts = (reach.argmax(axis=1) == np.arange(kern.k)) & kern.mix.any(axis=1)
+    highs, lows, updates = zip(*(_group_radius(kern.mix[np.ix_(b, b)]) for b in reach[firsts]))
+    return max(highs), max(1.0 - max(lows) / max(highs), 0.0), sum(updates)
+
+
+def _group_radius(mix):
+    """(primal bound, dual bound, updates) on c for one group of joined blocks.
+
+    From the uniform v, each update is a Newton step on phi, whose Hessian
+    -P diag(t / 2w) P^T, P = M - diag(1/t^2), vanishes on v: adding the
+    constant phi(v) to it keeps the step on the simplex. The step, first the
+    longest of 1, 1/2, ... that keeps v positive, is halved until it raises
+    phi or narrows the bracket (near c, phi is flat to rounding while max_r g_r
+    still moves); where the rise the Newton model predicts falls below
+    rounding first, no step is taken. A step shorter than 1, or none, is
+    completed by the multiplicative update v <- v * g / phi(v), which keeps v
+    positive: far from c, where M nearly splits into groups, positivity cuts
+    the Newton step to a sliver. At the optimum v / t^2 is a nonnegative left
+    eigenvector of diag(t^2) M with eigenvalue 1, which is checked.
+    """
+    v = np.full(len(mix), 1.0 / len(mix))
+    w, t, g = _edge_terms(mix, v)
     for it in range(1, _EDGE_MAX_ITERS + 1):
-        t = np.sqrt(v / (mix.T @ v))
-        g = 1.0 / t + mix @ t
         high, low = float(g.max()), float(v @ g)
         if not np.isfinite(high):
             break
@@ -249,9 +278,30 @@ def _edge_radius(kern):
             rho = _spectral_radius(mix * (t**2)[:, None])
             if abs(rho - 1.0) > _EDGE_RHO_TOL:
                 raise SupportNotFoundError(f"edge check failed: rho(diag(t^2) M) = {rho!r}, not 1")
-            return high, it
-        v = v * g
-        v /= v.sum()
+            return high, low, it
+        p = mix - np.diag(w / v)
+        try:
+            d = np.linalg.solve((p * (t / (2.0 * w))) @ p.T + low, g - low)
+        except np.linalg.LinAlgError:  # numerically reducible: no step, so the update falls back
+            d = np.zeros_like(v)
+        rate, slope = d / v, float((g - low) @ d)
+        # step * (steepest fall rate) is in [1/2, 1), so 1 + step * rate > 0 exactly
+        step = np.ldexp(1.0, -max(np.frexp(-rate.min())[1], 0))
+        while True:
+            trial = v * (1.0 + step * rate)
+            trial /= trial.sum()
+            terms = _edge_terms(mix, trial)
+            rise = float(trial @ terms[2])
+            if rise > low or float(terms[2].max()) - rise < high - low:
+                break
+            step /= 2.0
+            if not step * slope > np.finfo(float).eps * low:  # also ends a NaN slope
+                trial, terms, rise = v, (w, t, g), low
+                break
+        if step < 1.0:
+            trial = trial * terms[2] / rise
+            terms = _edge_terms(mix, trial)
+        v, (w, t, g) = trial, terms
     raise SupportNotFoundError(f"edge solve did not converge in {it} updates (gap {high - low!r})")
 
 
@@ -266,10 +316,10 @@ def support_boundaries(model: SbmModel) -> Support:
     kern = _kernel(model)
     if kern.mix.max() <= 0.0:
         return Support(1.0, 1.0)
-    c, iterations = _edge_radius(kern)
+    c, gap, iterations = _edge_radius(kern)
     if not c < 1.0:
         raise SupportNotFoundError(f"bulk support [{1.0 - c!r}, {1.0 + c!r}] leaves (0, 2)")
-    return Support(1.0 - c, 1.0 + c, iterations)
+    return Support(1.0 - c, 1.0 + c, iterations, gap)
 
 
 def isolated_eigenvalues(model: SbmModel, support):
@@ -314,7 +364,7 @@ def predict(
     span = max(lam_r - lam_l, 0.05)
     grid = np.linspace(lam_l - 0.1 * span, lam_r + 0.1 * span, int(grid_spec))
 
-    diagnostics = {"eta": eta, "edge_iterations": support.iterations}
+    diagnostics = {"eta": eta, "edge_iterations": support.iterations, "edge_gap": support.gap}
     if with_density and lam_r > lam_l:
         density, ddiag = bulk_density(model, grid, eta=eta)
         diagnostics.update(ddiag)

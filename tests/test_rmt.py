@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -276,6 +278,74 @@ def test_support_outside_unit_window_raises():
     # expected degree 0.4: the bulk would reach below 0
     with pytest.raises(rmt.SupportNotFoundError):
         rmt.support_boundaries(two_level([20, 20], 0.01, 0.01))
+
+
+def multiplicative_edge(mix):
+    """The multiplicative edge solve that the Newton steps replaced, kept as an
+    oracle: v <- v * (1/t + M t) on the dual until the bracket closes to
+    rmt._EDGE_TOL. Returns (primal bound, dual bound, updates)."""
+    live = mix.any(axis=1)
+    mix = mix[np.ix_(live, live)]
+    v = np.full(mix.shape[0], 1.0 / mix.shape[0])
+    for it in range(1, 50_001):
+        t = np.sqrt(v / (mix.T @ v))
+        g = 1.0 / t + mix @ t
+        high, low = float(g.max()), float(v @ g)
+        if high - low <= rmt._EDGE_TOL * high:
+            return high, low, it
+        v = v * g
+        v /= v.sum()
+    raise AssertionError("oracle did not converge in 50000 updates")
+
+
+@st.composite
+def edge_models(draw):
+    """K <= 6 blocks: probability-one blocks (no variance), absent couplings
+    (a reducible M), and couplings down to 1e-4."""
+    k = draw(st.integers(1, 6))
+    sizes = tuple(draw(st.lists(st.integers(30, 3000), min_size=k, max_size=k)))
+    pi = np.zeros((k, k))
+    for r in range(k):
+        pi[r, r] = draw(st.one_of(st.just(1.0), st.floats(0.05, 0.95)))
+        for s in range(r):
+            coupling = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-4.0, -0.5).map(lambda e: 10.0**e))
+            pi[r, s] = pi[s, r] = draw(coupling)
+    return sbm.SbmModel(sizes, pi, 0)
+
+
+@settings(max_examples=80)
+@given(edge_models())
+@example(er_model(1000, 0.05))
+def test_edge_radius_matches_multiplicative_oracle(model):
+    kern = rmt._kernel(model)
+    assume(kern.mix.max() > 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c, gap, _ = rmt._edge_radius(kern)
+    high, low, _ = multiplicative_edge(kern.mix)
+    # both brackets are at most _EDGE_TOL wide and hold the same c
+    assert 0.0 <= gap <= rmt._EDGE_TOL and high - low <= rmt._EDGE_TOL * high
+    assert c == pytest.approx(high, rel=2e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "sizes, p_in, p_out",
+    [
+        ((500, 1000, 2000, 3500), 0.1, 0.02),  # fig2 predict: 7 updates, the oracle 469
+        ((700, 300), 0.1, 0.001),  # sweep-sparse: 9, the oracle 69
+        ((700, 300), 0.9, 0.002),  # sweep-dense: 8, the oracle 67
+        ((30, 70), 0.9, 0.003),  # gadget: 9, the oracle 67
+        ((700, 300), 0.1, 0.0),  # reducible: 2, one per group; the oracle 64
+    ],
+)
+def test_edge_updates_on_benchmark_models(sizes, p_in, p_out):
+    assert rmt.support_boundaries(block_model(sizes, p_in, p_out)).iterations <= 20
+
+
+def test_predict_reports_the_certified_edge_gap():
+    diag = rmt.predict(block_model((500, 1000, 2000, 3500), 0.1, 0.02), with_density=False).diagnostics
+    assert 0.0 <= diag["edge_gap"] <= rmt._EDGE_TOL
+    assert diag["edge_iterations"] >= 1
 
 
 def _expected_laplacian_spectrum(sizes, pi):
