@@ -9,12 +9,12 @@ permanently drops below the threshold.
 A run first iterates the pi-centred deviation e = x - x_star, re-centred
 every round, so the shrinking error carries no round-off of x itself; each
 round's A e is one Network.product, which walks a dense block's non-edges
-instead of its edges. After
-a few rounds only the walk's slow modes are left. At round
-spectra.SWITCH_ROUND, if its error is still above epsilon, the run switches
-to the tail (_tail): each block of rounds is one small product over the slow
-modes' Ritz pairs, and a bound on what they miss certifies each round's side
-of epsilon. With one slow mode (two communities) the product is one row: the
+instead of its edges. After a few rounds only the walk's slow modes are left.
+At round spectra.SWITCH_ROUND, if its error is still above epsilon, the run
+switches to the tail (_tail): each block of rounds that spectra.slow_modes
+hands it is one small product over the slow modes' Ritz pairs, and the block's
+bound on what they miss certifies each round's side of epsilon. With one slow
+mode (two communities) the product is one row: the
 node of largest |mode| holds the sup-norm peak of every round. Where there are
 no such pairs (a tiny network) or it cannot certify a round, the loop continues
 from the switch state; it stays the fallback and the oracle, unless the network
@@ -154,18 +154,19 @@ def _tail(net: Network, e, t0: int, epsilon: float, denom: float, max_rounds: in
     (the re-centring removes the top eigenvector u). The Ritz pairs
     S' V ~ V diag(theta) that spectra.slow_modes gives for y0 = D^{1/2} e, with
     c = V^T y0, give round t0 + s of the loop as B a_s, B = D^{-1/2} V and
-    a_s = diag(theta^s) c, up to the remainder bound of the same call. With one
-    mode each entry of B a_s is one rounded product B_i a_s, and rounding is
-    monotone, so the row of largest |B_i| gives max_i |B_i a_s| exactly in
-    every round and the product keeps only that row. Returns None, and the loop
-    carries on from round t0, if there are no such pairs or any round's error
-    lies within that bound + MARGIN * epsilon of epsilon.
+    a_s = diag(theta^s) c, up to the remainder bound; the same call's blocks
+    hands over theta^s and that bound, and the tail keeps only its decision.
+    With one mode each entry of B a_s is one rounded product B_i a_s, and
+    rounding is monotone, so the row of largest |B_i| gives max_i |B_i a_s|
+    exactly in every round and the product keeps only that row. Returns None,
+    and the loop carries on from round t0, if there are no such pairs or any
+    round's error lies within that bound + MARGIN * epsilon of epsilon.
     """
     sqrt_d = np.sqrt(net.degrees.astype(float))
     solve = spectra.slow_modes(net, sqrt_d * e)
     if solve is None:
         return None
-    theta, vecs, coef, remainder = solve
+    theta, vecs, coef, blocks = solve
     top = float(theta.max())
     basis = vecs / sqrt_d[:, None]
     if theta.size == 1:
@@ -175,11 +176,9 @@ def _tail(net: Network, e, t0: int, epsilon: float, denom: float, max_rounds: in
     errors: list[float] = []
     # the switch round's error is above epsilon
     above = t = t0
-    while t < max_rounds:
-        s = np.arange(t - t0 + 1, min(t + spectra.TAIL_BLOCK, max_rounds) - t0 + 1)
-        estimate = np.abs(basis @ (coef[:, None] * theta[:, None] ** s)).max(axis=0) / denom
-        bound = to_error * remainder(s)
-        for err, slack in zip(estimate.tolist(), (bound + MARGIN * epsilon).tolist()):
+    for _, power, remainder in blocks(max_rounds - t0):
+        estimate = np.abs(basis @ (coef[:, None] * power)).max(axis=0) / denom
+        for err, slack in zip(estimate.tolist(), (to_error * remainder + MARGIN * epsilon).tolist()):
             if abs(err - epsilon) <= slack:
                 return None
             t += 1

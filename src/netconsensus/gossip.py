@@ -28,6 +28,7 @@ the oracle; a trace holds the tail's estimated gaps after tail_from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 import numpy as np
 
 from . import spectra
@@ -214,12 +215,11 @@ def _mixing_tail(net: Network, pair: np.ndarray, epsilon: float, rounds: int, re
     Y = D'^-1/2 pair, only psw has a part along S's top eigenvector u,
     which every round keeps; the rest follows S - u u^T, whose Ritz pairs
     and the block's coefficients on them (one spectra.slow_modes call) give
-    each block of rounds as one small product. With b_psw psw's remainder
-    bound from that call and b_dev the root sum of squares of those of dev's
-    columns, which bounds their Frobenius norm, node i's
-    dev_i / psw_i lies within
-    sqrt(d'_i) (b_dev + |w_i| b_psw) / (psw_i - sqrt(d'_i) b_psw) of its
-    estimate w_i. Returns None if a round's psw is not bounded away from 0
+    each block of rounds the call hands over as one small product. With
+    b_psw psw's remainder bound and b_dev the root sum of squares of those of
+    dev's columns, which bounds their Frobenius norm, node i's dev_i / psw_i
+    lies within sqrt(d'_i) (b_dev + |w_i| b_psw) / (psw_i - sqrt(d'_i) b_psw)
+    of its estimate w_i. Returns None if a round's psw is not bounded away from 0
     or its gap lies within twice the largest node bound plus _BRACKET_MARGIN
     epsilon of epsilon.
     """
@@ -231,16 +231,13 @@ def _mixing_tail(net: Network, pair: np.ndarray, epsilon: float, rounds: int, re
     solve = spectra.slow_modes(net, start, loops=1.0)
     if solve is None:
         return None
-    theta, vecs, coef, remainder = solve
+    theta, vecs, coef, blocks = solve
     basis = sqrt_dp[:, None] * vecs
     # F = R^T of C_dev^T = QR: x^T F is as long as x^T C_dev, in at most one coordinate per mode
     factor = np.linalg.qr(coef[:, :-1].T, mode="r").T
     gaps = []
-    for done in range(0, rounds, spectra.TAIL_BLOCK):
-        s = np.arange(done + 1, min(done + spectra.TAIL_BLOCK, rounds) + 1)
-        power = theta[:, None] ** s
+    for s, power, bound in blocks(rounds):
         p = settled[:, None] + basis @ (power * coef[:, -1:])
-        bound = remainder(s)
         reach = sqrt_dp[:, None] * bound[-1]
         if (reach >= p).any():
             return None
@@ -251,8 +248,8 @@ def _mixing_tail(net: Network, pair: np.ndarray, epsilon: float, rounds: int, re
         slack = 2.0 * node.max(axis=0) + epsilon * _BRACKET_MARGIN
         radius = np.linalg.norm(spread - spread[0], axis=2).max(axis=0)
         below, above = _bracket(radius, epsilon, slack)
-        if record_trace:  # spread's coordinates keep every pairwise distance
-            gaps += [max_pairwise_gap(spread[:, j]) for j in range(s.size)]
+        # spread's coordinates keep every pairwise distance; each traced gap is computed only when taken
+        traced = (max_pairwise_gap(spread[:, j]) for j in range(s.size if record_trace else 0))
         for j in np.flatnonzero(~above):
             if not below[j]:
                 gap = max_pairwise_gap(spread[:, j])
@@ -260,7 +257,8 @@ def _mixing_tail(net: Network, pair: np.ndarray, epsilon: float, rounds: int, re
                     return None
                 if gap >= epsilon:
                     continue
-            return int(s[j]), True, gaps[:s[j]]
+            return int(s[j]), True, gaps + list(islice(traced, j + 1))
+        gaps += traced
     return rounds, False, gaps
 
 

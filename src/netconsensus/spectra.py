@@ -9,7 +9,7 @@ operators (deflated_walk_operator), applied with the network's product
 (Network.product); lambda2_only and mu2_abs_only solve the walk operator for
 one extreme value each, and at SWITCH_ROUND, one slow_modes call gives
 each simulator's tail the certified slow modes of its start from one Lanczos
-solve, the start's coefficients on them, and a bound on what they miss.
+solve, the start's coefficients on them, and the tail's rounds in blocks with bounds.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ LAMBDA2_ITERS_PER_NODE = 100
 SWITCH_ROUND = 32
 # ARPACK restarts the slow-mode solve may take before the run stays on its loop
 TAIL_RESTARTS = 20
-# rounds a tail evaluates per product
+# rounds a tail evaluates per product; fixed, since push-sum's tail does O(n)
+# work per round and a larger last block pays for more rounds past the stop
 TAIL_BLOCK = 64
 
 __all__ = [
@@ -178,26 +179,24 @@ def _lanczos_fits(n: int, k: int) -> bool:
 
 
 def slow_modes(net: Network, start: np.ndarray, loops: float = 0.0):
-    """The slow modes of a tail's start y0, a vector (n,) or a block (n, c) in
-    the walk's symmetric coordinates, and their bound: (theta, V, c, bound), or
-    None.
+    """The slow modes of a tail's start y0, a vector (n,) or a block (n, c) in the walk's
+    symmetric coordinates, and the tail's rounds: (theta, V, c, blocks), or None.
 
     S' V ~ V diag(theta) are the k largest-magnitude Ritz pairs of
     S' = deflated_walk_operator(net, 1, loops) from one Lanczos solve from y0
     summed over its columns, with k = max(1, K - 1): one per community mode, a
     block model's slow modes. c = V^T y0, so V diag(theta^s) c estimates
-    S'^s y0, and bound(s), over the rounds s >= 1, bounds
-    |S'^s y - V diag(theta^s) V^T y| from above: one row over s for a vector
-    y0, one row per column y of a block y0.
+    S'^s y0. blocks(rounds) yields (s, theta[:, None] ** s, bound) for s = 1..rounds,
+    TAIL_BLOCK rounds at a time; bound bounds |S'^s y - V diag(theta^s) V^T y|
+    from above: one row over s for a vector y0, one row per column y of a block y0.
 
     Split y(s) = V a(s) + q(s) with q orthogonal to V. With
     R = S'V - V diag(theta) and r = |R| <= resid,
         a(s+1) = theta a(s) + R^T q(s),   q(s+1) = R a(s) + Q S' Q q(s),
-    where Q S' Q, S' compressed to the complement of V, has norm at most
-    rho = min |theta| + 2 resid as long as the solve found the
-    largest-magnitude eigenvalues. |S'| <= 1 bounds |a|, |q| by |y0|; the bound's sums follow
-    from unrolling both recurrences. None when the basis does not fit
-    (_lanczos_fits), the solve does not converge within TAIL_RESTARTS
+    where Q S' Q, S' compressed to the complement of V, has norm at most rho = min |theta| +
+    2 resid as long as the solve found the largest-magnitude eigenvalues. |S'| <= 1 bounds
+    |a|, |q| by |y0|; the bound's sums follow from unrolling both recurrences. None when the
+    basis does not fit (_lanczos_fits), the solve does not converge within TAIL_RESTARTS
     restarts, or rho >= 1, where the other modes need not decay.
     """
     k = max(1, len(net.community_sizes) - 1)
@@ -223,11 +222,15 @@ def slow_modes(net: Network, start: np.ndarray, loops: float = 0.0):
     abs_theta = np.abs(theta)[:, None]
     gap = abs_theta - rho
 
-    def bound(s):
-        # sum_{j<s} rho^(s-1-j) |theta_i|^j, bounded two ways
-        above = np.divide(abs_theta**s, gap, out=np.full((k, s.size), np.inf), where=gap > 0)
-        leak = np.minimum(s * np.maximum(abs_theta, rho) ** (s - 1), above)
-        second = resid * (dropped + resid * s * (size.sum(axis=0)[:, None] + y0_norm * (1.0 + resid * s))) / (1.0 - rho)
-        return (rho**s * dropped + resid * (size.T @ leak) + second).reshape(start.shape[1:] + s.shape)
+    def blocks(rounds):
+        for done in range(0, rounds, TAIL_BLOCK):
+            s = np.arange(done + 1, min(done + TAIL_BLOCK, rounds) + 1)
+            # sum_{j<s} rho^(s-1-j) |theta_i|^j, bounded two ways
+            above = np.divide(abs_theta**s, gap, out=np.full((k, s.size), np.inf), where=gap > 0)
+            leak = np.minimum(s * np.maximum(abs_theta, rho) ** (s - 1), above)
+            second = resid * (dropped + resid * s * (size.sum(axis=0)[:, None] + y0_norm * (1.0 + resid * s)))
+            second /= 1.0 - rho
+            bound = rho**s * dropped + resid * (size.T @ leak) + second
+            yield s, theta[:, None] ** s, bound.reshape(start.shape[1:] + s.shape)
 
-    return theta, vecs, coef, bound
+    return theta, vecs, coef, blocks

@@ -18,3 +18,9 @@ def adjacency(net):
     adj = sparse.csr_matrix((np.ones(2 * len(pairs)), (rows, cols)), shape=(net.n, net.n))
     adj.sort_indices()
     return adj
+
+
+def tail_bound(blocks, rounds):
+    """The remainder bound of rounds 1..rounds, read block by block from the blocks of a
+    spectra.slow_modes call: one row over the rounds for a vector start, one per column of a block."""
+    return np.concatenate([bound for _, _, bound in blocks(rounds)], axis=-1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import adjacency
+from conftest import adjacency, tail_bound
 from netconsensus import consensus, sbm, spectra
 
 EPS = 1e-10
@@ -376,7 +376,7 @@ class TestTail:
         net = sample_connected([40, 30, 30][: modes + 1], 0.5, 0.02, seed=3)
         op = spectra.deflated_walk_operator(net, shift=1.0)
         y0 = np.sqrt(net.degrees) * (consensus.random_initial_state(net.n, 3) - 0.5)
-        theta, vecs, coef, bound = spectra.slow_modes(net, y0)
+        theta, vecs, coef, blocks = spectra.slow_modes(net, y0)
         assert theta.size == modes
         assert np.array_equal(coef, vecs.T @ y0)
         s = np.arange(1, 301)
@@ -385,16 +385,16 @@ class TestTail:
             y = op.matvec(y)
             gaps.append(np.linalg.norm(y - vecs @ (coef * theta**step)))
         assert np.linalg.norm(y0 - vecs @ coef) > 0.1 * np.linalg.norm(y0)
-        assert np.all(np.asarray(gaps) <= bound(s))
+        assert np.all(np.asarray(gaps) <= tail_bound(blocks, 300))
 
         # a block of columns on push-sum's operator, as the mixing tail bounds
         # it: one bound per column, whose root sum of squares bounds the
         # Frobenius norm of the block's remainder
         block = np.random.default_rng(modes).standard_normal((net.n, 20))
-        theta, vecs, coef, bound = spectra.slow_modes(net, block, loops=1.0)
+        theta, vecs, coef, blocks = spectra.slow_modes(net, block, loops=1.0)
         assert theta.size == modes
         op = spectra.deflated_walk_operator(net, shift=1.0, loops=1.0)
-        bound = bound(s)
+        bound = tail_bound(blocks, 300)
         assert bound.shape == (20, s.size)
         y, gaps = block, []
         for step in s:
@@ -416,19 +416,20 @@ class TestTail:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recorded)
         net = sample_connected([40, 30], 0.5, 0.02, seed=3)
         y0 = np.sqrt(net.degrees) * (consensus.random_initial_state(net.n, 3) - 0.5)
-        theta, _, coef, bound = spectra.slow_modes(net, y0)
-        col_theta, _, col_coef, col_bound = spectra.slow_modes(net, y0[:, None])
+        theta, _, coef, blocks = spectra.slow_modes(net, y0)
+        col_theta, _, col_coef, col_blocks = spectra.slow_modes(net, y0[:, None])
         block = np.column_stack([y0, -2.0 * y0, y0**2])
         spectra.slow_modes(net, block)
         # each solve starts from its start summed over the columns
         assert np.array_equal(starts[0], y0) and np.array_equal(starts[1], y0)
         assert np.array_equal(starts[2], block.sum(axis=1))
         s = np.arange(1, 301)
+        bound, col_bound = tail_bound(blocks, 300), tail_bound(col_blocks, 300)
         assert np.array_equal(theta, col_theta)
         assert coef.shape == (1,) and col_coef.shape == (1, 1)
-        assert bound(s).shape == s.shape and col_bound(s).shape == (1, s.size)
+        assert bound.shape == s.shape and col_bound.shape == (1, s.size)
         # the vector's V^T y0 and the column's may differ in their last bits
-        assert bound(s) == pytest.approx(col_bound(s)[0], rel=1e-12)
+        assert bound == pytest.approx(col_bound[0], rel=1e-12)
 
     @pytest.mark.parametrize("sizes, p_in, p_out, seed", [
         ([700, 300], 0.1, 0.01, 1),  # the fig3 model: one slow mode

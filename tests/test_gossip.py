@@ -723,12 +723,26 @@ def test_runs_that_end_before_the_switch_stay_on_the_loop(monkeypatch, learning,
     assert run.rounds_to_consensus == (52 if learning else LEARNING_EVERY_ROUND[1][0])
 
 
-def test_traced_run_past_the_switch_records_the_tail():
-    # TWO_COMMUNITY_RUNS's sparse model: 256 rounds, 174 of them on the tail
-    net, _ = sbm.sample_connected(sbm.make_two_level_model([40, 20], sbm.TwoLevelProbs(0.5, 0.02), 3))
-    ds = data.make_blobs(400, 6, 1.0, seed=1)
-    cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-10, learning_rounds=50)
-    untraced = gossip.run_gadget(net, ds, cfg, seed=3, record_trace=False)
+# runs past the switch: TWO_COMMUNITY_RUNS's sparse model (256 rounds, 174 of
+# them on the tail) and MORE_MODES_AND_NODES's three-community model, whose
+# tail keeps two Ritz modes (1464 rounds, 1412 of them on the tail); both stop
+# inside a block of the tail's rounds
+TRACED_TAIL_RUNS = [TWO_COMMUNITY_RUNS[1], MORE_MODES_AND_NODES[0]]
+
+
+def traced_tail_case(sizes, probs, seed, blobs, learning):
+    """The network, dataset and settings of a TRACED_TAIL_RUNS case."""
+    n, d, margin, blob_seed = blobs
+    net, _ = sbm.sample_connected(sbm.make_two_level_model(sizes, sbm.TwoLevelProbs(*probs), seed))
+    return net, data.make_blobs(n, d, margin, seed=blob_seed), gossip.GadgetConfig(
+        nu=0.1, epsilon=1e-10, learning_rounds=learning)
+
+
+@pytest.mark.parametrize("sizes, probs, seed, blobs, learning, rounds", TRACED_TAIL_RUNS,
+                         ids=["two-communities", "three-communities"])
+def test_traced_run_past_the_switch_records_the_tail(sizes, probs, seed, blobs, learning, rounds):
+    net, ds, cfg = traced_tail_case(sizes, probs, seed, blobs, learning)
+    untraced = gossip.run_gadget(net, ds, cfg, seed=seed, record_trace=False)
     slacks = []
     bracket = gossip._bracket
 
@@ -739,23 +753,46 @@ def test_traced_run_past_the_switch_records_the_tail():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gossip, "_bracket", spy)
-        traced = gossip.run_gadget(net, ds, cfg, seed=3)
+        traced = gossip.run_gadget(net, ds, cfg, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
         loop_only(mp)
-        loop = gossip.run_gadget(net, ds, cfg, seed=3)
-    start = switch_round(50)
+        loop = gossip.run_gadget(net, ds, cfg, seed=seed)
+    start = switch_round(learning)
     assert traced.tail_from == untraced.tail_from == start and loop.tail_from is None
-    assert traced.rounds_to_consensus == untraced.rounds_to_consensus == loop.rounds_to_consensus == 256
+    assert traced.rounds_to_consensus == untraced.rounds_to_consensus == loop.rounds_to_consensus == rounds
     assert traced.final_weights.tobytes() == untraced.final_weights.tobytes()
     assert (traced.test_accuracy, traced.final_objective) == (untraced.test_accuracy, untraced.final_objective)
     for got, want in ((traced.objective_trace, loop.objective_trace), (traced.accuracy_trace, loop.accuracy_trace)):
         assert got.tobytes() == want.tobytes()
     gaps, exact = traced.max_pairwise_gap_trace, loop.max_pairwise_gap_trace
-    assert len(gaps) == len(exact) == 256
+    assert len(gaps) == len(exact) == rounds
     assert gaps[:start].tobytes() == exact[:start].tobytes()
-    slack = np.array(slacks[:256 - start])
+    slack = np.array(slacks[:rounds - start])
     assert np.all(np.abs(gaps[start:] - exact[start:]) <= slack)
     assert not np.array_equal(gaps[start:], exact[start:])
+
+
+@pytest.mark.parametrize("sizes, probs, seed, blobs, learning, rounds", TRACED_TAIL_RUNS,
+                         ids=["two-communities", "three-communities"])
+def test_traced_tail_computes_no_gap_past_the_stop(monkeypatch, sizes, probs, seed, blobs, learning, rounds):
+    # every pairwise gap a traced run computes, on the loop, in the tail's stop
+    # decision or for its trace, is the gap of a round up to the stop: its
+    # value is in the trace. The rounds of the stop's block after it are not run
+    net, ds, cfg = traced_tail_case(sizes, probs, seed, blobs, learning)
+    computed = []
+    gap = gossip.max_pairwise_gap
+
+    def spy(weights):
+        computed.append(gap(weights))
+        return computed[-1]
+
+    monkeypatch.setattr(gossip, "max_pairwise_gap", spy)
+    run = gossip.run_gadget(net, ds, cfg, seed=seed)
+    assert run.tail_from == switch_round(learning) and run.rounds_to_consensus == rounds
+    assert (rounds - run.tail_from) % spectra.TAIL_BLOCK != 0
+    trace = run.max_pairwise_gap_trace
+    assert len(trace) == rounds and len(computed) >= rounds
+    assert set(computed) <= set(trace.tolist())
 
 
 def test_tail_node_bound_covers_the_psw_remainder(monkeypatch):

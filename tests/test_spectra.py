@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import adjacency
+from conftest import adjacency, tail_bound
 from netconsensus import consensus, sbm, spectra
 
 
@@ -262,6 +262,21 @@ def clique_modes():
     return net, op, vals[order], vecs[:, order]
 
 
+def test_blocks_hand_over_every_round_once():
+    # both tails' one block schedule: rounds 1..rounds, TAIL_BLOCK at a time,
+    # each with the modes' powers theta^s and one bound per round
+    net = clique_modes()[0]
+    theta, _, _, blocks = spectra.slow_modes(net, np.random.default_rng(0).standard_normal(net.n))
+    for rounds in (0, 1, spectra.TAIL_BLOCK, 2 * spectra.TAIL_BLOCK + 5):
+        handed = list(blocks(rounds))
+        assert [s.size for s, _, _ in handed] == [min(spectra.TAIL_BLOCK, rounds - done)
+                                                  for done in range(0, rounds, spectra.TAIL_BLOCK)]
+        assert np.array_equal(np.concatenate([np.arange(0)] + [s for s, _, _ in handed]), np.arange(1, rounds + 1))
+        for s, power, bound in handed:
+            assert power.tobytes() == (theta[:, None] ** s).tobytes()
+            assert bound.shape == s.shape
+
+
 class TestSlowModesBoundIsTight:
     """The remainder bound against starts whose remainder comes close to it, so
     that each of its terms is needed: a weaker bound fails these checks."""
@@ -273,10 +288,10 @@ class TestSlowModesBoundIsTight:
         # so the bound's rho^s * dropped term is within 2% per round of it
         net, op, vals, modes = clique_modes()
         y0 = modes[:, 0] + 3.0 * modes[:, 1]
-        theta, vecs, coef, bound = spectra.slow_modes(net, y0)
+        theta, vecs, coef, blocks = spectra.slow_modes(net, y0)
         assert theta == pytest.approx(vals[:1], rel=1e-12)
         gaps = iterated_gaps(op, y0, vecs, coef, theta, self.s)
-        bound = bound(self.s)
+        bound = tail_bound(blocks, self.s.size)
         assert np.all(gaps <= bound)
         assert np.all(gaps[:5] >= 0.9 * bound[:5])
 
@@ -293,11 +308,11 @@ class TestSlowModesBoundIsTight:
             return np.array([tilted @ op.matvec(tilted)]), tilted[:, None]
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", loose)
-        theta, vecs, coef, bound = spectra.slow_modes(net, tilted)
+        theta, vecs, coef, blocks = spectra.slow_modes(net, tilted)
         resid = np.linalg.norm(op.matvec(tilted) - theta[0] * tilted)
         assert resid > 5e-4
         gaps = iterated_gaps(op, tilted, vecs, coef, theta, self.s)
-        bound = bound(self.s)
+        bound = tail_bound(blocks, self.s.size)
         assert gaps[0] == pytest.approx(resid, rel=1e-9)
         assert np.all(gaps <= bound)
         assert gaps[0] >= 0.9 * bound[0]
