@@ -1,4 +1,4 @@
-"""Dataset ingestion, horizontal partitioning, and synthetic blob generation.
+"""Sparse-text ingestion to CSR, dense synthetic blobs, and partitioning.
 
 The on-disk format is the usual sparse text layout, one example per line:
 ``label idx:val idx:val ...`` with 0- or 1-based indices (autodetected).
@@ -33,12 +33,13 @@ class DatasetFormatError(ValueError):
 
 @dataclass(eq=False)
 class LabeledDataset:
-    """Sparse feature matrix with labels in {-1, +1}.
+    """Features X of shape (n_examples, d) with labels y, an int array of +/-1.
 
-    X is CSR of shape (n_examples, d); y is an int array of +/-1.
+    X is CSR from load_sparse_text, which wide sparse files need, or the dense
+    2-D float array that make_blobs draws.
     """
 
-    X: sparse.csr_matrix
+    X: sparse.csr_matrix | np.ndarray
     y: np.ndarray
 
     def __post_init__(self) -> None:
@@ -48,7 +49,7 @@ class LabeledDataset:
             raise ValueError(f"labels must be -1/+1, found {bad.tolist()}")
         if self.X.shape[0] != self.y.shape[0]:
             raise ValueError("X and y row counts differ")
-        if not np.isfinite(self.X.data).all():
+        if not np.isfinite(self.X if isinstance(self.X, np.ndarray) else self.X.data).all():
             raise ValueError("features contain NaN/Inf")
 
     @property
@@ -138,8 +139,6 @@ def make_blobs(n_examples: int, d: int, margin: float, seed: int) -> LabeledData
     n_examples, d or seed, or a margin not > 0 and finite, raises ValueError
     naming it.
     """
-    from scipy import sparse
-
     for name, value in (("n_examples", n_examples), ("d", d), ("seed", seed)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
@@ -150,8 +149,7 @@ def make_blobs(n_examples: int, d: int, margin: float, seed: int) -> LabeledData
     normal /= np.linalg.norm(normal)
     y = np.where(rng.random(n_examples) < 0.5, 1, -1)
     points = rng.normal(size=(n_examples, d)) + np.outer(y * margin, normal)
-    X = sparse.csr_matrix(points)
-    return LabeledDataset(X=X, y=y.astype(np.int64))
+    return LabeledDataset(X=points, y=y.astype(np.int64))
 
 
 def train_test_split(ds: LabeledDataset, test_fraction: float, seed: int):

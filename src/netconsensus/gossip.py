@@ -1,19 +1,19 @@
 """Gossip-based decentralized SVM: local Pegasos steps + push-sum mixing.
 
-The n nodes' weight vectors are the rows of one (n, d) matrix. A learning
-step is one ``_pegasos_step`` for every node at once: one masked update
-applies the hinge subgradient to the rows whose margin is below 1. Each node
-draws its examples from its shard with its own seeded generator;
-``_draw_picks`` draws all of a run's learning steps in one call per node, and
-the feature rows of each block of steps are gathered in one index of the
-training matrix. A block of m draws continues each stream exactly as m single
-draws would, so neither the draw nor the block size changes an output. The
-weights then enter the mass-conserving push-sum protocol (``_exchange``). A
-run holds each node's (sum, weight) pair as a row of one (n, d + 1) block
-[sums | psw] from the first round to the tail, so an exchange is one
-Network.product of that block. A run stops once all pairwise weight-vector
-distances fall below the threshold. The decision is exact, but the full
-pairwise distances are only computed when the cheap bracket
+The n nodes' weight vectors are the rows of one (n, d) matrix. A learning step
+is one ``_pegasos_step`` for every node at once: one masked update applies the
+hinge subgradient to the rows whose margin is below 1. Each node draws its
+examples from its shard with its own seeded generator; ``_draw_picks`` draws
+all of a run's learning steps in one call per node, and the feature rows of
+each block of steps are gathered in one index of the training matrix, made
+dense by ``toarray`` if CSR. A block of m draws continues each stream exactly
+as m single draws would, so neither the draw nor the block size changes an
+output. The weights then enter the mass-conserving push-sum protocol
+(``_exchange``). A run holds each node's (sum, weight) pair as a row of one
+(n, d + 1) block [sums | psw] from the first round to the tail, so an exchange
+is one Network.product of that block. A run stops once all pairwise
+weight-vector distances fall below the threshold. The decision is exact, but
+the full pairwise distances are only computed when the cheap bracket
 dev <= gap <= 2 dev, dev = max_i ||w_i - w_0||, cannot settle it.
 
 A run is push-sum rounds, then a certified slow-mode tail. Once learning

@@ -54,6 +54,12 @@ class TwoLevelProbs:
         return self.p_in - self.p_out
 
 
+def _community_sizes(sizes) -> tuple:
+    if not (sizes := tuple(int(s) for s in sizes)) or min(sizes) < 1:
+        raise ValueError(f"community sizes must be a nonempty list of sizes >= 1, got {sizes}")
+    return sizes
+
+
 @dataclass(frozen=True, eq=False)
 class SbmModel:
     """Generative spec: community sizes, edge-probability matrix, seed."""
@@ -63,9 +69,7 @@ class SbmModel:
     seed: int
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.community_sizes)
-        if not sizes or min(sizes) < 1:
-            raise ValueError(f"community sizes must be a nonempty list of sizes >= 1, got {sizes}")
+        sizes = _community_sizes(self.community_sizes)
         probs = np.array(self.edge_probs, dtype=float)
         k = len(sizes)
         if probs.shape != (k, k):
@@ -117,9 +121,7 @@ class Network:
     __slots__ = ("n", "degrees", "num_edges", "community_sizes", "connected", "_split", "_dense", "_starts")
 
     def __init__(self, community_sizes, edges):
-        community_sizes = tuple(int(c) for c in community_sizes)
-        if not community_sizes or min(community_sizes) < 1:
-            raise ValueError(f"community sizes must be a nonempty list of sizes >= 1, got {community_sizes}")
+        community_sizes = _community_sizes(community_sizes)
         n = sum(community_sizes)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
@@ -213,7 +215,6 @@ class BlockMatrices:
 
 def make_two_level_model(sizes, probs: TwoLevelProbs, seed: int) -> SbmModel:
     """Build a model with p_in on the diagonal and p_out everywhere else."""
-    sizes = tuple(int(s) for s in sizes)
     k = len(sizes)
     pi = np.full((k, k), probs.p_out, dtype=float)
     np.fill_diagonal(pi, probs.p_in)

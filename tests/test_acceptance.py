@@ -307,19 +307,21 @@ def test_10_reciprocal_law_dense_sweep(tmp_path):
         assert float(np.mean(np.abs(pred - emp) / emp)) <= 0.10
 
 
-def test_11_first_critical_point_on_simulated_tau(tmp_path):
+@pytest.mark.parametrize("fig, grid", [("fig3", np.linspace(0.0, 0.07, 9)), ("fig4", np.linspace(0.0, 0.15, 11))],
+                         ids=["fig3", "fig4"])
+def test_11_first_critical_point_on_simulated_tau(tmp_path, fig, grid):
     # "there exists a critical level of community structure at which tau_eps
     # reaches a lower bound and is no longer limited by the presence of
-    # communities": on the fig3 model, a linear delta grid straddling delta1*
-    with criterion(11, "fig3 model: tau flat below delta1*, rising above", budget_s=120):
-        settings = json.loads((CONFIGS / "fig3.cfg").read_text())
+    # communities": on the fig3 and fig4 models, a linear delta grid straddling
+    # delta1*
+    with criterion(11, f"{fig} model: tau flat below delta1*, rising above", budget_s=120):
+        settings = json.loads((CONFIGS / f"{fig}.cfg").read_text())
         sizes, p_in = settings["sizes"], settings["p_in"]
         delta1 = bench.detect_bifurcation(sizes, p_in, np.linspace(0.01, 0.09, 8).tolist())
-        grid = np.linspace(0.0, 0.07, 9)
         assert grid[2] < delta1 < grid[-3]
         for key in ("p_out_lo", "p_out_hi", "p_out_num"):
             del settings[key]
-        cfg = tmp_path / "fig3-linear.cfg"
+        cfg = tmp_path / f"{fig}-linear.cfg"
         cfg.write_text(json.dumps({**settings, "p_out_list": (p_in - grid).tolist()}))
         assert cli(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         rows = sweep_rows(tmp_path)

@@ -780,6 +780,8 @@ _IMPORT_PROBE = textwrap.dedent("""
     rc["bifurcation"] = netconsensus.cli.cli(
         ["bifurcation", "--sizes", "50,50", "--p-in", "0.3", "--delta-grid", "0.0:0.25:6", "--out", str(out / "b")])
     seen["bifurcation"] = scipy_loaded()
+    netconsensus.data.make_blobs(200, 3, 1.0, 0)
+    seen["blobs"] = scipy_loaded()
     rc["sweep"] = netconsensus.cli.cli(["sweep", "--config", sys.argv[2], "--out", str(out / "s")])
     print(json.dumps({"seen": seen, "rc": rc}))
 """)
@@ -795,6 +797,6 @@ def test_predict_and_bifurcation_load_no_scipy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120, check=True)
     report = json.loads(proc.stdout)
     assert report["rc"] == {"predict": 0, "bifurcation": 0, "sweep": 0}
-    assert report["seen"] == {"import": [], "predict": [], "bifurcation": []}
+    assert report["seen"] == {"import": [], "predict": [], "bifurcation": [], "blobs": []}
     assert (tmp_path / "b" / "bifurcation.json").exists()
     assert len((tmp_path / "s" / "rows.csv").read_text().splitlines()) == 2

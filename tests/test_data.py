@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from netconsensus import data
 
@@ -86,7 +87,7 @@ class TestSaveRoundTrip:
     def test_full_precision_roundtrip(self, tmp_path):
         ds = data.make_blobs(50, 7, margin=1.5, seed=9)
         path = tmp_path / "out.txt"
-        dense = ds.X.toarray()
+        dense = np.asarray(ds.X)
         with path.open("w") as fh:
             for label, row in zip(ds.y, dense):
                 feats = " ".join(f"{j + 1}:{float(v)!r}" for j, v in enumerate(row) if v != 0.0)
@@ -139,13 +140,13 @@ class TestMakeBlobs:
     def test_deterministic(self):
         a = data.make_blobs(60, 4, margin=2.0, seed=11)
         b = data.make_blobs(60, 4, margin=2.0, seed=11)
-        assert np.array_equal(a.X.toarray(), b.X.toarray())
+        assert np.array_equal(np.asarray(a.X), np.asarray(b.X))
         assert np.array_equal(a.y, b.y)
 
     def test_two_dimensional_separability_by_exhaustive_search(self):
         # exhaustive sweep of hyperplanes through the origin in 2-D
         ds = data.make_blobs(40, 2, margin=6.0, seed=2)
-        points = ds.X.toarray()
+        points = np.asarray(ds.X)
         separable = False
         for theta in np.linspace(0.0, np.pi, 3600, endpoint=False):
             normal = np.array([np.cos(theta), np.sin(theta)])
@@ -174,6 +175,22 @@ class TestMakeBlobs:
     def test_labels_are_pm_one(self):
         ds = data.make_blobs(30, 3, margin=1.0, seed=1)
         assert set(np.unique(ds.y)) <= {-1, 1}
+
+    def test_features_are_the_dense_draw(self):
+        ds = data.make_blobs(30, 3, margin=1.0, seed=1)
+        assert type(ds.X) is np.ndarray
+        assert ds.X.dtype == np.float64 and ds.X.shape == (30, 3)
+        assert ds.X.flags.c_contiguous
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("form", [np.asarray, sparse.csr_matrix], ids=["dense", "csr"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_feature_rejected(self, form, bad):
+        X = np.array([[1.0, 0.0], [0.5, 2.0]])
+        X[1, 1] = bad
+        with pytest.raises(ValueError, match="^features contain NaN/Inf$"):
+            data.LabeledDataset(form(X), np.array([1, -1]))
 
 
 class TestTrainTestSplit:

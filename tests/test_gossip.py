@@ -46,7 +46,7 @@ class TestPegasosStep:
 
     def test_toy_separable_set_learned(self):
         ds = data.make_blobs(20, 2, margin=6.0, seed=7)
-        X, y = ds.X.toarray(), ds.y
+        X, y = np.asarray(ds.X), ds.y
         weights = np.zeros((1, 2))
         picks = gossip._draw_picks([np.arange(20)], [np.random.default_rng(1)], 1000)
         for t in range(1, 1001):
@@ -62,7 +62,7 @@ class TestPegasosStep:
         # the step index t sets the rate 1/(nu t): two steps at t = 1, 2 on
         # three nodes match the per-node recurrence with the same draws
         ds = data.make_blobs(8, 2, margin=2.0, seed=0)
-        X, y = ds.X.toarray(), ds.y
+        X, y = np.asarray(ds.X), ds.y
         shards = [np.arange(8), np.arange(3), np.array([5])]
         weights = np.zeros((3, 2))
         rngs = [np.random.default_rng(i) for i in range(3)]
@@ -216,7 +216,7 @@ class TestRunGadget:
     def test_symmetric_nodes_agree_after_first_mixing(self):
         # identical shards, identical seeds, complete graph: exact symmetry
         ds = data.make_blobs(12, 3, margin=2.0, seed=1)
-        X, y = ds.X.toarray(), ds.y
+        X, y = np.asarray(ds.X), ds.y
         n = 5
         weights = np.zeros((n, 3))
         shards = [np.arange(12)] * n
@@ -264,7 +264,7 @@ class TestRunGadget:
         # decentralized training should not lose more than 2 accuracy points
         # against plain single-node subgradient descent on the pooled data
         ds = data.make_blobs(600, 8, margin=3.0, seed=8)
-        X, y = ds.X.toarray(), ds.y
+        X, y = np.asarray(ds.X), ds.y
         rng = np.random.default_rng(0)
         w = np.zeros(8)
         for t in range(1, 3001):
@@ -329,8 +329,10 @@ PER_NODE_RUNS = [
 @pytest.mark.parametrize("sizes, dense, steps, trace, rounds, final", PER_NODE_RUNS)
 def test_run_gadget_matches_per_node_oracle(sizes, dense, steps, trace, rounds, final):
     ds = data.make_blobs(300, 4, margin=2.0, seed=5)
-    if dense:
-        ds = data.LabeledDataset(ds.X.toarray(), ds.y)
+    if not dense:  # the CSR twin of the blobs
+        from scipy import sparse
+
+        ds = data.LabeledDataset(sparse.csr_matrix(ds.X), ds.y)
     probs = sbm.TwoLevelProbs(0.8, 0.3) if len(sizes) == 2 else sbm.TwoLevelProbs(0.9, 0.9)
     model = sbm.make_two_level_model(list(sizes), probs, 2 if len(sizes) == 2 else 1)
     cfg = gossip.GadgetConfig(nu=0.1, epsilon=1e-9, max_rounds=20_000, learning_rounds=30, steps_per_round=steps)
